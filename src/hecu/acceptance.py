@@ -35,7 +35,8 @@ from .horseshoe import (
     truncated_local_map,
     verify_cones,
 )
-from .integrate import IntegratorConfig, integrate_mcgehee, mcgehee_rhs, energy_drift
+from .integrate import (IntegratorConfig, energy_drift, integrate, integrate_mcgehee,
+                        mcgehee_rhs)
 from .model import (
     averaged_remainder_sup,
     nu_from_physical,
@@ -272,10 +273,9 @@ def criterion_11(cache: dict) -> CriterionResult:
     t_end = 16.0
     traj = integrate_mcgehee(params, y0, (0.0, t_end), cfg)
     theta_end = float(traj.y1[2])
-    from scipy.integrate import solve_ivp
-    red = solve_ivp(reduced_rhs(params), (y0[2], theta_end), y0[:2],
-                    method="DOP853", rtol=1e-12, atol=1e-13)
-    dev = float(np.max(np.abs(red.y[:, -1] - traj.y1[:2])))
+    red = integrate(reduced_rhs(params), y0[:2], (y0[2], theta_end),
+                    IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13))
+    dev = float(np.max(np.abs(red.y1 - traj.y1[:2])))
     _, field_chk = reduce_poincare_cartan((y0[0], y0[1], y0[2]), params)
     full = mcgehee_rhs(params)(0.0, y0)
     dev_field = float(np.max(np.abs(np.array(field_chk)

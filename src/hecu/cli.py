@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,7 @@ class _Run:
         self.command = command
         self.resolved = resolved
         self.files: dict[str, str] = {}
+        self.counters: dict | None = None   # run diagnostics, not checksummed
         self.t0 = time.time()
 
     def add_csv(self, name: str, header: list[str], rows: list[tuple]) -> None:
@@ -106,6 +108,8 @@ class _Run:
             "wall_clock_s": round(time.time() - self.t0, 3),
             "outputs": checksums,
         }
+        if self.counters is not None:
+            manifest["counters"] = self.counters
         (self.out_dir / "run_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -141,16 +145,19 @@ def _cmd_melnikov(args) -> int:
 
 
 def _cmd_splitting(args) -> int:
+    from .integrate import IntegrationCounters
     from .manifolds import (measure_splitting, stable_sheet_from_unstable,
                             unstable_sheet)
     nu_values = _parse_range(args.nuI0)
     eps_values = _parse_list(args.epsilon)
     rows = []
+    counters = IntegrationCounters()
     for nu_I0 in nu_values:
         for eps in eps_values:
             params = _resolve_params(args, nu_I0, eps)
             sheet = unstable_sheet(params, [args.u], tol=args.tol,
                                    theta_modes=args.modes)
+            counters.add(sheet.counters)
             stable = stable_sheet_from_unstable(sheet)
             for k in range(1, args.kmax + 1):
                 s = measure_splitting(sheet, stable, args.u, k,
@@ -164,19 +171,22 @@ def _cmd_splitting(args) -> int:
     run.add_csv("splitting.csv",
                 ["nuI0", "epsilon", "u", "k", "ampJ", "phaseJ", "ampP",
                  "phaseP", "noise_floor"], rows)
+    run.counters = asdict(counters)
     run.flush()
     print(f"wrote {run.out_dir / 'splitting.csv'} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    from .integrate import IntegrationCounters
     from .manifolds import fit_scaling, splitting_sweep
     nu_values = _parse_range(args.nuI0)
     eps_values = _parse_list(args.epsilon)
     if len(eps_values) != 1:
         raise DomainError("sweep takes a single epsilon")
+    counters = IntegrationCounters()
     samples = splitting_sweep(nu_values, eps_values[0], u=args.u,
-                              tol=args.tol)
+                              tol=args.tol, counters=counters)
     fit = fit_scaling(samples, basis="nu_plus_one")
     lit = fit_scaling(samples, basis="nu")
     rows = [(s.nu_I0, s.amp_J, fit.rho, fit.sigma) for s in samples]
@@ -186,6 +196,7 @@ def _cmd_sweep(args) -> int:
         "fit": {"basis": "nu_plus_one", "rho": fit.rho, "sigma": fit.sigma},
         "fit_literal_nu_basis": {"rho": lit.rho, "sigma": lit.sigma}})
     run.add_csv("sweep.csv", ["nuI0", "amp", "rho_fit", "sigma_fit"], rows)
+    run.counters = asdict(counters)
     run.flush()
     print(f"rho = {fit.rho:.5f}, sigma = {fit.sigma:.5f} (prefactor basis nuI0+1)")
     print(f"literal nuI0 basis: rho = {lit.rho:.5f}, sigma = {lit.sigma:.5f}")

@@ -34,9 +34,26 @@ class PassageError(RuntimeError):
 
 
 class ShadowingError(RuntimeError):
-    def __init__(self, message, achieved=()):
+    """Shadowing failed; carries the count-feedback trail when it has one.
+
+    trail holds (w_t, candidate tau, achieved count) per feedback round;
+    w_lo, w_hi and width describe the target window interpolated at the
+    image v.  The message ends with the last rounds of the trail.
+    """
+
+    def __init__(self, message, achieved=(), trail=(), w_lo=math.nan,
+                 w_hi=math.nan, width=math.nan):
+        self.trail = tuple(trail)
+        if self.trail:
+            last = "; ".join(f"w_t={w:.6e} tau={tau:.6e} count={c}"
+                             for w, tau, c in self.trail[-4:])
+            message = (f"{message} (window w_lo={w_lo:.6e} w_hi={w_hi:.6e} "
+                       f"width={width:.3e}; last of {len(self.trail)} rounds: {last})")
         super().__init__(message)
         self.achieved = tuple(achieved)
+        self.w_lo = w_lo
+        self.w_hi = w_hi
+        self.width = width
 
 
 @dataclass(frozen=True)
@@ -1078,16 +1095,19 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols,
         w_deep = None      # too deep (count > want or escape): need larger w
         w_shallow = None   # too shallow (count < want): need smaller w
         tau_c = None
+        trail = []         # (w_t, candidate, count) per feedback round
+        window = {"w_lo": w_lo, "w_hi": w_hi, "width": width}
         for _ in range(24):
             if depth == 1:
                 cand = min(max(w_t, 1e-3 * lab.delta_q), lab.delta_q)
             else:
                 cand = aim(th_anchor + lab.s_tau * w_t, width / 8.0)
             counts = chain_counts(cand, depth)
+            trail.append((w_t, cand, counts[depth - 1]))
             if counts[:depth - 1] != targets[:depth - 1]:
                 raise ShadowingError(
                     f"depth {depth}: aim left the previous windows",
-                    achieved=counts[:depth - 1])
+                    achieved=counts[:depth - 1], trail=trail, **window)
             c = counts[depth - 1]
             if c == want:
                 tau_c = cand
@@ -1104,7 +1124,7 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols,
         if tau_c is None:
             raise ShadowingError(
                 f"depth {depth}: count feedback did not converge",
-                achieved=targets[:depth - 1])
+                achieved=targets[:depth - 1], trail=trail, **window)
 
         # 3) exact edges by count bisection around the landed point
         tau_step = 1.5 * width / abs(slope) if depth > 1 else 1.5 * width

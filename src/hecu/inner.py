@@ -210,37 +210,6 @@ def t2_weighted_bound(sol: InnerSolution) -> float:
     return total / theta_v ** 2 if theta_v > 0 else 0.0
 
 
-def l_in_plus_modes(params: ModelParams, depth: float, modes: int = 8,
-                    x_end: float = 2.0, h0: float = 0.01) -> ModeField:
-    """The inner Melnikov layer L+_in on a line, without solving the fixed point."""
-    x = inner_line(depth, x_end=x_end, h0=h0)
-    primary = _primary_source(params, int(modes), depth, x)
-    return _transport_inner(primary, depth)
-
-
-def l_in_plus(params: ModelParams, v: complex, theta: float,
-              modes: int = 8) -> complex:
-    """Pointwise L+_in(v, theta) for Im v < 0 (evaluated on its line)."""
-    if v.imag >= 0:
-        raise DomainError("evaluation ray must lie in the lower half-plane")
-    depth = -v.imag
-    field_ = l_in_plus_modes(params, depth)
-    x = inner_line(depth)
-    out = 0.0 + 0.0j
-    for k in range(-field_.M, field_.M + 1):
-        val, _ = field_.interp_coeff(k, v.real)
-        out += val * np.exp(1j * k * theta)
-    return complex(out)
-
-
-def l_in_minus(params: ModelParams, v: complex, theta: float,
-               modes: int = 8) -> complex:
-    """L-_in(v, theta) = -conj(L+_in(-conj v, -conj theta))."""
-    vv = -np.conj(v)
-    tt = -np.conj(theta)
-    return -np.conj(l_in_plus(params, complex(vv), complex(tt), modes))
-
-
 def inner_melnikov_difference_mode(params: ModelParams, k: int, v: complex) -> complex:
     """Closed form of (L+_in - L-_in) mode k for Im v < 0:
     -(pi k eps V_k / 4) e^{-i k v}."""

@@ -1,8 +1,16 @@
-"""High-accuracy adaptive integration with dense output and section events.
+"""Lane-batched adaptive integration with dense output and section crossings.
 
-Backed by the Dormand-Prince 8(5,3) pair (scipy's DOP853; order-7 dense
-output).  The field is polynomial plus trig, never stiff; a step underflow
-is treated as a domain signal (near-singularity such as q -> 0 in reduced
+One numpy implementation of the Dormand-Prince 8(5,3) pair (DOP853:
+Hairer, Norsett & Wanner, Solving ODEs I, II.10; the tableau is the one
+scipy ships) advances N independent orbits, the lanes, with one shared
+step.  The step controller is scipy's; its error norm is the maximum over
+lanes of scipy's per-lane DOP853 norm, so every lane meets at least the
+tolerance it meets when integrated alone.  A 1-D initial state is the
+single-lane case and takes scipy's steps.  Every accepted step keeps the
+seven coefficient arrays of the order-7 dense output.
+
+The field is polynomial plus trig, never stiff; a step underflow is treated
+as a domain signal (near-singularity such as q -> 0 in reduced
 coordinates), not retried.
 
 Splitting amplitudes scale like nu*I0*exp(-nu*I0), so double precision
@@ -16,8 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .model import (
     DomainError,
@@ -28,6 +35,22 @@ from .model import (
 # Beyond this the signal nu*I0*e^{-nu*I0} sits within ~1e3 of double-precision
 # integration noise and measured splitting harmonics stop being trustworthy.
 MAX_RELIABLE_NU_I0 = 14.0
+
+# the 12-stage method, its two error estimators, and the 3 extra stages and
+# interpolation matrix of the dense output
+_NS = _dop.N_STAGES
+_A = _dop.A[:_NS, :_NS]
+_B = _dop.B
+_C = _dop.C[:_NS]
+_E3 = _dop.E3
+_E5 = _dop.E5
+_A_EXTRA = _dop.A[_NS + 1:]
+_C_EXTRA = _dop.C[_NS + 1:]
+_D = _dop.D
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
 
 
 class StepUnderflowError(RuntimeError):
@@ -53,29 +76,78 @@ class IntegratorConfig:
             raise DomainError("max_step must be positive")
 
 
+@dataclass
+class IntegrationCounters:
+    """Work and health of integrations: summed counts, worst polish residual."""
+
+    steps: int = 0
+    rejected_steps: int = 0
+    rhs_calls: int = 0                # vectorised field calls
+    polish_residual: float = 0.0      # largest |g| at a polished crossing
+
+    def add(self, other: "IntegrationCounters") -> None:
+        self.steps += other.steps
+        self.rejected_steps += other.rejected_steps
+        self.rhs_calls += other.rhs_calls
+        self.polish_residual = max(self.polish_residual, other.polish_residual)
+
+
 @dataclass(frozen=True)
 class SectionEvent:
     t: float
     state: np.ndarray
     direction: int  # sign of dg/dt at the crossing
+    lane: int = 0
 
 
 class Trajectory:
-    """Ordered (t, y) samples plus the dense interpolant that produced them."""
+    """Shared step nodes of N lanes plus the dense interpolant of every step.
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, sol, n_rhs: int, config: IntegratorConfig):
+    A single-lane trajectory (1-D initial state) has y of shape (n, M) and
+    evaluates to (n,) or (n, K); N lanes give (n, N, M), (n, N) and
+    (n, N, K).  n_rhs counts field calls, one per vectorised call.
+    """
+
+    def __init__(self, t: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray | None,
+                 n_rhs: int, n_rejected: int, config: IntegratorConfig, single: bool):
         self.t = t
-        self.y = y
-        self.sol = sol
+        self._nodes = nodes        # (M, N, n)
+        self._coeffs = coeffs      # (7, M - 1, N, n) or None
+        self.single = single
+        y = nodes.transpose(2, 1, 0)
+        self.y = y[:, 0] if single else y
         self.n_rhs = n_rhs
+        self.n_rejected = n_rejected
         self.config = config
         if not (np.all(np.diff(t) > 0) or np.all(np.diff(t) < 0)):
             raise IntegrationError("trajectory times must be strictly monotone")
 
+    @property
+    def n_steps(self) -> int:
+        return self.t.size - 1
+
     def __call__(self, t):
-        if self.sol is None:
+        if self._coeffs is None:
             raise IntegrationError("trajectory was built without dense output")
-        return self.sol(t)
+        tt = np.asarray(t, dtype=float)
+        idx = self._step_index(tt.ravel())
+        x = (tt.ravel() - self.t[idx]) / (self.t[idx + 1] - self.t[idx])
+        states = _horner(self._coeffs[:, idx], self._nodes[idx], x[:, None, None])
+        out = states.transpose(2, 1, 0)         # (n, N, K)
+        if self.single:
+            out = out[:, 0]
+        return out[..., 0] if tt.ndim == 0 else out
+
+    def _step_index(self, t: np.ndarray) -> np.ndarray:
+        forward = self.t[-1] > self.t[0]
+        nodes = self.t if forward else -self.t
+        idx = np.searchsorted(nodes, t if forward else -t, side="left") - 1
+        return np.clip(idx, 0, self.t.size - 2)
+
+    def _states_at(self, step: np.ndarray, lane: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(n, K) states of lanes `lane` at fraction `x` of steps `step`."""
+        return _horner(self._coeffs[:, step, lane], self._nodes[step, lane],
+                       x[:, None]).T
 
     @property
     def t0(self) -> float:
@@ -87,11 +159,23 @@ class Trajectory:
 
     @property
     def y1(self) -> np.ndarray:
-        return self.y[:, -1].copy()
+        return self.y[..., -1].copy()
+
+
+def _horner(coeffs, y_old, x):
+    """DOP853 dense output sum_i F_i x^a (1-x)^b over coefficient axis 0."""
+    y = np.zeros(np.broadcast_shapes(coeffs.shape[1:], np.shape(x)))
+    for i in range(coeffs.shape[0]):
+        y += coeffs[-1 - i]
+        y *= x if i % 2 == 0 else 1.0 - x
+    return y + y_old
 
 
 def mcgehee_rhs(params: ModelParams):
-    """Scalar-math right-hand side of the rescaled equations of motion."""
+    """Right-hand side of the rescaled equations of motion.
+
+    Takes a state of shape (4,) or (4, N) (N lanes) and returns the same shape.
+    """
     nu = params.nu
     I0 = params.I0
     eps = params.epsilon
@@ -107,40 +191,149 @@ def mcgehee_rhs(params: ModelParams):
         v = 0.0
         vp = 0.0
         for n, r, s in terms:
-            cn = math.cos(n * theta)
-            sn = math.sin(n * theta)
-            v += r * cn + s * sn
-            vp += n * (s * cn - r * sn)
-        return (
+            cn = np.cos(n * theta)
+            sn = np.sin(n * theta)
+            v = v + (r * cn + s * sn)
+            vp = vp + n * (s * cn - r * sn)
+        return np.array((
             -q * p,
             -q2 + 2.0 * q4 + 2.0 * eps * q4 * v,
             nu * (I0 + J),
             -0.5 * eps * q4 * vp,
-        )
+        ))
 
     return rhs
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Per-lane 2-norm over the state axis 0, rounded as scipy rounds it.
+
+    The controller reacts to the last bits of its error norm, so the single
+    lane takes scipy's steps only when the sums round alike.
+    """
+    return np.linalg.norm(x, axis=0)
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, max_step, direction, rtol, atol) -> float:
+    """scipy's starting step (HNW II.4) per lane; the smallest is shared.
+
+    The trial evaluation uses the smallest per-lane trial step for every
+    lane, so one field call serves them all.
+    """
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    rms = math.sqrt(y0.shape[0])
+    d0 = _norm(y0 / scale) / rms
+    d1 = _norm(f0 / scale) / rms
+    small = (d0 < 1e-5) | (d1 < 1e-5)
+    h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
+    h0 = min(float(np.min(h0)), interval)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _norm((f1 - f0) / scale) / rms / h0
+    dmax = np.maximum(d1, d2)
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.where(flat, max(1e-6, h0 * 1e-3),
+                  (0.01 / np.where(flat, 1.0, dmax)) ** (1.0 / 8.0))
+    return min(100.0 * h0, float(np.min(h1)), interval, max_step)
 
 
 def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate dy/dt = field(t, y) over t_span with the 8(5,3) pair.
 
-    Deterministic given inputs.  Raises StepUnderflowError when the
+    y0 of shape (n,) is one orbit and field sees (n,) states; y0 of shape
+    (n, N) is N lanes sharing every step, and field must map (n, N) to
+    (n, N).  Deterministic given inputs.  Raises StepUnderflowError when the
     controller asks for steps below 1e-14.
     """
-    res = solve_ivp(
-        field, t_span, np.asarray(y0, dtype=float),
-        method="DOP853",
-        rtol=config.rel_tol, atol=config.abs_tol,
-        max_step=config.max_step,
-        dense_output=config.dense_output,
-    )
-    if not res.success:
-        # scipy reports required-step-below-eps failures through status == -1
-        raise StepUnderflowError(res.message)
-    steps = np.abs(np.diff(res.t))
+    y = np.array(y0, dtype=float)
+    single = y.ndim == 1
+    if single:
+        y = y[:, None]
+
+        def fun(t, state):
+            return np.asarray(field(t, state[:, 0]), dtype=float)[:, None]
+    else:
+        def fun(t, state):
+            return np.asarray(field(t, state), dtype=float)
+
+    t0, t_bound = float(t_span[0]), float(t_span[1])
+    direction = 1.0 if t_bound >= t0 else -1.0
+    rtol, atol = config.rel_tol, config.abs_tol
+    n = y.shape[0]
+    K = np.empty((_dop.N_STAGES_EXTENDED,) + y.shape)
+    K2 = K.reshape(K.shape[0], -1)          # stages as rows, for tableau products
+
+    t = np.float64(t0)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, config.max_step, direction, rtol, atol)
+    n_rhs = 2
+    n_rejected = 0
+    times = [t]
+    nodes = [y]
+    coeffs = []
+    while direction * (t - t_bound) < 0:
+        min_step = 10.0 * abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = min(max(h_abs, min_step), config.max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflowError(
+                    f"required step {h_abs:.3e} below the spacing limit at t = {t:.17g}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = np.float64(t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+
+            K[0] = f
+            for s in range(1, _NS):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K2[:s].T, _A[s, :s]).reshape(y.shape) * h)
+            y_new = y + h * np.dot(K2[:_NS].T, _B).reshape(y.shape)
+            f_new = fun(t_new, y_new)
+            K[_NS] = f_new
+            n_rhs += _NS
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = _norm(np.dot(K2[:_NS + 1].T, _E5).reshape(y.shape) / scale) ** 2
+            err3 = _norm(np.dot(K2[:_NS + 1].T, _E3).reshape(y.shape) / scale) ** 2
+            denom = err5 + 0.01 * err3
+            lanes = abs(h) * err5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
+            error_norm = float(np.max(np.where(denom > 0, lanes, 0.0)))
+
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0
+                          else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+            n_rejected += 1
+
+        if config.dense_output:
+            for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_NS + 1):
+                K[s] = fun(t + c * h, y + np.dot(K2[:s].T, a[:s]).reshape(y.shape) * h)
+            n_rhs += len(_C_EXTRA)
+            dy = y_new - y
+            F = np.empty((_dop.INTERPOLATOR_POWER,) + y.shape)
+            F[0] = dy
+            F[1] = h * f - dy
+            F[2] = 2.0 * dy - h * (f_new + f)
+            F[3:] = h * np.dot(_D, K2).reshape((-1,) + y.shape)
+            coeffs.append(F)
+        t, y, f = t_new, y_new, f_new
+        times.append(t)
+        nodes.append(y)
+
+    times = np.array(times)
+    steps = np.abs(np.diff(times))
     if steps.size and steps.min() < 1e-14:
         raise StepUnderflowError(f"observed step {steps.min():.3e} below 1e-14")
-    return Trajectory(res.t, res.y, res.sol, int(res.nfev), config)
+    node_arr = np.ascontiguousarray(np.stack(nodes).transpose(0, 2, 1))
+    coeff_arr = (np.ascontiguousarray(np.stack(coeffs, axis=1).transpose(0, 1, 3, 2))
+                 if config.dense_output and coeffs else None)
+    return Trajectory(times, node_arr, coeff_arr, n_rhs, n_rejected, config, single)
 
 
 def integrate_mcgehee(params: ModelParams, y0, t_span,
@@ -148,50 +341,121 @@ def integrate_mcgehee(params: ModelParams, y0, t_span,
     return integrate(mcgehee_rhs(params), y0, t_span, config)
 
 
-def section_crossings(field, y0, t_span, section, direction: int = 0,
-                      count: int | None = None,
-                      config: IntegratorConfig = IntegratorConfig(),
-                      trajectory: Trajectory | None = None,
-                      scan_dt: float | None = None) -> list[SectionEvent]:
-    """Events where section(state) = 0, ordered in time.
+# ---------------------------------------------------------------------------
+# section crossings
+# ---------------------------------------------------------------------------
 
-    Sign changes are located on the dense output and polished to
-    |section| <= 1e-12.  `direction` restricts to sign(dg/dt): +1, -1, or 0
-    for both.  Fewer than `count` events is reported, not fatal.  `scan_dt`
-    caps the sampling spacing of the sign-change scan; set it when the
-    section oscillates faster than the integrator steps (fast angles).
+CROSSING_XTOL = 1e-14     # final bracket width in t
+CROSSING_GTOL = 1e-12     # largest accepted |g| at a polished crossing
+
+@dataclass(frozen=True)
+class Crossings:
+    """Zeros of a section over every lane, ordered by lane, then along the run."""
+
+    lane: np.ndarray        # (K,) lane index
+    t: np.ndarray           # (K,) crossing times
+    state: np.ndarray       # (n, K) states at the crossings
+    direction: np.ndarray   # (K,) sign of dg/dt
+    residual: float         # largest |g| at the polished crossings, 0 if none
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, i) -> SectionEvent:
+        return SectionEvent(t=float(self.t[i]), state=self.state[:, i].copy(),
+                            direction=int(self.direction[i]), lane=int(self.lane[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def first(self, n_lanes: int) -> np.ndarray:
+        """Index of each lane's first crossing, -1 where a lane has none."""
+        out = np.full(n_lanes, -1)
+        lanes, first = np.unique(self.lane, return_index=True)
+        out[lanes] = first
+        return out
+
+
+def crossings(traj: Trajectory, section, direction: int = 0,
+              scan_dt: float | None = None) -> Crossings:
+    """Every zero of section(state) along every lane of a dense trajectory.
+
+    `section` maps states of shape (n, ...) to values of shape (...).  Sign
+    changes are found on the step grid subdivided 4x (finer where `scan_dt`
+    caps the spacing, for sections that oscillate faster than the steps),
+    kept when sign(dg/dt) equals `direction` (0 keeps both), and polished
+    on the interpolant to a bracket of CROSSING_XTOL in t.  Raises
+    IntegrationError when a polished crossing misses |g| <= CROSSING_GTOL.
     """
-    traj = trajectory if trajectory is not None else integrate(field, y0, t_span, config)
-    if traj.sol is None:
-        raise IntegrationError("section_crossings needs dense output")
+    if traj._coeffs is None:
+        raise IntegrationError("crossings need dense output")
+    coeffs, nodes = traj._coeffs, traj._nodes
+    h = np.diff(traj.t)
+    n_sub = 4 if scan_dt is None else max(4, int(np.max(np.abs(h)) / scan_dt) + 1)
+    frac = np.arange(n_sub) / n_sub
+    grid = _horner(coeffs[:, :, None], nodes[:-1, None], frac[None, :, None, None])
+    grid = np.concatenate([grid.reshape((-1,) + nodes.shape[1:]), nodes[-1:]])
+    g = np.asarray(section(np.moveaxis(grid, -1, 0)), dtype=float)     # (S + 1, N)
+    ga, gb = g[:-1], g[1:]
+    first_cell = (np.arange(ga.shape[0]) == 0)[:, None]
+    hit = ((ga * gb < 0) | ((gb == 0) & (ga != 0))
+           | ((ga == 0) & (gb != 0) & first_cell))
+    sign = np.sign(gb - ga) * np.sign(h[0])
+    if direction:
+        hit &= sign == direction
+    lane, cell = np.nonzero(hit.T)          # lane-major, cells in run order
+    step = cell // n_sub
+    xa = (cell % n_sub) / n_sub
+    xb = (cell % n_sub + 1) / n_sub
 
-    events: list[SectionEvent] = []
-    t_nodes = traj.t
-    # refine the node grid: dense output is exact to interpolation order, and
-    # oversampling guards against double crossings inside a step
-    for i in range(len(t_nodes) - 1):
-        ta, tb = t_nodes[i], t_nodes[i + 1]
-        n_sub = 5 if scan_dt is None else max(5, int(abs(tb - ta) / scan_dt) + 2)
-        ts = np.linspace(ta, tb, n_sub)
-        gs = np.array([section(traj.sol(t)) for t in ts])
-        for j in range(len(ts) - 1):
-            ga, gb = gs[j], gs[j + 1]
-            if ga == 0.0 and (j > 0 or i > 0):
-                continue  # handled as right endpoint of the previous cell
-            if ga * gb > 0 or (ga == gb == 0.0):
-                continue
-            sgn = 1 if gb > ga else -1
-            if direction and sgn != direction:
-                continue
-            t_root = brentq(lambda t: section(traj.sol(t)), ts[j], ts[j + 1],
-                            xtol=1e-15, rtol=8.9e-16, maxiter=200)
-            state = traj.sol(t_root)
-            if abs(section(state)) > 1e-12:
-                raise IntegrationError("event polish failed to reach |g| <= 1e-12")
-            events.append(SectionEvent(t=float(t_root), state=state, direction=sgn))
-            if count is not None and len(events) >= count:
-                return events
-    return events
+    def g_at(x):
+        return np.asarray(section(traj._states_at(step, lane, x)), dtype=float)
+
+    x = _polish(g_at, xa, xb, ga[cell, lane], gb[cell, lane],
+                CROSSING_XTOL / np.abs(h[step]))
+    state = traj._states_at(step, lane, x)
+    resid = np.abs(np.asarray(section(state), dtype=float))
+    worst = float(np.max(resid)) if resid.size else 0.0
+    if worst > CROSSING_GTOL:
+        raise IntegrationError(f"event polish reached |g| = {worst:.3e} > {CROSSING_GTOL:g}")
+    return Crossings(lane=lane, t=traj.t[step] + x * h[step], state=state,
+                     direction=sign[cell, lane].astype(int), residual=worst)
+
+
+def _polish(g_at, a, b, ga, gb, width_tol, maxiter: int = 100) -> np.ndarray:
+    """Vectorised root polish on brackets [a, b] with ga * gb <= 0.
+
+    Illinois regula falsi, with a bisection whenever a bracket did not halve
+    over the last two updates, until each bracket is narrower than its
+    width_tol (floored at the resolution of x in [0, 1]).  Returns the end
+    with the smaller |g|.
+    """
+    a, b, ga, gb = a.copy(), b.copy(), ga.copy(), gb.copy()
+    width_tol = np.maximum(width_tol, 4.0 * np.finfo(float).eps)
+    widths = [np.full_like(a, np.inf)] * 2
+    for _ in range(maxiter):
+        active = (np.abs(b - a) > width_tol) & (ga != 0) & (gb != 0)
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - gb * (b - a) / (gb - ga)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        bisect = ~((c > lo) & (c < hi)) | (np.abs(b - a) > 0.5 * widths[0])
+        c = np.where(bisect, 0.5 * (a + b), c)
+        gc = g_at(c)
+        flip = gc * gb < 0
+        # Illinois: a kept end has its value halved, which pulls the next
+        # secant point across the root
+        a_new = np.where(flip, b, a)
+        ga_new = np.where(flip, gb, np.where(bisect, ga, 0.5 * ga))
+        a = np.where(active, a_new, a)
+        ga = np.where(active, ga_new, ga)
+        b = np.where(active, c, b)
+        gb = np.where(active, gc, gb)
+        widths = [widths[1], np.abs(b - a)]
+    else:
+        raise IntegrationError("event polish did not converge")
+    return np.where(np.abs(gb) <= np.abs(ga), b, a)
 
 
 def energy_drift(traj: Trajectory, params: ModelParams) -> float:

@@ -26,8 +26,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fourier import ModeField, geometric_grid, ibp_tail, powerlaw_tail, transport
-from .integrate import IntegratorConfig, Trajectory, integrate_mcgehee
-from .model import DomainError, ModelParams
+from .integrate import (IntegrationCounters, IntegratorConfig, crossings,
+                        integrate_mcgehee)
+from .model import DomainError, ModelParams, hamiltonian_mcgehee
 from .separatrix import dphi0, p_h, q_h
 
 
@@ -262,6 +263,7 @@ class Sheet:
     tag: str
     params: ModelParams
     levels: dict[float, SheetLevel]
+    counters: IntegrationCounters = field(default_factory=IntegrationCounters)
 
     def level(self, u: float) -> SheetLevel:
         key = min(self.levels, key=lambda v: abs(v - u))
@@ -283,77 +285,49 @@ def globalize(params: ModelParams, seeds: np.ndarray, u_levels,
 
     u_levels are positive; each fiber crosses q = q_h(u) twice, once rising
     (recorded at -u, the incoming branch p < 0) and once falling (+u,
-    p > 0).  Branch selection is keyed on the sign of p.
+    p > 0).  Since dq/dt = -q p, the branch is the crossing direction.
     """
-    cfg = config or IntegratorConfig()
     u_levels = sorted(float(u) for u in u_levels)
     if not u_levels or u_levels[0] <= 0:
         raise DomainError("u_levels must be positive")
-    q_targets = {u: float(q_h(u)) for u in u_levels}
     u0 = u_seed if u_seed is not None else -3.0
     t_end = abs(u0) + u_levels[-1] + 1.5
+    branches = [(su, d) for u in u_levels for su, d in ((u, -1), (-u, +1))]
+    return _sample_sheet("unstable", params, seeds, t_end, branches, config)
 
+
+def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float,
+                  branches, config: IntegratorConfig | None) -> Sheet:
+    """All seeds as lanes of one integration over (0, t_end), then each branch.
+
+    A branch (signed_u, direction) samples every fiber at its first crossing
+    of q = q_h(u) with sign(dq/dt) = direction.  Raises when a fiber misses
+    a branch.
+    """
     n = seeds.shape[0]
-    store: dict[float, dict[str, list]] = {
-        su: {"theta0": [], "theta": [], "P": [], "J": [], "defect": []}
-        for u in u_levels for su in (u, -u)}
-
-    from .model import hamiltonian_mcgehee
-    energy = params.energy
-
-    for i in range(n):
-        y0 = seeds[i]
-        traj = integrate_mcgehee(params, y0, (0.0, t_end), cfg)
-        ts = _scan_times(traj)
-        qs = traj.sol(ts)[0]
-        for u, q_t in q_targets.items():
-            for signed_u, want_sign in ((-u, -1), (u, +1)):
-                t_hit = _locate_crossing(traj, ts, qs, q_t, want_sign)
-                if t_hit is None:
-                    continue
-                state = traj.sol(t_hit)
-                rec = store[signed_u]
-                rec["theta0"].append(y0[2])
-                rec["theta"].append(state[2])
-                rec["P"].append(state[1] * float(p_h(signed_u)))
-                rec["J"].append(state[3])
-                rec["defect"].append(abs(hamiltonian_mcgehee(state, params) - energy))
-
+    traj = integrate_mcgehee(params, seeds.T, (0.0, t_end), config or IntegratorConfig())
     levels = {}
-    for su, rec in store.items():
-        if len(rec["theta0"]) != n:
-            raise RuntimeError(
-                f"grid coverage gap at u={su}: {len(rec['theta0'])}/{n} fibers arrived")
-        levels[su] = SheetLevel(
-            u=su,
-            theta0=np.array(rec["theta0"]),
-            theta=np.array(rec["theta"]),
-            P=np.array(rec["P"]),
-            J=np.array(rec["J"]),
-            energy_defect=np.array(rec["defect"]),
+    residual = 0.0
+    for signed_u, direction in branches:
+        q_t = float(q_h(signed_u))
+        hits = crossings(traj, lambda y: y[0] - q_t, direction=direction)
+        first = hits.first(n)
+        if np.any(first < 0):
+            raise RuntimeError(f"grid coverage gap at u={signed_u}: "
+                               f"{np.count_nonzero(first >= 0)}/{n} fibers arrived")
+        residual = max(residual, hits.residual)
+        state = hits.state[:, first]
+        levels[signed_u] = SheetLevel(
+            u=signed_u,
+            theta0=seeds[:, 2].copy(),
+            theta=state[2],
+            P=state[1] * float(p_h(signed_u)),
+            J=state[3],
+            energy_defect=np.abs(hamiltonian_mcgehee(state, params) - params.energy),
         )
-    return Sheet("unstable", params, levels)
-
-
-def _scan_times(traj: Trajectory) -> np.ndarray:
-    """Dense scan grid: integrator nodes subdivided 4x."""
-    t = traj.t
-    parts = [np.linspace(t[i], t[i + 1], 5)[:-1] for i in range(len(t) - 1)]
-    return np.concatenate(parts + [t[-1:]])
-
-
-def _locate_crossing(traj: Trajectory, ts: np.ndarray, qs: np.ndarray,
-                     q_target: float, want_sign: int) -> float | None:
-    """First crossing of q = q_target with sign(p) = want_sign."""
-    g = qs - q_target
-    idx = np.nonzero(g[:-1] * g[1:] < 0)[0]
-    for j in idx:
-        t_root = brentq(lambda t: traj.sol(t)[0] - q_target, ts[j], ts[j + 1],
-                        xtol=1e-14, rtol=8.9e-16, maxiter=200)
-        state = traj.sol(t_root)
-        if state[1] * want_sign > 0:
-            return float(t_root)
-    return None
+    counters = IntegrationCounters(steps=traj.n_steps, rejected_steps=traj.n_rejected,
+                                   rhs_calls=traj.n_rhs, polish_residual=residual)
+    return Sheet(tag, params, levels, counters)
 
 
 def unstable_sheet(params: ModelParams, u_levels, n_theta: int = 64,
@@ -383,9 +357,9 @@ def stable_sheet_direct(params: ModelParams, u_levels, n_theta: int = 64,
     """Stable sheet by direct backward integration (validation path).
 
     Seeds are S-images of the unstable graph at -u_seed; integrating them
-    backward traverses the stable manifold toward decreasing u.
+    backward traverses the stable manifold toward decreasing u, and each
+    level is sampled on the branch p > 0 (q falling in forward time).
     """
-    cfg = config or IntegratorConfig()
     g = graph if graph is not None else solve_hj_unstable(
         params, theta_modes=theta_modes, tol=tol)
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
@@ -400,31 +374,8 @@ def stable_sheet_direct(params: ModelParams, u_levels, n_theta: int = 64,
 
     u_levels = sorted(float(u) for u in u_levels)
     t_end = -(u_seed - u_levels[0] + 1.0)
-    q_targets = {u: float(q_h(u)) for u in u_levels}
-    store = {u: {"theta0": [], "theta": [], "P": [], "J": [], "defect": []}
-             for u in u_levels}
-    from .model import hamiltonian_mcgehee
-    for i in range(n_theta):
-        traj = integrate_mcgehee(params, seeds[i], (0.0, t_end), cfg)
-        ts = _scan_times(traj)
-        qs = traj.sol(ts)[0]
-        for u, q_t in q_targets.items():
-            t_hit = _locate_crossing(traj, ts, qs, q_t, +1)
-            if t_hit is None:
-                continue
-            state = traj.sol(t_hit)
-            rec = store[u]
-            rec["theta0"].append(seeds[i][2])
-            rec["theta"].append(state[2])
-            rec["P"].append(state[1] * float(p_h(u)))
-            rec["J"].append(state[3])
-            rec["defect"].append(abs(hamiltonian_mcgehee(state, params) - params.energy))
-    levels = {}
-    for u, rec in store.items():
-        levels[u] = SheetLevel(u, np.array(rec["theta0"]), np.array(rec["theta"]),
-                               np.array(rec["P"]), np.array(rec["J"]),
-                               np.array(rec["defect"]))
-    return Sheet("stable", params, levels)
+    return _sample_sheet("stable", params, seeds, t_end,
+                         [(u, -1) for u in u_levels], config)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +524,12 @@ def fit_scaling(samples: list[SplittingSample], which: str = "J",
 
 def splitting_sweep(nu_I0_values, epsilon: float, u: float = 1.0, k: int = 1,
                     n_theta: int = 64, tol: float = 1e-11,
-                    config: IntegratorConfig | None = None) -> list[SplittingSample]:
-    """Measure the k-th splitting harmonic across nu I0 values."""
+                    config: IntegratorConfig | None = None,
+                    counters: IntegrationCounters | None = None) -> list[SplittingSample]:
+    """Measure the k-th splitting harmonic across nu I0 values.
+
+    Each sheet's integration counters are added into `counters` when given.
+    """
     from .integrate import MAX_RELIABLE_NU_I0
     from .model import params_for_nu_I0
     out = []
@@ -585,6 +540,8 @@ def splitting_sweep(nu_I0_values, epsilon: float, u: float = 1.0, k: int = 1,
                 f"{MAX_RELIABLE_NU_I0}")
         params = params_for_nu_I0(float(nu_I0), epsilon=epsilon)
         sheet = unstable_sheet(params, [u], n_theta=n_theta, tol=tol, config=config)
+        if counters is not None:
+            counters.add(sheet.counters)
         stable = stable_sheet_from_unstable(sheet)
         out.append(measure_splitting(sheet, stable, u, k))
     return out

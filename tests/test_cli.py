@@ -84,6 +84,22 @@ def test_splitting_csv(tmp_path):
     row = lines[1].split(",")
     pred = 2e-4 * (math.pi * 4 * 0.03 / 4) * math.exp(-4.0) * 1.25
     assert float(row[4]) == pytest.approx(pred, rel=0.01)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    counters = manifest["counters"]
+    assert set(counters) == {"steps", "rejected_steps", "rhs_calls", "polish_residual"}
+    assert counters["steps"] > 0 and counters["rhs_calls"] > counters["steps"]
+    assert counters["polish_residual"] <= 1e-12
+    assert set(manifest["outputs"]) == {"splitting.csv"}
+
+
+def test_sweep_counters_sum_sheets(tmp_path):
+    out = tmp_path / "w"
+    code = run(["sweep", "--nuI0", "4:8:1", "--epsilon", "1e-4", "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    # four sheets of about 46 shared steps each
+    assert 4 * 30 <= manifest["counters"]["steps"] <= 4 * 80
+    assert set(manifest["outputs"]) == {"sweep.csv"}
 
 
 def test_inner_csv(tmp_path):

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from hecu.horseshoe import (
     LocalChart,
     ReducedState,
+    ShadowingError,
     action_offset_closed,
     local_map,
     reduce_poincare_cartan,
@@ -152,3 +153,16 @@ def test_select_operating_point():
     params = select_operating_point()
     assert params.epsilon == 1.0
     assert params.nu_I0 == pytest.approx(4.5, rel=1e-12)
+
+
+def test_shadowing_error_carries_feedback_trail():
+    trail = [(1e-3 * i, 2e-3 * i, 40 + i) for i in range(24)]
+    err = ShadowingError("depth 3: count feedback did not converge", achieved=(41, 42),
+                         trail=trail, w_lo=1e-3, w_hi=3e-3, width=2e-3)
+    assert err.trail == tuple(trail)
+    assert (err.w_lo, err.w_hi, err.width) == (1e-3, 3e-3, 2e-3)
+    assert err.achieved == (41, 42)
+    msg = str(err)
+    assert msg.startswith("depth 3: count feedback did not converge")
+    assert "last of 24 rounds" in msg and "count=63" in msg and "count=59" not in msg
+    assert str(ShadowingError("plain")) == "plain"

@@ -10,7 +10,6 @@ from hecu.inner import (
     extract_fk,
     f1_epsilon_scan,
     inner_melnikov_difference_mode,
-    l_in_plus_modes,
     solve_inner,
     t0_inner,
     t2_weighted_bound,
@@ -62,8 +61,9 @@ def test_t0_solves_uncorrugated_inner_equation():
 
 
 def test_l_in_zero_series():
+    # the first Picard iterate of the inner solve is the layer L+_in
     params = params_for_nu_I0(6.0, epsilon=0.0)
-    field_ = l_in_plus_modes(params, depth=10.0)
+    field_ = solve_inner(params, depth=10.0).melnikov
     assert field_.sup_norm() == 0.0
 
 

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hecu.integrate import (
+    IntegrationError,
     IntegratorConfig,
     StepUnderflowError,
+    crossings,
     energy_drift,
     integrate,
     integrate_mcgehee,
     mcgehee_rhs,
-    section_crossings,
     trajectory_to_csv,
 )
+from hecu.manifolds import solve_hj_unstable, unstable_initial_conditions
 from hecu.model import DomainError, params_for_nu_I0, vector_field_mcgehee
 from hecu.separatrix import p_h, q_h
 
@@ -96,37 +99,110 @@ def test_convergence_with_tolerance(params_eps0):
 def test_section_events_periodic_orbit(params):
     # on the orbit at infinity, theta mod 2pi = 0 crossings are spaced 2pi/(nu I0)
     y0 = [0.0, 0.0, 0.05, 0.0]
-    events = section_crossings(
-        mcgehee_rhs(params), y0, (0.0, 12.0),
-        section=lambda y: math.sin(y[2] / 2.0),  # zero iff theta = 0 mod 2pi
-        config=TIGHT, scan_dt=0.05)
+    events = crossings(
+        integrate_mcgehee(params, y0, (0.0, 12.0), TIGHT),
+        lambda y: np.sin(y[2] / 2.0),  # zero iff theta = 0 mod 2pi
+        scan_dt=0.05)
     gaps = np.diff([e.t for e in events])
     assert np.allclose(gaps, 2 * math.pi / params.nu_I0, rtol=1e-10)
 
 
 def test_section_event_p_zero_on_homoclinic(params_eps0):
-    events = section_crossings(
-        mcgehee_rhs(params_eps0), [q_h(-5.0), p_h(-5.0), 0.0, 0.0], (0.0, 10.0),
-        section=lambda y: y[1], config=TIGHT)
+    events = crossings(
+        integrate_mcgehee(params_eps0, [q_h(-5.0), p_h(-5.0), 0.0, 0.0], (0.0, 10.0), TIGHT),
+        lambda y: y[1])
     assert len(events) == 1
     assert events[0].t == pytest.approx(5.0, abs=1e-9)
 
 
 def test_section_event_qhalf_at_sqrt3(params_eps0):
-    events = section_crossings(
-        mcgehee_rhs(params_eps0), [1.0, 0.0, 0.0, 0.0], (0.0, 5.0),
-        section=lambda y: y[0] - 0.5, config=TIGHT)
+    events = crossings(
+        integrate_mcgehee(params_eps0, [1.0, 0.0, 0.0, 0.0], (0.0, 5.0), TIGHT),
+        lambda y: y[0] - 0.5)
     assert len(events) == 1
     assert events[0].t == pytest.approx(math.sqrt(3.0), abs=1e-10)
     assert abs(events[0].state[0] - 0.5) < 1e-12
 
 
 def test_event_direction_filter(params_eps0):
-    events = section_crossings(
-        mcgehee_rhs(params_eps0), [q_h(-4.0), p_h(-4.0), 0.0, 0.0], (0.0, 8.0),
-        section=lambda y: y[0] - 0.5, direction=+1, config=TIGHT)
+    events = crossings(
+        integrate_mcgehee(params_eps0, [q_h(-4.0), p_h(-4.0), 0.0, 0.0], (0.0, 8.0), TIGHT),
+        lambda y: y[0] - 0.5, direction=+1)
     assert len(events) == 1
     assert events[0].direction == 1
+
+
+def test_event_direction_backward(params_eps0):
+    # direction is the sign of dg/dt in time, whichever way the run goes:
+    # backward from the apex, q falls through 1/2 at t = -sqrt 3 where q rises
+    run = integrate_mcgehee(params_eps0, [1.0, 0.0, 0.0, 0.0], (0.0, -5.0), TIGHT)
+    assert len(crossings(run, lambda y: y[0] - 0.5, direction=-1)) == 0
+    events = crossings(run, lambda y: y[0] - 0.5, direction=+1)
+    assert len(events) == 1
+    assert events[0].t == pytest.approx(-math.sqrt(3.0), abs=1e-10)
+
+
+def test_crossings_per_lane(params_eps0):
+    # two lanes on the separatrix seeded at u0 cross q = 1/2 rising where
+    # u0 + t = -sqrt 3; every lane reports its own crossings
+    u0 = np.array([-4.0, -2.5])
+    y0 = np.array([q_h(u0), p_h(u0), np.zeros(2), np.zeros(2)])
+    run = integrate_mcgehee(params_eps0, y0, (0.0, 8.0), TIGHT)
+    events = crossings(run, lambda y: y[0] - 0.5, direction=+1)
+    assert list(events.lane) == [0, 1]
+    assert np.allclose(events.t, -math.sqrt(3.0) - u0, atol=1e-10)
+    assert list(events.first(3)) == [0, 1, -1]
+
+
+def test_crossings_need_dense_output(params_eps0):
+    run = integrate_mcgehee(params_eps0, [1.0, 0.0, 0.0, 0.0], (0.0, 1.0),
+                            IntegratorConfig(dense_output=False))
+    with pytest.raises(IntegrationError):
+        crossings(run, lambda y: y[0] - 0.5)
+
+
+@pytest.mark.parametrize("case", ["homoclinic", "homoclinic_back", "roundtrip"])
+def test_single_lane_takes_scipy_steps(case, params, params_eps0):
+    # the engine is scipy's DOP853 step for step on one lane
+    y0, span, p = {
+        "homoclinic": ([1.0, 0.0, 0.3, 0.0], (0.0, 10.0), params_eps0),
+        "homoclinic_back": ([1.0, 0.0, 0.3, 0.0], (0.0, -10.0), params_eps0),
+        "roundtrip": ([0.9, 0.1, 1.0, 0.01], (0.0, 20.0), params),
+    }[case]
+    run = integrate_mcgehee(p, y0, span, TIGHT)
+    ref = solve_ivp(mcgehee_rhs(p), span, np.array(y0), method="DOP853",
+                    rtol=TIGHT.rel_tol, atol=TIGHT.abs_tol, dense_output=True)
+    assert run.t.size == ref.t.size
+    assert np.max(np.abs(run.t - ref.t)) <= 1e-12
+    assert run.n_rhs == ref.nfev
+    ts = np.linspace(span[0], span[1], 101)
+    assert np.max(np.abs(run(ts) - ref.sol(ts))) <= 1e-12
+
+
+def test_lanes_match_separate_scipy_runs():
+    # 64 sheet fibers as lanes of one run against 64 separate scipy runs
+    p = params_for_nu_I0(5.0, epsilon=1e-3)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    seeds = unstable_initial_conditions(solve_hj_unstable(p), -3.0, thetas)
+    run = integrate_mcgehee(p, seeds.T, (0.0, 5.5), TIGHT)
+    assert run.y1.shape == (4, 64)
+    rhs = mcgehee_rhs(p)
+    for i, y0 in enumerate(seeds):
+        ref = solve_ivp(rhs, (0.0, 5.5), y0, method="DOP853",
+                        rtol=TIGHT.rel_tol, atol=TIGHT.abs_tol)
+        assert np.max(np.abs(run.y1[:, i] - ref.y[:, -1])) <= 1e-11
+    # lanes share the steps; the dense output of a lane is that lane's orbit
+    assert run(2.0).shape == (4, 64)
+    assert run(np.array([1.0, 2.0])).shape == (4, 64, 2)
+
+
+def test_rhs_accepts_lanes(params):
+    rng = np.random.default_rng(1)
+    states = rng.uniform(0.1, 1.0, size=(4, 7))
+    rhs = mcgehee_rhs(params)
+    batched = rhs(0.0, states)
+    for j in range(7):
+        assert np.allclose(batched[:, j], rhs(0.0, states[:, j]), rtol=1e-14, atol=1e-17)
 
 
 def test_energy_drift_homoclinic(params_eps0):
@@ -145,7 +221,8 @@ def test_energy_drift_full_excursion(params):
 
 
 def test_step_underflow_signals(params):
-    # forcing a tiny max_step makes scipy bail out through the step check
+    # the field blows up at t = 1: the controller shrinks the step below its
+    # spacing limit
     with pytest.raises(StepUnderflowError):
         integrate(lambda t, y: [y[1], 1.0 / (1.0 - t), 0.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0], (0.0, 1.0),

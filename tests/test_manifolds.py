@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
-from hecu.integrate import IntegratorConfig
+from hecu.integrate import IntegratorConfig, mcgehee_rhs
 from hecu.manifolds import (
     NonContractionError,
     RootCountError,
+    Sheet,
+    SheetLevel,
     SignalBelowNoiseError,
     delta_field_on_grid,
     find_homoclinics,
     fit_scaling,
+    globalize,
     measure_splitting,
     solve_hj_unstable,
     splitting_sweep,
@@ -225,3 +230,81 @@ def test_epsilon_linearity():
 def test_sweep_rejects_unreliable_nu_I0():
     with pytest.raises(DomainError):
         splitting_sweep([15.0], epsilon=1e-3)
+
+
+def _per_fiber_sheet(params, seeds, u_levels, u_seed=-3.0):
+    """Oracle: one scipy DOP853 run per fiber, brentq on its dense output.
+
+    Each fiber is scanned on its own steps subdivided 4x; a level takes the
+    first crossing of q = q_h(u) whose sign of p selects the branch.
+    """
+    u_levels = sorted(u_levels)
+    t_end = abs(u_seed) + u_levels[-1] + 1.5
+    rhs = mcgehee_rhs(params)
+    store = {su: [] for u in u_levels for su in (u, -u)}
+    for y0 in seeds:
+        res = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=1e-12,
+                        atol=1e-12, dense_output=True)
+        ts = np.concatenate([np.linspace(res.t[i], res.t[i + 1], 5)[:-1]
+                             for i in range(len(res.t) - 1)] + [res.t[-1:]])
+        qs = res.sol(ts)[0]
+        for u in u_levels:
+            q_t = float(q_h(u))
+            g = qs - q_t
+            for signed_u, want in ((-u, -1), (u, +1)):
+                for j in np.nonzero(g[:-1] * g[1:] < 0)[0]:
+                    t_hit = brentq(lambda t: res.sol(t)[0] - q_t, ts[j], ts[j + 1],
+                                   xtol=1e-14, rtol=8.9e-16, maxiter=200)
+                    state = res.sol(t_hit)
+                    if state[1] * want > 0:
+                        store[signed_u].append((y0[2], state))
+                        break
+    levels = {}
+    for su, recs in store.items():
+        assert len(recs) == len(seeds)
+        states = np.array([st for _, st in recs]).T
+        levels[su] = SheetLevel(
+            u=su, theta0=np.array([th for th, _ in recs]), theta=states[2],
+            P=states[1] * float(p_h(su)), J=states[3],
+            energy_defect=np.abs(hamiltonian_mcgehee(states, params) - params.energy))
+    return Sheet("unstable", params, levels)
+
+
+@pytest.mark.parametrize("nu_I0", [4.3, 9.8])
+def test_batched_sheet_matches_per_fiber_oracle(nu_I0):
+    params = params_for_nu_I0(nu_I0, epsilon=1e-3)
+    graph = solve_hj_unstable(params)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    seeds = unstable_initial_conditions(graph, -3.0, thetas)
+    batched = unstable_sheet(params, [1.0], graph=graph)
+    oracle = _per_fiber_sheet(params, seeds, [1.0])
+    for u in (1.0, -1.0):
+        a, b = batched.level(u), oracle.level(u)
+        assert np.array_equal(a.theta0, b.theta0)
+        for name in ("theta", "P", "J"):
+            assert np.max(np.abs(getattr(a, name) - getattr(b, name))) <= 1e-8
+    amp = measure_splitting(batched, stable_sheet_from_unstable(batched), 1.0, 1).amp_J
+    ref = measure_splitting(oracle, stable_sheet_from_unstable(oracle), 1.0, 1).amp_J
+    assert abs(amp - ref) <= 1e-4 * ref
+    assert batched.noise_floor <= 2.0 * oracle.noise_floor
+
+
+def test_sheet_counters(sheets):
+    sheet, stable = sheets
+    c = sheet.counters
+    assert c.steps > 0 and c.rejected_steps >= 0
+    # 12 stage calls per attempted step, 3 dense-output calls per accepted
+    # step, and 2 calls to choose the first step
+    assert c.rhs_calls == 2 + 12 * (c.steps + c.rejected_steps) + 3 * c.steps
+    assert 0.0 <= c.polish_residual <= 1e-12
+    assert stable.counters.steps == 0
+
+
+def test_sheet_coverage_gap_raises():
+    # seeds at u = -3 run for u_seed-based time 3.0 and stop near u = 0: no
+    # fiber reaches the falling branch at +1
+    params = params_for_nu_I0(5.0, epsilon=0.0)
+    g = solve_hj_unstable(params)
+    seeds = unstable_initial_conditions(g, -3.0, np.array([0.0, 1.0]))
+    with pytest.raises(RuntimeError, match="grid coverage gap"):
+        globalize(params, seeds, [1.0], u_seed=-0.5)
