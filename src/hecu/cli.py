@@ -205,21 +205,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inner(args) -> int:
-    from .inner import extract_fk, solve_inner, theta_v_constant
+    from .inner import extract_fk, solve_inner
     eps_values = _parse_list(args.epsilon)
     rows = []
+    picard = {}
     for eps in eps_values:
         params = _resolve_params(args, 6.0, eps)
         sol = solve_inner(params, depth=12.0, modes=args.modes, tol=args.tol)
-        theta_v = theta_v_constant(sol)
         diff = extract_fk(params, ks=tuple(range(1, args.kmax + 1)),
-                          modes=args.modes, tol=args.tol)
+                          modes=args.modes, tol=args.tol, solutions={12.0: sol})
+        picard[f"{eps:g}"] = diff.diagnostics["picard"]
         for k in range(1, args.kmax + 1):
             rows.append((eps, k, diff.f[k].real, diff.f[k].imag, diff.err[k],
-                         theta_v, sol.residual))
+                         sol.diagnostics["theta_V"], sol.residual))
     run = _Run(Path(args.out), "inner", {
         "epsilon": eps_values, "kmax": args.kmax, "modes": args.modes,
         "tol": args.tol, "config": args.config})
+    run.counters = {"picard": picard}
     run.add_csv("inner.csv",
                 ["epsilon", "k", "f_re", "f_im", "err_est", "theta_V",
                  "residual"], rows)

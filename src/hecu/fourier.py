@@ -1,22 +1,27 @@
-"""Fourier-mode containers and oscillatory quadrature primitives.
+"""Fourier-mode containers, oscillatory quadrature and the Picard engine.
 
-Two solvers in this package (the Hamilton-Jacobi graph solver and the
-inner-equation solver) iterate a fixed point of the form
+The Hamilton-Jacobi graph solver and the inner-equation solver both run
+`picard_iterates`, the fixed point
 
     Phi <- G(F(Phi)),     G(f)(x) = int_{-infty}^x f(s) e^{i w (s - x)} ds,
 
-mode by Fourier mode in the angle.  The semi-infinite transport G is
-evaluated by a cumulative Hermite-Filon rule: on each grid cell the
-(slowly varying) source is replaced by its cubic Hermite interpolant,
-whose product with e^{iws} integrates in closed form.  Endpoint
-derivatives are exact throughout because the transport obeys
-d/dx G(f) = f - i w G(f).
+mode by Fourier mode in the angle; they differ only in the frequencies,
+the profile of the (d_x Phi)^2 term and the primary source.  The
+semi-infinite transport G is a cumulative Hermite-Filon rule (Iserles and
+Norsett 2005): on each cell the source is replaced by its cubic Hermite
+interpolant, whose product with e^{iws} integrates in closed form through
+the moments int_0^1 s^j e^{zs} ds (Miller's backward recurrence for small
+|z|).  The weights of a mode are built once per solve.  Derivatives are
+exact throughout because the transport obeys d/dx G(f) = f - i w G(f).
 
 The same module provides panel Gauss-Legendre oscillatory quadrature used
 by the independent Melnikov oracle.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,43 +33,58 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # ---------------------------------------------------------------------------
 
 def _moments(z: np.ndarray) -> np.ndarray:
-    """m_j(z) = int_0^1 s^j e^{z s} ds for j = 0..3, stable in both regimes."""
+    """m_j(z) = int_0^1 s^j e^{z s} ds for j = 0..3, stable in both regimes.
+
+    Below |z| = 2.5 Miller's backward recurrence m_{j-1} = (e^z - z m_j)/j,
+    started at m_n ~ e^z/(n + 1) with n = 19 below |z| = 0.8 and n = 29
+    above (the start error shrinks by |z|/j per step); from |z| = 2.5 on
+    the forward recurrence m_j = (e^z - j m_{j-1})/z.
+    """
     z = np.asarray(z, dtype=complex)
-    m = np.zeros((4,) + z.shape, dtype=complex)
-    small = np.abs(z) < 0.8
-    zs = z[small]
-    for j in range(4):
-        term = np.ones_like(zs) / (j + 1)
-        acc = term.copy()
-        for n in range(1, 26):
-            term = term * zs * (j + n) / (n * (j + n + 1))
-            acc += term
-        m[j][small] = acc
-    zb = z[~small]
+    m = np.empty((4,) + z.shape, dtype=complex)
+    r = np.abs(z)
+    for band, top in (((r < 0.8), 19), ((r >= 0.8) & (r < 2.5), 29)):
+        zs = z[band]
+        ez = np.exp(zs)
+        mj = ez / (top + 1)
+        tmp = np.empty_like(zs)
+        for j in range(top, 0, -1):
+            np.subtract(ez, np.multiply(zs, mj, out=tmp), out=mj)
+            mj *= 1.0 / j
+            if j <= 4:
+                m[j - 1][band] = mj
+    big = ~(r < 2.5)
+    zb = z[big]
     ez = np.exp(zb)
     mj = (ez - 1.0) / zb
-    m[0][~small] = mj
-    for j in range(1, 4):
-        mj = (ez - j * mj) / zb
-        m[j][~small] = mj
+    for j in range(4):
+        m[j][big] = mj
+        mj = (ez - (j + 1) * mj) / zb
     return m
 
 
-def hermite_filon_cells(x: np.ndarray, f: np.ndarray, fp: np.ndarray,
-                        omega: float) -> np.ndarray:
-    """Per-cell integrals int_{x_j}^{x_{j+1}} H(s) e^{i omega s} ds.
+def _filon_weights(x: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hermite-Filon weights of every cell against e^{i omega s}, and e^{-i omega x}.
 
-    H is the cubic Hermite interpolant of f with endpoint slopes fp.
+    Rows 0..3 of the (4, N-1) weights multiply f_j, f'_j, f_{j+1}, f'_{j+1}
+    in the cell integral of the cubic Hermite interpolant H of f,
+    int_{x_j}^{x_{j+1}} H(s) e^{i omega s} ds.
     """
     h = np.diff(x)
-    z = 1j * omega * h
-    m0, m1, m2, m3 = _moments(z)
-    a0 = 2 * m3 - 3 * m2 + m0
-    a1 = m3 - 2 * m2 + m1
-    b0 = -2 * m3 + 3 * m2
-    b1 = m3 - m2
-    return h * np.exp(1j * omega * x[:-1]) * (
-        f[:-1] * a0 + h * fp[:-1] * a1 + f[1:] * b0 + h * fp[1:] * b1)
+    m0, m1, m2, m3 = _moments(1j * omega * h)
+    phase = np.exp(1j * omega * x)
+    w = np.array([2 * m3 - 3 * m2 + m0, h * (m3 - 2 * m2 + m1),
+                  3 * m2 - 2 * m3, h * (m3 - m2)])
+    w *= h * phase[:-1]
+    return w, phase.conj()
+
+
+def _filon_transport(weights: tuple[np.ndarray, np.ndarray], f: np.ndarray,
+                     fp: np.ndarray, tail: complex) -> np.ndarray:
+    """G_j = e^{-i omega x_j} (tail + int_{x_0}^{x_j} H(s) e^{i omega s} ds)."""
+    w, back = weights
+    cells = w[0] * f[:-1] + w[1] * fp[:-1] + w[2] * f[1:] + w[3] * fp[1:]
+    return (tail + np.concatenate(([0.0], np.cumsum(cells)))) * back
 
 
 def transport(x: np.ndarray, f: np.ndarray, fp: np.ndarray, omega: float,
@@ -74,11 +94,7 @@ def transport(x: np.ndarray, f: np.ndarray, fp: np.ndarray, omega: float,
     `tail` supplies int_{-infty}^{x_0} f e^{i omega s} ds.  The result is
     the semi-infinite convolution of the mode against its characteristic.
     """
-    cells = hermite_filon_cells(x, f, fp, omega)
-    acc = np.empty(len(x), dtype=complex)
-    acc[0] = tail
-    acc[1:] = tail + np.cumsum(cells)
-    return acc * np.exp(-1j * omega * x)
+    return _filon_transport(_filon_weights(x, omega), f, fp, tail)
 
 
 def ibp_tail(f0: complex, fp0: complex, fpp0: complex, omega: float,
@@ -147,9 +163,6 @@ class ModeField:
     def ks(self) -> np.ndarray:
         return np.arange(-self.M, self.M + 1)
 
-    def copy(self) -> "ModeField":
-        return ModeField(self.M, self.x, self.values.copy(), self.du.copy())
-
     def coeff(self, k: int) -> np.ndarray:
         return self.values[k + self.M]
 
@@ -161,23 +174,59 @@ class ModeField:
         ik = 1j * self.ks[:, None]
         return ModeField(self.M, self.x, ik * self.values, ik * self.du)
 
+    def _live(self) -> list[int]:
+        """Rows that are not identically zero."""
+        return [i for i in range(2 * self.M + 1) if self.values[i].any() or self.du[i].any()]
+
     def mul(self, other: "ModeField") -> "ModeField":
         """Pointwise product in theta: mode convolution, truncated to |k| <= M."""
         out = ModeField(self.M, self.x)
-        M = self.M
-        for m in range(-M, M + 1):
-            lo = max(-M, m - M)
-            hi = min(M, m + M)
-            acc_v = np.zeros(len(self.x), dtype=complex)
-            acc_d = np.zeros(len(self.x), dtype=complex)
-            for j in range(lo, hi + 1):
-                a_v = self.values[j + M]
-                b_v = other.values[m - j + M]
-                acc_v += a_v * b_v
-                acc_d += self.du[j + M] * b_v + a_v * other.du[m - j + M]
-            out.values[m + M] = acc_v
-            out.du[m + M] = acc_d
+        live = other._live()
+        for i in self._live():
+            for j in live:
+                m = i + j - self.M
+                if 0 <= m <= 2 * self.M:
+                    out.values[m] += self.values[i] * other.values[j]
+                    out.du[m] += self.du[i] * other.values[j] + self.values[i] * other.du[j]
         return out
+
+    def square(self, M: int | None = None) -> "ModeField":
+        """Pointwise square in theta, truncated to |k| <= M (default self.M).
+
+        Sums each unordered pair a_i a_j once (twice its weight) with
+        (a^2)' = 2 a a', and skips modes that are identically zero, so a
+        field of band B costs O(B^2) row products instead of O(M^2).
+        """
+        M = self.M if M is None else M
+        out = ModeField(M, self.x)
+        v, d = self.values, self.du
+        live = self._live()
+        for n, i in enumerate(live):
+            for j in live[n:]:
+                m = i + j - 2 * self.M + M
+                if not 0 <= m <= 2 * M:
+                    continue
+                if i == j:
+                    out.values[m] += 0.5 * v[i] * v[i]
+                    out.du[m] += v[i] * d[i]
+                else:
+                    out.values[m] += v[i] * v[j]
+                    out.du[m] += d[i] * v[j] + v[i] * d[j]
+        out.values *= 2.0
+        out.du *= 2.0
+        return out
+
+    def padded(self, M: int) -> "ModeField":
+        """The same series on |k| <= M >= self.M, the new modes zero."""
+        out = ModeField(M, self.x)
+        out.values[M - self.M:M + self.M + 1] = self.values
+        out.du[M - self.M:M + self.M + 1] = self.du
+        return out
+
+    def band(self, B: int) -> "ModeField":
+        """View of the modes |k| <= B <= self.M."""
+        rows = slice(self.M - B, self.M + B + 1)
+        return ModeField(B, self.x, self.values[rows], self.du[rows])
 
     def scale_profile(self, prof: np.ndarray, dprof: np.ndarray) -> "ModeField":
         """Multiply every mode by a theta-independent grid profile."""
@@ -221,6 +270,88 @@ class ModeField:
         dh11 = (3 * s ** 2 - 2 * s)
         dval = dh00 * f0 + dh10 * d0 + dh01 * f1 + dh11 * d1
         return complex(val), complex(dval)
+
+
+# ---------------------------------------------------------------------------
+# the Picard fixed point Phi <- G(F(Phi))
+# ---------------------------------------------------------------------------
+
+@dataclass
+class PicardStep:
+    """One Picard iterate and the signals a stop rule reads."""
+
+    iteration: int
+    phi: ModeField          # G(F(previous phi))
+    source: ModeField       # F(phi)
+    delta: float            # sup |phi - previous phi|
+    residual: float         # sup |F(phi) - previous source|
+    ratio: float            # delta / previous delta; nan until both exist
+
+
+def _sup_diff(a: ModeField, b: ModeField) -> float:
+    a, b = (a, b) if a.M >= b.M else (b, a)
+    d = a.values.copy()
+    d[a.M - b.M:a.M + b.M + 1] -= b.values
+    return float(np.max(np.sum(np.abs(d), axis=0)))
+
+
+def picard_iterates(primary: ModeField, freq: float, profile: np.ndarray,
+                    dprofile: np.ndarray, nu: float, max_iter: int):
+    """Yield the iterates of Phi <- G(F(Phi)) from Phi = 0, at most max_iter.
+
+    F(Phi) = primary - profile (d_x Phi)^2 - (nu/2) (d_theta Phi)^2; G moves
+    mode k at omega_k = k freq, with an integration-by-parts tail, or a
+    |x|^-4 power-law tail for omega_k = 0.  A mode's Filon weights are built
+    on its first nonzero source and freed with the generator.  d_x(d_x Phi_k)
+    = d_x F_k - i omega_k d_x Phi_k is exact.  Squares double the band, so
+    iterate n of a band-b primary lives on |k| <= min(primary.M, 2^(n-1) b)
+    and carries that M; `padded(primary.M)` restores the full truncation.
+    """
+    x, M = primary.x, primary.M
+    live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
+    primary = primary.band(max(live, default=0))
+    weights = {}
+
+    def transport_field(F: ModeField) -> ModeField:
+        out = ModeField(F.M, x)
+        for m, k in enumerate(F.ks):
+            f, fp = F.values[m], F.du[m]
+            if not f.any():
+                continue
+            omega = k * freq
+            if k not in weights:
+                # real x: the weights of -omega are the conjugates of those of omega
+                weights[k] = (tuple(w.conj() for w in weights[-k]) if -k in weights
+                              else _filon_weights(x, omega))
+            tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
+                    if omega else powerlaw_tail(f[0], x[0], 4.0))
+            out.values[m] = _filon_transport(weights[k], f, fp, tail)
+            out.du[m] = f - 1j * omega * out.values[m]
+        return out
+
+    def source(phi: ModeField, prev: ModeField) -> ModeField:
+        B = min(M, max(2 * phi.M, primary.M))
+        dx = ModeField(phi.M, x, phi.du, prev.du - 1j * freq * phi.ks[:, None] * phi.du)
+        quad = dx.square(B).scale_profile(profile, dprofile)
+        ang = phi.dtheta().square(B)
+        out = primary.padded(B)
+        out.values -= quad.values + 0.5 * nu * ang.values
+        out.du -= quad.du + 0.5 * nu * ang.du
+        return out
+
+    phi = ModeField(0, x)
+    src = source(phi, phi)
+    ratio = prev_delta = math.nan
+    for it in range(1, max_iter + 1):
+        phi_new = transport_field(src)
+        src_new = source(phi_new, src)
+        delta = _sup_diff(phi_new, phi)
+        residual = _sup_diff(src_new, src)
+        if prev_delta > 0:
+            ratio = delta / prev_delta
+        prev_delta = delta
+        phi, src = phi_new, src_new
+        yield PicardStep(it, phi, src, delta, residual, ratio)
 
 
 def geometric_grid(x_end: float, h0: float, near_span: float,

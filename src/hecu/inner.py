@@ -8,7 +8,8 @@ Hamilton-Jacobi equation into the frequency-free inner equation
 
 Writing T = T0 + T1 with T0 = -1/(4v), T1 solves L_in T1 = F_in(T1) with
 L_in = d_v + d_theta, and is found by Picard iteration of
-T1 <- G_in(F_in(T1)) whose first iterate is the inner Melnikov layer L+_in.
+T1 <- G_in(F_in(T1)) whose first iterate is the inner Melnikov layer L+_in
+(fourier.picard_iterates, the engine of the Hamilton-Jacobi graph too).
 The transport G_in integrates along horizontal shifts v + s, s <= 0, so the
 solver works on horizontal lines Im v = -depth, which the transport leaves
 invariant.  The second solution is the conjugation image
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ModeField, geometric_grid, ibp_tail, transport
+from .fourier import ModeField, geometric_grid, picard_iterates
+from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
 from .manifolds import NonContractionError
 from .model import DomainError, ModelParams
 
@@ -53,64 +55,6 @@ def inner_line(depth: float, x_end: float = 2.0, h0: float = 0.01,
     """Real offsets x of the solver line v = x - i*depth."""
     span = near_span if near_span is not None else max(4.0 * depth, 40.0)
     return geometric_grid(x_end, h0=h0, near_span=span, x_far=x_far, growth=growth)
-
-
-def _source_profile(depth: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1/(8 v^2) and its x-derivative on the line."""
-    v = x - 1j * depth
-    prof = 1.0 / (8.0 * v ** 2)
-    dprof = -2.0 / (8.0 * v ** 3)
-    return prof, dprof
-
-
-def _primary_source(params: ModelParams, M: int, depth: float,
-                    x: np.ndarray) -> ModeField:
-    """eps V(theta) / (8 v^2) as a mode field."""
-    prof, dprof = _source_profile(depth, x)
-    out = ModeField(M, x)
-    for k in range(-M, M + 1):
-        vk = params.epsilon * params.series.fourier_coeff(k)
-        if vk != 0:
-            out.set_coeff(k, vk * prof, vk * dprof)
-    return out
-
-
-def _transport_inner(F: ModeField, depth: float) -> ModeField:
-    """G_in applied mode by mode (frequency k), derivative tracked exactly."""
-    x = F.x
-    out = ModeField(F.M, x)
-    for k in range(-F.M, F.M + 1):
-        fvals = F.values[k + F.M]
-        if not np.any(fvals):
-            continue
-        fdu = F.du[k + F.M]
-        if k != 0:
-            fpp0 = (fdu[1] - fdu[0]) / (x[1] - x[0])
-            tail = ibp_tail(fvals[0], fdu[0], fpp0, float(k), x[0])
-        else:
-            # sources decay at least like |v|^-4; power-law tail estimate
-            tail = fvals[0] * abs(x[0]) / 3.0
-        g = transport(x, fvals, fdu, float(k), tail=tail)
-        out.set_coeff(k, g, fvals - 1j * k * g)
-    return out
-
-
-def _inner_source(t1: ModeField, prev_src: ModeField, primary: ModeField,
-                  params: ModelParams, depth: float) -> ModeField:
-    """F_in(T1) = -(nu/2)(d_theta T1)^2 - 2 v^2 (d_v T1)^2 + eps V/(8 v^2)."""
-    M = t1.M
-    x = t1.x
-    ks = np.arange(-M, M + 1)[:, None]
-    dv = ModeField(M, x, t1.du.copy(), prev_src.du - 1j * ks * t1.du)
-    dth = t1.dtheta()
-    v = x - 1j * depth
-    v2 = 2.0 * v ** 2
-    dv2 = 4.0 * v
-    t_v = dv.mul(dv).scale_profile(v2, dv2)
-    t_th = dth.mul(dth)
-    return ModeField(M, x,
-                     -0.5 * params.nu * t_th.values - t_v.values + primary.values,
-                     -0.5 * params.nu * t_th.du - t_v.du + primary.du)
 
 
 @dataclass
@@ -137,6 +81,9 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
                 x_end: float = 2.0, h0: float = 0.01) -> InnerSolution:
     """Picard solution of the inner equation on the line Im v = -depth.
 
+    F_in(T1) = -(nu/2)(d_theta T1)^2 - 2 v^2 (d_v T1)^2 + eps V/(8 v^2) at
+    omega_k = k.  Stops at residual <= tol after two iterations or more (so
+    T2 is measured, not left at zero), or at a residual of exactly zero.
     The line start acts as the paper's distance kappa; depths below 8 are
     rejected (the contraction constant degrades like 1/kappa).
     """
@@ -144,36 +91,25 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
         raise DomainError(f"depth must be >= {_MIN_DEPTH} (kappa too small)")
     x = inner_line(depth, x_end=x_end, h0=h0)
     M = int(modes)
-    primary = _primary_source(params, M, depth, x)
-
-    t1 = ModeField(M, x)
-    src = _inner_source(t1, ModeField(M, x), primary, params, depth)
+    v = x - 1j * depth
+    vks = params.epsilon * np.array(
+        [params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
+    primary = ModeField(M, x, vks / (8.0 * v ** 2), vks * (-2.0 / (8.0 * v ** 3)))
     melnikov = None
-    ratio = math.nan
-    prev_delta = math.nan
-    for it in range(1, max_iter + 1):
-        t1_new = _transport_inner(src, depth)
-        if it == 1:
-            melnikov = t1_new.copy()
-        delta = t1_new.axpy(-1.0, t1).sup_norm()
-        src_new = _inner_source(t1_new, src, primary, params, depth)
-        residual = src_new.axpy(-1.0, src).sup_norm()
-        t1 = t1_new
-        src = src_new
-        if not math.isnan(prev_delta) and prev_delta > 0:
-            ratio = delta / prev_delta
-            if ratio >= 0.9:
-                raise NonContractionError(
-                    f"inner Picard ratio {ratio:.3f} >= 0.9 (depth too small?)")
-        prev_delta = delta
-        if residual <= tol:
-            sol = InnerSolution(params, depth, x, t1, melnikov,
-                                residual, ratio, it)
+    for step in picard_iterates(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, max_iter):
+        if step.iteration == 1:
+            melnikov = step.phi
+        if step.ratio >= 0.9:
+            raise NonContractionError(
+                f"inner Picard ratio {step.ratio:.3f} >= 0.9 (depth too small?)")
+        if step.residual == 0.0 or (step.residual <= tol and step.iteration >= 2):
+            sol = InnerSolution(params, depth, x, step.phi.padded(M), melnikov.padded(M),
+                                step.residual, step.ratio, step.iteration)
             sol.diagnostics["theta_V"] = theta_v_constant(sol)
             return sol
     raise NonContractionError(
         f"inner iteration did not reach tol={tol} in {max_iter} steps "
-        f"(residual {residual:.3e})")
+        f"(residual {step.residual:.3e})")
 
 
 def theta_v_constant(sol: InnerSolution) -> float:
@@ -200,12 +136,8 @@ def theta_v_constant(sol: InnerSolution) -> float:
 
 def t2_weighted_bound(sol: InnerSolution) -> float:
     """K1 with floor-norm |v|^3-weighted T2 <= K1 Theta_V^2."""
-    x = sol.x
-    v = x - 1j * sol.depth
-    t2 = sol.t2
-    total = 0.0
-    for k in range(-t2.M, t2.M + 1):
-        total += float(np.max(np.abs(v ** 3 * t2.values[k + t2.M])))
+    v = sol.x - 1j * sol.depth
+    total = float(np.sum(np.max(np.abs(v ** 3 * sol.t2.values), axis=1)))
     theta_v = sol.diagnostics.get("theta_V") or theta_v_constant(sol)
     return total / theta_v ** 2 if theta_v > 0 else 0.0
 
@@ -250,7 +182,7 @@ def _fk_at_depth(sol: InnerSolution, k: int, x_off: float = 0.0) -> complex:
     """
     d = sol.depth
     v = x_off - 1j * d
-    t2 = sol.t2
+    t2 = sol.t1.band(abs(k)).axpy(-1.0, sol.melnikov.band(abs(k)))
     val_p, _ = t2.interp_coeff(k, x_off)
     val_m, _ = t2.interp_coeff(k, -x_off)
     # T-(v) mode k = -conj(T+ mode k at -conj v); on the line -conj v = -x - i d
@@ -317,7 +249,11 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
             mags.append(float(abs(2.0 * val.real)))
         low[k] = mags
     im_ratio = abs(f[1].imag) / abs(f[1]) if 1 in f and f[1] != 0 else math.nan
-    diagnostics = {"im_f1_ratio": im_ratio}
+    # per-depth Picard health; a ratio is None until two iterations differ
+    picard = {f"{d:g}": {"iterations": s.iterations, "residual": s.residual,
+                         "contraction_ratio": None if math.isnan(s.contraction_ratio)
+                         else s.contraction_ratio} for d, s in sols.items()}
+    diagnostics = {"im_f1_ratio": im_ratio, "picard": picard}
     if 1 in f:
         # off-axis consistency: away from the imaginary axis the raw
         # estimates acquire imaginary parts that must extrapolate away

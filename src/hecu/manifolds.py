@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .fourier import ModeField, geometric_grid, ibp_tail, powerlaw_tail, transport
+from .fourier import ModeField, geometric_grid, modes_to_values, picard_iterates
+from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
 from .integrate import (IntegrationCounters, IntegratorConfig, crossings,
                         integrate_mcgehee)
 from .model import DomainError, ModelParams, hamiltonian_mcgehee
@@ -71,21 +72,11 @@ class ManifoldGraph:
         J = np.zeros_like(thetas, dtype=complex)
         M = self.phi1.M
         for k in range(-M, M + 1):
-            val, _ = self.phi1.interp_coeff(k, u0)
-            dval = self._du_at(k, u0)
+            val, dval = self.phi1.interp_coeff(k, u0)
             phase = np.exp(1j * k * thetas)
             P = P + dval * phase
             J = J + 1j * k * val * phase
         return np.real(P), np.real(J)
-
-    def _du_at(self, k: int, u0: float) -> complex:
-        x = self.u
-        j = min(max(int(np.searchsorted(x, u0)) - 1, 0), len(x) - 2)
-        h = x[j + 1] - x[j]
-        s = (u0 - x[j]) / h
-        d0 = self.phi1.du[k + self.phi1.M, j]
-        d1 = self.phi1.du[k + self.phi1.M, j + 1]
-        return complex((1 - s) * d0 + s * d1)
 
     def phi1_at(self, u0: float, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -96,105 +87,43 @@ class ManifoldGraph:
         return np.real(out)
 
 
-def _h1_modes(params: ModelParams, M: int, x: np.ndarray) -> ModeField:
-    """Mode field of H1(q_h(u), theta) = (eps/2) q_h^4 V(theta)."""
-    prof = 0.5 * params.epsilon * (1.0 + x ** 2) ** -2.0
-    dprof = 0.5 * params.epsilon * (-4.0 * x) * (1.0 + x ** 2) ** -3.0
-    out = ModeField(M, x)
-    for k in range(-M, M + 1):
-        vk = params.series.fourier_coeff(k)
-        if vk != 0:
-            out.set_coeff(k, vk * prof, vk * dprof)
-    return out
-
-
-def _transport_field(F: ModeField, nu_I0: float) -> ModeField:
-    """Apply the semi-infinite transport G mode by mode; track d/du exactly."""
-    x = F.x
-    out = ModeField(F.M, x)
-    for k in range(-F.M, F.M + 1):
-        fvals = F.values[k + F.M]
-        fdu = F.du[k + F.M]
-        if not np.any(fvals):
-            continue
-        omega = k * nu_I0
-        if omega != 0.0:
-            fpp0 = (fdu[1] - fdu[0]) / (x[1] - x[0])
-            tail = ibp_tail(fvals[0], fdu[0], fpp0, omega, x[0])
-        else:
-            tail = powerlaw_tail(fvals[0], x[0], 4.0) if fvals[0] != 0 else 0.0
-        g = transport(x, fvals, fdu, omega, tail=tail)
-        out.set_coeff(k, g, fvals - 1j * omega * g)
-    return out
-
-
-def _hj_source(phi: ModeField, phi_prev_src: ModeField, h1: ModeField,
-               params: ModelParams, inv2p: np.ndarray, dinv2p: np.ndarray) -> ModeField:
-    """F(Phi1) with exact grid derivatives via the transport identity."""
-    M = phi.M
-    x = phi.x
-    ks = np.arange(-M, M + 1)[:, None]
-    # d_u Phi as a ModeField: value = phi.du, derivative from the identity
-    # d_u(d_u Phi_k) = d_u F_prev_k - i k nuI0 d_u Phi_k
-    du_field = ModeField(M, x,
-                         phi.du.copy(),
-                         phi_prev_src.du - 1j * ks * params.nu_I0 * phi.du)
-    dth_field = phi.dtheta()
-    t1 = du_field.mul(du_field).scale_profile(inv2p, dinv2p)
-    t2 = dth_field.mul(dth_field)
-    out = ModeField(M, x,
-                    -t1.values - 0.5 * params.nu * t2.values - h1.values,
-                    -t1.du - 0.5 * params.nu * t2.du - h1.du)
-    return out
-
-
 def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
                       theta_modes: int = 8, tol: float = 1e-11,
                       max_iter: int = 50, h0: float = 5e-3,
                       near_span: float = 10.0, u_far: float = -2.0e4) -> ManifoldGraph:
     """Picard solution of the Hamilton-Jacobi graph on u <= u_max < 0.
 
-    The first iterate is the Melnikov layer L+_out; iteration continues
-    until the sup-residual of the graph equation drops below tol.  Raises
-    NonContractionError when the successive-difference ratio reaches 0.9.
+    F(Phi1) of the module docstring, with H1 = (eps/2) q_h^4 V, at omega_k =
+    k nu I0.  The first iterate is the Melnikov layer L+_out; iteration
+    continues until the sup-residual of the graph equation drops below tol.
+    Raises NonContractionError when the successive-difference ratio reaches 0.9.
     """
     if u_max > -0.2:
         raise DomainError("u_max must be <= -0.2 (1/p_h^2 blows up at u = 0)")
     x = geometric_grid(u_max, h0=h0, near_span=near_span, x_far=u_far)
     M = int(theta_modes)
-    h1 = _h1_modes(params, M, x)
+    vks = np.array([params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
+    prof = -0.5 * params.epsilon * (1.0 + x ** 2) ** -2.0
+    dprof = -0.5 * params.epsilon * (-4.0 * x) * (1.0 + x ** 2) ** -3.0
     inv2p = (1.0 + x ** 2) ** 2 / (2.0 * x ** 2)
     dinv2p = (4.0 * x * (1.0 + x ** 2) - 2.0 * (1.0 + x ** 2) ** 2 / x) / (2.0 * x ** 2)
-
-    phi = ModeField(M, x)
-    src = _hj_source(phi, ModeField(M, x), h1, params, inv2p, dinv2p)
-    ratio = math.nan
-    prev_delta = math.nan
     first_iterate = None
-    for it in range(1, max_iter + 1):
-        phi_new = _transport_field(src, params.nu_I0)
-        if it == 1:
-            first_iterate = phi_new.copy()
-        delta = phi_new.axpy(-1.0, phi).sup_norm()
-        src_new = _hj_source(phi_new, src, h1, params, inv2p, dinv2p)
-        residual = src_new.axpy(-1.0, src).sup_norm()
-        phi = phi_new
-        src = src_new
-        if not math.isnan(prev_delta) and prev_delta > 0:
-            ratio = delta / prev_delta
-            if ratio >= 0.9:
-                raise NonContractionError(
-                    f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
-        prev_delta = delta
-        if residual <= tol:
-            graph = ManifoldGraph(params, x, phi, src, "unstable",
-                                  residual, ratio, it)
-            graph.diagnostics["first_iterate"] = first_iterate
-            graph.diagnostics["delta_last"] = delta
+    for step in picard_iterates(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
+                                inv2p, dinv2p, params.nu, max_iter):
+        if step.iteration == 1:
+            first_iterate = step.phi
+        if step.ratio >= 0.9:
+            raise NonContractionError(
+                f"Picard ratio {step.ratio:.3f} >= 0.9 at iteration {step.iteration}")
+        if step.residual <= tol:
+            graph = ManifoldGraph(params, x, step.phi.padded(M), step.source.padded(M),
+                                  "unstable", step.residual, step.ratio, step.iteration)
+            graph.diagnostics["first_iterate"] = first_iterate.padded(M)
+            graph.diagnostics["delta_last"] = step.delta
             return graph
     raise NonContractionError(
         f"no convergence to tol={tol} within {max_iter} iterations "
-        f"(last residual {residual:.3e})")
+        f"(last residual {step.residual:.3e})")
 
 
 def unstable_initial_conditions(graph: ManifoldGraph, u0: float,
@@ -421,47 +350,49 @@ def measure_splitting(unstable: Sheet, stable: Sheet, u: float, k: int = 1,
         noise_floor=noise)
 
 
+def _delta_modes(unstable: Sheet, stable: Sheet, u: float, which: str,
+                 k_max: int) -> np.ndarray:
+    """Mode differences of P or J between the sheets, k = -k_max..k_max."""
+    lv_p = unstable.level(u)
+    lv_m = stable.level(u)
+    return np.array([lv_p.mode(which, k) - lv_m.mode(which, k)
+                     for k in range(-k_max, k_max + 1)])
+
+
 def delta_field_on_grid(unstable: Sheet, stable: Sheet, u: float,
                         which: str, thetas: np.ndarray,
                         k_max: int = 6) -> np.ndarray:
     """Delta P or Delta J versus arrival angle, reconstructed from modes."""
-    lv_p = unstable.level(u)
-    lv_m = stable.level(u)
-    out = np.zeros_like(thetas, dtype=complex)
-    for k in range(-k_max, k_max + 1):
-        dk = lv_p.mode(which, k) - lv_m.mode(which, k)
-        out = out + dk * np.exp(1j * k * thetas)
-    return np.real(out)
+    return modes_to_values(_delta_modes(unstable, stable, u, which, k_max), thetas)
 
 
 def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
                      k_max: int = 6, n_scan: int = 720) -> list[tuple[float, float]]:
     """Sorted roots theta of Delta P(u, .) with transversality slopes.
 
-    Exactly two roots per period are expected; any other count raises
-    RootCountError carrying everything found.
+    The mode differences are projected once; the scan, the root polish and
+    the slopes all evaluate from them.  Exactly two roots per period are
+    expected; any other count raises RootCountError carrying everything found.
     """
+    dk = _delta_modes(unstable, stable, u, "P", k_max)
+
+    def delta_p(th: float) -> float:
+        return float(modes_to_values(dk, np.array([th]))[0])
+
     thetas = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
-    vals = delta_field_on_grid(unstable, stable, u, "P", thetas, k_max)
+    vals = modes_to_values(dk, thetas)
     roots = []
     for j in range(n_scan):
         a, b = vals[j], vals[(j + 1) % n_scan]
         if a == 0.0:
             th_root = thetas[j]
         elif a * b < 0:
-            ta = thetas[j]
-            tb = thetas[j] + 2 * math.pi / n_scan
-            th_root = brentq(
-                lambda th: float(delta_field_on_grid(
-                    unstable, stable, u, "P", np.array([th]), k_max)[0]),
-                ta, tb, xtol=1e-13)
+            th_root = brentq(delta_p, thetas[j], thetas[j] + 2 * math.pi / n_scan,
+                             xtol=1e-13)
         else:
             continue
         h = 1e-5
-        slope = float(delta_field_on_grid(unstable, stable, u, "P",
-                                          np.array([th_root + h]), k_max)[0]
-                      - delta_field_on_grid(unstable, stable, u, "P",
-                                            np.array([th_root - h]), k_max)[0]) / (2 * h)
+        slope = (delta_p(th_root + h) - delta_p(th_root - h)) / (2 * h)
         roots.append((float(th_root % (2 * math.pi)), slope))
     roots.sort()
     if len(roots) != 2:

@@ -110,6 +110,16 @@ def test_inner_csv(tmp_path):
     assert lines[0] == "epsilon,k,f_re,f_im,err_est,theta_V,residual"
     row = lines[1].split(",")
     assert float(row[2]) == pytest.approx(-math.pi * 0.06 / 8 * 1e-3, rel=0.01)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"inner.csv"}
+    picard = manifest["counters"]["picard"]["0.001"]
+    assert set(picard) == {"8", "9", "10", "11", "12", "14", "16"}
+    for depth in picard.values():
+        assert depth["iterations"] >= 2
+        assert depth["residual"] <= 1e-12
+        assert 0.0 < depth["contraction_ratio"] < 0.9
+    # the depth-12 solve of the theta_V column is the one extract_fk used
+    assert picard["12"]["residual"] == float(row[6])
 
 
 def test_help_exits_zero():

@@ -1,8 +1,10 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hecu.fourier import (
     ModeField,
+    _moments,
     geometric_grid,
     ibp_tail,
     modes_to_values,
@@ -11,6 +13,9 @@ from hecu.fourier import (
     transport,
     values_to_modes,
 )
+from hecu.inner import solve_inner
+from hecu.manifolds import solve_hj_unstable
+from hecu.model import params_for_nu_I0
 
 
 def kern(s):
@@ -127,3 +132,152 @@ def test_interp_coeff_hermite():
     # cubic Hermite on h = 0.05: value error O(h^4), slope error O(h^3)
     assert val == pytest.approx(np.sin(-1.2345), abs=5e-8)
     assert dval == pytest.approx(np.cos(-1.2345), abs=1e-5)
+
+
+def _series(field, j, thetas):
+    """Complex values and x-derivatives of a mode field at grid node j."""
+    phases = np.exp(1j * np.outer(thetas, field.ks))
+    return phases @ field.values[:, j], phases @ field.du[:, j]
+
+
+def _random_field(rng, M, x, band):
+    f = ModeField(M, x)
+    for k in range(-band, band + 1):
+        f.set_coeff(k, rng.normal(size=len(x)) + 1j * rng.normal(size=len(x)),
+                    rng.normal(size=len(x)) + 1j * rng.normal(size=len(x)))
+    return f
+
+
+def test_products_match_pointwise_with_derivatives():
+    # complex fields, nonzero du: the Leibniz path of mul and 2 a a' of square
+    x = np.linspace(-1.0, 0.0, 9)
+    rng = np.random.default_rng(4)
+    A, B = _random_field(rng, 4, x, 2), _random_field(rng, 4, x, 2)
+    thetas = np.linspace(0, 2 * np.pi, 11)
+    for j in (0, 4, 8):
+        a, da = _series(A, j, thetas)
+        b, db = _series(B, j, thetas)
+        c, dc = _series(A.mul(B), j, thetas)
+        assert np.allclose(c, a * b, atol=1e-12)
+        assert np.allclose(dc, da * b + a * db, atol=1e-12)
+        s, ds = _series(A.square(), j, thetas)
+        assert np.allclose(s, a * a, atol=1e-12)
+        assert np.allclose(ds, 2 * a * da, atol=1e-12)
+    # a band-4 field squared into |k| <= 8 is exact; into |k| <= 4 truncated
+    F = _random_field(rng, 4, x, 4)
+    f, df = _series(F, 3, thetas)
+    s, ds = _series(F.square(8), 3, thetas)
+    assert np.allclose(s, f * f, atol=1e-11)
+    assert np.allclose(ds, 2 * f * df, atol=1e-11)
+    T = F.square()
+    assert T.M == 4
+    assert np.allclose(T.values, F.square(8).band(4).values, atol=1e-13)
+    assert np.allclose(T.values, F.mul(F).values, atol=1e-13)
+    assert np.allclose(T.du, F.mul(F).du, atol=1e-13)
+
+
+def test_square_skips_zero_modes_exactly():
+    x = np.linspace(-1.0, 0.0, 5)
+    f = ModeField(8, x)
+    f.set_coeff(2, np.ones(len(x)), np.zeros(len(x)))
+    g = f.square()
+    assert np.array_equal(np.flatnonzero(np.any(g.values != 0, axis=1)), [4 + 8])
+    assert ModeField(8, x).square().sup_norm() == 0.0
+
+
+def _moments_reference(z: complex) -> list[complex]:
+    """int_0^1 s^j e^{zs} ds at 60 digits, by the forward recurrence."""
+    if z == 0:
+        return [1.0 / (j + 1) for j in range(4)]
+    with mp.workdps(60):
+        zz = mp.mpc(z.real, z.imag)
+        m = [(mp.exp(zz) - 1) / zz]
+        for j in range(1, 4):
+            m.append((mp.exp(zz) - j * m[-1]) / zz)
+        return [complex(v) for v in m]
+
+
+def _moments_worst(zs) -> float:
+    got = _moments(np.array(zs))
+    worst = 0.0
+    for i, z in enumerate(zs):
+        ref = _moments_reference(complex(z))
+        worst = max(worst, max(abs(got[j, i] - ref[j]) / abs(ref[j]) for j in range(4)))
+    return worst
+
+
+def test_moments_on_the_transport_axis():
+    # the transport only asks for z = i omega h: both sides of the switches
+    # at |z| = 0.8 (start of the backward recurrence) and 2.5 (forward)
+    ys = [0.0, 1e-9, 1e-4, 0.05, 0.3, 0.6, 0.79, 0.7999999, 0.8, 0.8000001, 0.81,
+          1.3, 2.0, 2.49, 2.4999999, 2.5, 2.51, 3.0, 4.0, 7.0, 40.0]
+    assert _moments_worst([1j * y for y in ys] + [-1j * y for y in ys]) <= 1e-15
+
+
+def test_moments_off_axis():
+    rng = np.random.default_rng(5)
+    angles = rng.uniform(0.0, 2 * np.pi, 24)
+    inner = [r * np.exp(1j * a) for r in (0.01, 0.5, 0.79, 0.81, 1.7, 2.49) for a in angles]
+    assert _moments_worst(inner) <= 1e-15
+    # the forward recurrence loses a few bits where Re z < 0 just past the switch
+    outer = [r * np.exp(1j * a) for r in (2.5, 3.0, 5.0) for a in angles]
+    assert _moments_worst(outer) <= 3e-15
+
+
+def _seed_transport(x, f, fp, omega, tail):
+    """Per-mode Hermite-Filon transport with 25-term series moments."""
+    h = np.diff(x)
+    z = 1j * omega * h
+    m = np.zeros((4, len(z)), dtype=complex)
+    small = np.abs(z) < 0.8
+    for j in range(4):
+        term = np.ones(np.count_nonzero(small), dtype=complex) / (j + 1)
+        acc = term.copy()
+        for n in range(1, 26):
+            term = term * z[small] * (j + n) / (n * (j + n + 1))
+            acc += term
+        m[j][small] = acc
+    zb = z[~small]
+    ez = np.exp(zb)
+    mj = (ez - 1.0) / zb
+    m[0][~small] = mj
+    for j in range(1, 4):
+        mj = (ez - j * mj) / zb
+        m[j][~small] = mj
+    m0, m1, m2, m3 = m
+    cells = h * np.exp(1j * omega * x[:-1]) * (
+        f[:-1] * (2 * m3 - 3 * m2 + m0) + h * fp[:-1] * (m3 - 2 * m2 + m1)
+        + f[1:] * (3 * m2 - 2 * m3) + h * fp[1:] * (m3 - m2))
+    return (tail + np.concatenate([[0.0], np.cumsum(cells)])) * np.exp(-1j * omega * x)
+
+
+@pytest.mark.parametrize("solver", ["hj", "inner"])
+def test_engine_first_iterate_matches_per_mode_transport(solver):
+    # the first Picard iterate is G(primary source), mode by mode
+    eps = 1e-3
+    if solver == "hj":
+        params = params_for_nu_I0(6.0, epsilon=eps)
+        graph = solve_hj_unstable(params)
+        x, first, freq = graph.u, graph.diagnostics["first_iterate"], params.nu_I0
+        prof = -0.5 * eps * (1.0 + x ** 2) ** -2.0
+        dprof = 2.0 * eps * x * (1.0 + x ** 2) ** -3.0
+        vks = {k: params.series.fourier_coeff(k) for k in first.ks}
+    else:
+        params = params_for_nu_I0(6.0, epsilon=eps)
+        sol = solve_inner(params, depth=12.0)
+        x, first, freq = sol.x, sol.melnikov, 1.0
+        v = x - 12.0j
+        prof, dprof = 1.0 / (8.0 * v ** 2), -1.0 / (4.0 * v ** 3)
+        vks = {k: eps * params.series.fourier_coeff(k) for k in first.ks}
+    for k, vk in vks.items():
+        if vk == 0:
+            assert not first.coeff(k).any()
+            continue
+        f, fp = vk * prof, vk * dprof
+        omega = k * freq
+        tail = ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
+        ref = _seed_transport(x, f, fp, omega, tail)
+        got = first.coeff(k)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(first.du[k + first.M] - (f - 1j * omega * ref))) \
+            <= 1e-13 * np.max(np.abs(f))

@@ -227,3 +227,16 @@ def test_epsilon_scan_rejects_bad_eps():
 
 def test_physical_f1_nonzero(difference):
     assert abs(difference.f1) > 100 * difference.err[1]
+
+
+def test_f1_beyond_melnikov_scales_like_eps_squared():
+    # the inner solve runs at least two Picard iterations, so T2 reaches f_1
+    # at O(eps^2) instead of leaving the closed Melnikov part alone
+    devs = []
+    for eps in (1e-3, 2e-3):
+        params = params_for_nu_I0(6.0, epsilon=eps)
+        assert solve_inner(params, depth=12.0).iterations >= 2
+        lead = -math.pi * eps * params.series.fourier_coeff(1).real / 4.0
+        devs.append(extract_fk(params, ks=(1,)).f1.real - lead)
+    assert devs[0] != 0.0
+    assert 3.6 <= devs[1] / devs[0] <= 4.4
