@@ -423,9 +423,11 @@ class HorseshoeLab:
         count = int(math.floor((th2 - theta) / _TWO_PI))
         return v2, th2, count
 
-    def return_map(self, v_rel: float, tau: float) -> tuple[float, float, int]:
+    def return_map(self, v_rel: float, tau: float,
+                   raw=None) -> tuple[float, float, int]:
+        """One return in (v_rel, tau); raw stands in for return_map_raw."""
         v_raw, theta = self.point(v_rel, tau)
-        v2, th2, count = self.return_map_raw(v_raw, theta)
+        v2, th2, count = (raw or self.return_map_raw)(v_raw, theta)
         v2_rel, tau2 = self.coords(v2, math.fmod(th2, _TWO_PI))
         return v2_rel, tau2, count
 
@@ -979,14 +981,16 @@ class SymbolItinerary:
 
 
 def _itinerary_counts(lab: HorseshoeLab, v0: float, tau0: float,
-                      n_returns: int) -> tuple[list[int], list[tuple[float, float]]]:
-    """Counts of successive returns; -1 marks an escape (itinerary ends)."""
+                      n_returns: int, raw=None) -> tuple[list[int], list[tuple[float, float]]]:
+    """Counts of successive returns; -1 marks an escape (itinerary ends).
+
+    raw, when given, stands in for lab.return_map_raw."""
     counts = []
     pts = []
     v, tau = v0, tau0
     for _ in range(n_returns):
         try:
-            v, tau, c = lab.return_map(v, tau)
+            v, tau, c = lab.return_map(v, tau, raw)
         except (PassageError, DomainError):
             counts.append(-1)
             pts.append((math.nan, math.nan))
@@ -1025,18 +1029,35 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols,
     hi = float(np.interp(v0, st0.v_grid, st0.tau_hi))
     width0 = hi - lo
 
+    # The count feedback re-aims at clamped targets and the edge search
+    # re-walks the same brackets, so most returns repeat exactly; each
+    # distinct one is integrated once per call (escapes are remembered too).
+    returns = {}
+
+    def return_raw(v_raw, theta):
+        key = (v_raw, theta)
+        if key not in returns:
+            try:
+                returns[key] = lab.return_map_raw(v_raw, theta)
+            except (PassageError, DomainError) as exc:
+                returns[key] = exc
+        out = returns[key]
+        if isinstance(out, Exception):
+            raise out.with_traceback(None)
+        return out
+
     def image_raw(tau, d):
         """(v_rel, raw angle) after d-1 returns; continuous and monotone in
         tau within the current bracket."""
         v_raw, theta = lab.point(v0, tau)
         th_raw = theta
         for _ in range(d - 1):
-            v_raw, th_raw, _ = lab.return_map_raw(v_raw, th_raw)
+            v_raw, th_raw, _ = return_raw(v_raw, th_raw)
         v_rel = lab.s_v * (v_raw - float(lab.wu_local(th_raw)))
         return v_rel, th_raw
 
     def chain_counts(tau, d):
-        counts, _ = _itinerary_counts(lab, v0, tau, d)
+        counts, _ = _itinerary_counts(lab, v0, tau, d, return_raw)
         return counts
 
     residuals = []
@@ -1158,7 +1179,7 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols,
         residuals.append(hi - lo)
 
     tau_star = 0.5 * (lo + hi)
-    counts, pts = _itinerary_counts(lab, v0, tau_star, len(symbols))
+    counts, pts = _itinerary_counts(lab, v0, tau_star, len(symbols), return_raw)
     return SymbolItinerary(symbols=symbols, base=base, counts=tuple(counts),
                            v0=v0, tau0=tau_star,
                            residuals=tuple(residuals),
