@@ -185,6 +185,13 @@ def criterion_7(cache: dict) -> CriterionResult:
         {"worst": worst, "worst_literal": worst_lit, "f1": f1})
 
 
+def _lab(cache: dict):
+    """The horseshoe laboratory at the operating point, set up once per run."""
+    if "lab" not in cache:
+        cache["lab"] = setup_horseshoe(select_operating_point())
+    return cache["lab"]
+
+
 def criterion_8(cache: dict) -> CriterionResult:
     # truncated-model oracle
     worst_trunc = 0.0
@@ -192,10 +199,7 @@ def criterion_8(cache: dict) -> CriterionResult:
         v1, _ = truncated_local_map(u0, 0.1)
         worst_trunc = max(worst_trunc, abs(v1 - u0))
     # full-model exponents, manifold-anchored
-    lab = cache.get("lab")
-    if lab is None:
-        lab = setup_horseshoe(select_operating_point())
-        cache["lab"] = lab
+    lab = _lab(cache)
     params = lab.params
     chart = lab.chart
     u0s = np.logspace(-2, -6, 5)
@@ -219,10 +223,7 @@ def criterion_8(cache: dict) -> CriterionResult:
 
 
 def criterion_9(cache: dict) -> CriterionResult:
-    lab = cache.get("lab")
-    if lab is None:
-        lab = setup_horseshoe(select_operating_point())
-        cache["lab"] = lab
+    lab = _lab(cache)
     family = cache.get("family")
     if family is None:
         family = build_strips(lab, (lab.base_count + 1, lab.base_count + 4))
@@ -246,11 +247,8 @@ def criterion_9(cache: dict) -> CriterionResult:
 
 
 def criterion_10(cache: dict) -> CriterionResult:
-    lab = cache.get("lab")
+    lab = _lab(cache)
     family = cache.get("family")
-    if lab is None:
-        lab = setup_horseshoe(select_operating_point())
-        cache["lab"] = lab
     demo = oscillatory_demo(lab.params, k=3, z_ret=8.0, lab=lab, family=family)
     maxima = demo["maxima"]
     ok = (len(maxima) >= 3 and demo["strictly_increasing"]

@@ -287,6 +287,12 @@ class PicardStep:
     residual: float         # sup |F(phi) - previous source|
     ratio: float            # delta / previous delta; nan until both exist
 
+    def converged(self, tol: float) -> bool:
+        """Residual <= tol after two iterations or more, so the correction
+        beyond the first iterate is measured, not left at zero; or a
+        residual of exactly zero (a zero source stops at iteration 1)."""
+        return self.residual == 0.0 or (self.residual <= tol and self.iteration >= 2)
+
 
 def _sup_diff(a: ModeField, b: ModeField) -> float:
     a, b = (a, b) if a.M >= b.M else (b, a)

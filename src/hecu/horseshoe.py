@@ -24,7 +24,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
-from .model import DomainError, ModelParams
+from .model import CorrugationSeries, DomainError, ModelParams
 
 _TWO_PI = 2.0 * math.pi
 
@@ -68,7 +68,7 @@ class ReducedState:
 # ---------------------------------------------------------------------------
 
 def _w_term(q, p, theta, params: ModelParams) -> float:
-    v = params.series.value(theta)
+    v = params.series.trig(theta)[0]
     q2 = q * q
     return p * p - q2 + q2 * q2 * (1.0 + params.epsilon * v)
 
@@ -113,40 +113,24 @@ def reduce_poincare_cartan(state, params: ModelParams,
             a, ga = m, gm
     else:
         raise DomainError("secant iteration for K did not converge")
-    return K, reduced_field(q, p, theta, params)
-
-
-def reduced_field(q, p, theta, params: ModelParams) -> np.ndarray:
-    """(dq/dtheta, dp/dtheta) on the level set."""
-    J = action_offset_closed(q, p, theta, params)
-    D = params.nu * (params.I0 + J)
-    v = params.series.value(theta)
-    return np.array([
-        -q * p / D,
-        q * (-q + 2.0 * q ** 3 + 2.0 * params.epsilon * q ** 3 * v) / D,
-    ])
+    return K, np.array(reduced_rhs(params)(theta, (q, p)))
 
 
 def reduced_rhs(params: ModelParams):
-    """Scalar-math reduced right-hand side for the integrator."""
+    """(dq/dtheta, dp/dtheta) on the level set, in scalar math for the integrator."""
     nu = params.nu
-    I0 = params.I0
     eps = params.epsilon
     twoE = 2.0 * params.energy
-    terms = [(n, r, s) for n, (r, s) in enumerate(
-        zip(params.series.cos_coeffs, params.series.sin_coeffs), start=1)
-        if r != 0.0 or s != 0.0]
+    trig = params.series.trig
 
     def rhs(theta, y):
         q, p = y
-        vv = 0.0
-        for n, r, s in terms:
-            vv += r * math.cos(n * theta) + s * math.sin(n * theta)
+        v = trig(theta)[0]
         q2 = q * q
-        w = p * p - q2 + q2 * q2 * (1.0 + eps * vv)
+        w = p * p - q2 + q2 * q2 * (1.0 + eps * v)
         D = math.sqrt(nu * (twoE - w))
         return (-q * p / D,
-                q * (-q + 2.0 * q * q2 + 2.0 * eps * q * q2 * vv) / D)
+                q * (-q + 2.0 * q * q2 + 2.0 * eps * q * q2 * v) / D)
 
     return rhs
 
@@ -326,24 +310,12 @@ class _TrigCurve:
             cols.append(np.sin(k * thetas))
         A = np.column_stack(cols)
         coef, *_ = np.linalg.lstsq(A, values, rcond=None)
-        self.coef = coef
-        self.modes = modes
+        self.mean = float(coef[0])
+        self.series = CorrugationSeries(tuple(coef[1::2]), tuple(coef[2::2]))
         self.residual = float(np.max(np.abs(A @ coef - values)))
 
     def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.full_like(theta, self.coef[0])
-        for k in range(1, self.modes + 1):
-            out = out + self.coef[2 * k - 1] * np.cos(k * theta) \
-                + self.coef[2 * k] * np.sin(k * theta)
-        return out if out.ndim else float(out)
-
-    def slope(self, theta: float) -> float:
-        out = 0.0
-        for k in range(1, self.modes + 1):
-            out += k * (-self.coef[2 * k - 1] * math.sin(k * theta)
-                        + self.coef[2 * k] * math.cos(k * theta))
-        return out
+        return self.mean + self.series.trig(theta)[0]
 
 
 @dataclass

@@ -102,7 +102,7 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
         if step.ratio >= 0.9:
             raise NonContractionError(
                 f"inner Picard ratio {step.ratio:.3f} >= 0.9 (depth too small?)")
-        if step.residual == 0.0 or (step.residual <= tol and step.iteration >= 2):
+        if step.converged(tol):
             sol = InnerSolution(params, depth, x, step.phi.padded(M), melnikov.padded(M),
                                 step.residual, step.ratio, step.iteration)
             sol.diagnostics["theta_V"] = theta_v_constant(sol)

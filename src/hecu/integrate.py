@@ -174,27 +174,21 @@ def _horner(coeffs, y_old, x):
 def mcgehee_rhs(params: ModelParams):
     """Right-hand side of the rescaled equations of motion.
 
+    The b-symplectic gradient of H:
+        q' = -q p,  p' = -q^2 + 2 q^4 + 2 eps q^4 V(theta),
+        theta' = nu (I0 + J),  J' = -(eps/2) q^4 V'(theta).
     Takes a state of shape (4,) or (4, N) (N lanes) and returns the same shape.
     """
     nu = params.nu
     I0 = params.I0
     eps = params.epsilon
-    terms = [(n, r, s)
-             for n, (r, s) in enumerate(
-                 zip(params.series.cos_coeffs, params.series.sin_coeffs), start=1)
-             if r != 0.0 or s != 0.0]
+    trig = params.series.trig
 
     def rhs(t, y):
         q, p, theta, J = y
         q2 = q * q
         q4 = q2 * q2
-        v = 0.0
-        vp = 0.0
-        for n, r, s in terms:
-            cn = np.cos(n * theta)
-            sn = np.sin(n * theta)
-            v = v + (r * cn + s * sn)
-            vp = vp + n * (s * cn - r * sn)
+        v, vp = trig(theta)
         return np.array((
             -q * p,
             -q2 + 2.0 * q4 + 2.0 * eps * q4 * v,
@@ -206,11 +200,14 @@ def mcgehee_rhs(params: ModelParams):
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    """Per-lane 2-norm over the state axis 0, rounded as scipy rounds it.
+    """Per-lane 2-norm over the state axis 0.
 
-    The controller reacts to the last bits of its error norm, so the single
-    lane takes scipy's steps only when the sums round alike.
+    The controller reacts to the last bits of its error norm, so a single
+    lane is normed as scipy norms it (a dot product, which rounds unlike the
+    axis reduction in about one case in eight) and takes scipy's steps.
     """
+    if x.shape[1] == 1:
+        return np.array([np.linalg.norm(x[:, 0])])
     return np.linalg.norm(x, axis=0)
 
 

@@ -95,7 +95,8 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
 
     F(Phi1) of the module docstring, with H1 = (eps/2) q_h^4 V, at omega_k =
     k nu I0.  The first iterate is the Melnikov layer L+_out; iteration
-    continues until the sup-residual of the graph equation drops below tol.
+    continues until the sup-residual of the graph equation drops below tol
+    after two iterations or more (PicardStep.converged).
     Raises NonContractionError when the successive-difference ratio reaches 0.9.
     """
     if u_max > -0.2:
@@ -115,7 +116,7 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
         if step.ratio >= 0.9:
             raise NonContractionError(
                 f"Picard ratio {step.ratio:.3f} >= 0.9 at iteration {step.iteration}")
-        if step.residual <= tol:
+        if step.converged(tol):
             graph = ManifoldGraph(params, x, step.phi.padded(M), step.source.padded(M),
                                   "unstable", step.residual, step.ratio, step.iteration)
             graph.diagnostics["first_iterate"] = first_iterate.padded(M)

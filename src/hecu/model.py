@@ -48,6 +48,8 @@ class CorrugationSeries:
         cos_c = cos_c + (0.0,) * (n - len(cos_c))
         object.__setattr__(self, "cos_coeffs", cos_c)
         object.__setattr__(self, "sin_coeffs", sin_c)
+        # (n, r_n, s_n) for n >= 2: the terms the recurrence of `trig` steps through
+        object.__setattr__(self, "_higher", tuple(zip(range(2, n + 1), cos_c[1:], sin_c[1:])))
         if not all(math.isfinite(c) for c in cos_c + sin_c):
             raise DomainError("corrugation coefficients must be finite")
 
@@ -59,43 +61,27 @@ class CorrugationSeries:
     def even(self) -> bool:
         return all(s == 0.0 for s in self.sin_coeffs)
 
-    def value(self, theta):
-        """V(theta); accepts scalars or arrays."""
-        if np.ndim(theta):
-            theta = np.asarray(theta, dtype=float)
-            out = np.zeros_like(theta)
-            for n, (r, s) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-                if r != 0.0:
-                    out += r * np.cos(n * theta)
-                if s != 0.0:
-                    out += s * np.sin(n * theta)
-            return out
-        out = 0.0
-        for n, (r, s) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            if r != 0.0:
-                out += r * math.cos(n * theta)
-            if s != 0.0:
-                out += s * math.sin(n * theta)
-        return out
+    def trig(self, theta):
+        """(V(theta), V'(theta)) with one cos and one sin per call.
 
-    def slope(self, theta):
-        """V'(theta)."""
-        if np.ndim(theta):
+        cos(n theta) and sin(n theta) come from the multiple-angle
+        recurrence.  A Python float (np.float64 included) takes math.cos and
+        math.sin; an array of any shape takes np.cos and np.sin.
+        """
+        if isinstance(theta, float):
+            c1, s1 = math.cos(theta), math.sin(theta)
+        else:
             theta = np.asarray(theta, dtype=float)
-            out = np.zeros_like(theta)
-            for n, (r, s) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-                if r != 0.0:
-                    out -= n * r * np.sin(n * theta)
-                if s != 0.0:
-                    out += n * s * np.cos(n * theta)
-            return out
-        out = 0.0
-        for n, (r, s) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            if r != 0.0:
-                out -= n * r * math.sin(n * theta)
-            if s != 0.0:
-                out += n * s * math.cos(n * theta)
-        return out
+            c1, s1 = np.cos(theta), np.sin(theta)
+        r, s = self.cos_coeffs[0], self.sin_coeffs[0]
+        v = r * c1 + s * s1
+        vp = s * c1 - r * s1
+        cn, sn = c1, s1
+        for n, r, s in self._higher:
+            cn, sn = cn * c1 - sn * s1, sn * c1 + cn * s1
+            v = v + (r * cn + s * sn)
+            vp = vp + n * (s * cn - r * sn)
+        return v, vp
 
     def fourier_coeff(self, k: int) -> complex:
         """Complex coefficient V^[k] of e^{i k theta}; zero for k=0 or |k| > order."""
@@ -252,23 +238,13 @@ class McGeheeState:
 # potentials and Hamiltonians
 # ---------------------------------------------------------------------------
 
-def potential_V(theta, series: CorrugationSeries):
-    """Corrugation profile V(theta) = sum r_n cos(n theta) + s_n sin(n theta)."""
-    return series.value(theta)
-
-
-def fourier_coeff_V(k: int, series: CorrugationSeries) -> complex:
-    """Complex Fourier coefficient V^[k]; V^[0] = 0, real for even series."""
-    return series.fourier_coeff(k)
-
-
 def morse_potential(z, physical: PhysicalParams):
     e = np.exp(-physical.alpha * z)
     return physical.D * e * (e - 2.0)
 
 
 def corrugation_potential(theta, z, physical: PhysicalParams):
-    return physical.D * np.exp(-2.0 * physical.alpha * z) * physical.corrugation.value(theta)
+    return physical.D * np.exp(-2.0 * physical.alpha * z) * physical.corrugation.trig(theta)[0]
 
 
 def hamiltonian_cartesian(s: CartesianState, physical: PhysicalParams) -> float:
@@ -293,7 +269,7 @@ def h0_mcgehee(q, p, J, params: ModelParams):
 
 
 def h1_mcgehee(q, theta, params: ModelParams):
-    return 0.5 * params.epsilon * q ** 4 * params.series.value(theta)
+    return 0.5 * params.epsilon * q ** 4 * params.series.trig(theta)[0]
 
 
 def _unpack(s):
@@ -351,41 +327,20 @@ def b_form_matrix(q: float) -> np.ndarray:
 # vector fields
 # ---------------------------------------------------------------------------
 
-def vector_field_mcgehee(s, params: ModelParams) -> np.ndarray:
-    """Equations of motion of H under the b-symplectic form.
-
-    q' = -q p
-    p' = -q^2 + 2 q^4 + 2 eps q^4 V(theta)
-    theta' = nu (I0 + J)
-    J' = -(eps/2) q^4 V'(theta)
-    """
-    q, p, theta, J = _unpack(s)
-    ser = params.series
-    q2 = q * q
-    q4 = q2 * q2
-    return np.array([
-        -q * p,
-        -q2 + 2.0 * q4 + 2.0 * params.epsilon * q4 * ser.value(theta),
-        params.nu * (params.I0 + J),
-        -0.5 * params.epsilon * q4 * ser.slope(theta),
-    ])
-
-
 def vector_field_cartesian(s, physical: PhysicalParams) -> np.ndarray:
     """Equations of motion of H_CM in (x, z, p_x, p_z)."""
     if isinstance(s, CartesianState):
         x, z, p_x, p_z = s.x, s.z, s.p_x, s.p_z
     else:
         x, z, p_x, p_z = s
-    theta = 2.0 * math.pi * x / physical.a
-    ser = physical.corrugation
+    v, vp = physical.corrugation.trig(2.0 * math.pi * x / physical.a)
     e1 = math.exp(-physical.alpha * z)
     e2 = e1 * e1
     return np.array([
         p_x / physical.m,
         p_z / physical.m,
-        -(2.0 * math.pi / physical.a) * physical.D * e2 * ser.slope(theta),
-        -2.0 * physical.D * physical.alpha * e1 * (1.0 - e1 * (1.0 + ser.value(theta))),
+        -(2.0 * math.pi / physical.a) * physical.D * e2 * vp,
+        -2.0 * physical.D * physical.alpha * e1 * (1.0 - e1 * (1.0 + v)),
     ])
 
 
@@ -409,13 +364,13 @@ def reversor(s) -> np.ndarray:
 def _averaging_primitives(params: ModelParams, theta):
     """A(theta) and A'(theta) for the averaging change."""
     ser = params.series
+    # zero-mean primitive of V: r_n cos -> (r_n/n) sin, s_n sin -> -(s_n/n) cos
+    primitive = CorrugationSeries(
+        tuple(-s / n for n, s in enumerate(ser.sin_coeffs, start=1)),
+        tuple(r / n for n, r in enumerate(ser.cos_coeffs, start=1)))
+    a_val, a_slope = primitive.trig(theta)
     scale = -params.epsilon / (2.0 * params.nu_I0)
-    a_val = 0.0
-    for n, (r, s) in enumerate(zip(ser.cos_coeffs, ser.sin_coeffs), start=1):
-        # zero-mean primitive of cos/sin
-        a_val = a_val + scale * (r * np.sin(n * theta) / n - s * np.cos(n * theta) / n)
-    a_slope = scale * ser.value(theta)
-    return a_val, a_slope
+    return scale * a_val, scale * a_slope
 
 
 def averaging_change(new_state, params: ModelParams) -> tuple[np.ndarray, float]:
@@ -436,17 +391,11 @@ def averaged_remainder(new_state, params: ModelParams) -> float:
 
 def averaged_remainder_sup(params: ModelParams, n_grid: int = 9) -> float:
     """sup |H1~| over the test grid |Q| <= 1, |P| <= 1, |K| <= 1/2, theta in T."""
-    qs = np.linspace(0.0, 1.0, n_grid)
-    ps = np.linspace(-1.0, 1.0, n_grid)
-    ks = np.linspace(-0.5, 0.5, 5)
-    thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
-    sup = 0.0
-    for Q in qs:
-        for P in ps:
-            for K in ks:
-                for Th in thetas:
-                    sup = max(sup, abs(averaged_remainder((Q, P, Th, K), params)))
-    return sup
+    Q, P, K, Th = np.meshgrid(np.linspace(0.0, 1.0, n_grid),
+                              np.linspace(-1.0, 1.0, n_grid),
+                              np.linspace(-0.5, 0.5, 5),
+                              np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
+    return float(np.max(np.abs(averaged_remainder((Q, P, Th, K), params))))
 
 
 # ---------------------------------------------------------------------------

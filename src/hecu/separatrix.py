@@ -39,11 +39,6 @@ def p_h(u):
     return u / (1.0 + u ** 2)
 
 
-def gamma0(u: float, theta: float) -> np.ndarray:
-    """Unperturbed separatrix parametrization (q_h, p_h, theta, 0)."""
-    return np.array([float(q_h(u)), float(p_h(u)), theta, 0.0])
-
-
 def phi0(u):
     """Generating function of the separatrix: d phi0/du = p_h(u)^2."""
     u = np.asarray(u, dtype=float)
@@ -52,23 +47,6 @@ def phi0(u):
 
 def dphi0(u):
     return p_h(u) ** 2
-
-
-@dataclass(frozen=True)
-class SeparatrixPoint:
-    u: float
-
-    @property
-    def q(self) -> float:
-        return float(q_h(self.u))
-
-    @property
-    def p(self) -> float:
-        return float(p_h(self.u))
-
-    @property
-    def phi0(self) -> float:
-        return float(phi0(self.u))
 
 
 @dataclass(frozen=True)

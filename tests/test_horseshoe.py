@@ -11,7 +11,6 @@ from hecu.horseshoe import (
     action_offset_closed,
     local_map,
     reduce_poincare_cartan,
-    reduced_field,
     reduced_rhs,
     select_operating_point,
     truncated_local_map,
@@ -83,7 +82,7 @@ def test_reduced_field_matches_full_ratio():
         theta = rng.uniform(0, 2 * math.pi)
         J = action_offset_closed(q, p, theta, PARAMS)
         full = rhs(0.0, (q, p, theta, J))
-        red = reduced_field(q, p, theta, PARAMS)
+        red = reduced_rhs(PARAMS)(theta, (q, p))
         assert red[0] == pytest.approx(full[0] / full[2], rel=1e-12)
         assert red[1] == pytest.approx(full[1] / full[2], rel=1e-12)
 

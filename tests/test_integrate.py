@@ -16,7 +16,13 @@ from hecu.integrate import (
     trajectory_to_csv,
 )
 from hecu.manifolds import solve_hj_unstable, unstable_initial_conditions
-from hecu.model import DomainError, params_for_nu_I0, vector_field_mcgehee
+from hecu.model import (
+    CorrugationSeries,
+    DomainError,
+    PhysicalParams,
+    hamiltonian_mcgehee,
+    params_for_nu_I0,
+)
 from hecu.separatrix import p_h, q_h
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
@@ -39,14 +45,32 @@ def test_config_rejects_loose_tolerances():
         IntegratorConfig(abs_tol=1e-16)
 
 
-def test_rhs_matches_reference_field(params):
+def _b_gradient(params, y, h=1e-5):
+    """(-q dH/dp, q dH/dq, dH/dJ, -dH/dtheta) by central differences of H."""
+    dH = []
+    for i in range(4):
+        e = np.zeros_like(y)
+        e[i] = h
+        dH.append((hamiltonian_mcgehee(y + e, params)
+                   - hamiltonian_mcgehee(y - e, params)) / (2 * h))
+    return np.array([-y[0] * dH[1], y[0] * dH[0], dH[3], -dH[2]])
+
+
+@pytest.mark.parametrize("series", [None, CorrugationSeries((0.05, -0.02, 0.01),
+                                                            (0.03, 0.015, -0.008))],
+                         ids=["physical", "odd"])
+def test_rhs_is_b_symplectic_gradient(series):
+    physical = PhysicalParams() if series is None else PhysicalParams(corrugation=series)
+    params = params_for_nu_I0(6.0, physical=physical)
     rng = np.random.default_rng(0)
+    ys = np.array([rng.uniform(0.05, 1.2, 30), rng.uniform(-1, 1, 30),
+                   rng.uniform(0, 7, 30), rng.uniform(-0.3, 0.3, 30)])
     rhs = mcgehee_rhs(params)
-    for _ in range(30):
-        y = np.array([rng.uniform(0, 1.2), rng.uniform(-1, 1),
-                      rng.uniform(0, 7), rng.uniform(-0.3, 0.3)])
-        assert np.allclose(rhs(0.0, y), vector_field_mcgehee(y, params),
-                           rtol=1e-15, atol=1e-16)
+    lanes = rhs(0.0, ys)
+    assert lanes.shape == ys.shape
+    assert np.allclose(lanes, _b_gradient(params, ys), rtol=0, atol=1e-9)
+    for y in ys.T:
+        assert np.allclose(rhs(0.0, y), _b_gradient(params, y), rtol=0, atol=1e-9)
 
 
 def test_homoclinic_closed_form(params_eps0):

@@ -61,6 +61,15 @@ def test_hj_residual_below_tol(graph):
     assert graph.residual <= 1e-11
 
 
+@pytest.mark.parametrize("nu_I0", [6.0, 9.0])
+def test_hj_small_eps_iterates_past_melnikov_layer(nu_I0):
+    # the first residual already sits below tol here; the graph must still
+    # carry a measured correction beyond L+_out and a contraction ratio
+    g = solve_hj_unstable(params_for_nu_I0(nu_I0, epsilon=1e-4))
+    assert g.iterations >= 2
+    assert 0.0 < g.contraction_ratio < 0.9
+
+
 def test_hj_rejects_u_max_near_zero():
     with pytest.raises(DomainError):
         solve_hj_unstable(SER_PARAMS, u_max=-0.05)

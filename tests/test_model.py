@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hecu.integrate import mcgehee_rhs
 from hecu.model import (
     CartesianState,
     CorrugationSeries,
@@ -10,11 +11,12 @@ from hecu.model import (
     McGeheeState,
     ModelParams,
     PhysicalParams,
+    _averaging_primitives,
+    averaged_remainder,
     averaged_remainder_sup,
     averaging_change,
     b_form_matrix,
     default_physical,
-    fourier_coeff_V,
     from_mcgehee,
     h0_mcgehee,
     hamiltonian_cartesian,
@@ -23,11 +25,9 @@ from hecu.model import (
     nu_from_physical,
     params_for_nu_I0,
     physical_corrugation,
-    potential_V,
     reversor,
     to_mcgehee,
     vector_field_cartesian,
-    vector_field_mcgehee,
 )
 
 PHYS = default_physical()
@@ -35,43 +35,92 @@ SERIES = physical_corrugation()
 
 
 def test_potential_at_zero():
-    assert potential_V(0.0, SERIES) == pytest.approx(0.068, abs=1e-15)
+    assert SERIES.trig(0.0)[0] == pytest.approx(0.068, abs=1e-15)
 
 
 def test_potential_at_half_pi():
     # r1*cos(pi/2) + r2*cos(pi) = -r2
-    assert potential_V(math.pi / 2, SERIES) == pytest.approx(-0.008, abs=1e-15)
+    assert SERIES.trig(math.pi / 2)[0] == pytest.approx(-0.008, abs=1e-15)
 
 
 def test_potential_zero_series():
     zero = CorrugationSeries((0.0,), ())
     for theta in np.linspace(-7, 7, 13):
-        assert potential_V(theta, zero) == 0.0
+        assert zero.trig(theta)[0] == 0.0
 
 
 def test_potential_array_matches_scalar():
     thetas = np.linspace(0, 2 * math.pi, 17)
-    vals = potential_V(thetas, SERIES)
+    vals = SERIES.trig(thetas)[0]
     for th, v in zip(thetas, vals):
-        assert v == pytest.approx(potential_V(float(th), SERIES), abs=1e-15)
+        assert v == pytest.approx(SERIES.trig(float(th))[0], abs=1e-15)
+
+
+# order 5 with nonzero sin coefficients: every term of the recurrence is live
+ODD5 = CorrugationSeries((0.05, -0.02, 0.01, 0.004, -0.003),
+                         (0.03, 0.015, -0.008, 0.002, 0.001))
+
+
+def _direct_sums(series, theta):
+    """V and V' summed term by term with np.cos(n theta), np.sin(n theta)."""
+    theta = np.asarray(theta, dtype=float)
+    v = np.zeros_like(theta)
+    vp = np.zeros_like(theta)
+    for n, (r, s) in enumerate(zip(series.cos_coeffs, series.sin_coeffs), start=1):
+        v += r * np.cos(n * theta) + s * np.sin(n * theta)
+        vp += n * (s * np.cos(n * theta) - r * np.sin(n * theta))
+    return v, vp
+
+
+@pytest.mark.parametrize("theta", [0.7, np.float64(-3.9), np.linspace(-7.0, 7.0, 41),
+                                   np.linspace(0.0, 6.0, 12).reshape(3, 4)],
+                         ids=["float", "float64", "array", "array2d"])
+def test_trig_matches_direct_sums(theta):
+    v, vp = ODD5.trig(theta)
+    assert np.shape(v) == np.shape(theta) and np.shape(vp) == np.shape(theta)
+    assert isinstance(v, float) == isinstance(theta, float)
+    ref_v, ref_vp = _direct_sums(ODD5, theta)
+    assert np.max(np.abs(v - ref_v)) <= 1e-14
+    assert np.max(np.abs(vp - ref_vp)) <= 1e-14
+
+
+def test_trig_slope_is_derivative():
+    thetas = np.linspace(-4.0, 9.0, 57)
+    h = 1e-6
+    fd = (ODD5.trig(thetas + h)[0] - ODD5.trig(thetas - h)[0]) / (2 * h)
+    assert np.allclose(ODD5.trig(thetas)[1], fd, rtol=0, atol=1e-9)
+
+
+def test_averaging_primitive_differentiates_to_scaled_potential():
+    params = params_for_nu_I0(20.0, epsilon=0.7, physical=PhysicalParams(corrugation=ODD5))
+    scale = -params.epsilon / (2.0 * params.nu_I0)
+    thetas = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    h = 1e-6
+    fd = (_averaging_primitives(params, thetas + h)[0]
+          - _averaging_primitives(params, thetas - h)[0]) / (2 * h)
+    A, Ap = _averaging_primitives(params, thetas)
+    target = scale * ODD5.trig(thetas)[0]
+    assert np.allclose(fd, target, rtol=0, atol=1e-11)
+    assert np.allclose(Ap, target, rtol=0, atol=1e-16)
+    assert abs(np.mean(A)) < 1e-17      # the zero-mean primitive
 
 
 def test_fourier_coeff_values():
-    assert fourier_coeff_V(1, SERIES) == pytest.approx(0.03)
-    assert fourier_coeff_V(0, SERIES) == 0.0
-    assert fourier_coeff_V(-2, SERIES) == pytest.approx(0.004)
-    assert fourier_coeff_V(5, SERIES) == 0.0
+    assert SERIES.fourier_coeff(1) == pytest.approx(0.03)
+    assert SERIES.fourier_coeff(0) == 0.0
+    assert SERIES.fourier_coeff(-2) == pytest.approx(0.004)
+    assert SERIES.fourier_coeff(5) == 0.0
 
 
 def test_fourier_coeff_reconstructs_potential():
     thetas = np.linspace(0, 2 * math.pi, 9, endpoint=False)
     for th in thetas:
         total = sum(
-            fourier_coeff_V(k, SERIES) * np.exp(1j * k * th)
+            SERIES.fourier_coeff(k) * np.exp(1j * k * th)
             for k in range(-3, 4)
         )
         assert total.imag == pytest.approx(0.0, abs=1e-15)
-        assert total.real == pytest.approx(potential_V(th, SERIES), abs=1e-14)
+        assert total.real == pytest.approx(SERIES.trig(th)[0], abs=1e-14)
 
 
 def test_fourier_coeff_odd_series():
@@ -154,7 +203,7 @@ def test_hamiltonian_mcgehee_q1(params):
     # at (1, 0, theta, 0) the -q^2/2 + q^4/2 terms cancel
     theta = 0.9
     h = hamiltonian_mcgehee((1.0, 0.0, theta, 0.0), params)
-    expect = params.energy + 0.5 * potential_V(theta, SERIES)
+    expect = params.energy + 0.5 * SERIES.trig(theta)[0]
     assert h == pytest.approx(expect, rel=1e-14)
 
 
@@ -181,14 +230,14 @@ def test_energy_exactness_rescaling(params):
 
 
 def test_q_axis_invariant(params):
-    f = vector_field_mcgehee((0.0, 0.7, 1.0, 0.2), params)
+    f = mcgehee_rhs(params)(0.0, (0.0, 0.7, 1.0, 0.2))
     assert f[0] == 0.0 and f[1] == 0.0 and f[3] == 0.0
     assert f[2] == pytest.approx(params.nu * (params.I0 + 0.2))
 
 
 def test_field_at_critical_angle(params):
     # V'(theta)=0 at theta=0; p' = 1 + 2 eps V(0) at (1, 0)
-    f = vector_field_mcgehee((1.0, 0.0, 0.0, 0.0), params)
+    f = mcgehee_rhs(params)(0.0, (1.0, 0.0, 0.0, 0.0))
     assert f[1] == pytest.approx(1.0 + 2.0 * params.epsilon * 0.068, rel=1e-14)
     assert f[3] == pytest.approx(0.0, abs=1e-16)
 
@@ -198,9 +247,9 @@ def test_reversibility_anticommutes(params):
     for _ in range(50):
         y = np.array([rng.uniform(0, 1.2), rng.uniform(-1, 1),
                       rng.uniform(0, 2 * math.pi), rng.uniform(-0.3, 0.3)])
-        f_at_sy = vector_field_mcgehee(reversor(y), params)
+        f_at_sy = mcgehee_rhs(params)(0.0, reversor(y))
         sf = np.array([f_at_sy[0], -f_at_sy[1], -f_at_sy[2], f_at_sy[3]])
-        f = vector_field_mcgehee(y, params)
+        f = mcgehee_rhs(params)(0.0, y)
         assert np.allclose(sf, -f, rtol=0, atol=1e-15)
 
 
@@ -236,7 +285,7 @@ def test_cartesian_pushforward_matches_rescaled_field(params):
         mp = to_mcgehee(plus, params).as_array()
         mm = to_mcgehee(minus, params).as_array()
         pushed = (mp - mm) / (2 * dt)
-        expect = lam * vector_field_mcgehee(m, params)
+        expect = lam * mcgehee_rhs(params)(0.0, m.as_array())
         assert np.allclose(pushed, expect, rtol=1e-6, atol=1e-10)
 
 
@@ -250,6 +299,17 @@ def test_averaging_remainder_halves(params):
     sup2 = averaged_remainder_sup(params_for_nu_I0(40.0))
     ratio = sup2 / sup1
     assert 0.45 <= ratio <= 0.55
+
+
+def test_averaged_remainder_sup_matches_scalar_loop():
+    # the one array evaluation against the point-by-point loop it replaced
+    params = params_for_nu_I0(20.0)
+    ref = max(abs(averaged_remainder((Q, P, Th, K), params))
+              for Q in np.linspace(0.0, 1.0, 3)
+              for P in np.linspace(-1.0, 1.0, 3)
+              for K in np.linspace(-0.5, 0.5, 5)
+              for Th in np.linspace(0.0, 2 * math.pi, 24, endpoint=False))
+    assert averaged_remainder_sup(params, n_grid=3) == pytest.approx(ref, rel=1e-12)
 
 
 def test_averaging_preserves_b_form(params):
@@ -279,7 +339,7 @@ def test_modelparams_validates_nu():
 def test_corrugation_decay_bound():
     # finite series: coefficients beyond the truncation vanish identically
     for k in range(3, 12):
-        assert fourier_coeff_V(k, SERIES) == 0.0
+        assert SERIES.fourier_coeff(k) == 0.0
 
 
 def test_mcgehee_state_reduces_theta():

@@ -7,9 +7,7 @@ from hecu.integrate import IntegratorConfig, integrate_mcgehee
 from hecu.model import CorrugationSeries, params_for_nu_I0, physical_corrugation
 from hecu.separatrix import (
     MelnikovCoefficient,
-    SeparatrixPoint,
     dphi0,
-    gamma0,
     l_out_minus,
     l_out_plus,
     melnikov_coeff_closed,
@@ -39,17 +37,15 @@ def test_separatrix_identities():
     assert np.allclose(q_h(us) ** 2 * (1 + us ** 2), 1.0, atol=1e-14)
 
 
-def test_gamma0_shape():
-    g = gamma0(2.0, 0.7)
-    assert g.shape == (4,)
-    assert g[2] == 0.7 and g[3] == 0.0
-
-
 def test_flow_equivariance():
-    # integrating the uncorrugated field from Gamma0(u, theta) for time t
-    # lands on Gamma0(u + t, theta + nu I0 t)
+    # integrating the uncorrugated field from Gamma0(u, theta) = (q_h(u),
+    # p_h(u), theta, 0) for time t lands on Gamma0(u + t, theta + nu I0 t)
     params = params_for_nu_I0(5.0, epsilon=0.0)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
+
+    def gamma0(u, theta):
+        return np.array([float(q_h(u)), float(p_h(u)), theta, 0.0])
+
     for u0, th0, t in [(-2.0, 0.3, 1.7), (0.5, 4.0, 2.2), (-1.0, 1.0, 0.4)]:
         traj = integrate_mcgehee(params, gamma0(u0, th0), (0.0, t), cfg)
         target = gamma0(u0 + t, th0 + params.nu_I0 * t)
@@ -85,12 +81,6 @@ def test_phi0_solves_unperturbed_hj():
                     - 0.5 * u ** 2 / (1 + u ** 2) ** 2
                     - 0.5 * params.nu * params.I0 ** 2)
         assert abs(residual) < 1e-12
-
-
-def test_separatrix_point():
-    pt = SeparatrixPoint(1.0)
-    assert pt.q == pytest.approx(1 / math.sqrt(2))
-    assert pt.phi0 == pytest.approx(-0.25 + math.pi / 8)
 
 
 def test_melnikov_closed_k0_zero():
