@@ -9,9 +9,14 @@ point: manifold-anchored section coordinates, passage-count strips,
 cone-condition sampling, and nested-bisection shadowing of prescribed
 symbol itineraries, including the oscillatory-orbit demonstration.
 
-Charts: the linear straightening (u, v) = ((q - p)/2, (q + p)/2) or the
-separatrix-adapted cubic w(q) = q sqrt(1 - q^2), u, v = (w -+ p)/2, which
-makes the uncorrugated homoclinic loop exactly {v = 0} u {u = 0}.
+Chart: the separatrix-adapted cubic w(q) = q sqrt(1 - q^2),
+u, v = (w -+ p)/2, which makes the uncorrugated homoclinic loop exactly
+{v = 0} u {u = 0}.
+
+Passages: every leg of the reduced flow (the excursion Sigma0 -> Sigma1,
+the corner passage Sigma1 -> Sigma0, the W^u fibres of the set-up and the
+truncated corner model) is one `integrate.first_crossing` run against its
+target section and the escape section, on the package's DOP853 engine.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from .integrate import IntegrationError, IntegratorConfig, StepUnderflowError, first_crossing
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
 from .model import CorrugationSeries, DomainError, ModelParams
 
@@ -145,29 +149,22 @@ class LocalChart:
 
     a: float = 0.1
     delta: float = 0.04
-    rho: float = 0.5
-    kind: str = "adapted"    # "linear" | "adapted"
 
     def __post_init__(self):
         if not (0 < self.delta < self.a / 2):
             raise DomainError("chart needs 0 < delta < a/2")
-        if self.kind not in ("linear", "adapted"):
-            raise DomainError("chart kind must be linear or adapted")
 
-    def w(self, q: float) -> float:
-        if self.kind == "linear":
-            return q
-        return q * math.sqrt(max(1.0 - q * q, 0.0))
+    def w(self, q):
+        """w(q) = q sqrt(1 - q^2), for a float or an array of q."""
+        return q * np.sqrt(np.maximum(1.0 - q * q, 0.0))
 
     def w_inv(self, w: float) -> float:
-        if self.kind == "linear":
-            return w
         # small-q branch of w = q sqrt(1-q^2); valid for w <= 1/2
         if abs(w) > 0.5:
             raise DomainError("adapted chart valid only for |w| <= 1/2")
         return math.sqrt((1.0 - math.sqrt(1.0 - 4.0 * w * w)) / 2.0)
 
-    def to_chart(self, q: float, p: float) -> tuple[float, float]:
+    def to_chart(self, q, p):
         w = self.w(q)
         return 0.5 * (w - p), 0.5 * (w + p)
 
@@ -176,57 +173,51 @@ class LocalChart:
 
 
 # ---------------------------------------------------------------------------
-# terminal-event passages of the reduced flow
+# passages of the reduced flow: integration up to the first section crossing
 # ---------------------------------------------------------------------------
 
 def _masked_section(chart: LocalChart, which: str):
-    """Smoothly masked section function killing the near-apex crossings."""
+    """Section u = a or v = a of the state (2,) or (2, K), masked for q > 1/2."""
 
-    def g(theta, y):
-        q, p = y
-        u, v = chart.to_chart(q, p)
-        val = (u if which == "u" else v) - chart.a
-        penalty = max(0.0, q - 0.5) * 10.0
-        return val + penalty
+    def g(y):
+        u, v = chart.to_chart(y[0], y[1])
+        return (u if which == "u" else v) - chart.a + 10.0 * np.maximum(0.0, y[0] - 0.5)
 
     return g
 
 
-def _escape_event(chart: LocalChart):
-    # fires when u drops below -0.02 inside the corner (v below the Sigma1
-    # section); elsewhere the chart u legitimately goes negative, so the
-    # detector is masked smoothly outside v < 0.9 a and q < 0.3
-    def g(theta, y):
-        q = y[0]
-        u, v = chart.to_chart(q, y[1])
-        return (u + 0.02 + 10.0 * max(0.0, v - 0.9 * chart.a)
-                + 10.0 * max(0.0, q - 0.3))
+def _escape_section(chart: LocalChart):
+    """Falls through zero on u = -v/2 (p = 3 w(q)), past W^s (u ~ 0).
+
+    Beyond it the orbit leaves the corner with u < 0, or slides toward
+    q -> 0 and would creep until the angle runs out; returning passages
+    keep u > 0 up to the corrugation wobble.  Masked outside v < 0.9 a and
+    q < 0.3, where u legitimately goes negative.  State (2,) or (2, K).
+    """
+
+    def g(y):
+        u, v = chart.to_chart(y[0], y[1])
+        return (2.0 * u + v + 10.0 * np.maximum(0.0, v - 0.9 * chart.a)
+                + 10.0 * np.maximum(0.0, y[0] - 0.3))
+
     return g
 
 
 def _integrate_to_section(params: ModelParams, chart: LocalChart, y0, theta0,
                           which: str, direction: int, theta_max: float,
                           rtol: float = 1e-11, atol: float = 1e-12):
-    """Reduced flow until the masked section crossing; detects escape."""
-    sec = _masked_section(chart, which)
-    sec.terminal = True
-    sec.direction = direction
-    esc = _escape_event(chart)
-    esc.terminal = True
-    esc.direction = -1
-    res = solve_ivp(reduced_rhs(params), (theta0, theta0 + theta_max),
-                    np.asarray(y0, dtype=float), method="DOP853",
-                    rtol=rtol, atol=atol, events=[sec, esc],
-                    dense_output=False)
-    if not res.success and res.status != 1:
-        raise PassageError(res.message)
-    if res.t_events[0].size:
-        th = float(res.t_events[0][0])
-        y = res.y_events[0][0]
-        return "section", th, y
-    if res.t_events[1].size:
-        return "escape", float(res.t_events[1][0]), res.y_events[1][0]
-    return "timeout", float(res.t[-1]), res.y[:, -1]
+    """Reduced flow until the masked section crossing; detects escape.
+
+    Returns (kind, theta, (q, p)) with kind "section", "escape" or
+    "timeout"; a step underflow or a failed event polish is a PassageError.
+    """
+    sections = [(_masked_section(chart, which), direction), (_escape_section(chart), -1)]
+    try:
+        k, th, y = first_crossing(reduced_rhs(params), y0, (theta0, theta0 + theta_max),
+                                  sections, IntegratorConfig(rel_tol=rtol, abs_tol=atol))
+    except (StepUnderflowError, IntegrationError) as exc:
+        raise PassageError(f"passage integration failed: {exc}") from exc
+    return ("timeout", "section", "escape")[0 if k is None else k + 1], th, y
 
 
 def _corner_pass(params: ModelParams, chart: LocalChart, u0: float,
@@ -241,8 +232,7 @@ def _corner_pass(params: ModelParams, chart: LocalChart, u0: float,
                                           "u", +1, theta_max, rtol=rtol)
     if kind != "section":
         raise PassageError(f"corner passage failed: {kind}")
-    u, v = chart.to_chart(y1[0], y1[1])
-    return v, th1
+    return chart.to_chart(y1[0], y1[1])[1], th1
 
 
 def local_map(params: ModelParams, chart: LocalChart, u0: float, theta0: float,
@@ -265,8 +255,7 @@ def global_map(params: ModelParams, chart: LocalChart, v0: float, theta0: float,
                                           "v", -1, theta_max, rtol=rtol)
     if kind != "section":
         raise PassageError(f"homoclinic excursion failed: {kind}")
-    u, v = chart.to_chart(y1[0], y1[1])
-    return u, th1
+    return chart.to_chart(y1[0], y1[1])[0], th1
 
 
 def truncated_local_map(u0: float, a: float,
@@ -281,17 +270,14 @@ def truncated_local_map(u0: float, a: float,
         s = u + v
         return (u * s, -v * s)
 
-    def hit(t, y):
+    def hit(y):
         return y[0] - a
 
-    hit.terminal = True
-    hit.direction = +1
-    res = solve_ivp(rhs, (0.0, 1e4 / math.sqrt(u0 * a)), [u0, a],
-                    method="DOP853", rtol=rtol, atol=1e-16, events=[hit])
-    if not res.t_events[0].size:
+    k, t1, y1 = first_crossing(rhs, (u0, a), (0.0, 1e4 / math.sqrt(u0 * a)),
+                               [(hit, +1)], IntegratorConfig(rel_tol=rtol, abs_tol=1e-15))
+    if k is None:
         raise PassageError("truncated passage did not reach u = a")
-    v1 = float(res.y_events[0][0][1])
-    return v1, float(res.t_events[0][0])
+    return float(y1[1]), t1
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +350,6 @@ class HorseshoeLab:
     diagnostics: dict = field(default_factory=dict)
 
     # -- section coordinates -----------------------------------------------
-    def state_of(self, v_raw: float, theta: float) -> tuple[float, float, float]:
-        q, p = self.chart.from_chart(self.chart.a, v_raw)
-        return q, p, theta
-
     def coords(self, v_raw: float, theta: float) -> tuple[float, float]:
         """(v_rel, tau): distance past W^u and angle offset from W^s."""
         v_rel = self.s_v * (v_raw - float(self.wu_local(theta)))
@@ -638,11 +620,6 @@ class Strip:
     def tau_center(self) -> float:
         return float(np.mean(0.5 * (self.tau_lo + self.tau_hi)))
 
-    def contains(self, v_rel: float, tau: float) -> bool:
-        lo = float(np.interp(v_rel, self.v_grid, self.tau_lo))
-        hi = float(np.interp(v_rel, self.v_grid, self.tau_hi))
-        return lo <= tau <= hi
-
     def lipschitz(self) -> float:
         dv = np.diff(self.v_grid)
         return float(max(np.max(np.abs(np.diff(self.tau_lo) / dv)),
@@ -800,7 +777,6 @@ class ConeReport:
     per_strip_expansion: dict
     fd_agreement: float
     expansion_exponent: float
-    details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -1172,7 +1148,7 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
     shadows them, lifts the section point to the full system, and converts
     to Cartesian coordinates.
     """
-    from .integrate import IntegratorConfig, integrate_mcgehee
+    from .integrate import integrate_mcgehee
     from .model import from_mcgehee
 
     if lab is None:

@@ -1,13 +1,19 @@
-"""Lane-batched adaptive integration with dense output and section crossings.
+"""Adaptive DOP853 integration: lane-batched dense runs and first crossings.
 
 One numpy implementation of the Dormand-Prince 8(5,3) pair (DOP853:
 Hairer, Norsett & Wanner, Solving ODEs I, II.10; the tableau is the one
 scipy ships) advances N independent orbits, the lanes, with one shared
 step.  The step controller is scipy's; its error norm is the maximum over
 lanes of scipy's per-lane DOP853 norm, so every lane meets at least the
-tolerance it meets when integrated alone.  A 1-D initial state is the
-single-lane case and takes scipy's steps.  Every accepted step keeps the
-seven coefficient arrays of the order-7 dense output.
+tolerance it meets when integrated alone.  A 1-D initial state is one
+orbit on 1-D arrays and takes scipy's steps.
+
+One step loop serves two consumers.  `integrate` keeps the seven
+coefficient arrays of the order-7 dense output of every accepted step, and
+`crossings` finds section zeros on that trajectory.  `first_crossing` runs
+one orbit, evaluates its sections at the step nodes only, and builds the
+interpolant of the one step where the first wanted crossing lies; the
+horseshoe passages run on it.
 
 The field is polynomial plus trig, never stiff; a step underflow is treated
 as a domain signal (near-singularity such as q -> 0 in reduced
@@ -65,15 +71,11 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    dense_output: bool = True
 
     def __post_init__(self):
         for tol in (self.rel_tol, self.abs_tol):
             if not (1e-15 <= tol <= 1e-3):
                 raise DomainError("tolerances must lie in [1e-15, 1e-3]")
-        if self.max_step <= 0:
-            raise DomainError("max_step must be positive")
 
 
 @dataclass
@@ -105,30 +107,26 @@ class Trajectory:
 
     A single-lane trajectory (1-D initial state) has y of shape (n, M) and
     evaluates to (n,) or (n, K); N lanes give (n, N, M), (n, N) and
-    (n, N, K).  n_rhs counts field calls, one per vectorised call.
+    (n, N, K).  n_rhs counts field calls, one per vectorised call; counters
+    holds it with the accepted and rejected steps.
     """
 
     def __init__(self, t: np.ndarray, nodes: np.ndarray, coeffs: np.ndarray | None,
-                 n_rhs: int, n_rejected: int, config: IntegratorConfig, single: bool):
+                 counters: IntegrationCounters, single: bool):
         self.t = t
         self._nodes = nodes        # (M, N, n)
-        self._coeffs = coeffs      # (7, M - 1, N, n) or None
+        self._coeffs = coeffs      # (7, M - 1, N, n), None without steps
         self.single = single
         y = nodes.transpose(2, 1, 0)
         self.y = y[:, 0] if single else y
-        self.n_rhs = n_rhs
-        self.n_rejected = n_rejected
-        self.config = config
+        self.counters = counters
+        self.n_rhs = counters.rhs_calls
         if not (np.all(np.diff(t) > 0) or np.all(np.diff(t) < 0)):
             raise IntegrationError("trajectory times must be strictly monotone")
 
-    @property
-    def n_steps(self) -> int:
-        return self.t.size - 1
-
     def __call__(self, t):
         if self._coeffs is None:
-            raise IntegrationError("trajectory was built without dense output")
+            raise IntegrationError("trajectory has no steps")
         tt = np.asarray(t, dtype=float)
         idx = self._step_index(tt.ravel())
         x = (tt.ravel() - self.t[idx]) / (self.t[idx + 1] - self.t[idx])
@@ -148,14 +146,6 @@ class Trajectory:
         """(n, K) states of lanes `lane` at fraction `x` of steps `step`."""
         return _horner(self._coeffs[:, step, lane], self._nodes[step, lane],
                        x[:, None]).T
-
-    @property
-    def t0(self) -> float:
-        return float(self.t[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.t[-1])
 
     @property
     def y1(self) -> np.ndarray:
@@ -199,19 +189,17 @@ def mcgehee_rhs(params: ModelParams):
     return rhs
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Per-lane 2-norm over the state axis 0.
+def _norm(x: np.ndarray):
+    """2-norm over the state axis 0: a scalar for one orbit, one per lane.
 
-    The controller reacts to the last bits of its error norm, so a single
-    lane is normed as scipy norms it (a dot product, which rounds unlike the
+    The controller reacts to the last bits of its error norm, so one orbit
+    is normed as scipy norms it (a dot product, which rounds unlike the
     axis reduction in about one case in eight) and takes scipy's steps.
     """
-    if x.shape[1] == 1:
-        return np.array([np.linalg.norm(x[:, 0])])
-    return np.linalg.norm(x, axis=0)
+    return np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=0)
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, max_step, direction, rtol, atol) -> float:
+def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
     """scipy's starting step (HNW II.4) per lane; the smallest is shared.
 
     The trial evaluation uses the smallest per-lane trial step for every
@@ -231,46 +219,52 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, direction, rtol, atol) -> 
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, max(1e-6, h0 * 1e-3),
                   (0.01 / np.where(flat, 1.0, dmax)) ** (1.0 / 8.0))
-    return min(100.0 * h0, float(np.min(h1)), interval, max_step)
+    return min(100.0 * h0, float(np.min(h1)), interval)
 
 
-def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
-    """Integrate dy/dt = field(t, y) over t_span with the 8(5,3) pair.
+def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCounters):
+    """Accepted DOP853 steps of dy/dt = field(t, y) from (t_span[0], y).
 
-    y0 of shape (n,) is one orbit and field sees (n,) states; y0 of shape
-    (n, N) is N lanes sharing every step, and field must map (n, N) to
-    (n, N).  Deterministic given inputs.  Raises StepUnderflowError when the
-    controller asks for steps below 1e-14.
+    Yields (t, y, t_new, y_new, dense) per accepted step until t_span[1];
+    dense() returns the 7 coefficient arrays of that step's order-7
+    interpolant and must be called before the next step.  y is (n,) for
+    one orbit or (n, N) for N lanes.  Adds the work to `counters`; raises
+    StepUnderflowError when the controller asks for a step below the
+    spacing limit.
     """
-    y = np.array(y0, dtype=float)
-    single = y.ndim == 1
-    if single:
-        y = y[:, None]
 
-        def fun(t, state):
-            return np.asarray(field(t, state[:, 0]), dtype=float)[:, None]
-    else:
-        def fun(t, state):
-            return np.asarray(field(t, state), dtype=float)
+    def fun(t, y):
+        return np.asarray(field(t, y), dtype=float)
+
+    def dense():            # of the step just yielded: reads the loop's variables
+        for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_NS + 1):
+            K[s] = fun(t + c * h, y + np.dot(K2[:s].T, a[:s]).reshape(shape) * h)
+        counters.rhs_calls += len(_C_EXTRA)
+        dy = y_new - y
+        F = np.empty((_dop.INTERPOLATOR_POWER,) + shape)
+        F[0] = dy
+        F[1] = h * f - dy
+        F[2] = 2.0 * dy - h * (f_new + f)
+        F[3:] = h * np.dot(_D, K2).reshape((-1,) + shape)
+        return F
 
     t0, t_bound = float(t_span[0]), float(t_span[1])
     direction = 1.0 if t_bound >= t0 else -1.0
     rtol, atol = config.rel_tol, config.abs_tol
-    n = y.shape[0]
-    K = np.empty((_dop.N_STAGES_EXTENDED,) + y.shape)
+    shape, n = y.shape, y.shape[0]
+    K = np.empty((_dop.N_STAGES_EXTENDED,) + shape)
     K2 = K.reshape(K.shape[0], -1)          # stages as rows, for tableau products
+    # (state, stage) views of the earlier stages, one per tableau row
+    stages = [(K2[:s].T, _A[s, :s], _C[s]) for s in range(1, _NS)]
+    k_main, k_err = K2[:_NS].T, K2[:_NS + 1].T
 
     t = np.float64(t0)
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, config.max_step, direction, rtol, atol)
-    n_rhs = 2
-    n_rejected = 0
-    times = [t]
-    nodes = [y]
-    coeffs = []
+    h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
+    counters.rhs_calls += 2
     while direction * (t - t_bound) < 0:
         min_step = 10.0 * abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = min(max(h_abs, min_step), config.max_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -283,19 +277,22 @@ def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) 
             h_abs = abs(h)
 
             K[0] = f
-            for s in range(1, _NS):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K2[:s].T, _A[s, :s]).reshape(y.shape) * h)
-            y_new = y + h * np.dot(K2[:_NS].T, _B).reshape(y.shape)
+            for s, (k_prev, a, c) in enumerate(stages, start=1):
+                K[s] = fun(t + c * h, y + np.dot(k_prev, a).reshape(shape) * h)
+            y_new = y + h * np.dot(k_main, _B).reshape(shape)
             f_new = fun(t_new, y_new)
             K[_NS] = f_new
-            n_rhs += _NS
+            counters.rhs_calls += _NS
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = _norm(np.dot(K2[:_NS + 1].T, _E5).reshape(y.shape) / scale) ** 2
-            err3 = _norm(np.dot(K2[:_NS + 1].T, _E3).reshape(y.shape) / scale) ** 2
+            err5 = _norm(np.dot(k_err, _E5).reshape(shape) / scale) ** 2
+            err3 = _norm(np.dot(k_err, _E3).reshape(shape) / scale) ** 2
             denom = err5 + 0.01 * err3
-            lanes = abs(h) * err5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
-            error_norm = float(np.max(np.where(denom > 0, lanes, 0.0)))
+            if y.ndim == 1:
+                error_norm = 0.0 if denom == 0 else float(abs(h) * err5 / math.sqrt(denom * n))
+            else:
+                lanes = abs(h) * err5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
+                error_norm = float(np.max(np.where(denom > 0, lanes, 0.0)))
 
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
@@ -306,31 +303,39 @@ def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) 
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-            n_rejected += 1
+            counters.rejected_steps += 1
 
-        if config.dense_output:
-            for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_NS + 1):
-                K[s] = fun(t + c * h, y + np.dot(K2[:s].T, a[:s]).reshape(y.shape) * h)
-            n_rhs += len(_C_EXTRA)
-            dy = y_new - y
-            F = np.empty((_dop.INTERPOLATOR_POWER,) + y.shape)
-            F[0] = dy
-            F[1] = h * f - dy
-            F[2] = 2.0 * dy - h * (f_new + f)
-            F[3:] = h * np.dot(_D, K2).reshape((-1,) + y.shape)
-            coeffs.append(F)
+        counters.steps += 1
+        yield t, y, t_new, y_new, dense
         t, y, f = t_new, y_new, f_new
-        times.append(t)
-        nodes.append(y)
+
+
+def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+    """Integrate dy/dt = field(t, y) over t_span with the 8(5,3) pair.
+
+    y0 of shape (n,) is one orbit and field sees (n,) states; y0 of shape
+    (n, N) is N lanes sharing every step, and field must map (n, N) to
+    (n, N).  Deterministic given inputs.  Raises StepUnderflowError when the
+    controller asks for steps below 1e-14.
+    """
+    y0 = np.array(y0, dtype=float)
+    counters = IntegrationCounters()
+    times, nodes, coeffs = [np.float64(t_span[0])], [y0], []
+    for _, _, t_new, y_new, dense in _steps(field, y0, t_span, config, counters):
+        coeffs.append(dense())
+        times.append(t_new)
+        nodes.append(y_new)
 
     times = np.array(times)
     steps = np.abs(np.diff(times))
     if steps.size and steps.min() < 1e-14:
         raise StepUnderflowError(f"observed step {steps.min():.3e} below 1e-14")
-    node_arr = np.ascontiguousarray(np.stack(nodes).transpose(0, 2, 1))
-    coeff_arr = (np.ascontiguousarray(np.stack(coeffs, axis=1).transpose(0, 1, 3, 2))
-                 if config.dense_output and coeffs else None)
-    return Trajectory(times, node_arr, coeff_arr, n_rhs, n_rejected, config, single)
+
+    def lane_major(a):          # (..., n) or (..., n, N) -> (..., N, n)
+        return np.ascontiguousarray((a[..., None] if y0.ndim == 1 else a).swapaxes(-1, -2))
+
+    coeffs = lane_major(np.stack(coeffs, axis=1)) if coeffs else None
+    return Trajectory(times, lane_major(np.stack(nodes)), coeffs, counters, y0.ndim == 1)
 
 
 def integrate_mcgehee(params: ModelParams, y0, t_span,
@@ -384,8 +389,6 @@ def crossings(traj: Trajectory, section, direction: int = 0,
     on the interpolant to a bracket of CROSSING_XTOL in t.  Raises
     IntegrationError when a polished crossing misses |g| <= CROSSING_GTOL.
     """
-    if traj._coeffs is None:
-        raise IntegrationError("crossings need dense output")
     coeffs, nodes = traj._coeffs, traj._nodes
     h = np.diff(traj.t)
     n_sub = 4 if scan_dt is None else max(4, int(np.max(np.abs(h)) / scan_dt) + 1)
@@ -417,6 +420,46 @@ def crossings(traj: Trajectory, section, direction: int = 0,
         raise IntegrationError(f"event polish reached |g| = {worst:.3e} > {CROSSING_GTOL:g}")
     return Crossings(lane=lane, t=traj.t[step] + x * h[step], state=state,
                      direction=sign[cell, lane].astype(int), residual=worst)
+
+
+def first_crossing(field, y0, t_span, sections,
+                   config: IntegratorConfig = IntegratorConfig()):
+    """Integrate one orbit, y0 of shape (n,), up to its first section crossing.
+
+    `sections` lists (g, direction): g maps a state (n,) to a float and
+    states (n, K) to (K,), and a crossing counts when sign(dg/dt) equals
+    direction (0 takes both).  Sign changes are sought at the step nodes;
+    only the step holding one gets its interpolant, on which crossings are
+    polished as in `crossings`.  Returns (k, t, y) for the earliest, k
+    indexing `sections`, or (None, t, y) at the end of t_span.
+    """
+    t, y = float(t_span[0]), np.array(y0, dtype=float)
+    g_old = [g(y) for g, _ in sections]
+    for t, y, t_new, y_new, dense in _steps(field, y, t_span, config, IntegrationCounters()):
+        h = t_new - t
+        g_new = [g(y_new) for g, _ in sections]
+        hits = [k for k, (ga, gb) in enumerate(zip(g_old, g_new))
+                if (ga * gb < 0 or (gb == 0 and ga != 0))
+                and sections[k][1] * (gb - ga) * h >= 0]
+        if hits:
+            F = dense()[..., None]
+            found = []
+            for k in hits:
+                g = sections[k][0]
+                x = _polish(lambda x: g(_horner(F, y[:, None], x)),
+                            np.zeros(1), np.ones(1), np.array([g_old[k]]),
+                            np.array([g_new[k]]), CROSSING_XTOL / abs(h))
+                found.append((float(x[0]), k))
+            x, k = min(found)
+            state = _horner(F, y[:, None], np.array([x]))[:, 0]
+            resid = abs(float(sections[k][0](state)))
+            if resid > CROSSING_GTOL:
+                raise IntegrationError(
+                    f"event polish reached |g| = {resid:.3e} > {CROSSING_GTOL:g}")
+            return k, float(t + x * h), state
+        g_old = g_new
+        t, y = t_new, y_new
+    return None, float(t), y
 
 
 def _polish(g_at, a, b, ga, gb, width_tol, maxiter: int = 100) -> np.ndarray:

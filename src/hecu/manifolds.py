@@ -255,9 +255,8 @@ def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float
             J=state[3],
             energy_defect=np.abs(hamiltonian_mcgehee(state, params) - params.energy),
         )
-    counters = IntegrationCounters(steps=traj.n_steps, rejected_steps=traj.n_rejected,
-                                   rhs_calls=traj.n_rhs, polish_residual=residual)
-    return Sheet(tag, params, levels, counters)
+    traj.counters.polish_residual = residual
+    return Sheet(tag, params, levels, traj.counters)
 
 
 def unstable_sheet(params: ModelParams, u_levels, n_theta: int = 64,
@@ -414,14 +413,6 @@ class ScalingFit:
     residuals: np.ndarray
     nu_I0: np.ndarray
     basis: str
-
-    @property
-    def rho_err(self) -> float:
-        return float(math.sqrt(self.covariance[2, 2]))
-
-    @property
-    def sigma_err(self) -> float:
-        return float(math.sqrt(self.covariance[1, 1]))
 
 
 def fit_scaling(samples: list[SplittingSample], which: str = "J",

@@ -94,12 +94,6 @@ class CorrugationSeries:
             return complex(r / 2.0, -s / 2.0)
         return complex(r / 2.0, s / 2.0)
 
-    def scaled(self, factor: float) -> "CorrugationSeries":
-        return CorrugationSeries(
-            tuple(factor * r for r in self.cos_coeffs),
-            tuple(factor * s for s in self.sin_coeffs),
-        )
-
 
 def physical_corrugation() -> CorrugationSeries:
     """The experimentally fitted profile r1 = 0.06, r2 = 0.008."""
@@ -227,11 +221,6 @@ class McGeheeState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q, self.p, self.theta, self.J], dtype=float)
-
-    @staticmethod
-    def from_array(y) -> "McGeheeState":
-        q, p, theta, J = (float(v) for v in y)
-        return McGeheeState(q, p, theta, J)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hecu import horseshoe
 from hecu.horseshoe import (
     LocalChart,
+    PassageError,
     ReducedState,
     ShadowingError,
+    _escape_section,
+    _integrate_to_section,
+    _masked_section,
     action_offset_closed,
+    global_map,
     local_map,
     reduce_poincare_cartan,
     reduced_rhs,
@@ -88,20 +94,19 @@ def test_reduced_field_matches_full_ratio():
 
 
 def test_chart_roundtrip():
-    for kind in ("linear", "adapted"):
-        chart = LocalChart(a=0.1, delta=0.04, kind=kind)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            q = rng.uniform(0.0, 0.6)
-            p = rng.uniform(-0.4, 0.4)
-            u, v = chart.to_chart(q, p)
-            q2, p2 = chart.from_chart(u, v)
-            assert q2 == pytest.approx(q, abs=1e-12)
-            assert p2 == pytest.approx(p, abs=1e-12)
+    chart = LocalChart(a=0.1, delta=0.04)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        q = rng.uniform(0.0, 0.6)
+        p = rng.uniform(-0.4, 0.4)
+        u, v = chart.to_chart(q, p)
+        q2, p2 = chart.from_chart(u, v)
+        assert q2 == pytest.approx(q, abs=1e-12)
+        assert p2 == pytest.approx(p, abs=1e-12)
 
 
 def test_adapted_chart_straightens_separatrix():
-    chart = LocalChart(kind="adapted")
+    chart = LocalChart()
     for u in (-12.0, -6.0, -3.0):
         q, p = float(q_h(u)), float(p_h(u))
         cu, cv = chart.to_chart(q, p)
@@ -113,12 +118,10 @@ def test_adapted_chart_straightens_separatrix():
 def test_chart_validation():
     with pytest.raises(DomainError):
         LocalChart(a=0.1, delta=0.06)
-    with pytest.raises(DomainError):
-        LocalChart(kind="quartic")
 
 
 def test_truncated_local_map_exact():
-    for u0 in (1e-2, 1e-3, 1e-5):
+    for u0 in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         v1, transit = truncated_local_map(u0, 0.1)
         assert abs(v1 - u0) < 1e-12
 
@@ -141,11 +144,79 @@ def test_local_map_contract_rejects_bad_entry():
 
 
 def test_local_map_returns_small_v():
-    chart = LocalChart(a=0.1, delta=0.04, kind="adapted")
+    chart = LocalChart(a=0.1, delta=0.04)
     v1, th1 = local_map(PARAMS, chart, 1e-3, 0.0)
     # passage conserves the adapted product up to corrugation wobble
     assert v1 == pytest.approx(1e-3, rel=0.2)
     assert th1 > 2 * math.pi  # at least one full angle period near the corner
+
+
+def _scipy_passage(params, chart, y0, theta0, which, direction, theta_max,
+                   rtol=1e-11, atol=1e-12):
+    """Reference passage: scipy's DOP853 with terminal events on the same sections."""
+    def event(section, event_direction):
+        def g(theta, y):
+            return section(y)
+        g.terminal = True
+        g.direction = event_direction
+        return g
+
+    res = solve_ivp(reduced_rhs(params), (theta0, theta0 + theta_max),
+                    np.asarray(y0, dtype=float), method="DOP853", rtol=rtol, atol=atol,
+                    events=[event(_masked_section(chart, which), direction),
+                            event(_escape_section(chart), -1)])
+    assert res.success
+    if res.t_events[0].size:
+        return "section", float(res.t_events[0][0]), res.y_events[0][0]
+    if res.t_events[1].size:
+        return "escape", float(res.t_events[1][0]), res.y_events[1][0]
+    return "timeout", float(res.t[-1]), res.y[:, -1]
+
+
+def _assert_matches_scipy(y0, theta0, which, direction, theta_max):
+    chart = LocalChart()
+    kind, th, y = _integrate_to_section(PARAMS, chart, y0, theta0, which,
+                                        direction, theta_max)
+    ref_kind, ref_th, ref_y = _scipy_passage(PARAMS, chart, y0, theta0, which,
+                                             direction, theta_max)
+    assert kind == ref_kind == "section"
+    assert abs(th - ref_th) <= 1e-11
+    assert np.max(np.abs(y - ref_y)) <= 1e-14
+
+
+@pytest.mark.parametrize("v0, theta0", [(2e-4, 0.0), (1e-3, 2.0), (5e-3, 3.0), (2e-2, 5.0)])
+def test_global_leg_matches_scipy_events(v0, theta0):
+    # Sigma0 -> Sigma1 excursions of global_map
+    chart = LocalChart()
+    _assert_matches_scipy(chart.from_chart(chart.a, v0), theta0, "v", -1, 400.0)
+
+
+@pytest.mark.parametrize("u0, theta0", [(1e-3, 0.0), (1e-5, 0.0), (1e-4, 2.5)])
+def test_corner_leg_matches_scipy_events(u0, theta0):
+    # Sigma1 -> Sigma0 corner passages of local_map, 600 to 7,000 rad long
+    chart = LocalChart()
+    _assert_matches_scipy(chart.from_chart(u0, chart.a), theta0, "u", +1, 2.0e5)
+
+
+@pytest.mark.parametrize("u0", [-1e-4, -1e-3, -1e-2])
+def test_entry_past_stable_manifold_escapes(u0):
+    # these orbits slide toward q -> 0 with u < 0; without the escape
+    # section they would creep until theta_max
+    chart = LocalChart()
+    kind, th, y = _integrate_to_section(PARAMS, chart, chart.from_chart(u0, chart.a),
+                                        0.0, "u", +1, 2.0e5)
+    assert kind == "escape"
+    assert th < 2.0e3
+    u, v = chart.to_chart(y[0], y[1])
+    assert u < 0 and 2.0 * u + v == pytest.approx(0.0, abs=1e-12)
+
+
+def test_passage_integration_failure_is_passage_error(monkeypatch):
+    # a field that blows up at theta = 1 underflows the step
+    monkeypatch.setattr(horseshoe, "reduced_rhs",
+                        lambda params: lambda theta, y: (y[1], 1.0 / (1.0 - theta)))
+    with pytest.raises(PassageError, match="step"):
+        global_map(PARAMS, LocalChart(), 1e-3, 0.0)
 
 
 def test_select_operating_point():

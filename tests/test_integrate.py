@@ -1,15 +1,17 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from hecu.integrate import (
-    IntegrationError,
     IntegratorConfig,
     StepUnderflowError,
     crossings,
     energy_drift,
+    first_crossing,
     integrate,
     integrate_mcgehee,
     mcgehee_rhs,
@@ -178,11 +180,57 @@ def test_crossings_per_lane(params_eps0):
     assert list(events.first(3)) == [0, 1, -1]
 
 
-def test_crossings_need_dense_output(params_eps0):
-    run = integrate_mcgehee(params_eps0, [1.0, 0.0, 0.0, 0.0], (0.0, 1.0),
-                            IntegratorConfig(dense_output=False))
-    with pytest.raises(IntegrationError):
-        crossings(run, lambda y: y[0] - 0.5)
+def test_first_crossing_stops_at_earliest_section(params_eps0):
+    # on the homoclinic orbit seeded at u = -4: p rises through 0 at the
+    # apex t = 4, and q falls through 1/2 at t = 4 + sqrt 3
+    rhs = mcgehee_rhs(params_eps0)
+    y0 = [q_h(-4.0), p_h(-4.0), 0.0, 0.0]
+    falls = (lambda y: y[0] - 0.5, -1)
+    apex = (lambda y: y[1], +1)
+    k, t, y = first_crossing(rhs, y0, (0.0, 8.0), [falls, apex], TIGHT)
+    assert k == 1 and t == pytest.approx(4.0, abs=1e-9)
+    assert abs(y[1]) <= 1e-12 and y.shape == (4,)
+    k, t, y = first_crossing(rhs, y0, (0.0, 8.0), [falls], TIGHT)
+    assert k == 0 and t == pytest.approx(4.0 + math.sqrt(3.0), abs=1e-9)
+    assert abs(y[0] - 0.5) <= 1e-12
+
+
+def test_first_crossing_runs_out_at_span_end(params_eps0):
+    y0 = [q_h(-4.0), p_h(-4.0), 0.0, 0.0]
+    k, t, y = first_crossing(mcgehee_rhs(params_eps0), y0, (0.0, 8.0),
+                             [(lambda y: y[0] - 2.0, 0)], TIGHT)
+    run = integrate_mcgehee(params_eps0, y0, (0.0, 8.0), TIGHT)
+    assert k is None and t == 8.0
+    assert np.array_equal(y, run.y1)
+
+
+def test_first_crossing_direction_backward(params_eps0):
+    # backward from the apex q rises in time through 1/2 at t = -sqrt 3
+    rhs = mcgehee_rhs(params_eps0)
+    y0 = [1.0, 0.0, 0.0, 0.0]
+    assert first_crossing(rhs, y0, (0.0, -5.0), [(lambda y: y[0] - 0.5, -1)], TIGHT)[0] is None
+    k, t, _ = first_crossing(rhs, y0, (0.0, -5.0), [(lambda y: y[0] - 0.5, +1)], TIGHT)
+    assert k == 0 and t == pytest.approx(-math.sqrt(3.0), abs=1e-10)
+
+
+def test_src_has_one_integrator():
+    # the package integrates with its own DOP853 engine; of scipy.integrate
+    # it may import only the tableau the engine is built on
+    tableau = "scipy.integrate._ivp.dop853_coefficients"
+    src = Path(__file__).resolve().parents[1] / "src" / "hecu"
+    bad = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            bad += [f"{path.name}:{node.lineno} {name}" for name in names
+                    if (name == "scipy.integrate" or name.startswith("scipy.integrate."))
+                    and name != tableau]
+    assert not bad, bad
 
 
 @pytest.mark.parametrize("case", ["homoclinic", "homoclinic_back", "roundtrip"])
