@@ -23,11 +23,9 @@ import numpy as np
 from . import inner as inner_mod
 from . import manifolds as mani
 from .horseshoe import (
-    LocalChart,
     build_strips,
     local_map,
     oscillatory_demo,
-    reduce_poincare_cartan,
     reduced_rhs,
     select_operating_point,
     setup_horseshoe,
@@ -102,7 +100,7 @@ def criterion_3() -> CriterionResult:
                            {"sup": sup, "drift": drift})
 
 
-def criterion_4(cache: dict) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     params = params_for_nu_I0(4.0, epsilon=1e-4)
     sheet = mani.unstable_sheet(params, [1.0])
     stable = mani.stable_sheet_from_unstable(sheet)
@@ -118,7 +116,6 @@ def criterion_4(cache: dict) -> CriterionResult:
               for k in range(-2, 3)]
         phase_dev = max(phase_dev, min(ds))
     ok = amp_dev <= 0.03 and phase_dev <= 2.0 / params.nu_I0
-    cache["splitting_sample_4"] = sample
     return CriterionResult(
         4, "first-order splitting amplitude and homoclinic phases", ok,
         f"amp dev {amp_dev:.2%} (tol 3%), phase dev {phase_dev:.3f} "
@@ -126,12 +123,11 @@ def criterion_4(cache: dict) -> CriterionResult:
         {"amp_dev": amp_dev, "phase_dev": phase_dev})
 
 
-def criterion_5(cache: dict) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     samples = mani.splitting_sweep([4.0, 5.0, 6.0, 7.0], epsilon=1e-4)
     fit = mani.fit_scaling(samples, basis="nu_plus_one")
     lit = mani.fit_scaling(samples, basis="nu")
     ok = abs(fit.rho - 1.0) <= 0.02 and abs(fit.sigma - 1.0) <= 0.15
-    cache["sweep_samples"] = samples
     return CriterionResult(
         5, "exponential scaling law of the splitting", ok,
         f"rho = {fit.rho:.5f} (1±0.02), sigma = {fit.sigma:.5f} (1±0.15) "
@@ -141,7 +137,7 @@ def criterion_5(cache: dict) -> CriterionResult:
          "rho_literal": lit.rho, "sigma_literal": lit.sigma})
 
 
-def criterion_6(cache: dict) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     eps_values = [5e-4, 1e-3]
     ratios = []
     diffs = {}
@@ -155,7 +151,6 @@ def criterion_6(cache: dict) -> CriterionResult:
     conv = abs(ratios[1] - ratios[0]) / abs(ratios[1])
     im_ratio = diffs[1e-3].diagnostics["im_f1_offaxis_ratio"]
     ok = mag_dev <= 0.05 and im_ratio <= 1e-3 and conv <= 0.01
-    cache["f1_per_eps"] = ratios[-1]
     return CriterionResult(
         6, "inner-equation constant f1", ok,
         f"f1/eps = {ratios[-1]:.7f} vs -pi r1/8 = {lead:.7f} (dev {mag_dev:.2%}, tol 5%), "
@@ -164,7 +159,7 @@ def criterion_6(cache: dict) -> CriterionResult:
         {"f1_per_eps": ratios[-1], "mag_dev": mag_dev, "im_ratio": im_ratio})
 
 
-def criterion_7(cache: dict) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     eps = 1e-3
     params6 = params_for_nu_I0(6.0, epsilon=eps)
     f1 = abs(inner_mod.extract_fk(params6, ks=(1,)).f1)
@@ -198,7 +193,8 @@ def criterion_8(cache: dict) -> CriterionResult:
     for u0 in (1e-2, 1e-4):
         v1, _ = truncated_local_map(u0, 0.1)
         worst_trunc = max(worst_trunc, abs(v1 - u0))
-    # full-model exponents, manifold-anchored
+    # full-model exponents, manifold-anchored: u0 past W^s on entry, v1
+    # past W^u on exit
     lab = _lab(cache)
     params = lab.params
     chart = lab.chart
@@ -206,15 +202,15 @@ def criterion_8(cache: dict) -> CriterionResult:
     v1s = []
     dts = []
     theta0 = lab.branch.theta[0]
+    u_s = lab.ws_u(theta0)
     for u0 in u0s:
-        v1, th1 = local_map(params, chart, float(u0), theta0)
+        v1, th1 = local_map(params, chart, float(u0) + u_s, theta0)
         v1s.append(v1 - float(lab.wu_local(th1)))
         dts.append(th1 - theta0)
     p_v = np.polyfit(np.log(u0s), np.log(np.abs(v1s)), 1)[0]
     p_t = np.polyfit(np.log(u0s), np.log(dts), 1)[0]
     ok = (worst_trunc <= 1e-12 and abs(p_v - 1.0) <= 0.2
           and abs(p_t + 0.5) <= 0.05)
-    cache["lambda_exponents"] = (p_v, p_t)
     return CriterionResult(
         8, "parabolic passage exponents", ok,
         f"v1 ~ u0^{p_v:.4f} (1±0.2), transit ~ u0^{p_t:.4f} (-0.5±0.05), "
@@ -233,8 +229,6 @@ def criterion_9(cache: dict) -> CriterionResult:
     cones_ok = (report.pass_rate >= 0.95 and report.n_samples >= 800
                 and 0.0 < report.kappa < 1.0 - report.eta_u * report.eta_s)
     ok = cones_ok and itinerary.achieved and family.mu_h * family.mu_v < 1.0
-    cache["cone_report"] = report
-    cache["itinerary_232"] = itinerary
     return CriterionResult(
         9, "horseshoe strips, cones, and shadowing", ok,
         f"{len(family.strips)} disjoint strips (mu_h mu_v = "
@@ -253,7 +247,6 @@ def criterion_10(cache: dict) -> CriterionResult:
     maxima = demo["maxima"]
     ok = (len(maxima) >= 3 and demo["strictly_increasing"]
           and demo["returns_below"] and demo["itinerary"].achieved)
-    cache["oscillatory"] = demo
     return CriterionResult(
         10, "oscillatory orbit witness", ok,
         f"{len(maxima)} height maxima {['%.2f' % m for m in maxima]}, "
@@ -262,7 +255,7 @@ def criterion_10(cache: dict) -> CriterionResult:
         {"maxima": maxima})
 
 
-def criterion_11(cache: dict) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     from .horseshoe import action_offset_closed
     params = params_for_nu_I0(4.5, epsilon=1.0)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
@@ -274,7 +267,7 @@ def criterion_11(cache: dict) -> CriterionResult:
     red = integrate(reduced_rhs(params), y0[:2], (y0[2], theta_end),
                     IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13))
     dev = float(np.max(np.abs(red.y1 - traj.y1[:2])))
-    _, field_chk = reduce_poincare_cartan((y0[0], y0[1], y0[2]), params)
+    field_chk = reduced_rhs(params)(y0[2], (y0[0], y0[1]))
     full = mcgehee_rhs(params)(0.0, y0)
     dev_field = float(np.max(np.abs(np.array(field_chk)
                                     - np.array(full[:2]) / full[2])))
@@ -300,14 +293,14 @@ ALL_CRITERIA = {
     1: lambda cache: criterion_1(),
     2: lambda cache: criterion_2(),
     3: lambda cache: criterion_3(),
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
+    4: lambda cache: criterion_4(),
+    5: lambda cache: criterion_5(),
+    6: lambda cache: criterion_6(),
+    7: lambda cache: criterion_7(),
     8: criterion_8,
     9: criterion_9,
     10: criterion_10,
-    11: criterion_11,
+    11: lambda cache: criterion_11(),
     12: lambda cache: criterion_12(),
 }
 

@@ -71,8 +71,8 @@ class _Run:
     def add_text(self, name: str, text: str) -> None:
         self.files[name] = text
 
-    def add_svg_polyline(self, name: str, xs, ys, title: str,
-                         width: int = 800, height: int = 400) -> None:
+    def add_svg_polyline(self, name: str, xs, ys, title: str) -> None:
+        width, height = 800, 400
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         finite = np.isfinite(xs) & np.isfinite(ys)
@@ -119,6 +119,17 @@ def _resolve_params(args, nu_I0: float, epsilon: float) -> ModelParams:
         base = load_config(args.config)
         return base.with_nu_I0(nu_I0).with_epsilon(epsilon)
     return params_for_nu_I0(nu_I0, epsilon=epsilon)
+
+
+def _operating_point(args) -> ModelParams:
+    """nu I0 from --nuI0 at epsilon 1 (on --config when given), else the
+    default horseshoe operating point, which no config file changes."""
+    if args.nuI0 is not None:
+        return _resolve_params(args, _parse_range(args.nuI0)[0], 1.0)
+    if args.config:
+        raise DomainError("--config needs --nuI0: the default operating point ignores it")
+    from .horseshoe import select_operating_point
+    return select_operating_point()
 
 
 def _cmd_melnikov(args) -> int:
@@ -191,8 +202,7 @@ def _cmd_sweep(args) -> int:
     lit = fit_scaling(samples, basis="nu")
     rows = [(s.nu_I0, s.amp_J, fit.rho, fit.sigma) for s in samples]
     run = _Run(Path(args.out), "sweep", {
-        "nuI0": nu_values, "epsilon": eps_values[0], "u": args.u,
-        "tol": args.tol, "config": args.config,
+        "nuI0": nu_values, "epsilon": eps_values[0], "u": args.u, "tol": args.tol,
         "fit": {"basis": "nu_plus_one", "rho": fit.rho, "sigma": fit.sigma},
         "fit_literal_nu_basis": {"rho": lit.rho, "sigma": lit.sigma}})
     run.add_csv("sweep.csv", ["nuI0", "amp", "rho_fit", "sigma_fit"], rows)
@@ -235,10 +245,8 @@ def _cmd_inner(args) -> int:
 
 
 def _cmd_horseshoe(args) -> int:
-    from .horseshoe import (build_strips, select_operating_point,
-                            setup_horseshoe, verify_cones)
-    params = select_operating_point() if args.nuI0 is None \
-        else _resolve_params(args, _parse_range(args.nuI0)[0], 1.0)
+    from .horseshoe import build_strips, setup_horseshoe, verify_cones
+    params = _operating_point(args)
     lab = setup_horseshoe(params)
     family = build_strips(lab, (lab.base_count + 1, lab.base_count + 4))
     report = verify_cones(lab, family, samples_per_strip=args.samples)
@@ -270,9 +278,8 @@ def _cmd_horseshoe(args) -> int:
 
 
 def _cmd_oscillate(args) -> int:
-    from .horseshoe import oscillatory_demo, select_operating_point
-    params = select_operating_point() if args.nuI0 is None \
-        else _resolve_params(args, _parse_range(args.nuI0)[0], 1.0)
+    from .horseshoe import oscillatory_demo
+    params = _operating_point(args)
     demo = oscillatory_demo(params, k=args.k, z_ret=args.zret)
     orbit = demo["orbit"]
     rows = list(zip(orbit["t"], orbit["x"], orbit["z"], orbit["p_x"],
@@ -318,20 +325,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="model config file")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tol", type=float, default=1e-11)
-        p.add_argument("--modes", type=int, default=8)
+    # each subcommand declares only the flags its handler reads
+    shared = {
+        "--config": dict(default=None, help="model config file"),
+        "--out": dict(default="out", help="output directory"),
+        "--tol": dict(type=float, default=1e-11),
+        "--modes": dict(type=int, default=8),
+    }
+
+    def add(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("melnikov", help="Melnikov coefficients, closed form vs quadrature")
-    common(p)
+    add(p, "--config", "--out")
     p.add_argument("--nuI0", required=True)
     p.add_argument("--kmax", type=int, default=2)
     p.set_defaults(fn=_cmd_melnikov)
 
     p = sub.add_parser("splitting", help="measure splitting harmonics")
-    common(p)
+    add(p, "--config", "--out", "--tol", "--modes")
     p.add_argument("--nuI0", required=True)
     p.add_argument("--epsilon", default="1e-4")
     p.add_argument("--u", type=float, default=1.0)
@@ -339,33 +352,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_splitting)
 
     p = sub.add_parser("sweep", help="scaling-law fit over nu I0")
-    common(p)
+    add(p, "--out", "--tol")
     p.add_argument("--nuI0", required=True)
     p.add_argument("--epsilon", default="1e-4")
     p.add_argument("--u", type=float, default=1.0)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("inner", help="inner-equation constants f_k")
-    common(p)
+    add(p, "--config", "--out", "--tol", "--modes")
     p.add_argument("--epsilon", default="1e-3")
     p.add_argument("--kmax", type=int, default=2)
     p.set_defaults(fn=_cmd_inner)
 
     p = sub.add_parser("horseshoe", help="strip/cone verification report")
-    common(p)
-    p.add_argument("--nuI0", default=None)
+    add(p, "--config", "--out")
+    p.add_argument("--nuI0", default=None, help="operating point; required with --config")
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(fn=_cmd_horseshoe)
 
     p = sub.add_parser("oscillate", help="oscillatory orbit demonstration")
-    common(p)
-    p.add_argument("--nuI0", default=None)
+    add(p, "--config", "--out")
+    p.add_argument("--nuI0", default=None, help="operating point; required with --config")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--zret", type=float, default=8.0)
     p.set_defaults(fn=_cmd_oscillate)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
-    common(p)
+    add(p, "--out")
     p.add_argument("--only", default=None,
                    help="comma-separated criterion indices")
     p.set_defaults(fn=_cmd_verify_all)

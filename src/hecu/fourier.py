@@ -119,16 +119,15 @@ def powerlaw_tail(f0: float, x0: float, decay: float) -> float:
 # panel Gauss-Legendre quadrature for oscillatory oracles
 # ---------------------------------------------------------------------------
 
-def osc_integral(fun, omega: float, a: float, b: float,
-                 panel_cap: float = 1.0) -> complex:
+def osc_integral(fun, omega: float, a: float, b: float) -> complex:
     """int_a^b fun(s) e^{i omega s} ds with per-half-period GL panels.
 
-    Panels never exceed half an oscillation period nor `panel_cap`, so the
+    Panels never exceed half an oscillation period nor unit length, so the
     16-point rule resolves both the phase and the envelope.
     """
     if b <= a:
         return 0.0 + 0.0j
-    panel = panel_cap if omega == 0 else min(np.pi / abs(omega), panel_cap)
+    panel = 1.0 if omega == 0 else min(np.pi / abs(omega), 1.0)
     n = max(1, int(np.ceil((b - a) / panel)))
     edges = np.linspace(a, b, n + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])

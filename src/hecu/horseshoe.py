@@ -21,6 +21,7 @@ target section and the escape section, on the package's DOP853 engine.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +32,17 @@ from .manifolds import solve_hj_unstable, unstable_initial_conditions
 from .model import CorrugationSeries, DomainError, ModelParams
 
 _TWO_PI = 2.0 * math.pi
+
+# Passage integration: a 400 rad cap on the excursion Sigma0 -> Sigma1 and a
+# 2e5 rad cap on the corner passage Sigma1 -> Sigma0 (an entry 1e-6 from W^s
+# takes about 2e4 rad).
+_GLOBAL_SPAN = 400.0
+_CORNER_SPAN = 2.0e5
+# Fixed absolute floor of every passage.  Where q and p are small it, not
+# rtol, limits the accuracy: tightening rtol alone does not converge the
+# corner passages.  Deriving it from rtol converges them but makes each
+# passage about three times dearer, so it stays a separate constant.
+_PASSAGE_ATOL = 1e-12
 
 
 class PassageError(RuntimeError):
@@ -60,13 +72,6 @@ class ShadowingError(RuntimeError):
         self.width = width
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    q: float
-    p: float
-    theta: float
-
-
 # ---------------------------------------------------------------------------
 # Poincare-Cartan reduction
 # ---------------------------------------------------------------------------
@@ -83,41 +88,6 @@ def action_offset_closed(q, p, theta, params: ModelParams) -> float:
     if disc <= 0:
         raise DomainError("state outside the nu(I0+J) > 0 sheet of the level set")
     return math.sqrt(disc) / params.nu - params.I0
-
-
-def reduce_poincare_cartan(state, params: ModelParams,
-                           tol: float = 1e-13) -> tuple[float, np.ndarray]:
-    """K(q, p, theta) by bracketed secant on H(q, p, theta, -K) = E, and the
-    reduced field (dq/dtheta, dp/dtheta) at the state."""
-    from .model import hamiltonian_mcgehee
-    q, p, theta = (state.q, state.p, state.theta) if isinstance(state, ReducedState) \
-        else (state[0], state[1], state[2])
-    E = params.energy
-
-    def g(K):
-        return hamiltonian_mcgehee((q, p, theta, -K), params) - E
-
-    j_guess = action_offset_closed(q, p, theta, params)
-    lo, hi = -j_guess - 0.2, -j_guess + 0.2
-    glo, ghi = g(lo), g(hi)
-    if glo * ghi > 0:
-        raise DomainError("failed to bracket K near the level set")
-    a, b, ga, gb = lo, hi, glo, ghi
-    for _ in range(200):
-        m = b - gb * (b - a) / (gb - ga)
-        if not (min(a, b) <= m <= max(a, b)):
-            m = 0.5 * (a + b)
-        gm = g(m)
-        if abs(gm) <= tol:
-            K = m
-            break
-        if ga * gm < 0:
-            b, gb = m, gm
-        else:
-            a, ga = m, gm
-    else:
-        raise DomainError("secant iteration for K did not converge")
-    return K, np.array(reduced_rhs(params)(theta, (q, p)))
 
 
 def reduced_rhs(params: ModelParams):
@@ -205,7 +175,7 @@ def _escape_section(chart: LocalChart):
 
 def _integrate_to_section(params: ModelParams, chart: LocalChart, y0, theta0,
                           which: str, direction: int, theta_max: float,
-                          rtol: float = 1e-11, atol: float = 1e-12):
+                          rtol: float = 1e-11):
     """Reduced flow until the masked section crossing; detects escape.
 
     Returns (kind, theta, (q, p)) with kind "section", "escape" or
@@ -214,29 +184,28 @@ def _integrate_to_section(params: ModelParams, chart: LocalChart, y0, theta0,
     sections = [(_masked_section(chart, which), direction), (_escape_section(chart), -1)]
     try:
         k, th, y = first_crossing(reduced_rhs(params), y0, (theta0, theta0 + theta_max),
-                                  sections, IntegratorConfig(rel_tol=rtol, abs_tol=atol))
+                                  sections, IntegratorConfig(rel_tol=rtol, abs_tol=_PASSAGE_ATOL))
     except (StepUnderflowError, IntegrationError) as exc:
         raise PassageError(f"passage integration failed: {exc}") from exc
     return ("timeout", "section", "escape")[0 if k is None else k + 1], th, y
 
 
 def _corner_pass(params: ModelParams, chart: LocalChart, u0: float,
-                 theta0: float, theta_max: float = 2.0e5,
-                 rtol: float = 1e-11) -> tuple[float, float]:
+                 theta0: float, rtol: float = 1e-11) -> tuple[float, float]:
     if u0 <= 0:
         raise PassageError("entry on the escape side of the stable manifold")
     if u0 >= 0.9 * chart.a:
         raise PassageError("entry outside the corner neighborhood")
     q, p = chart.from_chart(u0, chart.a)
     kind, th1, y1 = _integrate_to_section(params, chart, (q, p), theta0,
-                                          "u", +1, theta_max, rtol=rtol)
+                                          "u", +1, _CORNER_SPAN, rtol=rtol)
     if kind != "section":
         raise PassageError(f"corner passage failed: {kind}")
     return chart.to_chart(y1[0], y1[1])[1], th1
 
 
-def local_map(params: ModelParams, chart: LocalChart, u0: float, theta0: float,
-              theta_max: float = 2.0e5) -> tuple[float, float]:
+def local_map(params: ModelParams, chart: LocalChart, u0: float,
+              theta0: float) -> tuple[float, float]:
     """Corner passage Sigma1 -> Sigma0: (u0, a, theta0) -> (a, v1, theta1).
 
     Raises PassageError if the orbit escapes along the other side of the
@@ -244,22 +213,21 @@ def local_map(params: ModelParams, chart: LocalChart, u0: float, theta0: float,
     """
     if not 0 < u0 < chart.delta:
         raise DomainError("local map needs 0 < u0 < delta on Sigma1")
-    return _corner_pass(params, chart, u0, theta0, theta_max)
+    return _corner_pass(params, chart, u0, theta0)
 
 
 def global_map(params: ModelParams, chart: LocalChart, v0: float, theta0: float,
-               theta_max: float = 400.0, rtol: float = 1e-11) -> tuple[float, float]:
+               rtol: float = 1e-11) -> tuple[float, float]:
     """Excursion Sigma0 -> Sigma1: (a, v0, theta0) -> (u1, a, theta1)."""
     q, p = chart.from_chart(chart.a, v0)
     kind, th1, y1 = _integrate_to_section(params, chart, (q, p), theta0,
-                                          "v", -1, theta_max, rtol=rtol)
+                                          "v", -1, _GLOBAL_SPAN, rtol=rtol)
     if kind != "section":
         raise PassageError(f"homoclinic excursion failed: {kind}")
     return chart.to_chart(y1[0], y1[1])[0], th1
 
 
-def truncated_local_map(u0: float, a: float,
-                        rtol: float = 1e-13) -> tuple[float, float]:
+def truncated_local_map(u0: float, a: float) -> tuple[float, float]:
     """Oracle: passage of u' = u(u+v), v' = -v(u+v) from (u0, a) to u = a.
 
     The product uv is a first integral, so the exact arrival is (a, u0);
@@ -274,7 +242,7 @@ def truncated_local_map(u0: float, a: float,
         return y[0] - a
 
     k, t1, y1 = first_crossing(rhs, (u0, a), (0.0, 1e4 / math.sqrt(u0 * a)),
-                               [(hit, +1)], IntegratorConfig(rel_tol=rtol, abs_tol=1e-15))
+                               [(hit, +1)], IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
     if k is None:
         raise PassageError("truncated passage did not reach u = a")
     return float(y1[1]), t1
@@ -284,14 +252,21 @@ def truncated_local_map(u0: float, a: float,
 # the horseshoe laboratory: traces, coordinates, return map
 # ---------------------------------------------------------------------------
 
+# Set-up: 64 W^u fibres seeded at u = -25 on the HJ graph, and an 8-mode fit
+# of their Sigma0 trace.
+_N_FIBERS = 64
+_FIBER_U_SEED = -25.0
+_TRACE_MODES = 8
+
+
 class _TrigCurve:
     """Least-squares trigonometric fit of scattered 2pi-periodic samples."""
 
-    def __init__(self, thetas, values, modes: int = 8):
+    def __init__(self, thetas, values):
         thetas = np.asarray(thetas, dtype=float)
         values = np.asarray(values, dtype=float)
         cols = [np.ones_like(thetas)]
-        for k in range(1, modes + 1):
+        for k in range(1, _TRACE_MODES + 1):
             cols.append(np.cos(k * thetas))
             cols.append(np.sin(k * thetas))
         A = np.column_stack(cols)
@@ -362,6 +337,10 @@ class HorseshoeLab:
         v_raw = float(self.wu_local(theta)) + self.s_v * v_rel
         return v_raw, theta
 
+    def ws_u(self, theta: float) -> float:
+        """u of W^s on Sigma1 at angle theta: the reversor image of the W^u trace."""
+        return float(self.wu_local(-theta))
+
     def _nearest_angle(self, theta: float) -> float:
         """Representative of theta mod 2pi nearest to the branch window."""
         ref = self.theta_h
@@ -393,13 +372,12 @@ class HorseshoeLab:
             return -1
 
 
-def _run_fiber(params: ModelParams, chart: LocalChart, graph, u_seed: float,
-               theta0: float):
+def _run_fiber(params: ModelParams, chart: LocalChart, graph, theta0: float):
     """One W^u fiber: seed -> Sigma0 -> Sigma1.
 
     Returns (theta1, v1, theta2, u2): the Sigma0 crossing (local trace
     sample) and the Sigma1 crossing after the excursion (global sample)."""
-    seed = unstable_initial_conditions(graph, u_seed, np.array([theta0]))[0]
+    seed = unstable_initial_conditions(graph, _FIBER_U_SEED, np.array([theta0]))[0]
     kind, th1, y1 = _integrate_to_section(params, chart, (seed[0], seed[1]),
                                           seed[2], "u", +1, 900.0)
     if kind != "section":
@@ -412,9 +390,7 @@ def _run_fiber(params: ModelParams, chart: LocalChart, graph, u_seed: float,
     return float(th1), float(v1), float(th2), float(u2)
 
 
-def setup_horseshoe(params: ModelParams, chart: LocalChart | None = None,
-                    n_fibers: int = 64, u_seed: float = -25.0,
-                    graph=None) -> HorseshoeLab:
+def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
     """Build the operating laboratory: traces, homoclinic branch, orientations.
 
     The local W^u trace on Sigma0 is a clean graph over the angle.  The
@@ -423,10 +399,10 @@ def setup_horseshoe(params: ModelParams, chart: LocalChart | None = None,
     the rectangle coordinates anchor on its local branch, sampled
     parametrically by seed angle and refined around the crossing.
     """
-    chart = chart or LocalChart()
-    g = graph if graph is not None else solve_hj_unstable(params)
-    thetas0 = np.linspace(0.0, _TWO_PI, n_fibers, endpoint=False)
-    runs = [_run_fiber(params, chart, g, u_seed, th0) for th0 in thetas0]
+    chart = LocalChart()
+    g = solve_hj_unstable(params)
+    thetas0 = np.linspace(0.0, _TWO_PI, _N_FIBERS, endpoint=False)
+    runs = [_run_fiber(params, chart, g, th0) for th0 in thetas0]
     wu_local = _TrigCurve([math.fmod(r[0], _TWO_PI) for r in runs],
                           [r[1] for r in runs])
 
@@ -436,15 +412,14 @@ def setup_horseshoe(params: ModelParams, chart: LocalChart | None = None,
     v_s = np.array([r[3] for r in runs])
     h = v_s - np.array([float(wu_local(t)) for t in theta_s])
 
-    crossings = [j for j in range(n_fibers)
-                 if h[j] == 0.0 or h[j] * h[(j + 1) % n_fibers] < 0]
+    crossings = [j for j in range(_N_FIBERS)
+                 if h[j] == 0.0 or h[j] * h[(j + 1) % _N_FIBERS] < 0]
     if not crossings:
         raise PassageError("stable trace does not cross the unstable trace")
 
     lab = None
     for j in crossings:
-        built = _build_branch(params, chart, g, u_seed, wu_local,
-                              thetas0, h, j, n_fibers)
+        built = _build_branch(params, chart, g, wu_local, thetas0, h, j)
         if built is None:
             continue
         lab = _orient_lab(params, chart, wu_local, built)
@@ -457,7 +432,7 @@ def setup_horseshoe(params: ModelParams, chart: LocalChart | None = None,
     return lab
 
 
-def _build_branch(params, chart, graph, u_seed, wu_local, thetas0, h, j, n):
+def _build_branch(params, chart, graph, wu_local, thetas0, h, j):
     """Fold-free piece of the stable trace through the crossing at fiber j.
 
     The crossing parameter is refined by bisection in the seed angle; the
@@ -468,7 +443,7 @@ def _build_branch(params, chart, graph, u_seed, wu_local, thetas0, h, j, n):
     spacing = thetas0[1] - thetas0[0]
 
     def sample(th0):
-        _, _, th2, u2 = _run_fiber(params, chart, graph, u_seed, th0)
+        _, _, th2, u2 = _run_fiber(params, chart, graph, th0)
         ts = -th2
         return ts, u2 - float(wu_local(ts))
 
@@ -592,15 +567,15 @@ def _monotone_runs(r: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
-def select_operating_point(candidates=(4.5, 5.0, 6.0), epsilon: float = 1.0,
-                           noise_scale: float = 1e-10) -> ModelParams:
-    """Smallest candidate nu I0 whose predicted splitting clears 1e3 x noise."""
+def select_operating_point() -> ModelParams:
+    """Smallest candidate nu I0 (4.5, 5, 6) at epsilon = 1 whose predicted
+    splitting clears 1e3 x the integrator noise of 1e-10."""
     from .model import params_for_nu_I0
     from .separatrix import melnikov_coeff_closed
-    for nu_I0 in candidates:
-        params = params_for_nu_I0(nu_I0, epsilon=epsilon)
-        amp = 2.0 * epsilon * abs(melnikov_coeff_closed(1, nu_I0, params.series).value)
-        if amp >= 1e3 * noise_scale:
+    for nu_I0 in (4.5, 5.0, 6.0):
+        params = params_for_nu_I0(nu_I0, epsilon=1.0)
+        amp = 2.0 * abs(melnikov_coeff_closed(1, nu_I0, params.series).value)
+        if amp >= 1e3 * 1e-10:
             return params
     raise DomainError("no candidate operating point clears the noise floor")
 
@@ -637,11 +612,11 @@ class StripFamily:
 
 
 def _bisect_boundary(lab: HorseshoeLab, v_rel: float, n: int,
-                     lo: float, hi: float, rel_tol: float = 3e-7) -> float:
+                     lo: float, hi: float) -> float:
     """tau of the count jump (>= n+1 | escape) -> (<= n); bracket assumed valid."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 3e-7 * hi:
             return mid
         c = lab.passage_count(v_rel, mid)
         if c >= n + 1 or c == -1:
@@ -676,7 +651,7 @@ def _boundary_with_guess(lab: HorseshoeLab, v_rel: float, n: int,
 
 
 def build_strips(lab: HorseshoeLab, window: tuple[int, int],
-                 n_v: int = 6, tau_max: float | None = None) -> StripFamily:
+                 n_v: int = 6) -> StripFamily:
     """Vertical strips V_n (passage count n) for n in the window, with their
     images H_n, disjointness, Hausdorff monotonicity, and Lipschitz data.
 
@@ -687,14 +662,13 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     if n_hi < n_lo:
         raise DomainError("empty symbol window")
     delta = lab.delta_q
-    tau_hi_guard = tau_max if tau_max is not None else delta
     # geometric grid: return-map images hug W^u (v of order tau/expansion),
     # so the strip boundaries must be resolved down to tiny v as well
     v_grid = np.geomspace(2e-3 * delta, 0.85 * delta, n_v)
 
     # calibrate the count law at the middle line
     v_mid = float(v_grid[n_v // 2])
-    tau_ref = 0.5 * tau_hi_guard
+    tau_ref = 0.5 * delta
     c_ref = lab.passage_count(v_mid, tau_ref)
     if c_ref <= 0:
         raise PassageError("calibration probe escaped; rectangle orientation wrong?")
@@ -706,7 +680,7 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     for i, v in enumerate(v_grid):
         for n in range(n_lo - 1, n_hi + 1):
             guess = prev.get(n, (law_c / (n + 0.5)) ** 2)
-            tau_b = _boundary_with_guess(lab, v, n, guess, tau_hi_guard)
+            tau_b = _boundary_with_guess(lab, v, n, guess, delta)
             bounds[n][i] = tau_b
             prev[n] = tau_b
     strips = {}
@@ -766,6 +740,10 @@ def _check_disjoint(strips: dict) -> None:
 # cones
 # ---------------------------------------------------------------------------
 
+_ETA_GRID = (0.05, 0.1, 0.2, 0.3)   # cone apertures tried; the best pass rate wins
+_RICHARDSON_CHECKS = 12             # samples whose FD Jacobian is redone at h/4
+_CONE_RTOL = 1e-9                   # passage rtol while sampling Jacobians
+
 @dataclass
 class ConeReport:
     eta_u: float
@@ -796,25 +774,22 @@ def _jacobian(lab: HorseshoeLab, v: float, tau: float, h_v: float, h_tau: float)
 
 
 def verify_cones(lab: HorseshoeLab, family: StripFamily,
-                 eta_grid=(0.05, 0.1, 0.2, 0.3),
-                 samples_per_strip: int = 200,
-                 richardson_checks: int = 12,
-                 cone_rtol: float = 1e-9) -> ConeReport:
+                 samples_per_strip: int = 200) -> ConeReport:
     """Sampled cone conditions for the return map over the strip family.
 
     Cones |V| <= eta |T| (unstable) and |T| <= eta |V| (stable) in the
     (v_rel, tau) tangent basis, 1-norm; expansion kappa^-1 = min growth of
     cone vectors.  Finite differences are Richardson-validated at h and h/4
-    on a subsample.  Jacobian sampling runs at cone_rtol: the steps are
-    h ~ 1e-7, far above the integration noise at that tolerance.
+    on a subsample.  Jacobian sampling runs on a copy of the lab at
+    _CONE_RTOL: the steps are h ~ 1e-7, far above the integration noise at
+    that tolerance.
     """
     sample_jacs = []
     per_strip = {}
     fd_worst = 0.0
     rng = np.random.default_rng(20240601)
-    check_budget = richardson_checks
-    saved_rtol = lab.rtol
-    lab.rtol = cone_rtol
+    check_budget = _RICHARDSON_CHECKS
+    lab = dataclasses.replace(lab, rtol=_CONE_RTOL)
     for n, st in family.strips.items():
         mats = []
         width = float(np.mean(st.tau_hi - st.tau_lo))
@@ -846,7 +821,7 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
         raise PassageError("no cone samples could be evaluated")
 
     best = None
-    for eta in eta_grid:
+    for eta in _ETA_GRID:
         edges_u = [np.array([eta, 1.0]), np.array([-eta, 1.0])]
         edges_s = [np.array([1.0, eta]), np.array([1.0, -eta])]
         n_pass = 0
@@ -882,7 +857,6 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
         if best is None or cand[0] > best[0]:
             best = cand
 
-    lab.rtol = saved_rtol
     rate, eta, kappa, expansions = best
     strip_expansion = {}
     for n, mats in per_strip.items():
@@ -951,8 +925,7 @@ def _itinerary_counts(lab: HorseshoeLab, v0: float, tau0: float,
     return counts, pts
 
 
-def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols,
-                 tol: float = 1e-9) -> SymbolItinerary:
+def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItinerary:
     """Nested-interval bisection selecting prescribed excursion counts.
 
     Symbols are window-relative: symbol s means base + s completed angle
@@ -1140,8 +1113,7 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols,
 
 def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
                      lab: HorseshoeLab | None = None,
-                     family: StripFamily | None = None,
-                     window_span: int | None = None) -> dict:
+                     family: StripFamily | None = None) -> dict:
     """Orbit with k strictly increasing height maxima, returning below z_ret.
 
     Chooses strictly increasing window-relative symbols (0, 1, ..., k-1),
@@ -1149,13 +1121,11 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
     to Cartesian coordinates.
     """
     from .integrate import integrate_mcgehee
-    from .model import from_mcgehee
 
     if lab is None:
         lab = setup_horseshoe(params)
     if family is None:
-        span = window_span if window_span is not None else k
-        family = build_strips(lab, (lab.base_count + 1, lab.base_count + span))
+        family = build_strips(lab, (lab.base_count + 1, lab.base_count + k))
     symbols = tuple(range(1, k + 1))
     if sorted(family.strips)[0] + k - 1 not in family.strips:
         raise DomainError("strip window too small for the requested excursions")

@@ -38,6 +38,7 @@ from .manifolds import NonContractionError
 from .model import DomainError, ModelParams
 
 _MIN_DEPTH = 8.0
+_MAX_ITER = 60
 
 
 def t0_inner(v):
@@ -49,12 +50,14 @@ def t0_inner(v):
     return out if out.ndim else complex(out)
 
 
-def inner_line(depth: float, x_end: float = 2.0, h0: float = 0.01,
-               near_span: float | None = None, x_far: float = -2.0e4,
-               growth: float = 1.05) -> np.ndarray:
-    """Real offsets x of the solver line v = x - i*depth."""
-    span = near_span if near_span is not None else max(4.0 * depth, 40.0)
-    return geometric_grid(x_end, h0=h0, near_span=span, x_far=x_far, growth=growth)
+def inner_line(depth: float) -> np.ndarray:
+    """Real offsets x of the solver line v = x - i*depth.
+
+    Spacing 0.01 over max(4 depth, 40) up to x = 2, geometric (ratio 1.05)
+    out to x = -2e4.
+    """
+    return geometric_grid(2.0, h0=0.01, near_span=max(4.0 * depth, 40.0), x_far=-2.0e4,
+                          growth=1.05)
 
 
 @dataclass
@@ -77,8 +80,7 @@ class InnerSolution:
 
 
 def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
-                tol: float = 1e-12, max_iter: int = 60,
-                x_end: float = 2.0, h0: float = 0.01) -> InnerSolution:
+                tol: float = 1e-12) -> InnerSolution:
     """Picard solution of the inner equation on the line Im v = -depth.
 
     F_in(T1) = -(nu/2)(d_theta T1)^2 - 2 v^2 (d_v T1)^2 + eps V/(8 v^2) at
@@ -89,14 +91,14 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
     """
     if depth < _MIN_DEPTH:
         raise DomainError(f"depth must be >= {_MIN_DEPTH} (kappa too small)")
-    x = inner_line(depth, x_end=x_end, h0=h0)
+    x = inner_line(depth)
     M = int(modes)
     v = x - 1j * depth
     vks = params.epsilon * np.array(
         [params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
     primary = ModeField(M, x, vks / (8.0 * v ** 2), vks * (-2.0 / (8.0 * v ** 3)))
     melnikov = None
-    for step in picard_iterates(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, max_iter):
+    for step in picard_iterates(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, _MAX_ITER):
         if step.iteration == 1:
             melnikov = step.phi
         if step.ratio >= 0.9:
@@ -108,7 +110,7 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
             sol.diagnostics["theta_V"] = theta_v_constant(sol)
             return sol
     raise NonContractionError(
-        f"inner iteration did not reach tol={tol} in {max_iter} steps "
+        f"inner iteration did not reach tol={tol} in {_MAX_ITER} steps "
         f"(residual {step.residual:.3e})")
 
 
@@ -274,20 +276,19 @@ class F1ScanRow:
     err: float
 
 
-def f1_epsilon_scan(eps_values, nu_I0: float = 6.0, modes: int = 8,
-                    depths=DEFAULT_DEPTHS) -> dict:
+def f1_epsilon_scan(eps_values) -> dict:
     """Table eps -> f1(eps) with the slope at 0 and quadratic residual.
 
     The inner equation depends on nu I0 only through the torus frequency
-    nu; nu_I0 picks the ModelParams wrapper.
+    nu; nu I0 = 6 picks the ModelParams wrapper.
     """
     from .model import params_for_nu_I0
     rows = []
     for eps in eps_values:
         if not 0 < eps <= 1.0:
             raise DomainError("epsilon values must lie in (0, 1]")
-        params = params_for_nu_I0(nu_I0, epsilon=float(eps))
-        diff = extract_fk(params, ks=(1,), depths=depths, modes=modes)
+        params = params_for_nu_I0(6.0, epsilon=float(eps))
+        diff = extract_fk(params, ks=(1,))
         rows.append(F1ScanRow(float(eps), diff.f1, diff.err[1]))
     eps_arr = np.array([r.epsilon for r in rows])
     f1_arr = np.array([r.f1.real for r in rows])

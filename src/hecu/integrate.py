@@ -462,7 +462,7 @@ def first_crossing(field, y0, t_span, sections,
     return None, float(t), y
 
 
-def _polish(g_at, a, b, ga, gb, width_tol, maxiter: int = 100) -> np.ndarray:
+def _polish(g_at, a, b, ga, gb, width_tol) -> np.ndarray:
     """Vectorised root polish on brackets [a, b] with ga * gb <= 0.
 
     Illinois regula falsi, with a bisection whenever a bracket did not halve
@@ -473,7 +473,7 @@ def _polish(g_at, a, b, ga, gb, width_tol, maxiter: int = 100) -> np.ndarray:
     a, b, ga, gb = a.copy(), b.copy(), ga.copy(), gb.copy()
     width_tol = np.maximum(width_tol, 4.0 * np.finfo(float).eps)
     widths = [np.full_like(a, np.inf)] * 2
-    for _ in range(maxiter):
+    for _ in range(100):
         active = (np.abs(b - a) > width_tol) & (ga != 0) & (gb != 0)
         if not active.any():
             break

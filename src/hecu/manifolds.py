@@ -51,6 +51,14 @@ class RootCountError(RuntimeError):
 # Hamilton-Jacobi solver
 # ---------------------------------------------------------------------------
 
+# HJ grid: spacing 5e-3 over the last 10 units below u_max, geometric out to
+# u = -2e4; at most 50 Picard iterations.
+_HJ_H0 = 5e-3
+_HJ_NEAR_SPAN = 10.0
+_HJ_U_FAR = -2.0e4
+_HJ_MAX_ITER = 50
+
+
 @dataclass
 class ManifoldGraph:
     """One invariant-manifold sheet as a Hamilton-Jacobi graph near infinity."""
@@ -88,9 +96,7 @@ class ManifoldGraph:
 
 
 def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
-                      theta_modes: int = 8, tol: float = 1e-11,
-                      max_iter: int = 50, h0: float = 5e-3,
-                      near_span: float = 10.0, u_far: float = -2.0e4) -> ManifoldGraph:
+                      theta_modes: int = 8, tol: float = 1e-11) -> ManifoldGraph:
     """Picard solution of the Hamilton-Jacobi graph on u <= u_max < 0.
 
     F(Phi1) of the module docstring, with H1 = (eps/2) q_h^4 V, at omega_k =
@@ -101,7 +107,7 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
     """
     if u_max > -0.2:
         raise DomainError("u_max must be <= -0.2 (1/p_h^2 blows up at u = 0)")
-    x = geometric_grid(u_max, h0=h0, near_span=near_span, x_far=u_far)
+    x = geometric_grid(u_max, h0=_HJ_H0, near_span=_HJ_NEAR_SPAN, x_far=_HJ_U_FAR)
     M = int(theta_modes)
     vks = np.array([params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
     prof = -0.5 * params.epsilon * (1.0 + x ** 2) ** -2.0
@@ -110,7 +116,7 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
     dinv2p = (4.0 * x * (1.0 + x ** 2) - 2.0 * (1.0 + x ** 2) ** 2 / x) / (2.0 * x ** 2)
     first_iterate = None
     for step in picard_iterates(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
-                                inv2p, dinv2p, params.nu, max_iter):
+                                inv2p, dinv2p, params.nu, _HJ_MAX_ITER):
         if step.iteration == 1:
             first_iterate = step.phi
         if step.ratio >= 0.9:
@@ -123,7 +129,7 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
             graph.diagnostics["delta_last"] = step.delta
             return graph
     raise NonContractionError(
-        f"no convergence to tol={tol} within {max_iter} iterations "
+        f"no convergence to tol={tol} within {_HJ_MAX_ITER} iterations "
         f"(last residual {step.residual:.3e})")
 
 
@@ -146,6 +152,11 @@ def unstable_initial_conditions(graph: ManifoldGraph, u0: float,
 # ---------------------------------------------------------------------------
 # globalization
 # ---------------------------------------------------------------------------
+
+# Sheets are seeded on the HJ graph at u = -3 (unstable) or its reversor
+# image at u = +3 (stable).
+_SHEET_U_SEED = 3.0
+
 
 @dataclass
 class SheetLevel:
@@ -209,8 +220,7 @@ class Sheet:
 
 
 def globalize(params: ModelParams, seeds: np.ndarray, u_levels,
-              config: IntegratorConfig | None = None,
-              u_seed: float | None = None) -> Sheet:
+              u_seed: float = -_SHEET_U_SEED) -> Sheet:
     """Integrate unstable seeds and sample (P, J) at sections q = q_h(u).
 
     u_levels are positive; each fiber crosses q = q_h(u) twice, once rising
@@ -220,14 +230,13 @@ def globalize(params: ModelParams, seeds: np.ndarray, u_levels,
     u_levels = sorted(float(u) for u in u_levels)
     if not u_levels or u_levels[0] <= 0:
         raise DomainError("u_levels must be positive")
-    u0 = u_seed if u_seed is not None else -3.0
-    t_end = abs(u0) + u_levels[-1] + 1.5
+    t_end = abs(u_seed) + u_levels[-1] + 1.5
     branches = [(su, d) for u in u_levels for su, d in ((u, -1), (-u, +1))]
-    return _sample_sheet("unstable", params, seeds, t_end, branches, config)
+    return _sample_sheet("unstable", params, seeds, t_end, branches)
 
 
 def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float,
-                  branches, config: IntegratorConfig | None) -> Sheet:
+                  branches) -> Sheet:
     """All seeds as lanes of one integration over (0, t_end), then each branch.
 
     A branch (signed_u, direction) samples every fiber at its first crossing
@@ -235,7 +244,7 @@ def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float
     a branch.
     """
     n = seeds.shape[0]
-    traj = integrate_mcgehee(params, seeds.T, (0.0, t_end), config or IntegratorConfig())
+    traj = integrate_mcgehee(params, seeds.T, (0.0, t_end), IntegratorConfig())
     levels = {}
     residual = 0.0
     for signed_u, direction in branches:
@@ -260,16 +269,14 @@ def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float
 
 
 def unstable_sheet(params: ModelParams, u_levels, n_theta: int = 64,
-                   u_seed: float = -3.0, theta_modes: int = 8,
-                   tol: float = 1e-11,
-                   config: IntegratorConfig | None = None,
+                   theta_modes: int = 8, tol: float = 1e-11,
                    graph: ManifoldGraph | None = None) -> Sheet:
     """Full pipeline: HJ graph, seeds on a uniform angle grid, globalization."""
     g = graph if graph is not None else solve_hj_unstable(
         params, theta_modes=theta_modes, tol=tol)
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    seeds = unstable_initial_conditions(g, u_seed, thetas)
-    return globalize(params, seeds, u_levels, config=config, u_seed=u_seed)
+    seeds = unstable_initial_conditions(g, -_SHEET_U_SEED, thetas)
+    return globalize(params, seeds, u_levels)
 
 
 def stable_sheet_from_unstable(sheet: Sheet) -> Sheet:
@@ -279,22 +286,18 @@ def stable_sheet_from_unstable(sheet: Sheet) -> Sheet:
 
 
 def stable_sheet_direct(params: ModelParams, u_levels, n_theta: int = 64,
-                        u_seed: float = 3.0, theta_modes: int = 8,
-                        tol: float = 1e-11,
-                        config: IntegratorConfig | None = None,
                         graph: ManifoldGraph | None = None) -> Sheet:
     """Stable sheet by direct backward integration (validation path).
 
-    Seeds are S-images of the unstable graph at -u_seed; integrating them
+    Seeds are S-images of the unstable graph at u = -3; integrating them
     backward traverses the stable manifold toward decreasing u, and each
     level is sampled on the branch p > 0 (q falling in forward time).
     """
-    g = graph if graph is not None else solve_hj_unstable(
-        params, theta_modes=theta_modes, tol=tol)
+    g = graph if graph is not None else solve_hj_unstable(params)
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    P, J = g.derivatives_at(-u_seed, np.mod(-thetas, 2 * math.pi))
-    qh = float(q_h(u_seed))
-    ph_minus = float(p_h(-u_seed))
+    P, J = g.derivatives_at(-_SHEET_U_SEED, np.mod(-thetas, 2 * math.pi))
+    qh = float(q_h(_SHEET_U_SEED))
+    ph_minus = float(p_h(-_SHEET_U_SEED))
     seeds = np.empty((n_theta, 4))
     seeds[:, 0] = qh
     seeds[:, 1] = -P / ph_minus    # S flips p; p_h(-u) = -p_h(u)
@@ -302,9 +305,8 @@ def stable_sheet_direct(params: ModelParams, u_levels, n_theta: int = 64,
     seeds[:, 3] = J
 
     u_levels = sorted(float(u) for u in u_levels)
-    t_end = -(u_seed - u_levels[0] + 1.0)
-    return _sample_sheet("stable", params, seeds, t_end,
-                         [(u, -1) for u in u_levels], config)
+    t_end = -(_SHEET_U_SEED - u_levels[0] + 1.0)
+    return _sample_sheet("stable", params, seeds, t_end, [(u, -1) for u in u_levels])
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +352,28 @@ def measure_splitting(unstable: Sheet, stable: Sheet, u: float, k: int = 1,
         noise_floor=noise)
 
 
-def _delta_modes(unstable: Sheet, stable: Sheet, u: float, which: str,
-                 k_max: int) -> np.ndarray:
-    """Mode differences of P or J between the sheets, k = -k_max..k_max."""
+def _delta_modes(unstable: Sheet, stable: Sheet, u: float, which: str) -> np.ndarray:
+    """Mode differences of P or J between the sheets, k = -6..6."""
     lv_p = unstable.level(u)
     lv_m = stable.level(u)
-    return np.array([lv_p.mode(which, k) - lv_m.mode(which, k)
-                     for k in range(-k_max, k_max + 1)])
+    return np.array([lv_p.mode(which, k) - lv_m.mode(which, k) for k in range(-6, 7)])
 
 
 def delta_field_on_grid(unstable: Sheet, stable: Sheet, u: float,
-                        which: str, thetas: np.ndarray,
-                        k_max: int = 6) -> np.ndarray:
+                        which: str, thetas: np.ndarray) -> np.ndarray:
     """Delta P or Delta J versus arrival angle, reconstructed from modes."""
-    return modes_to_values(_delta_modes(unstable, stable, u, which, k_max), thetas)
+    return modes_to_values(_delta_modes(unstable, stable, u, which), thetas)
 
 
 def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
-                     k_max: int = 6, n_scan: int = 720) -> list[tuple[float, float]]:
+                     n_scan: int = 720) -> list[tuple[float, float]]:
     """Sorted roots theta of Delta P(u, .) with transversality slopes.
 
     The mode differences are projected once; the scan, the root polish and
     the slopes all evaluate from them.  Exactly two roots per period are
     expected; any other count raises RootCountError carrying everything found.
     """
-    dk = _delta_modes(unstable, stable, u, "P", k_max)
+    dk = _delta_modes(unstable, stable, u, "P")
 
     def delta_p(th: float) -> float:
         return float(modes_to_values(dk, np.array([th]))[0])
@@ -415,9 +414,9 @@ class ScalingFit:
     basis: str
 
 
-def fit_scaling(samples: list[SplittingSample], which: str = "J",
+def fit_scaling(samples: list[SplittingSample],
                 basis: str = "nu_plus_one") -> ScalingFit:
-    """Least squares of log(amplitude) = c + sigma*log(prefactor) - rho*nu I0.
+    """Least squares of log(amp_J) = c + sigma*log(prefactor) - rho*nu I0.
 
     basis = "nu" uses prefactor nu I0 (the asymptotic form); basis =
     "nu_plus_one" uses nu I0 + 1, the exact first-order prefactor of the
@@ -428,7 +427,7 @@ def fit_scaling(samples: list[SplittingSample], which: str = "J",
     if len(samples) < 4:
         raise DomainError("fit needs at least 4 samples")
     x = np.array([s.nu_I0 for s in samples])
-    amp = np.array([s.amp_J if which == "J" else s.amp_P for s in samples])
+    amp = np.array([s.amp_J for s in samples])
     if np.any(amp <= 0):
         raise DomainError("amplitudes must be positive for the log fit")
     pref = x if basis == "nu" else x + 1.0
@@ -445,11 +444,10 @@ def fit_scaling(samples: list[SplittingSample], which: str = "J",
                       residuals=resid, nu_I0=x, basis=basis)
 
 
-def splitting_sweep(nu_I0_values, epsilon: float, u: float = 1.0, k: int = 1,
-                    n_theta: int = 64, tol: float = 1e-11,
-                    config: IntegratorConfig | None = None,
+def splitting_sweep(nu_I0_values, epsilon: float, u: float = 1.0,
+                    tol: float = 1e-11,
                     counters: IntegrationCounters | None = None) -> list[SplittingSample]:
-    """Measure the k-th splitting harmonic across nu I0 values.
+    """Measure the first splitting harmonic across nu I0 values (64 fibres).
 
     Each sheet's integration counters are added into `counters` when given.
     """
@@ -462,9 +460,9 @@ def splitting_sweep(nu_I0_values, epsilon: float, u: float = 1.0, k: int = 1,
                 f"nu I0 = {nu_I0} beyond double-precision reliability bound "
                 f"{MAX_RELIABLE_NU_I0}")
         params = params_for_nu_I0(float(nu_I0), epsilon=epsilon)
-        sheet = unstable_sheet(params, [u], n_theta=n_theta, tol=tol, config=config)
+        sheet = unstable_sheet(params, [u], tol=tol)
         if counters is not None:
             counters.add(sheet.counters)
         stable = stable_sheet_from_unstable(sheet)
-        out.append(measure_splitting(sheet, stable, u, k))
+        out.append(measure_splitting(sheet, stable, u))
     return out

@@ -117,25 +117,21 @@ def melnikov_coeff_quadrature(k: int, nu_I0: float,
     return coeff
 
 
-def melnikov_potential(u, theta, nu_I0: float, series: CorrugationSeries,
-                       k_max: int | None = None):
+def melnikov_potential(u, theta, nu_I0: float, series: CorrugationSeries):
     """L(u, theta) = sum_k L_k e^{i k (theta - nu I0 u)} from closed forms."""
-    km = series.order if k_max is None else k_max
     phase = np.asarray(theta, dtype=float) - nu_I0 * np.asarray(u, dtype=float)
     out = np.zeros_like(phase)
-    for k in range(1, km + 1):
+    for k in range(1, series.order + 1):
         lk = melnikov_coeff_closed(k, nu_I0, series).value
         out = out + 2.0 * np.real(lk * np.exp(1j * k * phase))
     return out if out.ndim else float(out)
 
 
-def melnikov_dtheta(u, theta, nu_I0: float, series: CorrugationSeries,
-                    k_max: int | None = None):
+def melnikov_dtheta(u, theta, nu_I0: float, series: CorrugationSeries):
     """d L / d theta, the first-order prediction of the J-splitting."""
-    km = series.order if k_max is None else k_max
     phase = np.asarray(theta, dtype=float) - nu_I0 * np.asarray(u, dtype=float)
     out = np.zeros_like(phase)
-    for k in range(1, km + 1):
+    for k in range(1, series.order + 1):
         lk = melnikov_coeff_closed(k, nu_I0, series).value
         out = out + 2.0 * np.real(1j * k * lk * np.exp(1j * k * phase))
     return out if out.ndim else float(out)

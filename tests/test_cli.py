@@ -1,9 +1,13 @@
+import argparse
+import ast
+import inspect
 import json
 import math
-from pathlib import Path
+import textwrap
 
 import pytest
 
+from hecu import cli
 from hecu.cli import _parse_list, _parse_range, run
 from hecu.model import DomainError
 
@@ -124,3 +128,37 @@ def test_inner_csv(tmp_path):
 
 def test_help_exits_zero():
     assert run(["--help"]) == 0
+
+
+def _args_read(fn) -> set[str]:
+    """`args.<name>` attributes fn reads, following cli helpers it hands args to."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            names |= _args_read(getattr(cli, node.func.id))
+    return names
+
+
+def test_every_flag_is_read():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        flags = {a.dest for a in p._actions if a.dest != "help"}
+        unread = flags - _args_read(p.get_default("fn"))
+        assert not unread, f"{name} accepts {sorted(unread)} and never reads them"
+
+
+@pytest.mark.parametrize("argv", [
+    ["melnikov", "--nuI0", "5", "--tol", "1e-3"],
+    ["sweep", "--nuI0", "4:8:1", "--config", "model.cfg"],
+    ["horseshoe", "--config", "model.cfg"],
+    ["oscillate", "--config", "model.cfg"],
+], ids=["melnikov-tol", "sweep-config", "horseshoe-config", "oscillate-config"])
+def test_ignored_input_exits_2(tmp_path, argv):
+    # horseshoe and oscillate refuse --config without --nuI0 before any set-up
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()

@@ -6,20 +6,24 @@ from scipy.integrate import solve_ivp
 
 from hecu import horseshoe
 from hecu.horseshoe import (
+    HorseshoeLab,
     LocalChart,
     PassageError,
-    ReducedState,
     ShadowingError,
+    Strip,
+    StripFamily,
+    _StableBranch,
+    _TrigCurve,
     _escape_section,
     _integrate_to_section,
     _masked_section,
     action_offset_closed,
     global_map,
     local_map,
-    reduce_poincare_cartan,
     reduced_rhs,
     select_operating_point,
     truncated_local_map,
+    verify_cones,
 )
 from hecu.integrate import IntegratorConfig, integrate_mcgehee, mcgehee_rhs
 from hecu.model import DomainError, hamiltonian_mcgehee, params_for_nu_I0
@@ -40,20 +44,9 @@ def test_action_offset_on_level_set():
 
 
 def test_reduce_k_at_origin():
-    K, field = reduce_poincare_cartan(ReducedState(0.0, 0.0, 0.3), PARAMS)
-    assert K == pytest.approx(0.0, abs=1e-13)
+    assert action_offset_closed(0.0, 0.0, 0.3, PARAMS) == pytest.approx(0.0, abs=1e-13)
+    field = reduced_rhs(PARAMS)(0.3, (0.0, 0.0))
     assert field[0] == 0.0 and field[1] == 0.0
-
-
-def test_secant_matches_closed_form():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        q = rng.uniform(0.05, 0.9)
-        p = rng.uniform(-0.5, 0.5)
-        theta = rng.uniform(0, 2 * math.pi)
-        K, _ = reduce_poincare_cartan((q, p, theta), PARAMS)
-        J = action_offset_closed(q, p, theta, PARAMS)
-        assert K == pytest.approx(-J, abs=1e-13)
 
 
 def test_reduced_flow_conserves_energy_eps0():
@@ -236,3 +229,22 @@ def test_shadowing_error_carries_feedback_trail():
     assert msg.startswith("depth 3: count feedback did not converge")
     assert "last of 24 rounds" in msg and "count=63" in msg and "count=59" not in msg
     assert str(ShadowingError("plain")) == "plain"
+
+
+class _NoReturnLab(HorseshoeLab):
+    def return_map_raw(self, v_raw, theta):
+        raise PassageError("corner passage failed: escape")
+
+
+def test_verify_cones_leaves_lab_tolerance():
+    # every cone sample fails, so verify_cones raises; the lab keeps its rtol
+    thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
+    lab = _NoReturnLab(PARAMS, LocalChart(), _TrigCurve(thetas, 1e-3 * np.cos(thetas)),
+                       _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
+                       theta_h=0.0, s_v=1.0, s_tau=1.0, base_count=150, delta_q=1e-2)
+    v_grid = np.array([1e-3, 5e-3])
+    strip = Strip(151, tau_lo=np.full(2, 1e-3), tau_hi=np.full(2, 2e-3), v_grid=v_grid)
+    family = StripFamily(lab, {151: strip}, {}, mu_v=0.0, mu_h=0.0)
+    with pytest.raises(PassageError, match="no cone samples"):
+        verify_cones(lab, family, samples_per_strip=3)
+    assert lab.rtol == 1e-11
