@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -235,9 +235,11 @@ def criterion_9(cache: dict) -> CriterionResult:
         f"{family.mu_h * family.mu_v:.2e}); cones pass "
         f"{report.pass_rate:.1%} of {report.n_samples} samples, eta = {report.eta_u:.2f}, "
         f"kappa = {report.kappa:.2e}; itinerary (2,3,2) achieved = {itinerary.achieved} "
-        f"(counts {itinerary.counts}, base {itinerary.base})",
+        f"(counts {itinerary.counts}, base {itinerary.base}, worst leg defect "
+        f"{max(itinerary.defects_v + itinerary.defects_tau):.1e}, least count margin "
+        f"{min(itinerary.margins):.1e})",
         {"pass_rate": report.pass_rate, "kappa": report.kappa,
-         "eta": report.eta_u, "counts": itinerary.counts})
+         "eta": report.eta_u, "itinerary": asdict(itinerary)})
 
 
 def criterion_10(cache: dict) -> CriterionResult:
@@ -252,7 +254,7 @@ def criterion_10(cache: dict) -> CriterionResult:
         f"{len(maxima)} height maxima {['%.2f' % m for m in maxima]}, "
         f"strictly increasing = {demo['strictly_increasing']}, "
         f"returns below z_ret = {demo['returns_below']}",
-        {"maxima": maxima})
+        {"maxima": maxima, "itinerary": asdict(demo["itinerary"])})
 
 
 def criterion_11() -> CriterionResult:

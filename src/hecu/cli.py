@@ -289,6 +289,7 @@ def _cmd_oscillate(args) -> int:
         "config": args.config,
         "maxima": demo["maxima"],
         "strictly_increasing": demo["strictly_increasing"]})
+    run.counters = {"itinerary": asdict(demo["itinerary"])}
     run.add_csv("oscillate.csv", ["t", "x", "z", "px", "pz"], rows)
     run.add_svg_polyline("oscillate_z.svg", orbit["t"], orbit["z"],
                          f"z(t): {args.k} growing excursions")

@@ -6,7 +6,7 @@ whose invariant manifolds guide a Smale-horseshoe return map: a global
 excursion along the homoclinic loop composed with a slow corner passage.
 This module verifies the construction numerically at a fixed operating
 point: manifold-anchored section coordinates, passage-count strips,
-cone-condition sampling, and nested-bisection shadowing of prescribed
+cone-condition sampling, and multiple-shooting shadowing of prescribed
 symbol itineraries, including the oscillatory-orbit demonstration.
 
 Chart: the separatrix-adapted cubic w(q) = q sqrt(1 - q^2),
@@ -50,26 +50,11 @@ class PassageError(RuntimeError):
 
 
 class ShadowingError(RuntimeError):
-    """Shadowing failed; carries the count-feedback trail when it has one.
+    """Shadowing failed; achieved holds the leg counts reached, if any."""
 
-    trail holds (w_t, candidate tau, achieved count) per feedback round;
-    w_lo, w_hi and width describe the target window interpolated at the
-    image v.  The message ends with the last rounds of the trail.
-    """
-
-    def __init__(self, message, achieved=(), trail=(), w_lo=math.nan,
-                 w_hi=math.nan, width=math.nan):
-        self.trail = tuple(trail)
-        if self.trail:
-            last = "; ".join(f"w_t={w:.6e} tau={tau:.6e} count={c}"
-                             for w, tau, c in self.trail[-4:])
-            message = (f"{message} (window w_lo={w_lo:.6e} w_hi={w_hi:.6e} "
-                       f"width={width:.3e}; last of {len(self.trail)} rounds: {last})")
+    def __init__(self, message, achieved=()):
         super().__init__(message)
         self.achieved = tuple(achieved)
-        self.w_lo = w_lo
-        self.w_hi = w_hi
-        self.width = width
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +341,10 @@ class HorseshoeLab:
         count = int(math.floor((th2 - theta) / _TWO_PI))
         return v2, th2, count
 
-    def return_map(self, v_rel: float, tau: float,
-                   raw=None) -> tuple[float, float, int]:
-        """One return in (v_rel, tau); raw stands in for return_map_raw."""
+    def return_map(self, v_rel: float, tau: float) -> tuple[float, float, int]:
+        """One return in (v_rel, tau)."""
         v_raw, theta = self.point(v_rel, tau)
-        v2, th2, count = (raw or self.return_map_raw)(v_raw, theta)
+        v2, th2, count = self.return_map_raw(v_raw, theta)
         v2_rel, tau2 = self.coords(v2, math.fmod(th2, _TWO_PI))
         return v2_rel, tau2, count
 
@@ -887,55 +871,68 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
 # shadowing
 # ---------------------------------------------------------------------------
 
+_LEG_DEFECT = 1e-5        # certified bound on every leg defect max(|dv_rel|, |dtau|)
+_NEWTON_MAX_ITER = 12     # Newton steps at most; the solve normally stalls first
+
+
 @dataclass
 class SymbolItinerary:
+    """Multiple-shooting nodes of a symbol sequence and their leg certificate.
+
+    Leg i is one return from nodes[i] = (v_rel, tau): its angle advances by
+    advances[i], which completes counts[i] periods and lies margins[i] from
+    the nearest multiple of 2 pi, where the count would change.  Leg i < k-1
+    lands (defects_v[i], defects_tau[i]) away from nodes[i+1]; the last leg
+    only has to complete its count.
+    """
+
     symbols: tuple                # requested window-relative symbols
-    base: int                     # physical count of symbol 0
-    counts: tuple                 # achieved physical counts
-    v0: float
-    tau0: float
-    residuals: tuple
-    orbit_sections: tuple         # (v_rel, tau) after each return
+    base: int                     # physical count of symbol 1 (the smallest strip)
+    nodes: tuple                  # (v_rel, tau) at the start of each leg
+    advances: tuple               # angle advance of each leg
+    counts: tuple                 # completed angle periods of each leg
+    margins: tuple                # distance of each advance from the nearest 2 pi m
+    defects_v: tuple              # |v_rel(P(nodes[i])) - v_rel(nodes[i+1])|
+    defects_tau: tuple            # the same in tau
+    iterations: int               # Newton steps taken
+    return_maps: int              # return maps of the solve, window bisections included
 
     @property
     def achieved(self) -> bool:
-        return all(c == self.base + s for c, s in zip(self.counts, self.symbols))
+        """Every count equals its symbol, every defect is at most _LEG_DEFECT
+        and every count margin is at least ten times that bound."""
+        return (all(c == self.base + s - 1 for c, s in zip(self.counts, self.symbols))
+                and max(self.defects_v + self.defects_tau, default=0.0) <= _LEG_DEFECT
+                and min(self.margins) >= 10.0 * _LEG_DEFECT)
 
 
-def _itinerary_counts(lab: HorseshoeLab, v0: float, tau0: float,
-                      n_returns: int, raw=None) -> tuple[list[int], list[tuple[float, float]]]:
-    """Counts of successive returns; -1 marks an escape (itinerary ends).
-
-    raw, when given, stands in for lab.return_map_raw."""
-    counts = []
-    pts = []
-    v, tau = v0, tau0
-    for _ in range(n_returns):
-        try:
-            v, tau, c = lab.return_map(v, tau, raw)
-        except (PassageError, DomainError):
-            counts.append(-1)
-            pts.append((math.nan, math.nan))
-            break
-        counts.append(c)
-        pts.append((v, tau))
-    while len(counts) < n_returns:
-        counts.append(-1)
-        pts.append((math.nan, math.nan))
-    return counts, pts
+def _leg(lab: HorseshoeLab, v_rel: float, tau: float):
+    """One return from (v_rel, tau): image (v_rel, tau), count, angle advance."""
+    v_raw, theta = lab.point(v_rel, tau)
+    v2, th2, count = lab.return_map_raw(v_raw, theta)
+    v2_rel, tau2 = lab.coords(v2, math.fmod(th2, _TWO_PI))
+    return v2_rel, tau2, count, th2 - theta
 
 
 def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItinerary:
-    """Nested-interval bisection selecting prescribed excursion counts.
+    """Multiple shooting for prescribed excursion counts: P(p_i) = p_{i+1}.
 
-    Symbols are window-relative: symbol s means base + s completed angle
-    periods, where base is the smallest count in the verified window.  At
-    each depth the bisection aims the (monotone, strongly expanded) image
-    angle offset into the target strip's window, then the recount oracle
-    verifies the achieved physical counts.
+    Symbols are window-relative: symbol s means base + s - 1 completed angle
+    periods, base being the smallest count in the verified window.  Node
+    p_i = (v_rel, tau) starts leg i, one return at the count of symbol i, so
+    no leg's passage error is amplified by a later return.  v_0 is fixed at
+    the middle of the strip's v grid and tau_{k-1} at the centre of its
+    window; Newton solves for the other 2(k-1) coordinates with the leg
+    Jacobians of `_jacobian`.  Each node starts mid-window, the window
+    bisected at the node's own v (the image v of the previous start): the
+    family's interpolated windows can sit one strip off.  Near the passage
+    noise floor the tau defect wanders, so the solve keeps its best iterate
+    and stops after two iterates that do not improve on it.  Raises
+    ShadowingError when no iterate brings every leg defect to _LEG_DEFECT;
+    whether counts and margins certify the result is `achieved`.
     """
     symbols = tuple(int(s) for s in symbols)
-    if any(s < 1 for s in symbols):
+    if not symbols or any(s < 1 for s in symbols):
         raise DomainError("symbols are positive integers (1 = first strip)")
     ns = sorted(family.strips)
     base = ns[0]
@@ -943,168 +940,78 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     for t in targets:
         if t not in family.strips:
             raise DomainError(f"symbol target {t} outside the verified window {ns}")
+    k = len(targets)
 
-    v0 = float(np.mean(family.strips[targets[0]].v_grid))
-    st0 = family.strips[targets[0]]
-    lo = float(np.interp(v0, st0.v_grid, st0.tau_lo))
-    hi = float(np.interp(v0, st0.v_grid, st0.tau_hi))
-    width0 = hi - lo
+    # the solve runs on a copy of the lab that counts its return maps
+    maps = 0
+    return_map_raw = lab.return_map_raw
 
-    # The count feedback re-aims at clamped targets and the edge search
-    # re-walks the same brackets, so most returns repeat exactly; each
-    # distinct one is integrated once per call (escapes are remembered too).
-    returns = {}
+    def counted(v_raw, theta):
+        nonlocal maps
+        maps += 1
+        return return_map_raw(v_raw, theta)
 
-    def return_raw(v_raw, theta):
-        key = (v_raw, theta)
-        if key not in returns:
-            try:
-                returns[key] = lab.return_map_raw(v_raw, theta)
-            except (PassageError, DomainError) as exc:
-                returns[key] = exc
-        out = returns[key]
-        if isinstance(out, Exception):
-            raise out.with_traceback(None)
-        return out
+    lab = dataclasses.replace(lab)
+    lab.return_map_raw = counted
 
-    def image_raw(tau, d):
-        """(v_rel, raw angle) after d-1 returns; continuous and monotone in
-        tau within the current bracket."""
-        v_raw, theta = lab.point(v0, tau)
-        th_raw = theta
-        for _ in range(d - 1):
-            v_raw, th_raw, _ = return_raw(v_raw, th_raw)
-        v_rel = lab.s_v * (v_raw - float(lab.wu_local(th_raw)))
-        return v_rel, th_raw
+    nodes = np.empty((k, 2))
+    widths = []
+    v = float(np.mean(family.strips[targets[0]].v_grid))
+    for i, n in enumerate(targets):
+        st = family.strips[n]
+        lo = _boundary_with_guess(lab, v, n, float(np.interp(v, st.v_grid, st.tau_lo)),
+                                  lab.delta_q)
+        hi = _boundary_with_guess(lab, v, n - 1, float(np.interp(v, st.v_grid, st.tau_hi)),
+                                  lab.delta_q)
+        nodes[i] = v, 0.5 * (lo + hi)
+        widths.append(hi - lo)
+        if i < k - 1:
+            v = lab.return_map(v, nodes[i, 1])[0]
 
-    def chain_counts(tau, d):
-        counts, _ = _itinerary_counts(lab, v0, tau, d, return_raw)
-        return counts
+    free = np.arange(1, 2 * k - 1)      # every node coordinate but v_0 and tau_{k-1}
+    best = None
+    stalls = steps = 0
+    while True:
+        try:
+            legs = [_leg(lab, v, tau) for v, tau in nodes]
+        except (PassageError, DomainError):
+            break
+        gaps = np.array([leg[:2] for leg in legs[:-1]]).reshape(-1, 2) - nodes[1:]
+        worst = float(np.max(np.abs(gaps), initial=0.0))
+        if best is None or worst < best[0]:
+            best, stalls = (worst, nodes.copy(), legs, gaps), 0
+        else:
+            stalls += 1
+        if stalls == 2 or steps == _NEWTON_MAX_ITER or free.size == 0:
+            break
+        # rows: leg i's gap; columns: D_i at node i, -I at node i+1
+        jac = np.zeros((2 * k - 2, 2 * k))
+        try:
+            for i in range(k - 1):
+                jac[2 * i:2 * i + 2, 2 * i:2 * i + 2] = _jacobian(
+                    lab, nodes[i, 0], nodes[i, 1], 1e-4 * lab.delta_q, 1e-3 * widths[i])[0]
+        except (PassageError, DomainError):
+            break
+        jac[:, 2:] -= np.eye(2 * k - 2)
+        nodes.reshape(-1)[free] -= np.linalg.solve(jac[:, free], gaps.reshape(-1))
+        steps += 1
 
-    residuals = []
-    for depth in range(1, len(symbols) + 1):
-        want = targets[depth - 1]
-        strip = family.strips[want]
-        t_lo = image_raw(lo, depth)[1]
-        t_hi = image_raw(hi, depth)[1]
-        slope = (t_hi - t_lo) / (hi - lo)
-        v_img = image_raw(0.5 * (lo + hi), depth)[0]
-        v_img = min(max(v_img, strip.v_grid[0]), strip.v_grid[-1])
-        w_lo = float(np.interp(v_img, strip.v_grid, strip.tau_lo))
-        w_hi = float(np.interp(v_img, strip.v_grid, strip.tau_hi))
-        width = w_hi - w_lo
-
-        def aim(theta_target, tol_angle):
-            """tau in [lo, hi] whose depth-image raw angle hits theta_target.
-
-            The image sweep covers just under one winding; the matching
-            2pi-branch is selected, and a target in the uncovered sliver is
-            clamped to the nearest sweep edge (the count feedback walks the
-            remaining windows)."""
-            t_a, t_b = t_lo, t_hi
-            lo_t, hi_t = (t_a, t_b) if t_a < t_b else (t_b, t_a)
-            tt = theta_target + _TWO_PI * round((0.5 * (lo_t + hi_t)
-                                                 - theta_target) / _TWO_PI)
-            if not lo_t <= tt <= hi_t:
-                for cand_t in (tt - _TWO_PI, tt + _TWO_PI):
-                    if lo_t <= cand_t <= hi_t:
-                        tt = cand_t
-                        break
-                else:
-                    inset = 1e-3 * (hi_t - lo_t)
-                    tt = min(max(tt, lo_t + inset), hi_t - inset)
-            a, b = lo, hi
-            fa = t_a - tt
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                if b - a <= max(1e-15 * abs(mid), 1e-17):
-                    return mid
-                fm = image_raw(mid, depth)[1] - tt
-                if abs(fm) <= tol_angle:
-                    return mid
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return 0.5 * (a + b)
-
-        # the interpolated window can be several widths off in tau, but each
-        # count step is exactly one window: bracketed integer feedback on the
-        # requested window coordinate w_t converges in a few rounds
-        th_anchor = lab.branch.angle_at(min(max(v_img, lab.branch.v_rel[0]),
-                                            lab.branch.v_rel[-1]))
-        w_t = 0.5 * (w_lo + w_hi)
-        w_deep = None      # too deep (count > want or escape): need larger w
-        w_shallow = None   # too shallow (count < want): need smaller w
-        tau_c = None
-        trail = []         # (w_t, candidate, count) per feedback round
-        window = {"w_lo": w_lo, "w_hi": w_hi, "width": width}
-        for _ in range(24):
-            if depth == 1:
-                cand = min(max(w_t, 1e-3 * lab.delta_q), lab.delta_q)
-            else:
-                cand = aim(th_anchor + lab.s_tau * w_t, width / 8.0)
-            counts = chain_counts(cand, depth)
-            trail.append((w_t, cand, counts[depth - 1]))
-            if counts[:depth - 1] != targets[:depth - 1]:
-                raise ShadowingError(
-                    f"depth {depth}: aim left the previous windows",
-                    achieved=counts[:depth - 1], trail=trail, **window)
-            c = counts[depth - 1]
-            if c == want:
-                tau_c = cand
-                break
-            too_deep = (c < 0) or (c > want)
-            if too_deep:
-                w_deep = w_t if w_deep is None else max(w_deep, w_t)
-            else:
-                w_shallow = w_t if w_shallow is None else min(w_shallow, w_t)
-            if w_deep is not None and w_shallow is not None:
-                w_t = 0.5 * (w_deep + w_shallow)
-            else:
-                w_t += (2.0 * width if c < 0 else (c - want) * width)
-        if tau_c is None:
-            raise ShadowingError(
-                f"depth {depth}: count feedback did not converge",
-                achieved=targets[:depth - 1], trail=trail, **window)
-
-        # 3) exact edges by count bisection around the landed point
-        tau_step = 1.5 * width / abs(slope) if depth > 1 else 1.5 * width
-        edges = []
-        for direction in (-1.0, +1.0):
-            out = tau_c
-            ok_in = tau_c
-            for _ in range(40):
-                out = out + direction * tau_step
-                cc = chain_counts(out, depth)
-                if cc[:depth] != targets[:depth]:
-                    break
-                ok_in = out
-            else:
-                raise ShadowingError(f"depth {depth}: window edge not found",
-                                     achieved=targets[:depth])
-            a_in, b_out = ok_in, out
-            for _ in range(80):
-                mid = 0.5 * (a_in + b_out)
-                if abs(b_out - a_in) <= max(1e-15 * abs(mid), 1e-17):
-                    break
-                if chain_counts(mid, depth)[:depth] == targets[:depth]:
-                    a_in = mid
-                else:
-                    b_out = mid
-            edges.append(a_in)
-        lo, hi = min(edges), max(edges)
-        if hi - lo <= 0:
-            raise ShadowingError(f"depth {depth}: empty window",
-                                 achieved=targets[:depth])
-        residuals.append(hi - lo)
-
-    tau_star = 0.5 * (lo + hi)
-    counts, pts = _itinerary_counts(lab, v0, tau_star, len(symbols), return_raw)
-    return SymbolItinerary(symbols=symbols, base=base, counts=tuple(counts),
-                           v0=v0, tau0=tau_star,
-                           residuals=tuple(residuals),
-                           orbit_sections=tuple(pts))
+    if best is None:
+        raise ShadowingError("a leg from the start nodes did not return")
+    worst, nodes, legs, gaps = best
+    advances = tuple(float(leg[3]) for leg in legs)
+    itinerary = SymbolItinerary(
+        symbols=symbols, base=base, nodes=tuple(map(tuple, nodes.tolist())),
+        advances=advances, counts=tuple(leg[2] for leg in legs),
+        margins=tuple(abs(math.remainder(a, _TWO_PI)) for a in advances),
+        defects_v=tuple(np.abs(gaps[:, 0]).tolist()),
+        defects_tau=tuple(np.abs(gaps[:, 1]).tolist()),
+        iterations=steps, return_maps=maps)
+    if worst > _LEG_DEFECT:
+        raise ShadowingError(
+            f"leg defect {worst:.2e} above {_LEG_DEFECT:g} after {steps} Newton steps "
+            f"({maps} return maps)", achieved=itinerary.counts)
+    return itinerary
 
 
 # ---------------------------------------------------------------------------
@@ -1116,35 +1023,43 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
                      family: StripFamily | None = None) -> dict:
     """Orbit with k strictly increasing height maxima, returning below z_ret.
 
-    Chooses strictly increasing window-relative symbols (0, 1, ..., k-1),
-    shadows them, lifts the section point to the full system, and converts
-    to Cartesian coordinates.
+    Shadows the strictly increasing window-relative symbols (1, ..., k),
+    lifts each leg's node to the full system and integrates that leg alone in
+    physical time, over its angle advance, then converts to Cartesian
+    coordinates.  The orbit is the legs in order: at each node it jumps by at
+    most the leg's defect.  Each leg holds one corner passage, so one height
+    maximum.
     """
-    from .integrate import integrate_mcgehee
+    from .integrate import crossings, integrate_mcgehee
 
     if lab is None:
         lab = setup_horseshoe(params)
     if family is None:
         family = build_strips(lab, (lab.base_count + 1, lab.base_count + k))
-    symbols = tuple(range(1, k + 1))
-    if sorted(family.strips)[0] + k - 1 not in family.strips:
-        raise DomainError("strip window too small for the requested excursions")
-    itinerary = shadow_orbit(lab, family, symbols)
+    itinerary = shadow_orbit(lab, family, range(1, k + 1))
     if not itinerary.achieved:
         raise ShadowingError("oscillatory itinerary not achieved",
                              achieved=itinerary.counts)
 
-    # lift to the full system and integrate in physical time
-    v_raw, theta = lab.point(itinerary.v0, itinerary.tau0)
-    q, p = lab.chart.from_chart(lab.chart.a, v_raw)
-    J = action_offset_closed(q, p, theta, params)
-    y0 = np.array([q, p, math.fmod(theta, _TWO_PI), J])
-    total_angle = sum(itinerary.counts) * _TWO_PI + 6.0 * _TWO_PI
-    t_end = 1.15 * total_angle / (params.nu_I0)
-    traj = integrate_mcgehee(params, y0, (0.0, t_end),
-                             IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12))
-    ts = np.linspace(0.0, t_end, 6000)
-    states = traj(ts)
+    # lift each leg to the full system and integrate it in physical time
+    times, legs = [], []
+    t_start = 0.0
+    for (v_rel, tau), advance in zip(itinerary.nodes, itinerary.advances):
+        v_raw, theta = lab.point(v_rel, tau)
+        q, p = lab.chart.from_chart(lab.chart.a, v_raw)
+        y0 = np.array([q, p, math.fmod(theta, _TWO_PI),
+                       action_offset_closed(q, p, theta, params)])
+        traj = integrate_mcgehee(params, y0, (0.0, 1.15 * advance / params.nu_I0),
+                                 IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12))
+        end = crossings(traj, lambda y: y[2] - (y0[2] + advance), +1)
+        if not len(end):
+            raise PassageError("lifted leg did not complete its angle advance")
+        ts = np.linspace(0.0, end.t[0], 2000)
+        times.append(t_start + ts)
+        legs.append(traj(ts))
+        t_start += end.t[0]
+    ts = np.concatenate(times)
+    states = np.concatenate(legs, axis=1)
     qs = states[0]
     alpha = params.physical.alpha
     with np.errstate(divide="ignore"):
@@ -1173,5 +1088,4 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
         "strictly_increasing": all(b > a for a, b in zip(maxima[:-1], maxima[1:])),
         "returns_below": between_ok,
         "orbit": cart,
-        "initial_state": y0,
     }

@@ -352,19 +352,6 @@ def measure_splitting(unstable: Sheet, stable: Sheet, u: float, k: int = 1,
         noise_floor=noise)
 
 
-def _delta_modes(unstable: Sheet, stable: Sheet, u: float, which: str) -> np.ndarray:
-    """Mode differences of P or J between the sheets, k = -6..6."""
-    lv_p = unstable.level(u)
-    lv_m = stable.level(u)
-    return np.array([lv_p.mode(which, k) - lv_m.mode(which, k) for k in range(-6, 7)])
-
-
-def delta_field_on_grid(unstable: Sheet, stable: Sheet, u: float,
-                        which: str, thetas: np.ndarray) -> np.ndarray:
-    """Delta P or Delta J versus arrival angle, reconstructed from modes."""
-    return modes_to_values(_delta_modes(unstable, stable, u, which), thetas)
-
-
 def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
                      n_scan: int = 720) -> list[tuple[float, float]]:
     """Sorted roots theta of Delta P(u, .) with transversality slopes.
@@ -373,7 +360,8 @@ def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
     the slopes all evaluate from them.  Exactly two roots per period are
     expected; any other count raises RootCountError carrying everything found.
     """
-    dk = _delta_modes(unstable, stable, u, "P")
+    lv_p, lv_m = unstable.level(u), stable.level(u)
+    dk = np.array([lv_p.mode("P", k) - lv_m.mode("P", k) for k in range(-6, 7)])
 
     def delta_p(th: float) -> float:
         return float(modes_to_values(dk, np.array([th]))[0])

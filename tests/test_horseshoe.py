@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from hecu.horseshoe import (
     local_map,
     reduced_rhs,
     select_operating_point,
+    shadow_orbit,
     truncated_local_map,
     verify_cones,
 )
@@ -218,19 +220,6 @@ def test_select_operating_point():
     assert params.nu_I0 == pytest.approx(4.5, rel=1e-12)
 
 
-def test_shadowing_error_carries_feedback_trail():
-    trail = [(1e-3 * i, 2e-3 * i, 40 + i) for i in range(24)]
-    err = ShadowingError("depth 3: count feedback did not converge", achieved=(41, 42),
-                         trail=trail, w_lo=1e-3, w_hi=3e-3, width=2e-3)
-    assert err.trail == tuple(trail)
-    assert (err.w_lo, err.w_hi, err.width) == (1e-3, 3e-3, 2e-3)
-    assert err.achieved == (41, 42)
-    msg = str(err)
-    assert msg.startswith("depth 3: count feedback did not converge")
-    assert "last of 24 rounds" in msg and "count=63" in msg and "count=59" not in msg
-    assert str(ShadowingError("plain")) == "plain"
-
-
 class _NoReturnLab(HorseshoeLab):
     def return_map_raw(self, v_raw, theta):
         raise PassageError("corner passage failed: escape")
@@ -248,3 +237,72 @@ def test_verify_cones_leaves_lab_tolerance():
     with pytest.raises(PassageError, match="no cone samples"):
         verify_cones(lab, family, samples_per_strip=3)
     assert lab.rtol == 1e-11
+
+
+class _ExpandingLab(HorseshoeLab):
+    """Closed-form return: the angle advances 2 pi C / tau, v_rel contracts.
+
+    Strip n (count n) is C/(n+1) < tau <= C/n at every v_rel, and one return
+    expands tau about 1.2e5-fold, as the corner passage does."""
+
+    C = 1.2
+    jitter = 0.0
+
+    def return_map_raw(self, v_raw, theta):
+        v_rel, tau = self.coords(v_raw, theta)
+        if tau <= 0:
+            raise PassageError("corner passage failed: escape")
+        th2 = theta + 2 * math.pi * self.C / tau + self.jitter * math.sin(1e9 * theta)
+        count = int(math.floor((th2 - theta) / (2 * math.pi)))
+        return 5e-4 + 0.05 * v_rel + 0.1 * (tau - 8e-3), th2, count
+
+
+def _expanding_family(lab_cls):
+    thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
+    lab = lab_cls(PARAMS, LocalChart(), _TrigCurve(thetas, np.zeros_like(thetas)),
+                  _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
+                  theta_h=0.0, s_v=1.0, s_tau=1.0, base_count=150, delta_q=1e-2)
+    v_grid = np.array([1e-3, 5e-3])
+    strips = {n: Strip(n, tau_lo=np.full(2, lab.C / (n + 1)), tau_hi=np.full(2, lab.C / n),
+                       v_grid=v_grid) for n in range(151, 155)}
+    return lab, StripFamily(lab, strips, {}, mu_v=0.0, mu_h=0.0)
+
+
+def test_shadow_orbit_certifies_closed_form_itinerary():
+    lab, family = _expanding_family(_ExpandingLab)
+    it = shadow_orbit(lab, family, (2, 3, 2))
+    assert it.achieved
+    assert it.base == 151 and it.counts == (152, 153, 152)
+    for (v, tau), n in zip(it.nodes, it.counts):
+        assert lab.C / (n + 1) < tau <= lab.C / n
+    assert it.nodes[0][0] == 3e-3
+    # the last node sits at the centre of its strip, the others meet their legs
+    assert it.nodes[-1][1] == pytest.approx(0.5 * (lab.C / 153 + lab.C / 152), rel=1e-6)
+    assert max(it.defects_v + it.defects_tau) <= 1e-10
+    assert min(it.margins) >= 1e-3
+    assert it.iterations >= 1 and it.return_maps > 9 * it.iterations
+    for (v, tau), (v_next, tau_next) in zip(it.nodes[:-1], it.nodes[1:]):
+        v2, tau2, _ = lab.return_map(v, tau)
+        assert abs(v2 - v_next) <= 1e-10 and abs(tau2 - tau_next) <= 1e-10
+    # each clause of the certificate can fail on its own
+    assert not dataclasses.replace(it, counts=(152, 153, 153)).achieved
+    assert not dataclasses.replace(it, defects_tau=(0.0, 1.1e-5)).achieved
+    assert not dataclasses.replace(it, margins=(1.0, 9e-5, 1.0)).achieved
+
+
+def test_shadow_orbit_rejects_symbols_outside_window():
+    lab, family = _expanding_family(_ExpandingLab)
+    for symbols in ((1, 5, 2), (0, 1), ()):
+        with pytest.raises(DomainError):
+            shadow_orbit(lab, family, symbols)
+
+
+class _NoisyLab(_ExpandingLab):
+    jitter = 1e-3       # a return-angle noise 100x the leg defect bound
+
+
+def test_shadow_orbit_raises_when_legs_miss_the_bound():
+    lab, family = _expanding_family(_NoisyLab)
+    with pytest.raises(ShadowingError, match="leg defect") as err:
+        shadow_orbit(lab, family, (2, 3, 2))
+    assert len(err.value.achieved) == 3

@@ -5,14 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from hecu.integrate import IntegratorConfig, mcgehee_rhs
+from hecu.integrate import mcgehee_rhs
 from hecu.manifolds import (
-    NonContractionError,
-    RootCountError,
     Sheet,
     SheetLevel,
     SignalBelowNoiseError,
-    delta_field_on_grid,
     find_homoclinics,
     fit_scaling,
     globalize,
