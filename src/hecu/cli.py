@@ -52,12 +52,13 @@ def _parse_list(text: str) -> list[float]:
 
 
 class _Run:
-    """Collects artifacts in memory; nothing touches disk until success."""
+    """Collects artifacts in memory; nothing touches disk until success.
 
-    def __init__(self, out_dir: Path, command: str, resolved: dict):
+    Made before the computation: its clock times the whole run."""
+
+    def __init__(self, out_dir: Path, command: str):
         self.out_dir = out_dir
         self.command = command
-        self.resolved = resolved
         self.files: dict[str, str] = {}
         self.counters: dict | None = None   # run diagnostics, not checksummed
         self.t0 = time.time()
@@ -94,7 +95,8 @@ class _Run:
             f'stroke-width="1"/>\n</svg>\n')
         self.files[name] = svg
 
-    def flush(self) -> None:
+    def flush(self, resolved: dict) -> None:
+        """Write the artifacts and the manifest with the resolved settings."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
         checksums = {}
         for name, text in self.files.items():
@@ -104,7 +106,7 @@ class _Run:
         manifest = {
             "tool_version": __version__,
             "command": self.command,
-            "resolved": self.resolved,
+            "resolved": resolved,
             "wall_clock_s": round(time.time() - self.t0, 3),
             "outputs": checksums,
         }
@@ -134,6 +136,7 @@ def _operating_point(args) -> ModelParams:
 
 def _cmd_melnikov(args) -> int:
     from .separatrix import melnikov_coeff_closed, melnikov_coeff_quadrature
+    run = _Run(Path(args.out), "melnikov")
     nu_values = _parse_range(args.nuI0)
     params0 = _resolve_params(args, nu_values[0], 1.0)
     series = params0.series
@@ -145,12 +148,11 @@ def _cmd_melnikov(args) -> int:
             rel = abs(quad - closed) / abs(closed) if closed != 0 else 0.0
             rows.append((k, nu_I0, closed.real, closed.imag,
                          quad.real, quad.imag, rel))
-    run = _Run(Path(args.out), "melnikov", {
-        "nuI0": nu_values, "kmax": args.kmax, "config": args.config})
     run.add_csv("melnikov.csv",
                 ["k", "nuI0", "closed_re", "closed_im", "quad_re", "quad_im",
                  "rel_err"], rows)
-    run.flush()
+    run.flush({
+        "nuI0": nu_values, "kmax": args.kmax, "config": args.config})
     print(f"wrote {run.out_dir / 'melnikov.csv'} ({len(rows)} rows)")
     return 0
 
@@ -159,6 +161,7 @@ def _cmd_splitting(args) -> int:
     from .integrate import IntegrationCounters
     from .manifolds import (measure_splitting, stable_sheet_from_unstable,
                             unstable_sheet)
+    run = _Run(Path(args.out), "splitting")
     nu_values = _parse_range(args.nuI0)
     eps_values = _parse_list(args.epsilon)
     rows = []
@@ -175,15 +178,14 @@ def _cmd_splitting(args) -> int:
                                       require_signal=False)
                 rows.append((s.nu_I0, s.epsilon, s.u, s.k, s.amp_J, s.phase_J,
                              s.amp_P, s.phase_P, s.noise_floor))
-    run = _Run(Path(args.out), "splitting", {
-        "nuI0": nu_values, "epsilon": eps_values, "u": args.u,
-        "kmax": args.kmax, "modes": args.modes, "tol": args.tol,
-        "config": args.config})
     run.add_csv("splitting.csv",
                 ["nuI0", "epsilon", "u", "k", "ampJ", "phaseJ", "ampP",
                  "phaseP", "noise_floor"], rows)
     run.counters = asdict(counters)
-    run.flush()
+    run.flush({
+        "nuI0": nu_values, "epsilon": eps_values, "u": args.u,
+        "kmax": args.kmax, "modes": args.modes, "tol": args.tol,
+        "config": args.config})
     print(f"wrote {run.out_dir / 'splitting.csv'} ({len(rows)} rows)")
     return 0
 
@@ -191,6 +193,7 @@ def _cmd_splitting(args) -> int:
 def _cmd_sweep(args) -> int:
     from .integrate import IntegrationCounters
     from .manifolds import fit_scaling, splitting_sweep
+    run = _Run(Path(args.out), "sweep")
     nu_values = _parse_range(args.nuI0)
     eps_values = _parse_list(args.epsilon)
     if len(eps_values) != 1:
@@ -201,13 +204,12 @@ def _cmd_sweep(args) -> int:
     fit = fit_scaling(samples, basis="nu_plus_one")
     lit = fit_scaling(samples, basis="nu")
     rows = [(s.nu_I0, s.amp_J, fit.rho, fit.sigma) for s in samples]
-    run = _Run(Path(args.out), "sweep", {
+    run.add_csv("sweep.csv", ["nuI0", "amp", "rho_fit", "sigma_fit"], rows)
+    run.counters = asdict(counters)
+    run.flush({
         "nuI0": nu_values, "epsilon": eps_values[0], "u": args.u, "tol": args.tol,
         "fit": {"basis": "nu_plus_one", "rho": fit.rho, "sigma": fit.sigma},
         "fit_literal_nu_basis": {"rho": lit.rho, "sigma": lit.sigma}})
-    run.add_csv("sweep.csv", ["nuI0", "amp", "rho_fit", "sigma_fit"], rows)
-    run.counters = asdict(counters)
-    run.flush()
     print(f"rho = {fit.rho:.5f}, sigma = {fit.sigma:.5f} (prefactor basis nuI0+1)")
     print(f"literal nuI0 basis: rho = {lit.rho:.5f}, sigma = {lit.sigma:.5f}")
     print(f"wrote {run.out_dir / 'sweep.csv'}")
@@ -216,6 +218,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_inner(args) -> int:
     from .inner import extract_fk, solve_inner
+    run = _Run(Path(args.out), "inner")
     eps_values = _parse_list(args.epsilon)
     rows = []
     picard = {}
@@ -228,14 +231,13 @@ def _cmd_inner(args) -> int:
         for k in range(1, args.kmax + 1):
             rows.append((eps, k, diff.f[k].real, diff.f[k].imag, diff.err[k],
                          sol.diagnostics["theta_V"], sol.residual))
-    run = _Run(Path(args.out), "inner", {
-        "epsilon": eps_values, "kmax": args.kmax, "modes": args.modes,
-        "tol": args.tol, "config": args.config})
     run.counters = {"picard": picard}
     run.add_csv("inner.csv",
                 ["epsilon", "k", "f_re", "f_im", "err_est", "theta_V",
                  "residual"], rows)
-    run.flush()
+    run.flush({
+        "epsilon": eps_values, "kmax": args.kmax, "modes": args.modes,
+        "tol": args.tol, "config": args.config})
     f1 = rows[-1][2] / eps_values[-1]
     print(f"f1/eps = {f1:.8f}; paper variants: pi r1/2 = "
           f"{math.pi * 0.06 / 2:.8f}, pi r1/4 = {math.pi * 0.06 / 4:.8f}, "
@@ -246,6 +248,7 @@ def _cmd_inner(args) -> int:
 
 def _cmd_horseshoe(args) -> int:
     from .horseshoe import build_strips, setup_horseshoe, verify_cones
+    run = _Run(Path(args.out), "horseshoe")
     params = _operating_point(args)
     lab = setup_horseshoe(params)
     family = build_strips(lab, (lab.base_count + 1, lab.base_count + 4))
@@ -266,34 +269,33 @@ def _cmd_horseshoe(args) -> int:
     rows = [(n, st.tau_lo.mean(), st.tau_hi.mean(), st.lipschitz(),
              report.per_strip_expansion.get(n, math.nan))
             for n, st in sorted(family.strips.items())]
-    run = _Run(Path(args.out), "horseshoe", {
-        "nuI0": params.nu_I0, "samples": args.samples, "config": args.config})
     run.add_text("horseshoe_report.txt", "\n".join(lines) + "\n")
     run.add_csv("cone_samples.csv",
                 ["strip", "tau_lo", "tau_hi", "lipschitz", "median_expansion"],
                 rows)
-    run.flush()
+    run.flush({
+        "nuI0": params.nu_I0, "samples": args.samples, "config": args.config})
     print("\n".join(lines))
     return 0
 
 
 def _cmd_oscillate(args) -> int:
     from .horseshoe import oscillatory_demo
+    run = _Run(Path(args.out), "oscillate")
     params = _operating_point(args)
     demo = oscillatory_demo(params, k=args.k, z_ret=args.zret)
     orbit = demo["orbit"]
     rows = list(zip(orbit["t"], orbit["x"], orbit["z"], orbit["p_x"],
                     orbit["p_z"]))
-    run = _Run(Path(args.out), "oscillate", {
-        "k": args.k, "zret": args.zret, "nuI0": params.nu_I0,
-        "config": args.config,
-        "maxima": demo["maxima"],
-        "strictly_increasing": demo["strictly_increasing"]})
     run.counters = {"itinerary": asdict(demo["itinerary"])}
     run.add_csv("oscillate.csv", ["t", "x", "z", "px", "pz"], rows)
     run.add_svg_polyline("oscillate_z.svg", orbit["t"], orbit["z"],
                          f"z(t): {args.k} growing excursions")
-    run.flush()
+    run.flush({
+        "k": args.k, "zret": args.zret, "nuI0": params.nu_I0,
+        "config": args.config,
+        "maxima": demo["maxima"],
+        "strictly_increasing": demo["strictly_increasing"]})
     print(f"height maxima: {['%.3f' % m for m in demo['maxima']]}")
     print(f"strictly increasing: {demo['strictly_increasing']}, "
           f"returns below z_ret: {demo['returns_below']}")
@@ -303,18 +305,18 @@ def _cmd_oscillate(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     from .acceptance import run_all
+    run = _Run(Path(args.out), "verify-all")
     indices = None
     if args.only:
         indices = [int(tok) for tok in args.only.replace(",", " ").split()]
     results = run_all(indices=indices)
     n_fail = sum(1 for r in results if not r.passed)
-    run = _Run(Path(args.out), "verify-all", {"only": args.only})
     run.add_text("acceptance_report.txt",
                  "\n".join(r.line() for r in results) + "\n")
     run.add_csv("acceptance.csv",
                 ["criterion", "passed", "seconds"],
                 [(r.index, int(r.passed), r.seconds) for r in results])
-    run.flush()
+    run.flush({"only": args.only})
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return 0 if n_fail == 0 else 1
 

@@ -270,27 +270,27 @@ class _StableBranch:
 
     The full trace can fold over the angle; near a transversal crossing it
     is a graph of angle versus the relative v-coordinate, stored here as a
-    monotone sample table (v_rel ascending).
+    monotone sample table (v_rel ascending, theta unwrapped).
     """
 
     v_rel: np.ndarray
     theta: np.ndarray
 
-    def angle_at(self, v_rel: float) -> float:
-        """Angle of the branch at v_rel; endpoint-slope extrapolation outside.
+    def __post_init__(self):
+        from scipy.interpolate import CubicSpline
+        self._spline = CubicSpline(self.v_rel, self.theta)
 
-        The working rectangle stays well inside the table; extrapolation
-        only classifies far-flung iterates, where the angle offset merely
-        labels the point."""
-        v = self.v_rel
-        t = self.theta
-        if v_rel < v[0]:
-            s = (t[1] - t[0]) / (v[1] - v[0])
-            return float(t[0] + s * (v_rel - v[0]))
-        if v_rel > v[-1]:
-            s = (t[-1] - t[-2]) / (v[-1] - v[-2])
-            return float(t[-1] + s * (v_rel - v[-1]))
-        return float(np.interp(v_rel, v, t))
+    def angle_at(self, v_rel: float) -> float:
+        """Angle of the branch at v_rel: a cubic spline through the table.
+
+        A piecewise-linear table would put its kinks into the strip
+        boundaries tau_b(v), which then tilt by up to about 1 in (v_rel, tau)
+        and spoil the stable cones.  Outside the table the spline continues
+        along its end slope; the working rectangle stays well inside, and
+        extrapolation only classifies far-flung iterates, where the angle
+        offset merely labels the point."""
+        inside = min(max(v_rel, self.v_rel[0]), self.v_rel[-1])
+        return float(self._spline(inside) + self._spline(inside, 1) * (v_rel - inside))
 
 
 @dataclass
@@ -341,17 +341,17 @@ class HorseshoeLab:
         count = int(math.floor((th2 - theta) / _TWO_PI))
         return v2, th2, count
 
-    def return_map(self, v_rel: float, tau: float) -> tuple[float, float, int]:
-        """One return in (v_rel, tau)."""
+    def return_map(self, v_rel: float, tau: float) -> tuple[float, float, int, float]:
+        """One return from (v_rel, tau): image (v_rel, tau), count, angle advance."""
         v_raw, theta = self.point(v_rel, tau)
         v2, th2, count = self.return_map_raw(v_raw, theta)
         v2_rel, tau2 = self.coords(v2, math.fmod(th2, _TWO_PI))
-        return v2_rel, tau2, count
+        return v2_rel, tau2, count, th2 - theta
 
     def passage_count(self, v_rel: float, tau: float) -> int:
+        """Completed angle periods of one return; -1 when the orbit escapes."""
         try:
-            _, _, count = self.return_map(v_rel, tau)
-            return count
+            return self.return_map(v_rel, tau)[2]
         except PassageError:
             return -1
 
@@ -517,7 +517,10 @@ def _orient_lab(params, chart, wu_local, samples) -> HorseshoeLab | None:
         tv, tt = tv[keep], tt[keep]
         if len(tv) < 6 or tv[-1] <= 0:
             continue
-        branch = _StableBranch(v_rel=tv, theta=tt)
+        # the reduction above keeps every angle within pi of the middle
+        # sample, which wraps the far end of a branch longer than that;
+        # unwrap it again from node 0
+        branch = _StableBranch(v_rel=tv, theta=np.unwrap(tt))
         delta_q = 0.45 * tv[-1]
         theta_h = branch.angle_at(0.0) if tv[0] <= 0 <= tv[-1] else float(tt[0])
         lab = HorseshoeLab(params, chart, wu_local, branch, theta_h,
@@ -525,7 +528,7 @@ def _orient_lab(params, chart, wu_local, samples) -> HorseshoeLab | None:
         for s_tau in (1.0, -1.0):
             lab.s_tau = s_tau
             try:
-                v2, tau2, count = lab.return_map(0.5 * delta_q, 0.5 * delta_q)
+                v2, tau2, count, _ = lab.return_map(0.5 * delta_q, 0.5 * delta_q)
             except (PassageError, DomainError):
                 continue
             if count > 0 and v2 > 0:
@@ -595,43 +598,37 @@ class StripFamily:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _bisect_boundary(lab: HorseshoeLab, v_rel: float, n: int,
-                     lo: float, hi: float) -> float:
-    """tau of the count jump (>= n+1 | escape) -> (<= n); bracket assumed valid."""
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 3e-7 * hi:
-            return mid
-        c = lab.passage_count(v_rel, mid)
-        if c >= n + 1 or c == -1:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# Secant steps at most for one strip boundary; from build_strips' guesses the
+# root takes about four return maps.
+_SECANT_STEPS = 20
 
 
-def _boundary_with_guess(lab: HorseshoeLab, v_rel: float, n: int,
-                         guess: float, cap: float) -> float:
-    """Validate/expand a bracket around a predicted boundary, then bisect."""
-    lo = min(guess * 0.9, cap)
-    hi = min(guess * 1.1, cap)
-    c_lo = lab.passage_count(v_rel, lo)
-    for _ in range(60):
-        if c_lo >= n + 1 or c_lo == -1:
+def _tau_at_advance(lab: HorseshoeLab, v_rel: float, target: float, guess: float) -> float:
+    """tau at which one return from (v_rel, tau) advances the angle by target.
+
+    The advance A(tau) is continuous inside the rectangle and follows the
+    count law A ~ 2 pi c / sqrt(tau), so g = (2 pi/A)^2 - (2 pi/target)^2 is
+    nearly linear in tau; a secant on g starts from guess and 1.1 guess
+    (at most delta_q) and stops when its step is at most 3e-7 tau.  Strip boundary n is the root
+    at target 2 pi (n+1).  Raises PassageError when an iterate leaves
+    (0, delta_q] or the steps run out.
+    """
+    def g(tau):
+        return (_TWO_PI / lab.return_map(v_rel, tau)[3]) ** 2 - (_TWO_PI / target) ** 2
+
+    t0, t1 = guess, min(1.1 * guess, lab.delta_q)
+    g0 = g(t0)
+    for _ in range(_SECANT_STEPS):
+        g1 = g(t1)
+        if g1 == g0:
             break
-        lo *= 0.8
-        c_lo = lab.passage_count(v_rel, lo)
-    else:
-        raise PassageError(f"no deep bracket for n={n} at v={v_rel:.3e}")
-    c_hi = lab.passage_count(v_rel, hi)
-    for _ in range(60):
-        if 0 <= c_hi <= n:
-            break
-        hi = min(hi * 1.25, cap)
-        c_hi = lab.passage_count(v_rel, hi)
-        if hi >= cap and not (0 <= c_hi <= n):
-            raise PassageError(f"no shallow bracket for n={n} at v={v_rel:.3e}")
-    return _bisect_boundary(lab, v_rel, n, lo, hi)
+        t0, t1, g0 = t1, t1 - g1 * (t1 - t0) / (g1 - g0), g1
+        if not 0.0 < t1 <= lab.delta_q:
+            raise PassageError(f"advance {target:.6g} has no root in the rectangle "
+                               f"at v={v_rel:.3e} (secant left it at tau={t1:.3e})")
+        if abs(t1 - t0) <= 3e-7 * t1:
+            return t1
+    raise PassageError(f"secant for advance {target:.6g} at v={v_rel:.3e} did not converge")
 
 
 def build_strips(lab: HorseshoeLab, window: tuple[int, int],
@@ -639,8 +636,9 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     """Vertical strips V_n (passage count n) for n in the window, with their
     images H_n, disjointness, Hausdorff monotonicity, and Lipschitz data.
 
-    The count scales like c/sqrt(tau) (corner transit time), which seeds
-    the boundary brackets; neighbouring v-lines warm-start each other.
+    Each boundary is one `_tau_at_advance` root.  Its first guess is the
+    previous v-line's root, or on the first line the count law
+    A = 2 pi c/sqrt(tau) (corner transit time), calibrated by one return.
     """
     n_lo, n_hi = window
     if n_hi < n_lo:
@@ -651,22 +649,15 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     v_grid = np.geomspace(2e-3 * delta, 0.85 * delta, n_v)
 
     # calibrate the count law at the middle line
-    v_mid = float(v_grid[n_v // 2])
     tau_ref = 0.5 * delta
-    c_ref = lab.passage_count(v_mid, tau_ref)
-    if c_ref <= 0:
-        raise PassageError("calibration probe escaped; rectangle orientation wrong?")
-    law_c = c_ref * math.sqrt(tau_ref)
+    law_c = lab.return_map(float(v_grid[n_v // 2]), tau_ref)[3] / _TWO_PI * math.sqrt(tau_ref)
 
     bounds: dict[int, np.ndarray] = {
         n: np.empty(n_v) for n in range(n_lo - 1, n_hi + 1)}
-    prev: dict[int, float] = {}
     for i, v in enumerate(v_grid):
         for n in range(n_lo - 1, n_hi + 1):
-            guess = prev.get(n, (law_c / (n + 0.5)) ** 2)
-            tau_b = _boundary_with_guess(lab, v, n, guess, delta)
-            bounds[n][i] = tau_b
-            prev[n] = tau_b
+            guess = bounds[n][i - 1] if i else (law_c / (n + 0.5)) ** 2
+            bounds[n][i] = _tau_at_advance(lab, v, _TWO_PI * (n + 1), guess)
     strips = {}
     for n in range(n_lo, n_hi + 1):
         strips[n] = Strip(n, tau_lo=bounds[n], tau_hi=bounds[n - 1], v_grid=v_grid)
@@ -679,7 +670,7 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
             for frac in (0.25, 0.5, 0.75):
                 tau = st.tau_lo[i] + frac * (st.tau_hi[i] - st.tau_lo[i])
                 try:
-                    v2, tau2, c = lab.return_map(v, tau)
+                    v2, tau2, c, _ = lab.return_map(v, tau)
                 except PassageError:
                     continue
                 if c == n:
@@ -748,8 +739,7 @@ class ConeReport:
 def _jacobian(lab: HorseshoeLab, v: float, tau: float, h_v: float, h_tau: float):
     """Forward-difference Jacobian of the return map in (v_rel, tau)."""
     def f(vv, tt):
-        v2, t2, _ = lab.return_map(vv, tt)
-        return np.array([v2, t2])
+        return np.array(lab.return_map(vv, tt)[:2])
 
     base = f(v, tau)
     col_v = (f(v + h_v, tau) - base) / h_v
@@ -765,8 +755,11 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
     (v_rel, tau) tangent basis, 1-norm; expansion kappa^-1 = min growth of
     cone vectors.  Finite differences are Richardson-validated at h and h/4
     on a subsample.  Jacobian sampling runs on a copy of the lab at
-    _CONE_RTOL: the steps are h ~ 1e-7, far above the integration noise at
-    that tolerance.
+    _CONE_RTOL.  The steps (h_tau = 1e-3 of the strip width, h_v = 1e-4
+    delta_q) are not far above the passage noise at that tolerance: at the
+    operating point single Jacobians at h and h/4 disagree by 1.4e-2 to
+    3.48 relative to their largest entry, criterion 9's worst over its 12
+    checks has read 1.6 to 10.8, and `fd_agreement` reports that worst.
     """
     sample_jacs = []
     per_strip = {}
@@ -895,7 +888,7 @@ class SymbolItinerary:
     defects_v: tuple              # |v_rel(P(nodes[i])) - v_rel(nodes[i+1])|
     defects_tau: tuple            # the same in tau
     iterations: int               # Newton steps taken
-    return_maps: int              # return maps of the solve, window bisections included
+    return_maps: int              # return maps of the solve, start-node secants included
 
     @property
     def achieved(self) -> bool:
@@ -906,14 +899,6 @@ class SymbolItinerary:
                 and min(self.margins) >= 10.0 * _LEG_DEFECT)
 
 
-def _leg(lab: HorseshoeLab, v_rel: float, tau: float):
-    """One return from (v_rel, tau): image (v_rel, tau), count, angle advance."""
-    v_raw, theta = lab.point(v_rel, tau)
-    v2, th2, count = lab.return_map_raw(v_raw, theta)
-    v2_rel, tau2 = lab.coords(v2, math.fmod(th2, _TWO_PI))
-    return v2_rel, tau2, count, th2 - theta
-
-
 def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItinerary:
     """Multiple shooting for prescribed excursion counts: P(p_i) = p_{i+1}.
 
@@ -921,11 +906,13 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     periods, base being the smallest count in the verified window.  Node
     p_i = (v_rel, tau) starts leg i, one return at the count of symbol i, so
     no leg's passage error is amplified by a later return.  v_0 is fixed at
-    the middle of the strip's v grid and tau_{k-1} at the centre of its
-    window; Newton solves for the other 2(k-1) coordinates with the leg
-    Jacobians of `_jacobian`.  Each node starts mid-window, the window
-    bisected at the node's own v (the image v of the previous start): the
-    family's interpolated windows can sit one strip off.  Near the passage
+    the middle of the strip's v grid and tau_{k-1} at its start value;
+    Newton solves for the other 2(k-1) coordinates with the leg Jacobians of
+    `_jacobian`, whose tau step is 1e-3 of the strip's mean width, as in
+    `verify_cones`.  Each node starts at its own v (the image v of the
+    previous start), at the tau where its leg advances the angle by
+    2 pi (n + 1/2), the largest possible count margin (`_tau_at_advance`):
+    the family's interpolated windows can sit one strip off.  Near the passage
     noise floor the tau defect wanders, so the solve keeps its best iterate
     and stops after two iterates that do not improve on it.  Raises
     ShadowingError when no iterate brings every leg defect to _LEG_DEFECT;
@@ -955,16 +942,13 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     lab.return_map_raw = counted
 
     nodes = np.empty((k, 2))
-    widths = []
+    widths = [float(np.mean(family.strips[n].tau_hi - family.strips[n].tau_lo))
+              for n in targets]
     v = float(np.mean(family.strips[targets[0]].v_grid))
     for i, n in enumerate(targets):
         st = family.strips[n]
-        lo = _boundary_with_guess(lab, v, n, float(np.interp(v, st.v_grid, st.tau_lo)),
-                                  lab.delta_q)
-        hi = _boundary_with_guess(lab, v, n - 1, float(np.interp(v, st.v_grid, st.tau_hi)),
-                                  lab.delta_q)
-        nodes[i] = v, 0.5 * (lo + hi)
-        widths.append(hi - lo)
+        guess = float(np.interp(v, st.v_grid, 0.5 * (st.tau_lo + st.tau_hi)))
+        nodes[i] = v, _tau_at_advance(lab, v, _TWO_PI * (n + 0.5), guess)
         if i < k - 1:
             v = lab.return_map(v, nodes[i, 1])[0]
 
@@ -973,7 +957,7 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     stalls = steps = 0
     while True:
         try:
-            legs = [_leg(lab, v, tau) for v, tau in nodes]
+            legs = [lab.return_map(v, tau) for v, tau in nodes]
         except (PassageError, DomainError):
             break
         gaps = np.array([leg[:2] for leg in legs[:-1]]).reshape(-1, 2) - nodes[1:]

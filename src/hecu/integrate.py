@@ -504,13 +504,3 @@ def energy_drift(traj: Trajectory, params: ModelParams) -> float:
     scale = abs(h[0]) if h[0] != 0.0 else 1.0
     return float(np.max(np.abs(h - h[0])) / scale)
 
-
-def trajectory_to_csv(traj: Trajectory, params: ModelParams, path) -> None:
-    """CSV export with columns t,q,p,theta,J,H at 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,q,p,theta,J,H\n")
-        for i in range(traj.t.size):
-            q, p, theta, J = traj.y[:, i]
-            h = hamiltonian_mcgehee(traj.y[:, i], params)
-            fields = (traj.t[i], q, p, theta, J, h)
-            fh.write(",".join(f"{v:.17g}" for v in fields) + "\n")

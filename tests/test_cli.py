@@ -162,3 +162,12 @@ def test_ignored_input_exits_2(tmp_path, argv):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_manifest_clock_times_the_computation(tmp_path):
+    out = tmp_path / "v"
+    assert run(["verify-all", "--only", "11", "--out", str(out)]) == 0
+    row = (out / "acceptance.csv").read_text().strip().split("\n")[1].split(",")
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    # wall_clock_s is rounded to the millisecond
+    assert manifest["wall_clock_s"] + 5e-4 >= float(row[2]) > 0.01

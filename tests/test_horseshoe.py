@@ -18,11 +18,14 @@ from hecu.horseshoe import (
     _escape_section,
     _integrate_to_section,
     _masked_section,
+    _tau_at_advance,
     action_offset_closed,
+    build_strips,
     global_map,
     local_map,
     reduced_rhs,
     select_operating_point,
+    setup_horseshoe,
     shadow_orbit,
     truncated_local_map,
     verify_cones,
@@ -276,18 +279,45 @@ def test_shadow_orbit_certifies_closed_form_itinerary():
     for (v, tau), n in zip(it.nodes, it.counts):
         assert lab.C / (n + 1) < tau <= lab.C / n
     assert it.nodes[0][0] == 3e-3
-    # the last node sits at the centre of its strip, the others meet their legs
-    assert it.nodes[-1][1] == pytest.approx(0.5 * (lab.C / 153 + lab.C / 152), rel=1e-6)
+    # the last node stays where its leg advances 2 pi (n + 1/2), the others
+    # meet their legs
+    assert it.nodes[-1][1] == pytest.approx(lab.C / 152.5, rel=3e-7)
     assert max(it.defects_v + it.defects_tau) <= 1e-10
     assert min(it.margins) >= 1e-3
     assert it.iterations >= 1 and it.return_maps > 9 * it.iterations
     for (v, tau), (v_next, tau_next) in zip(it.nodes[:-1], it.nodes[1:]):
-        v2, tau2, _ = lab.return_map(v, tau)
+        v2, tau2, _, _ = lab.return_map(v, tau)
         assert abs(v2 - v_next) <= 1e-10 and abs(tau2 - tau_next) <= 1e-10
     # each clause of the certificate can fail on its own
     assert not dataclasses.replace(it, counts=(152, 153, 153)).achieved
     assert not dataclasses.replace(it, defects_tau=(0.0, 1.1e-5)).achieved
     assert not dataclasses.replace(it, margins=(1.0, 9e-5, 1.0)).achieved
+
+
+def test_shadow_orbit_starts_legs_at_half_period_advance():
+    # a one-leg itinerary keeps its start node, the root of A = 2 pi (n + 1/2)
+    lab, family = _expanding_family(_ExpandingLab)
+    for symbol in (1, 2, 3, 4):
+        (v, tau), = shadow_orbit(lab, family, (symbol,)).nodes
+        assert v == 3e-3
+        assert tau == pytest.approx(lab.C / (150 + symbol + 0.5), rel=3e-7)
+
+
+def test_build_strips_finds_closed_form_edges():
+    lab, _ = _expanding_family(_ExpandingLab)
+    family = build_strips(lab, (151, 154), n_v=3)
+    assert sorted(family.strips) == [151, 152, 153, 154]
+    for n, st in family.strips.items():
+        assert np.all(np.abs(st.tau_lo / (lab.C / (n + 1)) - 1.0) <= 3e-7)
+        assert np.all(np.abs(st.tau_hi / (lab.C / n) - 1.0) <= 3e-7)
+
+
+def test_tau_at_advance_leaves_rectangle():
+    # no tau in (0, delta_q] advances the closed-form return by only 2 pi:
+    # that root is tau = C = 1.2
+    lab, _ = _expanding_family(_ExpandingLab)
+    with pytest.raises(PassageError, match="no root in the rectangle"):
+        _tau_at_advance(lab, 3e-3, 2 * math.pi, 5e-3)
 
 
 def test_shadow_orbit_rejects_symbols_outside_window():
@@ -306,3 +336,26 @@ def test_shadow_orbit_raises_when_legs_miss_the_bound():
     with pytest.raises(ShadowingError, match="leg defect") as err:
         shadow_orbit(lab, family, (2, 3, 2))
     assert len(err.value.achieved) == 3
+
+
+@pytest.fixture(scope="module")
+def real_lab():
+    return setup_horseshoe(select_operating_point())
+
+
+def test_stable_branch_is_unwrapped(real_lab):
+    # the branch spans several radians; no 2 pi wrap may sit between nodes
+    assert np.max(np.abs(np.diff(real_lab.branch.theta))) < math.pi
+
+
+def test_strip_boundaries_separate_counts(real_lab):
+    # one v-line: each root of A = 2 pi (n+1) has count n+1 just below it
+    # and n just above
+    lab = real_lab
+    v = 0.1 * lab.delta_q
+    tau_ref = 0.5 * lab.delta_q
+    law_c = lab.return_map(v, tau_ref)[3] / (2 * math.pi) * math.sqrt(tau_ref)
+    for n in range(lab.base_count, lab.base_count + 5):
+        tau_b = _tau_at_advance(lab, v, 2 * math.pi * (n + 1), (law_c / (n + 0.5)) ** 2)
+        assert lab.passage_count(v, tau_b * (1 - 2e-6)) == n + 1
+        assert lab.passage_count(v, tau_b * (1 + 2e-6)) == n

@@ -15,7 +15,6 @@ from hecu.integrate import (
     integrate,
     integrate_mcgehee,
     mcgehee_rhs,
-    trajectory_to_csv,
 )
 from hecu.manifolds import solve_hj_unstable, unstable_initial_conditions
 from hecu.model import (
@@ -300,14 +299,3 @@ def test_step_underflow_signals(params):
                   [0.0, 0.0, 0.0, 0.0], (0.0, 1.0),
                   IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10))
 
-
-def test_csv_export(params, tmp_path):
-    traj = integrate_mcgehee(params, [0.8, 0.0, 0.0, 0.0], (0.0, 1.0), TIGHT)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, params, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,q,p,theta,J,H"
-    assert len(lines) == traj.t.size + 1
-    row = lines[1].split(",")
-    assert len(row) == 6
-    assert float(row[1]) == pytest.approx(0.8)
