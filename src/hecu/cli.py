@@ -262,7 +262,8 @@ def _cmd_horseshoe(args) -> int:
         f"cone report: eta = {report.eta_u:.3f}, kappa = {report.kappa:.3e}, "
         f"pass rate = {report.pass_rate:.1%} of {report.n_samples}",
         f"expansion exponent vs strip depth: {report.expansion_exponent:.3f}",
-        f"finite-difference Richardson agreement: {report.fd_agreement:.2%}",
+        f"fd_agreement (worst relative disagreement of h and h/4 Jacobians): "
+        f"{report.fd_agreement:.3g}",
         f"H2 inequality 0 < kappa < 1 - eta^2: "
         f"{0 < report.kappa < 1 - report.eta_u * report.eta_s}",
     ]
@@ -273,6 +274,12 @@ def _cmd_horseshoe(args) -> int:
     run.add_csv("cone_samples.csv",
                 ["strip", "tau_lo", "tau_hi", "lipschitz", "median_expansion"],
                 rows)
+    run.counters = {
+        "strips": family.diagnostics["counters"],
+        "cones": report.counters,
+        "cone_v_lines": [{"v_rel": v, "samples": n, "pass_rate": rate}
+                         for v, (n, rate) in sorted(report.v_lines.items())],
+    }
     run.flush({
         "nuI0": params.nu_I0, "samples": args.samples, "config": args.config})
     print("\n".join(lines))

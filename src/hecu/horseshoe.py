@@ -17,17 +17,30 @@ Passages: every leg of the reduced flow (the excursion Sigma0 -> Sigma1,
 the corner passage Sigma1 -> Sigma0, the W^u fibres of the set-up and the
 truncated corner model) is one `integrate.first_crossing` run against its
 target section and the escape section, on the package's DOP853 engine.
+Independent returns (strip edges, strip images, the columns of the cone
+and shadowing Jacobians) run as terminal lanes of one such run per leg,
+`HorseshoeLab.return_maps`; a failed lane fails its own return only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import IntegrationError, IntegratorConfig, StepUnderflowError, first_crossing
+from .integrate import (
+    POLISH_MISS,
+    SPAN_END,
+    UNDERFLOW,
+    IntegrationCounters,
+    IntegrationError,
+    IntegratorConfig,
+    StepUnderflowError,
+    first_crossing,
+)
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
 from .model import CorrugationSeries, DomainError, ModelParams
 
@@ -46,7 +59,15 @@ _PASSAGE_ATOL = 1e-12
 
 
 class PassageError(RuntimeError):
-    """Orbit left the working domain instead of completing the passage."""
+    """Orbit left the working domain instead of completing the passage.
+
+    `kind` classifies a failed passage: "escape", "timeout", "underflow"
+    (step underflow) or "polish" (event polish miss); None for a failure
+    that is not one passage's."""
+
+    def __init__(self, message, kind=None):
+        super().__init__(message)
+        self.kind = kind
 
 
 class ShadowingError(RuntimeError):
@@ -94,6 +115,23 @@ def reduced_rhs(params: ModelParams):
     return rhs
 
 
+def _reduced_rhs_lanes(params: ModelParams, theta0: np.ndarray):
+    """`reduced_rhs` on lanes y of shape (2, N); lane j runs in s = theta - theta0[j]."""
+    nu = params.nu
+    eps = params.epsilon
+    twoE = 2.0 * params.energy
+    corrugation = params.series.on_lanes(theta0)
+
+    def rhs(s, y):
+        q, p = y
+        q2 = q * q
+        c = q2 * (1.0 + eps * corrugation(s))
+        r = q / np.sqrt(nu * (twoE - (p * p - q2 + q2 * c)))
+        return np.array((-p * r, q * r * (2.0 * c - 1.0)))
+
+    return rhs
+
+
 # ---------------------------------------------------------------------------
 # corner charts
 # ---------------------------------------------------------------------------
@@ -113,17 +151,17 @@ class LocalChart:
         """w(q) = q sqrt(1 - q^2), for a float or an array of q."""
         return q * np.sqrt(np.maximum(1.0 - q * q, 0.0))
 
-    def w_inv(self, w: float) -> float:
-        # small-q branch of w = q sqrt(1-q^2); valid for w <= 1/2
-        if abs(w) > 0.5:
+    def w_inv(self, w):
+        """Small-q branch of w = q sqrt(1-q^2), for a float or an array of w."""
+        if np.any(np.abs(w) > 0.5):
             raise DomainError("adapted chart valid only for |w| <= 1/2")
-        return math.sqrt((1.0 - math.sqrt(1.0 - 4.0 * w * w)) / 2.0)
+        return np.sqrt((1.0 - np.sqrt(1.0 - 4.0 * w * w)) / 2.0)
 
     def to_chart(self, q, p):
         w = self.w(q)
         return 0.5 * (w - p), 0.5 * (w + p)
 
-    def from_chart(self, u: float, v: float) -> tuple[float, float]:
+    def from_chart(self, u, v):
         return self.w_inv(u + v), v - u
 
 
@@ -160,7 +198,7 @@ def _escape_section(chart: LocalChart):
 
 def _integrate_to_section(params: ModelParams, chart: LocalChart, y0, theta0,
                           which: str, direction: int, theta_max: float,
-                          rtol: float = 1e-11):
+                          rtol: float = 1e-11, counters: IntegrationCounters | None = None):
     """Reduced flow until the masked section crossing; detects escape.
 
     Returns (kind, theta, (q, p)) with kind "section", "escape" or
@@ -169,23 +207,48 @@ def _integrate_to_section(params: ModelParams, chart: LocalChart, y0, theta0,
     sections = [(_masked_section(chart, which), direction), (_escape_section(chart), -1)]
     try:
         k, th, y = first_crossing(reduced_rhs(params), y0, (theta0, theta0 + theta_max),
-                                  sections, IntegratorConfig(rel_tol=rtol, abs_tol=_PASSAGE_ATOL))
-    except (StepUnderflowError, IntegrationError) as exc:
-        raise PassageError(f"passage integration failed: {exc}") from exc
+                                  sections, IntegratorConfig(rel_tol=rtol, abs_tol=_PASSAGE_ATOL),
+                                  counters)
+    except StepUnderflowError as exc:
+        raise PassageError(f"passage integration failed: {exc}", "underflow") from exc
+    except IntegrationError as exc:
+        raise PassageError(f"passage integration failed: {exc}", "polish") from exc
     return ("timeout", "section", "escape")[0 if k is None else k + 1], th, y
 
 
+# lane outcome of `first_crossing` -> failure kind of a passage; "" is a crossing
+_LANE_KINDS = {0: "", 1: "escape", SPAN_END: "timeout", UNDERFLOW: "underflow",
+               POLISH_MISS: "polish"}
+
+
+def _lanes_to_section(params: ModelParams, chart: LocalChart, y0: np.ndarray,
+                       theta0: np.ndarray, which: str, direction: int, theta_max: float,
+                       rtol: float, counters: IntegrationCounters):
+    """`_integrate_to_section` for lanes y0 of shape (2, N) starting at angles theta0.
+
+    Returns (kind, theta, y): kind "" where a lane crossed its section, else
+    "escape", "timeout", "underflow" or "polish" for that lane alone.
+    """
+    sections = [(_masked_section(chart, which), direction), (_escape_section(chart), -1)]
+    k, s, y = first_crossing(_reduced_rhs_lanes(params, theta0), y0, (0.0, theta_max),
+                             sections, IntegratorConfig(rel_tol=rtol, abs_tol=_PASSAGE_ATOL),
+                             counters)
+    kind = np.array([_LANE_KINDS[j] for j in k.tolist()], dtype=object)
+    return kind, theta0 + s, y
+
+
 def _corner_pass(params: ModelParams, chart: LocalChart, u0: float,
-                 theta0: float, rtol: float = 1e-11) -> tuple[float, float]:
+                 theta0: float, rtol: float = 1e-11,
+                 counters: IntegrationCounters | None = None) -> tuple[float, float]:
     if u0 <= 0:
-        raise PassageError("entry on the escape side of the stable manifold")
+        raise PassageError("entry on the escape side of the stable manifold", "escape")
     if u0 >= 0.9 * chart.a:
-        raise PassageError("entry outside the corner neighborhood")
+        raise PassageError("entry outside the corner neighborhood", "escape")
     q, p = chart.from_chart(u0, chart.a)
     kind, th1, y1 = _integrate_to_section(params, chart, (q, p), theta0,
-                                          "u", +1, _CORNER_SPAN, rtol=rtol)
+                                          "u", +1, _CORNER_SPAN, rtol=rtol, counters=counters)
     if kind != "section":
-        raise PassageError(f"corner passage failed: {kind}")
+        raise PassageError(f"corner passage failed: {kind}", kind)
     return chart.to_chart(y1[0], y1[1])[1], th1
 
 
@@ -202,13 +265,14 @@ def local_map(params: ModelParams, chart: LocalChart, u0: float,
 
 
 def global_map(params: ModelParams, chart: LocalChart, v0: float, theta0: float,
-               rtol: float = 1e-11) -> tuple[float, float]:
+               rtol: float = 1e-11,
+               counters: IntegrationCounters | None = None) -> tuple[float, float]:
     """Excursion Sigma0 -> Sigma1: (a, v0, theta0) -> (u1, a, theta1)."""
     q, p = chart.from_chart(chart.a, v0)
     kind, th1, y1 = _integrate_to_section(params, chart, (q, p), theta0,
-                                          "v", -1, _GLOBAL_SPAN, rtol=rtol)
+                                          "v", -1, _GLOBAL_SPAN, rtol=rtol, counters=counters)
     if kind != "section":
-        raise PassageError(f"homoclinic excursion failed: {kind}")
+        raise PassageError(f"homoclinic excursion failed: {kind}", kind)
     return chart.to_chart(y1[0], y1[1])[0], th1
 
 
@@ -229,7 +293,7 @@ def truncated_local_map(u0: float, a: float) -> tuple[float, float]:
     k, t1, y1 = first_crossing(rhs, (u0, a), (0.0, 1e4 / math.sqrt(u0 * a)),
                                [(hit, +1)], IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
     if k is None:
-        raise PassageError("truncated passage did not reach u = a")
+        raise PassageError("truncated passage did not reach u = a", "timeout")
     return float(y1[1]), t1
 
 
@@ -280,8 +344,9 @@ class _StableBranch:
         from scipy.interpolate import CubicSpline
         self._spline = CubicSpline(self.v_rel, self.theta)
 
-    def angle_at(self, v_rel: float) -> float:
-        """Angle of the branch at v_rel: a cubic spline through the table.
+    def angle_at(self, v_rel):
+        """Angle of the branch at v_rel (a float or an array): a cubic spline
+        through the table.
 
         A piecewise-linear table would put its kinks into the strip
         boundaries tau_b(v), which then tilt by up to about 1 in (v_rel, tau)
@@ -289,8 +354,37 @@ class _StableBranch:
         along its end slope; the working rectangle stays well inside, and
         extrapolation only classifies far-flung iterates, where the angle
         offset merely labels the point."""
-        inside = min(max(v_rel, self.v_rel[0]), self.v_rel[-1])
-        return float(self._spline(inside) + self._spline(inside, 1) * (v_rel - inside))
+        inside = np.clip(v_rel, self.v_rel[0], self.v_rel[-1])
+        return self._spline(inside) + self._spline(inside, 1) * (v_rel - inside)
+
+
+@dataclass
+class MapCounters:
+    """How the return maps of one phase ran: maps, lane batches, steps, failures."""
+
+    single_maps: int = 0        # returns run one orbit at a time
+    lane_maps: int = 0          # returns run as lanes of a batch
+    batches: int = 0            # lane batches, each one run per leg
+    work: IntegrationCounters = field(default_factory=IntegrationCounters)
+    failures: dict = field(default_factory=dict)    # kind -> returns that failed
+
+    def failed(self, kinds) -> None:
+        for kind in kinds:
+            self.failures[kind] = self.failures.get(kind, 0) + 1
+
+
+class Returns(NamedTuple):
+    """Per-point results of `HorseshoeLab.return_maps`."""
+
+    v_rel: np.ndarray           # image (v_rel, tau), NaN where the orbit did not return
+    tau: np.ndarray
+    count: np.ndarray           # completed angle periods, -1 where it did not return
+    advance: np.ndarray         # angle advance, NaN where it did not return
+    kind: np.ndarray            # "" where it returned, else the failure kind
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.kind == ""
 
 
 @dataclass
@@ -308,45 +402,119 @@ class HorseshoeLab:
     delta_q: float              # working rectangle size
     rtol: float = 1e-11         # passage integration tolerance
     diagnostics: dict = field(default_factory=dict)
+    counters: MapCounters = field(default_factory=MapCounters)
 
-    # -- section coordinates -----------------------------------------------
-    def coords(self, v_raw: float, theta: float) -> tuple[float, float]:
+    # -- section coordinates (floats or arrays) -----------------------------
+    def coords(self, v_raw, theta):
         """(v_rel, tau): distance past W^u and angle offset from W^s."""
-        v_rel = self.s_v * (v_raw - float(self.wu_local(theta)))
+        v_rel = self.s_v * (v_raw - self.wu_local(theta))
         theta_n = self._nearest_angle(theta)
         tau = self.s_tau * (theta_n - self.branch.angle_at(v_rel))
         return v_rel, tau
 
-    def point(self, v_rel: float, tau: float) -> tuple[float, float]:
+    def point(self, v_rel, tau):
         theta = self.branch.angle_at(v_rel) + self.s_tau * tau
-        v_raw = float(self.wu_local(theta)) + self.s_v * v_rel
+        v_raw = self.wu_local(theta) + self.s_v * v_rel
         return v_raw, theta
 
     def ws_u(self, theta: float) -> float:
         """u of W^s on Sigma1 at angle theta: the reversor image of the W^u trace."""
         return float(self.wu_local(-theta))
 
-    def _nearest_angle(self, theta: float) -> float:
+    def _nearest_angle(self, theta):
         """Representative of theta mod 2pi nearest to the branch window."""
         ref = self.theta_h
-        return theta - _TWO_PI * round((theta - ref) / _TWO_PI)
+        return theta - _TWO_PI * np.round((theta - ref) / _TWO_PI)
 
     # -- return map ----------------------------------------------------------
     def return_map_raw(self, v_raw: float, theta: float) -> tuple[float, float, int]:
         """One full return Sigma0 -> Sigma0; counts completed angle periods."""
         u1, th1 = global_map(self.params, self.chart, v_raw, theta,
-                             rtol=self.rtol)
+                             rtol=self.rtol, counters=self.counters.work)
         v2, th2 = _corner_pass(self.params, self.chart, u1, th1,
-                               rtol=self.rtol)
+                               rtol=self.rtol, counters=self.counters.work)
         count = int(math.floor((th2 - theta) / _TWO_PI))
         return v2, th2, count
+
+    def return_maps_raw(self, v_raw: np.ndarray, theta: np.ndarray):
+        """Returns Sigma0 -> Sigma0 of a batch: one lane run per leg.
+
+        Returns arrays (v2, theta2, kind), kind "" where a lane returned and
+        its failure kind ("escape", "timeout", "underflow", "polish" or
+        "domain") where it did not; v2 and theta2 are NaN there.
+        """
+        chart, work = self.chart, self.counters.work
+        kind = np.full(v_raw.shape, "domain", dtype=object)
+        v2 = np.full(v_raw.shape, np.nan)
+        th2 = np.full(v_raw.shape, np.nan)
+        live = np.flatnonzero(np.abs(chart.a + v_raw) <= 0.5)      # inside the chart
+        kind[live], th1, y1 = _lanes_to_section(
+            self.params, chart, np.array(chart.from_chart(chart.a, v_raw[live])),
+            theta[live], "v", -1, _GLOBAL_SPAN, self.rtol, work)
+        u1 = chart.to_chart(y1[0], y1[1])[0]
+        # an entry past W^s or outside the corner neighbourhood escapes
+        entry = (kind[live] == "") & ~((u1 > 0) & (u1 < 0.9 * chart.a))
+        kind[live[entry]] = "escape"
+        enter = kind[live] == ""
+        live, u1, th1 = live[enter], u1[enter], th1[enter]
+        kind[live], th, y = _lanes_to_section(
+            self.params, chart, np.array(chart.from_chart(u1, chart.a)),
+            th1, "u", +1, _CORNER_SPAN, self.rtol, work)
+        back = kind[live] == ""
+        v2[live[back]] = chart.to_chart(y[0, back], y[1, back])[1]
+        th2[live[back]] = th[back]
+        return v2, th2, kind
 
     def return_map(self, v_rel: float, tau: float) -> tuple[float, float, int, float]:
         """One return from (v_rel, tau): image (v_rel, tau), count, angle advance."""
         v_raw, theta = self.point(v_rel, tau)
-        v2, th2, count = self.return_map_raw(v_raw, theta)
+        self.counters.single_maps += 1
+        try:
+            v2, th2, count = self.return_map_raw(v_raw, theta)
+        except PassageError as exc:
+            self.counters.failed([exc.kind])
+            raise
+        except DomainError:
+            self.counters.failed(["domain"])
+            raise
         v2_rel, tau2 = self.coords(v2, math.fmod(th2, _TWO_PI))
         return v2_rel, tau2, count, th2 - theta
+
+    def return_maps(self, v_rel, tau) -> Returns:
+        """Returns from arrays of (v_rel, tau), run as the lanes of one batch.
+
+        A point whose orbit fails (escape, timeout, step underflow, polish
+        miss, or a start outside the chart) fails alone: its `Returns.kind`
+        says how, and the other points are unaffected.  A single point runs
+        as one orbit, which costs about a fifth of a one-lane batch.
+        """
+        v_rel, tau = (np.atleast_1d(np.asarray(x, dtype=float))
+                      for x in np.broadcast_arrays(v_rel, tau))
+        if v_rel.size == 1:
+            try:
+                v2, tau2, count, advance = self.return_map(float(v_rel[0]), float(tau[0]))
+                kind = ""
+            except PassageError as exc:
+                v2 = tau2 = advance = math.nan
+                count, kind = -1, exc.kind
+            except DomainError:
+                v2 = tau2 = advance = math.nan
+                count, kind = -1, "domain"
+            return Returns(np.array([v2]), np.array([tau2]), np.array([count]),
+                           np.array([advance]), np.array([kind], dtype=object))
+        v_raw, theta = self.point(v_rel, tau)
+        v2, th2, kind = self.return_maps_raw(v_raw, theta)
+        self.counters.lane_maps += v_rel.size
+        self.counters.batches += 1
+        ok = kind == ""
+        self.counters.failed(kind[~ok])
+        advance = th2 - theta
+        count = np.full(v_rel.shape, -1)
+        count[ok] = np.floor(advance[ok] / _TWO_PI)
+        v2_rel = np.full(v_rel.shape, np.nan)
+        tau2 = np.full(v_rel.shape, np.nan)
+        v2_rel[ok], tau2[ok] = self.coords(v2[ok], np.fmod(th2[ok], _TWO_PI))
+        return Returns(v2_rel, tau2, count, advance, kind)
 
     def passage_count(self, v_rel: float, tau: float) -> int:
         """Completed angle periods of one return; -1 when the orbit escapes."""
@@ -365,11 +533,11 @@ def _run_fiber(params: ModelParams, chart: LocalChart, graph, theta0: float):
     kind, th1, y1 = _integrate_to_section(params, chart, (seed[0], seed[1]),
                                           seed[2], "u", +1, 900.0)
     if kind != "section":
-        raise PassageError(f"W^u fiber failed to reach Sigma0: {kind}")
+        raise PassageError(f"W^u fiber failed to reach Sigma0: {kind}", kind)
     u1, v1 = chart.to_chart(y1[0], y1[1])
     kind, th2, y2 = _integrate_to_section(params, chart, y1, th1, "v", -1, 900.0)
     if kind != "section":
-        raise PassageError(f"W^u fiber failed to reach Sigma1: {kind}")
+        raise PassageError(f"W^u fiber failed to reach Sigma1: {kind}", kind)
     u2, v2 = chart.to_chart(y2[0], y2[1])
     return float(th1), float(v1), float(th2), float(u2)
 
@@ -603,32 +771,60 @@ class StripFamily:
 _SECANT_STEPS = 20
 
 
-def _tau_at_advance(lab: HorseshoeLab, v_rel: float, target: float, guess: float) -> float:
+def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess) -> np.ndarray:
     """tau at which one return from (v_rel, tau) advances the angle by target.
 
     The advance A(tau) is continuous inside the rectangle and follows the
     count law A ~ 2 pi c / sqrt(tau), so g = (2 pi/A)^2 - (2 pi/target)^2 is
     nearly linear in tau; a secant on g starts from guess and 1.1 guess
-    (at most delta_q) and stops when its step is at most 3e-7 tau.  Strip boundary n is the root
-    at target 2 pi (n+1).  Raises PassageError when an iterate leaves
-    (0, delta_q] or the steps run out.
+    (at most delta_q) and stops when its step is at most 3e-7 tau.  Strip
+    boundary n is the root at target 2 pi (n+1).  Takes arrays: the secants
+    run in lockstep, each with its own state, every round's returns as one
+    batch, and a secant drops out once it has converged.  Raises
+    PassageError when an iterate leaves (0, delta_q], a return fails or the
+    steps run out.
     """
-    def g(tau):
-        return (_TWO_PI / lab.return_map(v_rel, tau)[3]) ** 2 - (_TWO_PI / target) ** 2
+    v_rel, target, guess = (np.asarray(x, dtype=float).ravel()
+                            for x in np.broadcast_arrays(v_rel, target, guess))
 
-    t0, t1 = guess, min(1.1 * guess, lab.delta_q)
-    g0 = g(t0)
+    def g(lanes, tau):
+        ret = lab.return_maps(v_rel[lanes], tau)
+        if not ret.ok.all():
+            j = int(np.argmin(ret.ok))
+            raise PassageError(f"return for advance {target[lanes[j]]:.6g} at "
+                               f"v={v_rel[lanes[j]]:.3e} failed: {ret.kind[j]}", ret.kind[j])
+        return (_TWO_PI / ret.advance) ** 2 - (_TWO_PI / target[lanes]) ** 2
+
+    live = np.arange(v_rel.size)
+    t0, t1 = guess.copy(), np.minimum(1.1 * guess, lab.delta_q)
+    if live.size > 1:       # both starting rounds as one batch
+        g0, g1 = np.split(g(np.r_[live, live], np.r_[t0, t1]), 2)
+    else:                   # one point runs one orbit at a time
+        g0, g1 = g(live, t0), g(live, t1)
     for _ in range(_SECANT_STEPS):
-        g1 = g(t1)
-        if g1 == g0:
+        a0, a1, b0 = t0[live], t1[live], g0[live]
+        flat = g1 == b0
+        if flat.any():
+            live = live[flat]
             break
-        t0, t1, g0 = t1, t1 - g1 * (t1 - t0) / (g1 - g0), g1
-        if not 0.0 < t1 <= lab.delta_q:
-            raise PassageError(f"advance {target:.6g} has no root in the rectangle "
-                               f"at v={v_rel:.3e} (secant left it at tau={t1:.3e})")
-        if abs(t1 - t0) <= 3e-7 * t1:
+        step = a1 - g1 * (a1 - a0) / (g1 - b0)
+        t0[live], t1[live], g0[live] = a1, step, g1
+        outside = ~((step > 0.0) & (step <= lab.delta_q))
+        if outside.any():
+            j = live[np.argmax(outside)]
+            raise PassageError(f"advance {target[j]:.6g} has no root in the rectangle "
+                               f"at v={v_rel[j]:.3e} (secant left it at tau={t1[j]:.3e})")
+        live = live[np.abs(step - a1) > 3e-7 * step]
+        if not live.size:
             return t1
-    raise PassageError(f"secant for advance {target:.6g} at v={v_rel:.3e} did not converge")
+        g1 = g(live, t1[live])
+    j = live[0]
+    raise PassageError(f"secant for advance {target[j]:.6g} at v={v_rel[j]:.3e} did not converge")
+
+
+def _tau_at_advance(lab: HorseshoeLab, v_rel: float, target: float, guess: float) -> float:
+    """`_taus_at_advance` for one point: its returns run one orbit at a time."""
+    return float(_taus_at_advance(lab, v_rel, target, guess)[0])
 
 
 def build_strips(lab: HorseshoeLab, window: tuple[int, int],
@@ -636,13 +832,16 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     """Vertical strips V_n (passage count n) for n in the window, with their
     images H_n, disjointness, Hausdorff monotonicity, and Lipschitz data.
 
-    Each boundary is one `_tau_at_advance` root.  Its first guess is the
-    previous v-line's root, or on the first line the count law
-    A = 2 pi c/sqrt(tau) (corner transit time), calibrated by one return.
+    Each boundary is one `_taus_at_advance` root, all of them in lockstep;
+    its first guess is the count law A = 2 pi c/sqrt(tau) (corner transit
+    time), calibrated by one return.  The images of three points per strip
+    and v-line are one batch.  `diagnostics["counters"]` holds the
+    `MapCounters` of the phase.
     """
     n_lo, n_hi = window
     if n_hi < n_lo:
         raise DomainError("empty symbol window")
+    counted = dataclasses.replace(lab, counters=MapCounters())
     delta = lab.delta_q
     # geometric grid: return-map images hug W^u (v of order tau/expansion),
     # so the strip boundaries must be resolved down to tiny v as well
@@ -650,32 +849,24 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
 
     # calibrate the count law at the middle line
     tau_ref = 0.5 * delta
-    law_c = lab.return_map(float(v_grid[n_v // 2]), tau_ref)[3] / _TWO_PI * math.sqrt(tau_ref)
+    law_c = (counted.return_map(float(v_grid[n_v // 2]), tau_ref)[3] / _TWO_PI
+             * math.sqrt(tau_ref))
 
-    bounds: dict[int, np.ndarray] = {
-        n: np.empty(n_v) for n in range(n_lo - 1, n_hi + 1)}
-    for i, v in enumerate(v_grid):
-        for n in range(n_lo - 1, n_hi + 1):
-            guess = bounds[n][i - 1] if i else (law_c / (n + 0.5)) ** 2
-            bounds[n][i] = _tau_at_advance(lab, v, _TWO_PI * (n + 1), guess)
+    ns = np.arange(n_lo - 1, n_hi + 1)[:, None]     # boundary n: advance 2 pi (n+1)
+    roots = _taus_at_advance(counted, v_grid[None, :], _TWO_PI * (ns + 1),
+                             (law_c / (ns + 0.5)) ** 2).reshape(len(ns), n_v)
     strips = {}
-    for n in range(n_lo, n_hi + 1):
-        strips[n] = Strip(n, tau_lo=bounds[n], tau_hi=bounds[n - 1], v_grid=v_grid)
+    for j, n in enumerate(range(n_lo, n_hi + 1), start=1):
+        strips[n] = Strip(n, tau_lo=roots[j], tau_hi=roots[j - 1], v_grid=v_grid)
 
-    # images
-    images = {}
-    for n, st in strips.items():
-        pts = []
-        for i, v in enumerate(st.v_grid):
-            for frac in (0.25, 0.5, 0.75):
-                tau = st.tau_lo[i] + frac * (st.tau_hi[i] - st.tau_lo[i])
-                try:
-                    v2, tau2, c, _ = lab.return_map(v, tau)
-                except PassageError:
-                    continue
-                if c == n:
-                    pts.append((v2, tau2))
-        images[n] = np.array(pts)
+    # images: three points per strip and v-line, kept where the count is the strip's
+    fracs = np.array([0.25, 0.5, 0.75])
+    taus = roots[1:, :, None] + fracs * (roots[:-1, :, None] - roots[1:, :, None])
+    vs = np.broadcast_to(v_grid[None, :, None], taus.shape).ravel()
+    of_strip = np.broadcast_to(np.arange(n_lo, n_hi + 1)[:, None, None], taus.shape).ravel()
+    ret = counted.return_maps(vs, taus.ravel())
+    images = {n: np.column_stack([ret.v_rel, ret.tau])[(of_strip == n) & (ret.count == n)]
+              for n in strips}
 
     mu_v = max(st.lipschitz() for st in strips.values())
     mu_h = _image_lipschitz(images)
@@ -683,6 +874,7 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     fam.diagnostics["hausdorff"] = {
         n: float(np.max(np.abs(im[:, 0]))) if im.size else math.nan
         for n, im in images.items()}
+    fam.diagnostics["counters"] = asdict(counted.counters)
     _check_disjoint(strips)
     return fam
 
@@ -730,21 +922,30 @@ class ConeReport:
     per_strip_expansion: dict
     fd_agreement: float
     expansion_exponent: float
+    v_lines: dict = field(default_factory=dict)   # v-line -> (samples kept, pass rate at eta)
+    counters: dict = field(default_factory=dict)          # MapCounters of the sampling
 
     @property
     def passed(self) -> bool:
         return (self.pass_rate >= 0.95 and 0.0 < self.kappa < 1.0 - self.eta_u * self.eta_s)
 
 
-def _jacobian(lab: HorseshoeLab, v: float, tau: float, h_v: float, h_tau: float):
-    """Forward-difference Jacobian of the return map in (v_rel, tau)."""
-    def f(vv, tt):
-        return np.array(lab.return_map(vv, tt)[:2])
+def _jacobian(lab: HorseshoeLab, v, tau, h_v, h_tau):
+    """Forward-difference Jacobians of the return map at arrays of points.
 
-    base = f(v, tau)
-    col_v = (f(v + h_v, tau) - base) / h_v
-    col_t = (f(v, tau + h_tau) - base) / h_tau
-    return np.column_stack([col_v, col_t]), base
+    Each point and its two shifted copies are lanes of one batch, so the
+    columns are differences of one discrete map, not of separately stepped
+    orbits: internal numerical differentiation (Bock 1981).  Returns
+    (D, ok): D of shape (m, 2, 2) in the (v_rel, tau) basis, and whether
+    all three returns of a point came back.
+    """
+    v, tau, h_v, h_tau = (np.atleast_1d(np.asarray(x, dtype=float))
+                          for x in np.broadcast_arrays(v, tau, h_v, h_tau))
+    ret = lab.return_maps(np.concatenate([v, v + h_v, v]),
+                          np.concatenate([tau, tau, tau + h_tau]))
+    img = np.stack([ret.v_rel, ret.tau]).reshape(2, 3, v.size)
+    cols = np.stack([(img[:, 1] - img[:, 0]) / h_v, (img[:, 2] - img[:, 0]) / h_tau], axis=-1)
+    return cols.transpose(1, 0, 2), ret.ok.reshape(3, v.size).all(axis=0)
 
 
 def verify_cones(lab: HorseshoeLab, family: StripFamily,
@@ -754,45 +955,44 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
     Cones |V| <= eta |T| (unstable) and |T| <= eta |V| (stable) in the
     (v_rel, tau) tangent basis, 1-norm; expansion kappa^-1 = min growth of
     cone vectors.  Finite differences are Richardson-validated at h and h/4
-    on a subsample.  Jacobian sampling runs on a copy of the lab at
-    _CONE_RTOL.  The steps (h_tau = 1e-3 of the strip width, h_v = 1e-4
-    delta_q) are not far above the passage noise at that tolerance: at the
-    operating point single Jacobians at h and h/4 disagree by 1.4e-2 to
-    3.48 relative to their largest entry, criterion 9's worst over its 12
-    checks has read 1.6 to 10.8, and `fd_agreement` reports that worst.
+    on the first _RICHARDSON_CHECKS samples.  Jacobian sampling runs on a
+    copy of the lab at _CONE_RTOL, every sample of every strip in one
+    `_jacobian` batch with the h/4 columns of the checked samples (one batch
+    for all strips took half the time of one per strip).  The steps are
+    h_tau = 1e-3 of the strip width and h_v = 1e-4 delta_q.  With the
+    columns sharing their steps, single Jacobians at h and h/4 disagree by
+    3.6e-6 to 1.0e-5 relative to their largest entry on criterion 9's 12
+    checks, the size of the forward-difference truncation; with every
+    column integrated alone they disagreed by 1.4e-2 to 3.48, and the worst
+    of the 12 read 1.6 to 10.8.  `fd_agreement` reports that worst.  A
+    sample whose returns fail is skipped.
     """
-    sample_jacs = []
-    per_strip = {}
-    fd_worst = 0.0
     rng = np.random.default_rng(20240601)
-    check_budget = _RICHARDSON_CHECKS
-    lab = dataclasses.replace(lab, rtol=_CONE_RTOL)
+    lab = dataclasses.replace(lab, rtol=_CONE_RTOL, counters=MapCounters())
+    strip, v, tau, h_tau = [], [], [], []
     for n, st in family.strips.items():
-        mats = []
         width = float(np.mean(st.tau_hi - st.tau_lo))
         for _ in range(samples_per_strip):
             i = rng.integers(0, len(st.v_grid))
-            v = float(st.v_grid[i])
-            frac = rng.uniform(0.2, 0.8)
-            tau = float(st.tau_lo[i] + frac * (st.tau_hi[i] - st.tau_lo[i]))
-            h_tau = 1e-3 * width
-            h_v = 1e-4 * lab.delta_q
-            try:
-                Dpsi, _ = _jacobian(lab, v, tau, h_v, h_tau)
-            except (PassageError, DomainError):
-                continue
-            if check_budget > 0:
-                try:
-                    D4, _ = _jacobian(lab, v, tau, h_v / 4.0, h_tau / 4.0)
-                    dev = np.max(np.abs(D4 - Dpsi)) / max(np.max(np.abs(D4)), 1e-30)
-                    fd_worst = max(fd_worst, float(dev))
-                    check_budget -= 1
-                    Dpsi = D4
-                except (PassageError, DomainError):
-                    pass
-            mats.append(Dpsi)
-        per_strip[n] = mats
-        sample_jacs.extend(mats)
+            strip.append(n)
+            v.append(st.v_grid[i])
+            tau.append(st.tau_lo[i] + rng.uniform(0.2, 0.8) * (st.tau_hi[i] - st.tau_lo[i]))
+            h_tau.append(1e-3 * width)
+    strip, v, tau, h_tau = map(np.array, (strip, v, tau, h_tau))
+    h_v = np.full(v.size, 1e-4 * lab.delta_q)
+    # every sample in one batch, the first ones again at h/4
+    m = min(_RICHARDSON_CHECKS, v.size)
+    D, ok = _jacobian(lab, np.r_[v, v[:m]], np.r_[tau, tau[:m]],
+                      np.r_[h_v, h_v[:m] / 4.0], np.r_[h_tau, h_tau[:m] / 4.0])
+    D, D4, ok, ok4 = D[:v.size], D[v.size:], ok[:v.size], ok[v.size:]
+    checked = ok[:m] & ok4
+    dev = (np.max(np.abs(D4 - D[:m]), axis=(1, 2))
+           / np.maximum(np.max(np.abs(D4), axis=(1, 2)), 1e-30))
+    fd_worst = float(np.max(dev[checked], initial=0.0))
+    D[:m][checked] = D4[checked]
+    per_strip = {n: list(D[ok & (strip == n)]) for n in family.strips}
+    sample_v = v[ok]
+    sample_jacs = list(D[ok])
 
     if not sample_jacs:
         raise PassageError("no cone samples could be evaluated")
@@ -803,6 +1003,7 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
         edges_s = [np.array([1.0, eta]), np.array([1.0, -eta])]
         n_pass = 0
         expansions = []
+        flags = []
         for D in sample_jacs:
             ok = True
             exp_here = math.inf
@@ -822,7 +1023,8 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
                         break
                     growth = (abs(y[0]) + abs(y[1])) / (abs(x[0]) + abs(x[1]))
                     exp_here = min(exp_here, growth)
-            if ok and exp_here > 1.0:
+            flags.append(ok and exp_here > 1.0)
+            if flags[-1]:
                 n_pass += 1
                 expansions.append(exp_here)
         rate = n_pass / len(sample_jacs)
@@ -830,11 +1032,14 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
             kappa = 1.0 / float(np.quantile(expansions, 0.02))
         else:
             kappa = math.inf
-        cand = (rate, eta, kappa, expansions)
+        cand = (rate, eta, kappa, expansions, flags)
         if best is None or cand[0] > best[0]:
             best = cand
 
-    rate, eta, kappa, expansions = best
+    rate, eta, kappa, expansions, flags = best
+    flags = np.array(flags)
+    v_lines = {float(v): (int(np.sum(sample_v == v)), float(np.mean(flags[sample_v == v])))
+               for v in np.unique(sample_v)}
     strip_expansion = {}
     for n, mats in per_strip.items():
         if mats:
@@ -857,6 +1062,8 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
         per_strip_expansion=strip_expansion,
         fd_agreement=fd_worst,
         expansion_exponent=exponent,
+        v_lines=v_lines,
+        counters=asdict(lab.counters),
     )
 
 
@@ -909,8 +1116,10 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     the middle of the strip's v grid and tau_{k-1} at its start value;
     Newton solves for the other 2(k-1) coordinates with the leg Jacobians of
     `_jacobian`, whose tau step is 1e-3 of the strip's mean width, as in
-    `verify_cones`.  Each node starts at its own v (the image v of the
-    previous start), at the tau where its leg advances the angle by
+    `verify_cones`; each iterate runs its k legs as one lane batch and the
+    2(k-1) columns of its Jacobians as another.  Each node starts at its own
+    v (the image v of the previous start, so the start secants run one
+    orbit at a time), at the tau where its leg advances the angle by
     2 pi (n + 1/2), the largest possible count margin (`_tau_at_advance`):
     the family's interpolated windows can sit one strip off.  Near the passage
     noise floor the tau defect wanders, so the solve keeps its best iterate
@@ -930,20 +1139,10 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     k = len(targets)
 
     # the solve runs on a copy of the lab that counts its return maps
-    maps = 0
-    return_map_raw = lab.return_map_raw
-
-    def counted(v_raw, theta):
-        nonlocal maps
-        maps += 1
-        return return_map_raw(v_raw, theta)
-
-    lab = dataclasses.replace(lab)
-    lab.return_map_raw = counted
-
+    lab = dataclasses.replace(lab, counters=MapCounters())
     nodes = np.empty((k, 2))
-    widths = [float(np.mean(family.strips[n].tau_hi - family.strips[n].tau_lo))
-              for n in targets]
+    widths = np.array([np.mean(family.strips[n].tau_hi - family.strips[n].tau_lo)
+                       for n in targets])
     v = float(np.mean(family.strips[targets[0]].v_grid))
     for i, n in enumerate(targets):
         st = family.strips[n]
@@ -956,11 +1155,10 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     best = None
     stalls = steps = 0
     while True:
-        try:
-            legs = [lab.return_map(v, tau) for v, tau in nodes]
-        except (PassageError, DomainError):
+        legs = lab.return_maps(nodes[:, 0], nodes[:, 1])
+        if not legs.ok.all():
             break
-        gaps = np.array([leg[:2] for leg in legs[:-1]]).reshape(-1, 2) - nodes[1:]
+        gaps = np.column_stack([legs.v_rel, legs.tau])[:-1] - nodes[1:]
         worst = float(np.max(np.abs(gaps), initial=0.0))
         if best is None or worst < best[0]:
             best, stalls = (worst, nodes.copy(), legs, gaps), 0
@@ -969,13 +1167,13 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
         if stalls == 2 or steps == _NEWTON_MAX_ITER or free.size == 0:
             break
         # rows: leg i's gap; columns: D_i at node i, -I at node i+1
-        jac = np.zeros((2 * k - 2, 2 * k))
-        try:
-            for i in range(k - 1):
-                jac[2 * i:2 * i + 2, 2 * i:2 * i + 2] = _jacobian(
-                    lab, nodes[i, 0], nodes[i, 1], 1e-4 * lab.delta_q, 1e-3 * widths[i])[0]
-        except (PassageError, DomainError):
+        D, ok = _jacobian(lab, nodes[:-1, 0], nodes[:-1, 1], 1e-4 * lab.delta_q,
+                          1e-3 * widths[:-1])
+        if not ok.all():
             break
+        jac = np.zeros((2 * k - 2, 2 * k))
+        for i in range(k - 1):
+            jac[2 * i:2 * i + 2, 2 * i:2 * i + 2] = D[i]
         jac[:, 2:] -= np.eye(2 * k - 2)
         nodes.reshape(-1)[free] -= np.linalg.solve(jac[:, free], gaps.reshape(-1))
         steps += 1
@@ -983,10 +1181,11 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     if best is None:
         raise ShadowingError("a leg from the start nodes did not return")
     worst, nodes, legs, gaps = best
-    advances = tuple(float(leg[3]) for leg in legs)
+    advances = tuple(legs.advance.tolist())
+    maps = lab.counters.single_maps + lab.counters.lane_maps
     itinerary = SymbolItinerary(
         symbols=symbols, base=base, nodes=tuple(map(tuple, nodes.tolist())),
-        advances=advances, counts=tuple(leg[2] for leg in legs),
+        advances=advances, counts=tuple(legs.count.tolist()),
         margins=tuple(abs(math.remainder(a, _TWO_PI)) for a in advances),
         defects_v=tuple(np.abs(gaps[:, 0]).tolist()),
         defects_tau=tuple(np.abs(gaps[:, 1]).tolist()),

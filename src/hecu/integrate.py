@@ -10,10 +10,14 @@ orbit on 1-D arrays and takes scipy's steps.
 
 One step loop serves two consumers.  `integrate` keeps the seven
 coefficient arrays of the order-7 dense output of every accepted step, and
-`crossings` finds section zeros on that trajectory.  `first_crossing` runs
-one orbit, evaluates its sections at the step nodes only, and builds the
-interpolant of the one step where the first wanted crossing lies; the
-horseshoe passages run on it.
+`crossings` finds section zeros on that trajectory.  `first_crossing`
+evaluates its sections at the step nodes only, and builds the interpolant
+of a step only where a wanted crossing lies; the horseshoe passages run on
+it.  It runs one orbit, or N terminal lanes: each lane stops at its own
+first crossing and is frozen there (its field set to 0, so it leaves the
+error norm) while the others go on, and a step underflow or a non-finite
+state fails one lane, not the run.  One orbit keeps its scalar-field path,
+about five times cheaper per step than a one-lane run.
 
 The field is polynomial plus trig, never stiff; a step underflow is treated
 as a domain signal (near-singularity such as q -> 0 in reduced
@@ -60,7 +64,14 @@ _ERROR_EXPONENT = -1.0 / 8.0
 
 
 class StepUnderflowError(RuntimeError):
-    """Integration step fell under 1e-14: the orbit is effectively singular."""
+    """Integration step fell under 1e-14: the orbit is effectively singular.
+
+    On lanes, `lane` is the lane with the largest error in the last rejected
+    step; it is None for one orbit."""
+
+    def __init__(self, message, lane=None):
+        super().__init__(message)
+        self.lane = lane
 
 
 class IntegrationError(RuntimeError):
@@ -222,19 +233,25 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
     return min(100.0 * h0, float(np.min(h1)), interval)
 
 
-def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCounters):
+def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCounters,
+           frozen: np.ndarray | None = None):
     """Accepted DOP853 steps of dy/dt = field(t, y) from (t_span[0], y).
 
     Yields (t, y, t_new, y_new, dense) per accepted step until t_span[1];
     dense() returns the 7 coefficient arrays of that step's order-7
     interpolant and must be called before the next step.  y is (n,) for
-    one orbit or (n, N) for N lanes.  Adds the work to `counters`; raises
+    one orbit or (n, N) for N lanes.  `frozen` is a lane mask that the
+    consumer may set between steps: a frozen lane's field is 0, so its state
+    stands still and its error is 0.  Adds the work to `counters`; raises
     StepUnderflowError when the controller asks for a step below the
     spacing limit.
     """
 
     def fun(t, y):
-        return np.asarray(field(t, y), dtype=float)
+        f = np.asarray(field(t, y), dtype=float)
+        if frozen is not None:
+            f[:, frozen] = 0.0
+        return f
 
     def dense():            # of the step just yielded: reads the loop's variables
         for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_NS + 1):
@@ -263,13 +280,16 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
     h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
     counters.rhs_calls += 2
     while direction * (t - t_bound) < 0:
+        if frozen is not None:
+            f[:, frozen] = 0.0      # lanes frozen since f was evaluated
         min_step = 10.0 * abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
                 raise StepUnderflowError(
-                    f"required step {h_abs:.3e} below the spacing limit at t = {t:.17g}")
+                    f"required step {h_abs:.3e} below the spacing limit at t = {t:.17g}",
+                    lane=None if y.ndim == 1 else int(np.argmax(lane_errors)))
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = np.float64(t_bound)
@@ -292,7 +312,8 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
                 error_norm = 0.0 if denom == 0 else float(abs(h) * err5 / math.sqrt(denom * n))
             else:
                 lanes = abs(h) * err5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
-                error_norm = float(np.max(np.where(denom > 0, lanes, 0.0)))
+                lane_errors = np.where(denom > 0, lanes, 0.0)
+                error_norm = float(np.max(lane_errors))
 
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
@@ -422,20 +443,42 @@ def crossings(traj: Trajectory, section, direction: int = 0,
                      direction=sign[cell, lane].astype(int), residual=worst)
 
 
+# outcomes of a lane of `first_crossing` other than a section index
+SPAN_END = -1           # no crossing up to the end of t_span
+UNDERFLOW = -2          # step underflow, or the state stopped being finite
+POLISH_MISS = -3        # the polished crossing missed |g| <= CROSSING_GTOL
+
+
 def first_crossing(field, y0, t_span, sections,
-                   config: IntegratorConfig = IntegratorConfig()):
-    """Integrate one orbit, y0 of shape (n,), up to its first section crossing.
+                   config: IntegratorConfig = IntegratorConfig(),
+                   counters: IntegrationCounters | None = None):
+    """Integrate up to the first section crossing: one orbit, or N lanes.
 
     `sections` lists (g, direction): g maps a state (n,) to a float and
     states (n, K) to (K,), and a crossing counts when sign(dg/dt) equals
     direction (0 takes both).  Sign changes are sought at the step nodes;
-    only the step holding one gets its interpolant, on which crossings are
-    polished as in `crossings`.  Returns (k, t, y) for the earliest, k
-    indexing `sections`, or (None, t, y) at the end of t_span.
+    only a step holding one gets its interpolant, on which crossings are
+    polished as in `crossings`.  Adds the work to `counters` if given.
+
+    y0 of shape (n,) is one orbit: returns (k, t, y) for the earliest
+    crossing, k indexing `sections`, or (None, t, y) at the end of t_span.
+
+    y0 of shape (n, N) is N terminal lanes on one shared step loop, and
+    field maps (n, N) to (n, N).  Each lane stops at its own first crossing
+    and is then frozen: its field is 0 from there on, so it leaves the error
+    norm.  A step underflow freezes the lane with the largest error and the
+    others go on; so does a state that stops being finite.  Returns arrays
+    (k, t, y) of shapes (N,), (N,) and (n, N); k is SPAN_END, UNDERFLOW or
+    POLISH_MISS where a lane has no accepted crossing, with t and y where
+    it stopped.
     """
-    t, y = float(t_span[0]), np.array(y0, dtype=float)
+    counters = IntegrationCounters() if counters is None else counters
+    y0 = np.array(y0, dtype=float)
+    if y0.ndim == 2:
+        return _first_crossings(field, y0, t_span, sections, config, counters)
+    t, y = float(t_span[0]), y0
     g_old = [g(y) for g, _ in sections]
-    for t, y, t_new, y_new, dense in _steps(field, y, t_span, config, IntegrationCounters()):
+    for t, y, t_new, y_new, dense in _steps(field, y, t_span, config, counters):
         h = t_new - t
         g_new = [g(y_new) for g, _ in sections]
         hits = [k for k, (ga, gb) in enumerate(zip(g_old, g_new))
@@ -453,6 +496,7 @@ def first_crossing(field, y0, t_span, sections,
             x, k = min(found)
             state = _horner(F, y[:, None], np.array([x]))[:, 0]
             resid = abs(float(sections[k][0](state)))
+            counters.polish_residual = max(counters.polish_residual, resid)
             if resid > CROSSING_GTOL:
                 raise IntegrationError(
                     f"event polish reached |g| = {resid:.3e} > {CROSSING_GTOL:g}")
@@ -460,6 +504,69 @@ def first_crossing(field, y0, t_span, sections,
         g_old = g_new
         t, y = t_new, y_new
     return None, float(t), y
+
+
+def _first_crossings(field, y0, t_span, sections, config, counters):
+    """The lane form of `first_crossing`, y0 of shape (n, N)."""
+    n_lanes = y0.shape[1]
+    kind = np.full(n_lanes, SPAN_END)
+    t_out = np.full(n_lanes, float(t_span[1]))
+    y_out = y0.copy()
+    frozen = np.zeros(n_lanes, dtype=bool)
+
+    def stop(lanes, k, t, y):
+        kind[lanes], t_out[lanes], y_out[:, lanes] = k, t, y
+        frozen[lanes] = True
+
+    t_now, y_now = float(t_span[0]), y0
+    g_old = [np.asarray(g(y0), dtype=float) for g, _ in sections]
+    while not frozen.all():
+        try:
+            for t, y, t_now, y_now, dense in _steps(field, y_now, (t_now, t_span[1]),
+                                                     config, counters, frozen):
+                h = t_now - t
+                broken = ~frozen & ~np.all(np.isfinite(y_now), axis=0)
+                if broken.any():
+                    stop(broken, UNDERFLOW, t, y[:, broken])
+                    y_now[:, broken] = y[:, broken]     # the step loop goes on from y_now
+                g_new = [np.asarray(g(y_now), dtype=float) for g, _ in sections]
+                hits = np.array([~frozen & ((ga * gb < 0) | ((gb == 0) & (ga != 0)))
+                                 & (d * (gb - ga) * h >= 0)
+                                 for ga, gb, (_, d) in zip(g_old, g_new, sections)])
+                g_prev, g_old = g_old, g_new
+                lanes = np.flatnonzero(hits.any(axis=0))
+                if not lanes.size:
+                    continue
+                F = dense()[:, :, lanes]
+                x = np.full(lanes.size, np.inf)
+                k = np.zeros(lanes.size, dtype=int)
+                for s, (g, _) in enumerate(sections):
+                    on = hits[s, lanes]
+                    if not on.any():
+                        continue
+                    Fs, ys = F[:, :, on], y[:, lanes[on]]
+                    xs = _polish(lambda xx: g(_horner(Fs, ys, xx)),
+                                 np.zeros(ys.shape[1]), np.ones(ys.shape[1]),
+                                 g_prev[s][lanes[on]], g_new[s][lanes[on]],
+                                 CROSSING_XTOL / abs(h))
+                    earlier = xs < x[on]        # ties keep the lower section
+                    x[on] = np.where(earlier, xs, x[on])
+                    k[on] = np.where(earlier, s, k[on])
+                state = _horner(F, y[:, lanes], x)
+                resid = np.empty(lanes.size)
+                for s, (g, _) in enumerate(sections):
+                    resid[k == s] = np.abs(g(state[:, k == s]))
+                counters.polish_residual = max(counters.polish_residual, float(resid.max()))
+                stop(lanes, np.where(resid > CROSSING_GTOL, POLISH_MISS, k), t + x * h, state)
+                if frozen.all():
+                    break
+            else:
+                break       # the end of t_span
+        except StepUnderflowError as exc:
+            stop(exc.lane, UNDERFLOW, t_now, y_now[:, exc.lane])
+    running = ~frozen
+    y_out[:, running] = y_now[:, running]
+    return kind, t_out, y_out
 
 
 def _polish(g_at, a, b, ga, gb, width_tol) -> np.ndarray:

@@ -83,6 +83,23 @@ class CorrugationSeries:
             vp = vp + n * (s * cn - r * sn)
         return v, vp
 
+    def on_lanes(self, theta0: np.ndarray):
+        """V(theta0 + s) for lanes with angles theta0 that share s: a function of s.
+
+        V(theta) = Re sum_n (r_n - i s_n) e^{i n theta}.  The phases
+        e^{i n theta0} of the lanes are taken once, so a call is one product
+        of that (N, order) table with e^{i n s}, where `trig` would run its
+        recurrence on N angles.
+        """
+        n = np.arange(1, self.order + 1)
+        table = (np.exp(1j * np.multiply.outer(theta0, n))
+                 * (np.array(self.cos_coeffs) - 1j * np.array(self.sin_coeffs)))
+
+        def value(s):
+            return (table @ np.exp(1j * n * s)).real
+
+        return value
+
     def fourier_coeff(self, k: int) -> complex:
         """Complex coefficient V^[k] of e^{i k theta}; zero for k=0 or |k| > order."""
         k = int(k)

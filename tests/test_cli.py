@@ -96,6 +96,27 @@ def test_splitting_csv(tmp_path):
     assert set(manifest["outputs"]) == {"splitting.csv"}
 
 
+def test_horseshoe_manifest_counts_return_maps(tmp_path):
+    out = tmp_path / "h"
+    assert run(["horseshoe", "--samples", "5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"horseshoe_report.txt", "cone_samples.csv"}
+    counters = manifest["counters"]
+    strips, cones = counters["strips"], counters["cones"]
+    assert strips["single_maps"] == 1 and strips["lane_maps"] > strips["batches"] > 1
+    assert cones["single_maps"] == 0 and cones["batches"] == 1
+    assert cones["lane_maps"] == 3 * (4 * 5) + 3 * 12
+    for phase in (strips, cones):
+        assert phase["work"]["steps"] > 0 and phase["work"]["rejected_steps"] >= 0
+        assert set(phase["failures"]) <= {"escape", "timeout", "underflow", "polish", "domain"}
+    lines = counters["cone_v_lines"]
+    assert sum(line["samples"] for line in lines) == 20 and not cones["failures"]
+    assert all(0.0 <= line["pass_rate"] <= 1.0 for line in lines)
+    report = (out / "horseshoe_report.txt").read_text()
+    assert "fd_agreement (worst relative disagreement of h and h/4 Jacobians): " in report
+    assert "%" not in report.split("fd_agreement")[1].splitlines()[0]
+
+
 def test_sweep_counters_sum_sheets(tmp_path):
     out = tmp_path / "w"
     code = run(["sweep", "--nuI0", "4:8:1", "--epsilon", "1e-4", "--out", str(out)])

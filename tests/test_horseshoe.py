@@ -225,7 +225,11 @@ def test_select_operating_point():
 
 class _NoReturnLab(HorseshoeLab):
     def return_map_raw(self, v_raw, theta):
-        raise PassageError("corner passage failed: escape")
+        raise PassageError("corner passage failed: escape", "escape")
+
+    def return_maps_raw(self, v_raw, theta):
+        nan = np.full(v_raw.shape, np.nan)
+        return nan, nan, np.full(v_raw.shape, "escape", dtype=object)
 
 
 def test_verify_cones_leaves_lab_tolerance():
@@ -254,10 +258,20 @@ class _ExpandingLab(HorseshoeLab):
     def return_map_raw(self, v_raw, theta):
         v_rel, tau = self.coords(v_raw, theta)
         if tau <= 0:
-            raise PassageError("corner passage failed: escape")
+            raise PassageError("corner passage failed: escape", "escape")
         th2 = theta + 2 * math.pi * self.C / tau + self.jitter * math.sin(1e9 * theta)
         count = int(math.floor((th2 - theta) / (2 * math.pi)))
         return 5e-4 + 0.05 * v_rel + 0.1 * (tau - 8e-3), th2, count
+
+    def return_maps_raw(self, v_raw, theta):
+        # the same closed form on arrays; tau <= 0 escapes
+        v_rel, tau = self.coords(v_raw, theta)
+        back = tau > 0
+        safe = np.where(back, tau, 1.0)
+        th2 = np.where(back, theta + 2 * math.pi * self.C / safe
+                       + self.jitter * np.sin(1e9 * theta), np.nan)
+        v2 = np.where(back, 5e-4 + 0.05 * v_rel + 0.1 * (tau - 8e-3), np.nan)
+        return v2, th2, np.where(back, "", "escape").astype(object)
 
 
 def _expanding_family(lab_cls):
@@ -303,6 +317,30 @@ def test_shadow_orbit_starts_legs_at_half_period_advance():
         assert tau == pytest.approx(lab.C / (150 + symbol + 0.5), rel=3e-7)
 
 
+class _HoleLab(_ExpandingLab):
+    """Returns from v_rel > 4e-3 escape: on the family's v grid, every sample
+    of the line v_rel = 5e-3."""
+
+    def return_maps_raw(self, v_raw, theta):
+        v2, th2, kind = super().return_maps_raw(v_raw, theta)
+        hole = self.coords(v_raw, theta)[0] > 4e-3
+        v2[hole] = th2[hole] = np.nan
+        kind[hole] = "escape"
+        return v2, th2, kind
+
+
+def test_verify_cones_skips_only_escaping_samples():
+    # the batches hold samples of both v-lines; the escaping lanes fail their
+    # own samples and the rest come out as without them
+    whole = verify_cones(*_expanding_family(_ExpandingLab), samples_per_strip=25)
+    holed = verify_cones(*_expanding_family(_HoleLab), samples_per_strip=25)
+    assert sorted(whole.v_lines) == [1e-3, 5e-3]
+    assert holed.v_lines == {1e-3: whole.v_lines[1e-3]}
+    assert holed.n_samples == whole.v_lines[1e-3][0] == whole.n_samples - whole.v_lines[5e-3][0]
+    assert holed.counters["failures"]["escape"] >= 3 * whole.v_lines[5e-3][0]
+    assert whole.counters["batches"] == 1 and not whole.counters["failures"]
+
+
 def test_build_strips_finds_closed_form_edges():
     lab, _ = _expanding_family(_ExpandingLab)
     family = build_strips(lab, (151, 154), n_v=3)
@@ -310,6 +348,10 @@ def test_build_strips_finds_closed_form_edges():
     for n, st in family.strips.items():
         assert np.all(np.abs(st.tau_lo / (lab.C / (n + 1)) - 1.0) <= 3e-7)
         assert np.all(np.abs(st.tau_hi / (lab.C / n) - 1.0) <= 3e-7)
+    # one calibration return, then every secant round and the images as batches
+    counters = family.diagnostics["counters"]
+    assert counters["single_maps"] == 1 and counters["batches"] >= 3
+    assert counters["lane_maps"] >= 2 * 5 * 3 + 4 * 3 * 3 and not counters["failures"]
 
 
 def test_tau_at_advance_leaves_rectangle():
@@ -338,6 +380,16 @@ def test_shadow_orbit_raises_when_legs_miss_the_bound():
     assert len(err.value.achieved) == 3
 
 
+def test_reduced_rhs_lanes_match_scalar_field():
+    rng = np.random.default_rng(4)
+    y = np.array([rng.uniform(0.0, 0.6, 9), rng.uniform(-0.4, 0.4, 9)])
+    theta0 = rng.uniform(-3.0, 900.0, 9)
+    lanes = horseshoe._reduced_rhs_lanes(PARAMS, theta0)(2.5, y)
+    scalar = reduced_rhs(PARAMS)
+    for j in range(9):
+        assert np.allclose(lanes[:, j], scalar(theta0[j] + 2.5, y[:, j]), rtol=1e-13, atol=1e-16)
+
+
 @pytest.fixture(scope="module")
 def real_lab():
     return setup_horseshoe(select_operating_point())
@@ -359,3 +411,24 @@ def test_strip_boundaries_separate_counts(real_lab):
         tau_b = _tau_at_advance(lab, v, 2 * math.pi * (n + 1), (law_c / (n + 0.5)) ** 2)
         assert lab.passage_count(v, tau_b * (1 - 2e-6)) == n + 1
         assert lab.passage_count(v, tau_b * (1 + 2e-6)) == n
+
+
+def test_return_maps_match_single_returns(real_lab):
+    # four points as lanes of one batch, one of them past W^s: that lane
+    # escapes alone, and the others agree with their one-orbit returns to
+    # the passage noise at rtol 1e-11 (about 1e-5 rad of advance)
+    lab = dataclasses.replace(real_lab, counters=horseshoe.MapCounters())
+    d = lab.delta_q
+    v = np.array([0.05, 0.3, 0.3, 0.7]) * d
+    tau = np.array([0.4, 0.5, -0.3, 0.6]) * d
+    ret = lab.return_maps(v, tau)
+    assert list(ret.kind) == ["", "", "escape", ""]
+    assert ret.count[2] == -1 and np.isnan(ret.advance[2])
+    for j in (0, 1, 3):
+        v2, tau2, count, advance = lab.return_map(v[j], tau[j])
+        assert ret.count[j] == count
+        assert abs(ret.advance[j] - advance) <= 1e-4
+        assert abs(ret.tau[j] - tau2) <= 1e-4 and abs(ret.v_rel[j] - v2) <= 1e-9
+    counters = lab.counters
+    assert (counters.lane_maps, counters.batches, counters.single_maps) == (4, 1, 3)
+    assert counters.failures == {"escape": 1} and counters.work.steps > 0

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hecu.horseshoe import LocalChart, _escape_section, _masked_section, _reduced_rhs_lanes
 from hecu.integrate import (
+    SPAN_END,
+    UNDERFLOW,
+    IntegrationCounters,
     IntegratorConfig,
     StepUnderflowError,
     crossings,
@@ -210,6 +214,83 @@ def test_first_crossing_direction_backward(params_eps0):
     assert first_crossing(rhs, y0, (0.0, -5.0), [(lambda y: y[0] - 0.5, -1)], TIGHT)[0] is None
     k, t, _ = first_crossing(rhs, y0, (0.0, -5.0), [(lambda y: y[0] - 0.5, +1)], TIGHT)
     assert k == 0 and t == pytest.approx(-math.sqrt(3.0), abs=1e-10)
+
+
+def test_lane_crossings_match_single_runs():
+    # global legs (Sigma0 -> Sigma1, about 80 rad) and corner legs (Sigma1 ->
+    # Sigma0, 600 rad from u0 = 1e-3) of the reduced flow in one batch, with
+    # a corner leg that escapes past W^s and one (u0 = 1e-5, about 7,000 rad)
+    # that runs out of the span.  Each leg starts 2% of a off its own section,
+    # so no lane crosses the other leg's section on the way.  The escape
+    # starts well past W^s: nearer, its crossing time is ill-conditioned
+    # (u0 = -1e-3 moves it 5e-9 against a state that agrees to 3e-13).
+    params = params_for_nu_I0(4.5, epsilon=1.0)
+    chart = LocalChart()
+    a = chart.a
+    starts = [(1.02 * a, 1e-3, 0.5), (1.02 * a, 5e-3, 3.0), (1e-3, 0.98 * a, 2.0),
+              (-1e-2, 0.98 * a, 1.0), (1e-5, 0.98 * a, 4.0)]
+    y0 = np.array([chart.from_chart(u, v) for u, v, _ in starts]).T
+    theta0 = np.array([th for _, _, th in starts])
+    sections = [(_masked_section(chart, "v"), -1), (_masked_section(chart, "u"), +1),
+                (_escape_section(chart), -1)]
+    config = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+    span = (0.0, 3000.0)
+    counters = IntegrationCounters()
+    k, t, y = first_crossing(_reduced_rhs_lanes(params, theta0), y0, span, sections,
+                             config, counters)
+    assert list(k) == [0, 0, 1, 2, SPAN_END]
+    assert t[0] > 50.0 and t[2] > 500.0 and t[4] == span[1]
+    assert counters.steps > 0 and counters.polish_residual <= 1e-12
+    for j in range(len(starts)):
+        k1, t1, y1 = first_crossing(_reduced_rhs_lanes(params, theta0[j]), y0[:, j], span,
+                                    sections, config)
+        assert (SPAN_END if k1 is None else k1) == k[j]
+        assert abs(t[j] - t1) <= 1e-9
+        assert np.max(np.abs(y[:, j] - y1)) <= 1e-12
+
+
+def _rotations(omega, label_kick):
+    """Lanes (x, y, label) turning at rates omega; the label is constant.
+
+    After t = 1 a lane labelled 1 has its field raised by label_kick."""
+    def field(t, s):
+        x, y, label = s
+        kick = 1.0 + label_kick * label * (t > 1.0)
+        return np.array((-omega * y * kick, omega * x * kick, 0.0 * x))
+    return field
+
+
+def test_frozen_lane_leaves_the_others_alone():
+    # lane 1 crosses y = 0 upward at t = 0.1 and is frozen; if its field
+    # were not zeroed, the kick it gets after t = 1 would take over the
+    # shared step control before lane 0 crosses at t = pi - atan(1e-3)
+    omega = np.array([1.0, 3.0])
+    y0 = np.array([[-1.0, math.cos(-0.3)], [-1e-3, math.sin(-0.3)], [0.0, 1.0]])
+    rises = [(lambda s: s[1], +1)]
+    runs = [first_crossing(_rotations(omega, kick), y0, (0.0, 10.0), rises, TIGHT)
+            for kick in (0.0, 1e8)]
+    for k, t, y in runs:
+        assert list(k) == [0, 0]
+        assert t[0] == pytest.approx(math.pi - math.atan(1e-3), abs=1e-9)
+        assert t[1] == pytest.approx(0.1, abs=1e-9)
+    for out_a, out_b in zip(*runs):
+        assert np.array_equal(out_a, out_b)
+
+
+def test_underflow_freezes_one_lane():
+    # lane 0's field has a pole at t = 1 and never reaches y = 5; lane 2's
+    # turns NaN after t = 0.5; lane 1 rises at unit speed and crosses at t = 5
+    rises = [(lambda y: y[0] - 5.0, +1)]
+    config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10)
+    k, t, y = first_crossing(
+        lambda t, y: np.array([[-1.0 / (1.0 - t), 1.0, math.nan if t > 0.5 else 1.0]]),
+        np.zeros((1, 3)), (0.0, 8.0), rises, config)
+    assert list(k) == [UNDERFLOW, 0, UNDERFLOW]
+    assert 0.99 < t[0] < 1.0 and t[2] <= 0.5 and y[0, 2] == pytest.approx(t[2], abs=1e-12)
+    assert t[1] == pytest.approx(5.0, abs=1e-10) and y[0, 1] == pytest.approx(5.0, abs=1e-12)
+    with pytest.raises(StepUnderflowError):
+        first_crossing(lambda t, y: np.array([-1.0 / (1.0 - t)]), np.zeros(1),
+                       (0.0, 8.0), rises, config)
 
 
 def test_src_has_one_integrator():

@@ -84,6 +84,16 @@ def test_trig_matches_direct_sums(theta):
     assert np.max(np.abs(vp - ref_vp)) <= 1e-14
 
 
+def test_on_lanes_matches_direct_sums():
+    # lanes at angles theta0 that share s: V(theta0 + s) for each lane
+    theta0 = np.linspace(-5.0, 950.0, 13)
+    corrugation = ODD5.on_lanes(theta0)
+    for s in (0.0, 0.37, 812.5):
+        v = corrugation(s)
+        assert v.shape == theta0.shape
+        assert np.max(np.abs(v - _direct_sums(ODD5, theta0 + s)[0])) <= 1e-12
+
+
 def test_trig_slope_is_derivative():
     thetas = np.linspace(-4.0, 9.0, 57)
     h = 1e-6
