@@ -199,14 +199,10 @@ def criterion_8(cache: dict) -> CriterionResult:
     params = lab.params
     chart = lab.chart
     u0s = np.logspace(-2, -6, 5)
-    v1s = []
-    dts = []
     theta0 = lab.branch.theta[0]
-    u_s = lab.ws_u(theta0)
-    for u0 in u0s:
-        v1, th1 = local_map(params, chart, float(u0) + u_s, theta0)
-        v1s.append(v1 - float(lab.wu_local(th1)))
-        dts.append(th1 - theta0)
+    v1, th1 = local_map(params, chart, u0s + lab.ws_u(theta0), theta0)
+    v1s = v1 - lab.wu_local(th1)
+    dts = th1 - theta0
     p_v = np.polyfit(np.log(u0s), np.log(np.abs(v1s)), 1)[0]
     p_t = np.polyfit(np.log(u0s), np.log(dts), 1)[0]
     ok = (worst_trunc <= 1e-12 and abs(p_v - 1.0) <= 0.2

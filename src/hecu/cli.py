@@ -275,6 +275,7 @@ def _cmd_horseshoe(args) -> int:
                 ["strip", "tau_lo", "tau_hi", "lipschitz", "median_expansion"],
                 rows)
     run.counters = {
+        "setup": lab.diagnostics["counters"],
         "strips": family.diagnostics["counters"],
         "cones": report.counters,
         "cone_v_lines": [{"v_rel": v, "samples": n, "pass_rate": rate}

@@ -14,12 +14,15 @@ u, v = (w -+ p)/2, which makes the uncorrugated homoclinic loop exactly
 {v = 0} u {u = 0}.
 
 Passages: every leg of the reduced flow (the excursion Sigma0 -> Sigma1,
-the corner passage Sigma1 -> Sigma0, the W^u fibres of the set-up and the
-truncated corner model) is one `integrate.first_crossing` run against its
-target section and the escape section, on the package's DOP853 engine.
-Independent returns (strip edges, strip images, the columns of the cone
-and shadowing Jacobians) run as terminal lanes of one such run per leg,
-`HorseshoeLab.return_maps`; a failed lane fails its own return only.
+the corner passage Sigma1 -> Sigma0 and the W^u fibres of the set-up) runs
+as terminal lanes of one `integrate.first_crossing` run against its target
+section and the escape section, `_lanes_to_section`, and a failed lane
+fails its own passage only.  Returns run as one such run per leg,
+`HorseshoeLab.return_maps_raw`; a single orbit is a batch of one lane.
+Independent orbits (the set-up's fibres, bisection rounds and branch walk,
+strip edges and images, the columns of the cone and shadowing Jacobians)
+run as the lanes of one batch.  Only the truncated corner model, an
+oracle, runs on a field of its own.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ from .integrate import (
     SPAN_END,
     UNDERFLOW,
     IntegrationCounters,
-    IntegrationError,
     IntegratorConfig,
-    StepUnderflowError,
     first_crossing,
 )
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
@@ -96,27 +97,11 @@ def action_offset_closed(q, p, theta, params: ModelParams) -> float:
     return math.sqrt(disc) / params.nu - params.I0
 
 
-def reduced_rhs(params: ModelParams):
-    """(dq/dtheta, dp/dtheta) on the level set, in scalar math for the integrator."""
-    nu = params.nu
-    eps = params.epsilon
-    twoE = 2.0 * params.energy
-    trig = params.series.trig
-
-    def rhs(theta, y):
-        q, p = y
-        v = trig(theta)[0]
-        q2 = q * q
-        w = p * p - q2 + q2 * q2 * (1.0 + eps * v)
-        D = math.sqrt(nu * (twoE - w))
-        return (-q * p / D,
-                q * (-q + 2.0 * q * q2 + 2.0 * eps * q * q2 * v) / D)
-
-    return rhs
-
-
 def _reduced_rhs_lanes(params: ModelParams, theta0: np.ndarray):
-    """`reduced_rhs` on lanes y of shape (2, N); lane j runs in s = theta - theta0[j]."""
+    """(dq/dtheta, dp/dtheta) on the level set for lanes y of shape (2, N).
+
+    Lane j runs in s = theta - theta0[j], so the lanes share s.
+    """
     nu = params.nu
     eps = params.epsilon
     twoE = 2.0 * params.energy
@@ -128,6 +113,16 @@ def _reduced_rhs_lanes(params: ModelParams, theta0: np.ndarray):
         c = q2 * (1.0 + eps * corrugation(s))
         r = q / np.sqrt(nu * (twoE - (p * p - q2 + q2 * c)))
         return np.array((-p * r, q * r * (2.0 * c - 1.0)))
+
+    return rhs
+
+
+def reduced_rhs(params: ModelParams):
+    """The reduced field for one state (q, p) at angle theta: one lane at theta0 = 0."""
+    lanes = _reduced_rhs_lanes(params, np.zeros(1))
+
+    def rhs(theta, y):
+        return lanes(theta, np.reshape(y, (2, 1)))[:, 0]
 
     return rhs
 
@@ -196,35 +191,24 @@ def _escape_section(chart: LocalChart):
     return g
 
 
-def _integrate_to_section(params: ModelParams, chart: LocalChart, y0, theta0,
-                          which: str, direction: int, theta_max: float,
-                          rtol: float = 1e-11, counters: IntegrationCounters | None = None):
-    """Reduced flow until the masked section crossing; detects escape.
-
-    Returns (kind, theta, (q, p)) with kind "section", "escape" or
-    "timeout"; a step underflow or a failed event polish is a PassageError.
-    """
-    sections = [(_masked_section(chart, which), direction), (_escape_section(chart), -1)]
-    try:
-        k, th, y = first_crossing(reduced_rhs(params), y0, (theta0, theta0 + theta_max),
-                                  sections, IntegratorConfig(rel_tol=rtol, abs_tol=_PASSAGE_ATOL),
-                                  counters)
-    except StepUnderflowError as exc:
-        raise PassageError(f"passage integration failed: {exc}", "underflow") from exc
-    except IntegrationError as exc:
-        raise PassageError(f"passage integration failed: {exc}", "polish") from exc
-    return ("timeout", "section", "escape")[0 if k is None else k + 1], th, y
-
-
 # lane outcome of `first_crossing` -> failure kind of a passage; "" is a crossing
 _LANE_KINDS = {0: "", 1: "escape", SPAN_END: "timeout", UNDERFLOW: "underflow",
                POLISH_MISS: "polish"}
+# failure kind -> what went wrong, for messages
+_FAILURES = {"escape": "escape", "timeout": "timeout", "underflow": "step underflow",
+             "polish": "event polish miss", "domain": "start outside the chart"}
+
+
+def _failure(what: str, kind: str) -> Exception:
+    """The exception of a single orbit whose passage ended in `kind`."""
+    message = f"{what} failed: {_FAILURES[kind]}"
+    return DomainError(message) if kind == "domain" else PassageError(message, kind)
 
 
 def _lanes_to_section(params: ModelParams, chart: LocalChart, y0: np.ndarray,
-                       theta0: np.ndarray, which: str, direction: int, theta_max: float,
-                       rtol: float, counters: IntegrationCounters):
-    """`_integrate_to_section` for lanes y0 of shape (2, N) starting at angles theta0.
+                      theta0: np.ndarray, which: str, direction: int, theta_max: float,
+                      rtol: float = 1e-11, counters: IntegrationCounters | None = None):
+    """Reduced flow of lanes y0 (2, N) from angles theta0 to the masked section.
 
     Returns (kind, theta, y): kind "" where a lane crossed its section, else
     "escape", "timeout", "underflow" or "polish" for that lane alone.
@@ -237,43 +221,37 @@ def _lanes_to_section(params: ModelParams, chart: LocalChart, y0: np.ndarray,
     return kind, theta0 + s, y
 
 
-def _corner_pass(params: ModelParams, chart: LocalChart, u0: float,
-                 theta0: float, rtol: float = 1e-11,
-                 counters: IntegrationCounters | None = None) -> tuple[float, float]:
-    if u0 <= 0:
-        raise PassageError("entry on the escape side of the stable manifold", "escape")
-    if u0 >= 0.9 * chart.a:
-        raise PassageError("entry outside the corner neighborhood", "escape")
-    q, p = chart.from_chart(u0, chart.a)
-    kind, th1, y1 = _integrate_to_section(params, chart, (q, p), theta0,
-                                          "u", +1, _CORNER_SPAN, rtol=rtol, counters=counters)
-    if kind != "section":
-        raise PassageError(f"corner passage failed: {kind}", kind)
-    return chart.to_chart(y1[0], y1[1])[1], th1
-
-
-def local_map(params: ModelParams, chart: LocalChart, u0: float,
-              theta0: float) -> tuple[float, float]:
+def local_map(params: ModelParams, chart: LocalChart, u0, theta0):
     """Corner passage Sigma1 -> Sigma0: (u0, a, theta0) -> (a, v1, theta1).
 
-    Raises PassageError if the orbit escapes along the other side of the
-    stable manifold instead of turning around the corner.
+    u0 and theta0 are floats or arrays; the passages run as the lanes of one
+    batch, and (v1, theta1) has their broadcast shape.  Raises PassageError
+    if an orbit escapes along the other side of the stable manifold instead
+    of turning around the corner.
     """
-    if not 0 < u0 < chart.delta:
+    u0, theta0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
+                                     np.asarray(theta0, dtype=float))
+    if not np.all((0 < u0) & (u0 < chart.delta)):
         raise DomainError("local map needs 0 < u0 < delta on Sigma1")
-    return _corner_pass(params, chart, u0, theta0)
+    y0 = np.array(chart.from_chart(u0.ravel(), chart.a))
+    kind, th1, y1 = _lanes_to_section(params, chart, y0, theta0.ravel(), "u", +1, _CORNER_SPAN)
+    failed = kind != ""
+    if failed.any():
+        raise _failure("corner passage", kind[np.argmax(failed)])
+    v1 = chart.to_chart(y1[0], y1[1])[1]
+    return v1.reshape(u0.shape)[()], th1.reshape(u0.shape)[()]
 
 
 def global_map(params: ModelParams, chart: LocalChart, v0: float, theta0: float,
                rtol: float = 1e-11,
                counters: IntegrationCounters | None = None) -> tuple[float, float]:
-    """Excursion Sigma0 -> Sigma1: (a, v0, theta0) -> (u1, a, theta1)."""
-    q, p = chart.from_chart(chart.a, v0)
-    kind, th1, y1 = _integrate_to_section(params, chart, (q, p), theta0,
-                                          "v", -1, _GLOBAL_SPAN, rtol=rtol, counters=counters)
-    if kind != "section":
-        raise PassageError(f"homoclinic excursion failed: {kind}", kind)
-    return chart.to_chart(y1[0], y1[1])[0], th1
+    """Excursion Sigma0 -> Sigma1: (a, v0, theta0) -> (u1, a, theta1), one lane."""
+    y0 = np.array(chart.from_chart(chart.a, v0))[:, None]
+    kind, th1, y1 = _lanes_to_section(params, chart, y0, np.array([theta0], dtype=float),
+                                      "v", -1, _GLOBAL_SPAN, rtol, counters)
+    if kind[0]:
+        raise _failure("homoclinic excursion", kind[0])
+    return float(chart.to_chart(y1[0, 0], y1[1, 0])[0]), float(th1[0])
 
 
 def truncated_local_map(u0: float, a: float) -> tuple[float, float]:
@@ -360,17 +338,21 @@ class _StableBranch:
 
 @dataclass
 class MapCounters:
-    """How the return maps of one phase ran: maps, lane batches, steps, failures."""
+    """How the orbits of one phase ran: maps, lane batches, steps, failures.
 
-    single_maps: int = 0        # returns run one orbit at a time
-    lane_maps: int = 0          # returns run as lanes of a batch
+    A map is one return, or one W^u fibre in the set-up."""
+
+    lane_maps: int = 0          # maps run, each a lane of a batch
     batches: int = 0            # lane batches, each one run per leg
     work: IntegrationCounters = field(default_factory=IntegrationCounters)
-    failures: dict = field(default_factory=dict)    # kind -> returns that failed
+    failures: dict = field(default_factory=dict)    # kind -> maps that failed
 
-    def failed(self, kinds) -> None:
-        for kind in kinds:
-            self.failures[kind] = self.failures.get(kind, 0) + 1
+    def ran(self, kind: np.ndarray) -> None:
+        """Count one batch whose maps ended in `kind` ("" where one returned)."""
+        self.lane_maps += kind.size
+        self.batches += 1
+        for k in kind[kind != ""]:
+            self.failures[k] = self.failures.get(k, 0) + 1
 
 
 class Returns(NamedTuple):
@@ -400,6 +382,7 @@ class HorseshoeLab:
     s_tau: float                # orientation of the time-offset axis
     base_count: int             # periods of the reference homoclinic return
     delta_q: float              # working rectangle size
+    law_c: float                # count law: a return advances the angle ~ 2 pi law_c / sqrt(tau)
     rtol: float = 1e-11         # passage integration tolerance
     diagnostics: dict = field(default_factory=dict)
     counters: MapCounters = field(default_factory=MapCounters)
@@ -427,15 +410,6 @@ class HorseshoeLab:
         return theta - _TWO_PI * np.round((theta - ref) / _TWO_PI)
 
     # -- return map ----------------------------------------------------------
-    def return_map_raw(self, v_raw: float, theta: float) -> tuple[float, float, int]:
-        """One full return Sigma0 -> Sigma0; counts completed angle periods."""
-        u1, th1 = global_map(self.params, self.chart, v_raw, theta,
-                             rtol=self.rtol, counters=self.counters.work)
-        v2, th2 = _corner_pass(self.params, self.chart, u1, th1,
-                               rtol=self.rtol, counters=self.counters.work)
-        count = int(math.floor((th2 - theta) / _TWO_PI))
-        return v2, th2, count
-
     def return_maps_raw(self, v_raw: np.ndarray, theta: np.ndarray):
         """Returns Sigma0 -> Sigma0 of a batch: one lane run per leg.
 
@@ -465,49 +439,29 @@ class HorseshoeLab:
         th2[live[back]] = th[back]
         return v2, th2, kind
 
-    def return_map(self, v_rel: float, tau: float) -> tuple[float, float, int, float]:
-        """One return from (v_rel, tau): image (v_rel, tau), count, angle advance."""
-        v_raw, theta = self.point(v_rel, tau)
-        self.counters.single_maps += 1
-        try:
-            v2, th2, count = self.return_map_raw(v_raw, theta)
-        except PassageError as exc:
-            self.counters.failed([exc.kind])
-            raise
-        except DomainError:
-            self.counters.failed(["domain"])
-            raise
-        v2_rel, tau2 = self.coords(v2, math.fmod(th2, _TWO_PI))
-        return v2_rel, tau2, count, th2 - theta
+    def return_map_raw(self, v_raw: float, theta: float) -> tuple[float, float, int]:
+        """One return Sigma0 -> Sigma0, a one-lane `return_maps_raw`: (v2,
+        theta2, completed angle periods); raises PassageError or DomainError
+        when it fails."""
+        v2, th2, kind = self.return_maps_raw(np.array([v_raw], dtype=float),
+                                             np.array([theta], dtype=float))
+        if kind[0]:
+            raise _failure("return", kind[0])
+        return float(v2[0]), float(th2[0]), int(math.floor((th2[0] - theta) / _TWO_PI))
 
     def return_maps(self, v_rel, tau) -> Returns:
         """Returns from arrays of (v_rel, tau), run as the lanes of one batch.
 
         A point whose orbit fails (escape, timeout, step underflow, polish
         miss, or a start outside the chart) fails alone: its `Returns.kind`
-        says how, and the other points are unaffected.  A single point runs
-        as one orbit, which costs about a fifth of a one-lane batch.
+        says how, and the other points are unaffected.
         """
         v_rel, tau = (np.atleast_1d(np.asarray(x, dtype=float))
                       for x in np.broadcast_arrays(v_rel, tau))
-        if v_rel.size == 1:
-            try:
-                v2, tau2, count, advance = self.return_map(float(v_rel[0]), float(tau[0]))
-                kind = ""
-            except PassageError as exc:
-                v2 = tau2 = advance = math.nan
-                count, kind = -1, exc.kind
-            except DomainError:
-                v2 = tau2 = advance = math.nan
-                count, kind = -1, "domain"
-            return Returns(np.array([v2]), np.array([tau2]), np.array([count]),
-                           np.array([advance]), np.array([kind], dtype=object))
         v_raw, theta = self.point(v_rel, tau)
         v2, th2, kind = self.return_maps_raw(v_raw, theta)
-        self.counters.lane_maps += v_rel.size
-        self.counters.batches += 1
+        self.counters.ran(kind)
         ok = kind == ""
-        self.counters.failed(kind[~ok])
         advance = th2 - theta
         count = np.full(v_rel.shape, -1)
         count[ok] = np.floor(advance[ok] / _TWO_PI)
@@ -516,30 +470,42 @@ class HorseshoeLab:
         v2_rel[ok], tau2[ok] = self.coords(v2[ok], np.fmod(th2[ok], _TWO_PI))
         return Returns(v2_rel, tau2, count, advance, kind)
 
+    def return_map(self, v_rel: float, tau: float) -> tuple[float, float, int, float]:
+        """One return from (v_rel, tau), a one-lane `return_maps`: image
+        (v_rel, tau), count, angle advance; raises PassageError or
+        DomainError when it fails."""
+        ret = self.return_maps(v_rel, tau)
+        if not ret.ok[0]:
+            raise _failure("return", ret.kind[0])
+        return float(ret.v_rel[0]), float(ret.tau[0]), int(ret.count[0]), float(ret.advance[0])
+
     def passage_count(self, v_rel: float, tau: float) -> int:
-        """Completed angle periods of one return; -1 when the orbit escapes."""
-        try:
-            return self.return_map(v_rel, tau)[2]
-        except PassageError:
-            return -1
+        """Completed angle periods of one return; -1 when the orbit does not return."""
+        return int(self.return_maps(v_rel, tau).count[0])
 
 
-def _run_fiber(params: ModelParams, chart: LocalChart, graph, theta0: float):
-    """One W^u fiber: seed -> Sigma0 -> Sigma1.
+def _run_fibers(params: ModelParams, chart: LocalChart, graph, thetas0: np.ndarray,
+                counters: MapCounters):
+    """W^u fibres seeded at angles thetas0, as the lanes of one batch:
+    seed -> Sigma0 -> Sigma1.
 
-    Returns (theta1, v1, theta2, u2): the Sigma0 crossing (local trace
-    sample) and the Sigma1 crossing after the excursion (global sample)."""
-    seed = unstable_initial_conditions(graph, _FIBER_U_SEED, np.array([theta0]))[0]
-    kind, th1, y1 = _integrate_to_section(params, chart, (seed[0], seed[1]),
-                                          seed[2], "u", +1, 900.0)
-    if kind != "section":
-        raise PassageError(f"W^u fiber failed to reach Sigma0: {kind}", kind)
-    u1, v1 = chart.to_chart(y1[0], y1[1])
-    kind, th2, y2 = _integrate_to_section(params, chart, y1, th1, "v", -1, 900.0)
-    if kind != "section":
-        raise PassageError(f"W^u fiber failed to reach Sigma1: {kind}", kind)
-    u2, v2 = chart.to_chart(y2[0], y2[1])
-    return float(th1), float(v1), float(th2), float(u2)
+    Returns arrays (theta1, v1, theta2, u2, kind): the Sigma0 crossings
+    (local trace samples), the Sigma1 crossings after the excursion (global
+    samples), and kind "" where a fibre reached both, else its failure kind;
+    its crossings are NaN there.
+    """
+    seeds = unstable_initial_conditions(graph, _FIBER_U_SEED, thetas0)
+    kind, th1, y1 = _lanes_to_section(params, chart, seeds[:, :2].T, seeds[:, 2],
+                                      "u", +1, 900.0, counters=counters.work)
+    on = np.flatnonzero(kind == "")
+    kind[on], th2, y2 = _lanes_to_section(params, chart, y1[:, on], th1[on],
+                                          "v", -1, 900.0, counters=counters.work)
+    counters.ran(kind)
+    ok, back = kind == "", kind[on] == ""
+    out = np.full((4,) + thetas0.shape, np.nan)
+    out[:, ok] = (th1[ok], chart.to_chart(y1[0, ok], y1[1, ok])[1],
+                  th2[back], chart.to_chart(y2[0, back], y2[1, back])[0])
+    return (*out, kind)
 
 
 def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
@@ -549,20 +515,22 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
     global W^s trace (reversor image of the W^u return at Sigma1) may fold
     over the angle at physical corrugation, so the homoclinic crossing and
     the rectangle coordinates anchor on its local branch, sampled
-    parametrically by seed angle and refined around the crossing.
+    parametrically by seed angle and refined around the crossing.  Every
+    phase runs its fibres or returns as lane batches, and
+    `diagnostics["counters"]` holds the `MapCounters` of each phase.
     """
     chart = LocalChart()
     g = solve_hj_unstable(params)
+    counters = {phase: MapCounters() for phase in ("fibers", "bisection", "walk", "orientation")}
     thetas0 = np.linspace(0.0, _TWO_PI, _N_FIBERS, endpoint=False)
-    runs = [_run_fiber(params, chart, g, th0) for th0 in thetas0]
-    wu_local = _TrigCurve([math.fmod(r[0], _TWO_PI) for r in runs],
-                          [r[1] for r in runs])
+    th1, v1, th2, u2, kind = _run_fibers(params, chart, g, thetas0, counters["fibers"])
+    if (kind != "").any():
+        raise _failure("W^u fiber", kind[np.argmax(kind != "")])
+    wu_local = _TrigCurve(np.fmod(th1, _TWO_PI), v1)
 
     # stable trace through the reversor: (theta_s, v_s) = (-theta2, u2),
     # parametrized by the seed angle
-    theta_s = np.array([-r[2] for r in runs])
-    v_s = np.array([r[3] for r in runs])
-    h = v_s - np.array([float(wu_local(t)) for t in theta_s])
+    h = u2 - wu_local(-th2)
 
     crossings = [j for j in range(_N_FIBERS)
                  if h[j] == 0.0 or h[j] * h[(j + 1) % _N_FIBERS] < 0]
@@ -571,86 +539,106 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
 
     lab = None
     for j in crossings:
-        built = _build_branch(params, chart, g, wu_local, thetas0, h, j)
+        built = _build_branch(params, chart, g, wu_local, thetas0, h, j, counters)
         if built is None:
             continue
-        lab = _orient_lab(params, chart, wu_local, built)
+        lab = _orient_lab(params, chart, wu_local, built, counters["orientation"])
         if lab is not None:
             break
     if lab is None:
         raise PassageError("no homoclinic crossing produced a returning rectangle")
     lab.diagnostics["trace_residual"] = wu_local.residual
     lab.diagnostics["n_crossings"] = len(crossings)
+    lab.diagnostics["counters"] = {phase: asdict(c) for phase, c in counters.items()}
     return lab
 
 
-def _build_branch(params, chart, graph, wu_local, thetas0, h, j):
+# Bits per round of the crossing bisection: 18 halvings of the seed-angle
+# bracket, up to four a round from the 15 interior points of a dyadic grid.
+_BISECTION_ROUNDS = (4, 4, 4, 4, 2)
+_WALK_STEPS = 39          # branch samples at most on either side of the crossing
+
+
+def _build_branch(params, chart, graph, wu_local, thetas0, h, j, counters):
     """Fold-free piece of the stable trace through the crossing at fiber j.
 
     The crossing parameter is refined by bisection in the seed angle; the
     branch is then walked outward in parameter order while the relative
     offset r = v_s - v_u stays monotone, which keeps a single fold-free
-    piece even when the global trace winds.
+    piece even when the global trace winds.  A bisection round samples a
+    dyadic grid of the bracket as one batch and replays the bisection steps
+    on it, so the rounds end on the bracket of an 18-step bisection; the
+    walk samples both directions and the crossing as one batch, and each
+    direction is cut at its first failure, its first break in monotonicity
+    or its first |r| > 0.2.
     """
     spacing = thetas0[1] - thetas0[0]
 
-    def sample(th0):
-        _, _, th2, u2 = _run_fiber(params, chart, graph, th0)
-        ts = -th2
-        return ts, u2 - float(wu_local(ts))
+    def sample(th0, phase):
+        """(theta_s, r, ok) at seed angles th0: ok where the fibre ran."""
+        _, _, th2, u2, kind = _run_fibers(params, chart, graph, th0, counters[phase])
+        return -th2, u2 - wu_local(-th2), kind == ""
 
     lo_p, hi_p = thetas0[j], thetas0[j] + spacing
     r_lo = h[j]
-    try:
-        for _ in range(18):
-            mid = 0.5 * (lo_p + hi_p)
-            _, r_mid = sample(mid)
+    for bits in _BISECTION_ROUNDS:
+        n = 2 ** bits
+        grid = lo_p + (hi_p - lo_p) * np.arange(n + 1) / n
+        _, r, ok = sample(grid[1:-1], "bisection")
+        a, b = 0, n
+        for _ in range(bits):
+            mid = (a + b) // 2
+            if not ok[mid - 1]:
+                return None
+            r_mid = r[mid - 1]
             if r_mid == 0.0:
-                lo_p = hi_p = mid
+                a = b = mid
                 break
             if r_lo * r_mid < 0:
-                hi_p = mid
+                b = mid
             else:
-                lo_p, r_lo = mid, r_mid
-    except PassageError:
-        return None
+                a, r_lo = mid, r_mid
+        lo_p, hi_p = grid[a], grid[b]
+        if a == b:
+            break
     star = 0.5 * (lo_p + hi_p)
 
-    step = spacing / 6.0
+    m = np.arange(1, _WALK_STEPS + 1) * spacing / 6.0
+    ts, r, ok = sample(np.r_[star, star + m, star - m], "walk")
+    if not ok[0]:
+        return None
     pieces = {}
-    for direction in (+1.0, -1.0):
+    for direction, walk in ((+1.0, slice(1, _WALK_STEPS + 1)),
+                            (-1.0, slice(_WALK_STEPS + 1, None))):
         pts = []
         last_r = None
         trend = 0.0
-        for m in range(1, 40):
-            th0 = star + direction * m * step
-            try:
-                ts, r = sample(th0)
-            except PassageError:
+        for ts_m, r_m, ok_m in zip(ts[walk], r[walk], ok[walk]):
+            if not ok_m:
                 break
             if last_r is not None:
-                d = r - last_r
+                d = r_m - last_r
                 if trend == 0.0:
                     trend = math.copysign(1.0, d) if d != 0 else 0.0
                 elif d * trend < 0:
                     break
-            pts.append((ts, r))
-            last_r = r
-            if abs(r) > 0.2:
+            pts.append((ts_m, r_m))
+            last_r = r_m
+            if abs(r_m) > 0.2:
                 break
         pieces[direction] = pts
-    try:
-        ts_star, r_star = sample(star)
-    except PassageError:
-        return None
-    samples = list(reversed(pieces[-1.0])) + [(ts_star, r_star)] + pieces[+1.0]
+    samples = list(reversed(pieces[-1.0])) + [(ts[0], r[0])] + pieces[+1.0]
     if len(samples) < 8:
         return None
     return samples
 
 
-def _orient_lab(params, chart, wu_local, samples) -> HorseshoeLab | None:
-    """Choose the v- and tau-orientations that give a returning rectangle."""
+def _orient_lab(params, chart, wu_local, samples, counters) -> HorseshoeLab | None:
+    """Choose the v- and tau-orientations that give a returning rectangle.
+
+    Both tau-orientations of a v-orientation return as one batch.  The
+    chosen return also fixes the lab's count-law constant.
+    """
     th = np.array([s[0] for s in samples])
     r = np.array([s[1] for s in samples])
     # reduce angles to a common window (they arrive shifted by 2 pi k)
@@ -691,17 +679,23 @@ def _orient_lab(params, chart, wu_local, samples) -> HorseshoeLab | None:
         branch = _StableBranch(v_rel=tv, theta=np.unwrap(tt))
         delta_q = 0.45 * tv[-1]
         theta_h = branch.angle_at(0.0) if tv[0] <= 0 <= tv[-1] else float(tt[0])
-        lab = HorseshoeLab(params, chart, wu_local, branch, theta_h,
-                           s_v=s_v, s_tau=1.0, base_count=0, delta_q=delta_q)
-        for s_tau in (1.0, -1.0):
-            lab.s_tau = s_tau
-            try:
-                v2, tau2, count, _ = lab.return_map(0.5 * delta_q, 0.5 * delta_q)
-            except (PassageError, DomainError):
+        labs = [HorseshoeLab(params, chart, wu_local, branch, theta_h, s_v=s_v, s_tau=s_tau,
+                             base_count=0, delta_q=delta_q, law_c=math.nan,
+                             counters=counters)
+                for s_tau in (1.0, -1.0)]
+        tau_ref = 0.5 * delta_q
+        v_raw, theta = np.transpose([lab.point(tau_ref, tau_ref) for lab in labs])
+        # raw returns depend on params, chart and rtol only, which both labs share
+        v2, th2, kind = labs[0].return_maps_raw(v_raw, theta)
+        counters.ran(kind)
+        for lab, v2_j, th2_j, kind_j, theta_j in zip(labs, v2, th2, kind, theta):
+            if kind_j:
                 continue
-            if count > 0 and v2 > 0:
-                lab.base_count = count
-                return lab
+            count = math.floor((th2_j - theta_j) / _TWO_PI)
+            if count > 0 and lab.coords(v2_j, math.fmod(th2_j, _TWO_PI))[0] > 0:
+                return dataclasses.replace(
+                    lab, base_count=count, counters=MapCounters(),
+                    law_c=(th2_j - theta_j) / _TWO_PI * math.sqrt(tau_ref))
     return None
 
 
@@ -797,10 +791,7 @@ def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess) -> np.ndarray:
 
     live = np.arange(v_rel.size)
     t0, t1 = guess.copy(), np.minimum(1.1 * guess, lab.delta_q)
-    if live.size > 1:       # both starting rounds as one batch
-        g0, g1 = np.split(g(np.r_[live, live], np.r_[t0, t1]), 2)
-    else:                   # one point runs one orbit at a time
-        g0, g1 = g(live, t0), g(live, t1)
+    g0, g1 = np.split(g(np.r_[live, live], np.r_[t0, t1]), 2)      # one batch
     for _ in range(_SECANT_STEPS):
         a0, a1, b0 = t0[live], t1[live], g0[live]
         flat = g1 == b0
@@ -822,20 +813,15 @@ def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess) -> np.ndarray:
     raise PassageError(f"secant for advance {target[j]:.6g} at v={v_rel[j]:.3e} did not converge")
 
 
-def _tau_at_advance(lab: HorseshoeLab, v_rel: float, target: float, guess: float) -> float:
-    """`_taus_at_advance` for one point: its returns run one orbit at a time."""
-    return float(_taus_at_advance(lab, v_rel, target, guess)[0])
-
-
 def build_strips(lab: HorseshoeLab, window: tuple[int, int],
                  n_v: int = 6) -> StripFamily:
     """Vertical strips V_n (passage count n) for n in the window, with their
     images H_n, disjointness, Hausdorff monotonicity, and Lipschitz data.
 
     Each boundary is one `_taus_at_advance` root, all of them in lockstep;
-    its first guess is the count law A = 2 pi c/sqrt(tau) (corner transit
-    time), calibrated by one return.  The images of three points per strip
-    and v-line are one batch.  `diagnostics["counters"]` holds the
+    its first guess is the count law A = 2 pi law_c/sqrt(tau) (corner
+    transit time) with the lab's constant.  The images of three points per
+    strip and v-line are one batch.  `diagnostics["counters"]` holds the
     `MapCounters` of the phase.
     """
     n_lo, n_hi = window
@@ -847,14 +833,9 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     # so the strip boundaries must be resolved down to tiny v as well
     v_grid = np.geomspace(2e-3 * delta, 0.85 * delta, n_v)
 
-    # calibrate the count law at the middle line
-    tau_ref = 0.5 * delta
-    law_c = (counted.return_map(float(v_grid[n_v // 2]), tau_ref)[3] / _TWO_PI
-             * math.sqrt(tau_ref))
-
     ns = np.arange(n_lo - 1, n_hi + 1)[:, None]     # boundary n: advance 2 pi (n+1)
     roots = _taus_at_advance(counted, v_grid[None, :], _TWO_PI * (ns + 1),
-                             (law_c / (ns + 0.5)) ** 2).reshape(len(ns), n_v)
+                             (lab.law_c / (ns + 0.5)) ** 2).reshape(len(ns), n_v)
     strips = {}
     for j, n in enumerate(range(n_lo, n_hi + 1), start=1):
         strips[n] = Strip(n, tau_lo=roots[j], tau_hi=roots[j - 1], v_grid=v_grid)
@@ -936,8 +917,9 @@ def _jacobian(lab: HorseshoeLab, v, tau, h_v, h_tau):
     Each point and its two shifted copies are lanes of one batch, so the
     columns are differences of one discrete map, not of separately stepped
     orbits: internal numerical differentiation (Bock 1981).  Returns
-    (D, ok): D of shape (m, 2, 2) in the (v_rel, tau) basis, and whether
-    all three returns of a point came back.
+    (D, ok, base): D of shape (m, 2, 2) in the (v_rel, tau) basis, whether
+    all three returns of a point came back, and the `Returns` of the points
+    themselves.
     """
     v, tau, h_v, h_tau = (np.atleast_1d(np.asarray(x, dtype=float))
                           for x in np.broadcast_arrays(v, tau, h_v, h_tau))
@@ -945,7 +927,8 @@ def _jacobian(lab: HorseshoeLab, v, tau, h_v, h_tau):
                           np.concatenate([tau, tau, tau + h_tau]))
     img = np.stack([ret.v_rel, ret.tau]).reshape(2, 3, v.size)
     cols = np.stack([(img[:, 1] - img[:, 0]) / h_v, (img[:, 2] - img[:, 0]) / h_tau], axis=-1)
-    return cols.transpose(1, 0, 2), ret.ok.reshape(3, v.size).all(axis=0)
+    base = Returns(*(x[:v.size] for x in ret))
+    return cols.transpose(1, 0, 2), ret.ok.reshape(3, v.size).all(axis=0), base
 
 
 def verify_cones(lab: HorseshoeLab, family: StripFamily,
@@ -962,10 +945,8 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
     h_tau = 1e-3 of the strip width and h_v = 1e-4 delta_q.  With the
     columns sharing their steps, single Jacobians at h and h/4 disagree by
     3.6e-6 to 1.0e-5 relative to their largest entry on criterion 9's 12
-    checks, the size of the forward-difference truncation; with every
-    column integrated alone they disagreed by 1.4e-2 to 3.48, and the worst
-    of the 12 read 1.6 to 10.8.  `fd_agreement` reports that worst.  A
-    sample whose returns fail is skipped.
+    checks, the size of the forward-difference truncation.  `fd_agreement`
+    reports the worst of them.  A sample whose returns fail is skipped.
     """
     rng = np.random.default_rng(20240601)
     lab = dataclasses.replace(lab, rtol=_CONE_RTOL, counters=MapCounters())
@@ -982,7 +963,7 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
     h_v = np.full(v.size, 1e-4 * lab.delta_q)
     # every sample in one batch, the first ones again at h/4
     m = min(_RICHARDSON_CHECKS, v.size)
-    D, ok = _jacobian(lab, np.r_[v, v[:m]], np.r_[tau, tau[:m]],
+    D, ok, _ = _jacobian(lab, np.r_[v, v[:m]], np.r_[tau, tau[:m]],
                       np.r_[h_v, h_v[:m] / 4.0], np.r_[h_tau, h_tau[:m] / 4.0])
     D, D4, ok, ok4 = D[:v.size], D[v.size:], ok[:v.size], ok[v.size:]
     checked = ok[:m] & ok4
@@ -1116,12 +1097,14 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     the middle of the strip's v grid and tau_{k-1} at its start value;
     Newton solves for the other 2(k-1) coordinates with the leg Jacobians of
     `_jacobian`, whose tau step is 1e-3 of the strip's mean width, as in
-    `verify_cones`; each iterate runs its k legs as one lane batch and the
-    2(k-1) columns of its Jacobians as another.  Each node starts at its own
-    v (the image v of the previous start, so the start secants run one
-    orbit at a time), at the tau where its leg advances the angle by
-    2 pi (n + 1/2), the largest possible count margin (`_tau_at_advance`):
-    the family's interpolated windows can sit one strip off.  Near the passage
+    `verify_cones`; each iterate runs its k legs and the columns of their
+    Jacobians as one lane batch, so every gap and the Jacobian that closes
+    it come from the same discrete map.  Node 0 starts at the
+    middle of the v grid and the others at its lowest line (the strips are
+    nearly vertical, so Newton closes the v gaps), each at the tau where its
+    leg advances the angle by 2 pi (n + 1/2), the largest possible count
+    margin: one lockstep `_taus_at_advance` call, since the family's
+    interpolated windows can sit one strip off.  Near the passage
     noise floor the tau defect wanders, so the solve keeps its best iterate
     and stops after two iterates that do not improve on it.  Raises
     ShadowingError when no iterate brings every leg defect to _LEG_DEFECT;
@@ -1140,22 +1123,21 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
 
     # the solve runs on a copy of the lab that counts its return maps
     lab = dataclasses.replace(lab, counters=MapCounters())
-    nodes = np.empty((k, 2))
-    widths = np.array([np.mean(family.strips[n].tau_hi - family.strips[n].tau_lo)
-                       for n in targets])
-    v = float(np.mean(family.strips[targets[0]].v_grid))
-    for i, n in enumerate(targets):
-        st = family.strips[n]
-        guess = float(np.interp(v, st.v_grid, 0.5 * (st.tau_lo + st.tau_hi)))
-        nodes[i] = v, _tau_at_advance(lab, v, _TWO_PI * (n + 0.5), guess)
-        if i < k - 1:
-            v = lab.return_map(v, nodes[i, 1])[0]
+    strips = [family.strips[n] for n in targets]
+    widths = np.array([np.mean(st.tau_hi - st.tau_lo) for st in strips])
+    v = np.array([np.mean(st.v_grid) if i == 0 else st.v_grid[0]
+                  for i, st in enumerate(strips)])
+    guess = [np.interp(v_i, st.v_grid, 0.5 * (st.tau_lo + st.tau_hi))
+             for v_i, st in zip(v, strips)]
+    nodes = np.column_stack(
+        [v, _taus_at_advance(lab, v, _TWO_PI * (np.array(targets) + 0.5), guess)])
 
     free = np.arange(1, 2 * k - 1)      # every node coordinate but v_0 and tau_{k-1}
     best = None
     stalls = steps = 0
     while True:
-        legs = lab.return_maps(nodes[:, 0], nodes[:, 1])
+        D, ok, legs = _jacobian(lab, nodes[:, 0], nodes[:, 1], 1e-4 * lab.delta_q,
+                                1e-3 * widths)
         if not legs.ok.all():
             break
         gaps = np.column_stack([legs.v_rel, legs.tau])[:-1] - nodes[1:]
@@ -1167,9 +1149,7 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
         if stalls == 2 or steps == _NEWTON_MAX_ITER or free.size == 0:
             break
         # rows: leg i's gap; columns: D_i at node i, -I at node i+1
-        D, ok = _jacobian(lab, nodes[:-1, 0], nodes[:-1, 1], 1e-4 * lab.delta_q,
-                          1e-3 * widths[:-1])
-        if not ok.all():
+        if not ok[:-1].all():
             break
         jac = np.zeros((2 * k - 2, 2 * k))
         for i in range(k - 1):
@@ -1182,7 +1162,7 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
         raise ShadowingError("a leg from the start nodes did not return")
     worst, nodes, legs, gaps = best
     advances = tuple(legs.advance.tolist())
-    maps = lab.counters.single_maps + lab.counters.lane_maps
+    maps = lab.counters.lane_maps
     itinerary = SymbolItinerary(
         symbols=symbols, base=base, nodes=tuple(map(tuple, nodes.tolist())),
         advances=advances, counts=tuple(legs.count.tolist()),

@@ -13,11 +13,10 @@ coefficient arrays of the order-7 dense output of every accepted step, and
 `crossings` finds section zeros on that trajectory.  `first_crossing`
 evaluates its sections at the step nodes only, and builds the interpolant
 of a step only where a wanted crossing lies; the horseshoe passages run on
-it.  It runs one orbit, or N terminal lanes: each lane stops at its own
-first crossing and is frozen there (its field set to 0, so it leaves the
-error norm) while the others go on, and a step underflow or a non-finite
-state fails one lane, not the run.  One orbit keeps its scalar-field path,
-about five times cheaper per step than a one-lane run.
+it.  It runs N terminal lanes: each lane stops at its own first crossing
+and is frozen there (its field set to 0, so it leaves the error norm)
+while the others go on, and a step underflow or a non-finite state fails
+one lane, not the run.  A 1-D initial state is one such lane.
 
 The field is polynomial plus trig, never stiff; a step underflow is treated
 as a domain signal (near-singularity such as q -> 0 in reduced
@@ -203,11 +202,14 @@ def mcgehee_rhs(params: ModelParams):
 def _norm(x: np.ndarray):
     """2-norm over the state axis 0: a scalar for one orbit, one per lane.
 
-    The controller reacts to the last bits of its error norm, so one orbit
-    is normed as scipy norms it (a dot product, which rounds unlike the
-    axis reduction in about one case in eight) and takes scipy's steps.
+    The controller reacts to the last bits of its error norm, so one orbit,
+    1-D or a single lane, is normed as scipy norms it (a dot product, which
+    rounds unlike the axis reduction in about one case in eight) and takes
+    scipy's steps.
     """
-    return np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=0)
+    if x.ndim == 1:
+        return np.linalg.norm(x)
+    return np.linalg.norm(x[:, 0])[None] if x.shape[1] == 1 else np.linalg.norm(x, axis=0)
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
@@ -452,62 +454,37 @@ POLISH_MISS = -3        # the polished crossing missed |g| <= CROSSING_GTOL
 def first_crossing(field, y0, t_span, sections,
                    config: IntegratorConfig = IntegratorConfig(),
                    counters: IntegrationCounters | None = None):
-    """Integrate up to the first section crossing: one orbit, or N lanes.
+    """Integrate N terminal lanes, each up to its first section crossing.
 
-    `sections` lists (g, direction): g maps a state (n,) to a float and
-    states (n, K) to (K,), and a crossing counts when sign(dg/dt) equals
-    direction (0 takes both).  Sign changes are sought at the step nodes;
-    only a step holding one gets its interpolant, on which crossings are
-    polished as in `crossings`.  Adds the work to `counters` if given.
+    `sections` lists (g, direction): g maps states (n, K) to (K,), and a
+    crossing counts when sign(dg/dt) equals direction (0 takes both).  Sign
+    changes are sought at the step nodes; only a step holding one gets its
+    interpolant, on which crossings are polished as in `crossings`.  Adds
+    the work to `counters` if given.
 
-    y0 of shape (n,) is one orbit: returns (k, t, y) for the earliest
-    crossing, k indexing `sections`, or (None, t, y) at the end of t_span.
+    y0 of shape (n, N) is N lanes on one shared step loop, and field maps
+    (n, N) to (n, N).  Each lane stops at its own first crossing and is then
+    frozen: its field is 0 from there on, so it leaves the error norm.  A
+    step underflow freezes the lane with the largest error and the others
+    go on; so does a state that stops being finite.  Returns arrays (k, t, y)
+    of shapes (N,), (N,) and (n, N); k indexes `sections`, or is SPAN_END,
+    UNDERFLOW or POLISH_MISS where a lane has no accepted crossing, with t
+    and y where it stopped.
 
-    y0 of shape (n, N) is N terminal lanes on one shared step loop, and
-    field maps (n, N) to (n, N).  Each lane stops at its own first crossing
-    and is then frozen: its field is 0 from there on, so it leaves the error
-    norm.  A step underflow freezes the lane with the largest error and the
-    others go on; so does a state that stops being finite.  Returns arrays
-    (k, t, y) of shapes (N,), (N,) and (n, N); k is SPAN_END, UNDERFLOW or
-    POLISH_MISS where a lane has no accepted crossing, with t and y where
-    it stopped.
+    y0 of shape (n,) is one lane, and field maps (n,) to (n,).  Returns
+    (k, t, y) for its crossing, or (None, t, y) at the end of t_span; raises
+    StepUnderflowError on an underflow and IntegrationError on a polish miss.
     """
     counters = IntegrationCounters() if counters is None else counters
     y0 = np.array(y0, dtype=float)
-    if y0.ndim == 2:
-        return _first_crossings(field, y0, t_span, sections, config, counters)
-    t, y = float(t_span[0]), y0
-    g_old = [g(y) for g, _ in sections]
-    for t, y, t_new, y_new, dense in _steps(field, y, t_span, config, counters):
-        h = t_new - t
-        g_new = [g(y_new) for g, _ in sections]
-        hits = [k for k, (ga, gb) in enumerate(zip(g_old, g_new))
-                if (ga * gb < 0 or (gb == 0 and ga != 0))
-                and sections[k][1] * (gb - ga) * h >= 0]
-        if hits:
-            F = dense()[..., None]
-            found = []
-            for k in hits:
-                g = sections[k][0]
-                x = _polish(lambda x: g(_horner(F, y[:, None], x)),
-                            np.zeros(1), np.ones(1), np.array([g_old[k]]),
-                            np.array([g_new[k]]), CROSSING_XTOL / abs(h))
-                found.append((float(x[0]), k))
-            x, k = min(found)
-            state = _horner(F, y[:, None], np.array([x]))[:, 0]
-            resid = abs(float(sections[k][0](state)))
-            counters.polish_residual = max(counters.polish_residual, resid)
-            if resid > CROSSING_GTOL:
-                raise IntegrationError(
-                    f"event polish reached |g| = {resid:.3e} > {CROSSING_GTOL:g}")
-            return k, float(t + x * h), state
-        g_old = g_new
-        t, y = t_new, y_new
-    return None, float(t), y
+    single = y0.ndim == 1
+    if single:
+        orbit = field
+        y0 = y0[:, None]
 
+        def field(t, y):
+            return np.reshape(orbit(t, y[:, 0]), y.shape)
 
-def _first_crossings(field, y0, t_span, sections, config, counters):
-    """The lane form of `first_crossing`, y0 of shape (n, N)."""
     n_lanes = y0.shape[1]
     kind = np.full(n_lanes, SPAN_END)
     t_out = np.full(n_lanes, float(t_span[1]))
@@ -566,7 +543,14 @@ def _first_crossings(field, y0, t_span, sections, config, counters):
             stop(exc.lane, UNDERFLOW, t_now, y_now[:, exc.lane])
     running = ~frozen
     y_out[:, running] = y_now[:, running]
-    return kind, t_out, y_out
+    if not single:
+        return kind, t_out, y_out
+    k, t = int(kind[0]), float(t_out[0])
+    if k == UNDERFLOW:
+        raise StepUnderflowError(f"step underflow or a non-finite state at t = {t:.17g}")
+    if k == POLISH_MISS:
+        raise IntegrationError(f"event polish missed |g| <= {CROSSING_GTOL:g} at t = {t:.17g}")
+    return (None if k == SPAN_END else k), t, y_out[:, 0]
 
 
 def _polish(g_at, a, b, ga, gb, width_tol) -> np.ndarray:

@@ -102,11 +102,13 @@ def test_horseshoe_manifest_counts_return_maps(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert set(manifest["outputs"]) == {"horseshoe_report.txt", "cone_samples.csv"}
     counters = manifest["counters"]
-    strips, cones = counters["strips"], counters["cones"]
-    assert strips["single_maps"] == 1 and strips["lane_maps"] > strips["batches"] > 1
-    assert cones["single_maps"] == 0 and cones["batches"] == 1
+    setup, strips, cones = counters["setup"], counters["strips"], counters["cones"]
+    assert set(setup) == {"fibers", "bisection", "walk", "orientation"}
+    assert setup["fibers"]["lane_maps"] == 64 and setup["fibers"]["batches"] == 1
+    assert strips["lane_maps"] > strips["batches"] > 1
+    assert cones["batches"] == 1
     assert cones["lane_maps"] == 3 * (4 * 5) + 3 * 12
-    for phase in (strips, cones):
+    for phase in (*setup.values(), strips, cones):
         assert phase["work"]["steps"] > 0 and phase["work"]["rejected_steps"] >= 0
         assert set(phase["failures"]) <= {"escape", "timeout", "underflow", "polish", "domain"}
     lines = counters["cone_v_lines"]

@@ -16,9 +16,9 @@ from hecu.horseshoe import (
     _StableBranch,
     _TrigCurve,
     _escape_section,
-    _integrate_to_section,
+    _lanes_to_section,
     _masked_section,
-    _tau_at_advance,
+    _taus_at_advance,
     action_offset_closed,
     build_strips,
     global_map,
@@ -139,6 +139,8 @@ def test_local_map_contract_rejects_bad_entry():
         local_map(PARAMS, chart, 0.05, 0.0)
     with pytest.raises(DomainError):
         local_map(PARAMS, chart, -1e-3, 0.0)
+    with pytest.raises(DomainError):
+        local_map(PARAMS, chart, np.array([1e-3, 0.05]), 0.0)
 
 
 def test_local_map_returns_small_v():
@@ -151,33 +153,41 @@ def test_local_map_returns_small_v():
 
 def _scipy_passage(params, chart, y0, theta0, which, direction, theta_max,
                    rtol=1e-11, atol=1e-12):
-    """Reference passage: scipy's DOP853 with terminal events on the same sections."""
+    """Reference passage: scipy's DOP853 with terminal events on the same
+    sections, on the same field (the lane field, in s = theta - theta0)."""
     def event(section, event_direction):
-        def g(theta, y):
+        def g(s, y):
             return section(y)
         g.terminal = True
         g.direction = event_direction
         return g
 
-    res = solve_ivp(reduced_rhs(params), (theta0, theta0 + theta_max),
+    lane = horseshoe._reduced_rhs_lanes(params, np.array([theta0]))
+    res = solve_ivp(lambda s, y: lane(s, y[:, None])[:, 0], (0.0, theta_max),
                     np.asarray(y0, dtype=float), method="DOP853", rtol=rtol, atol=atol,
                     events=[event(_masked_section(chart, which), direction),
                             event(_escape_section(chart), -1)])
     assert res.success
     if res.t_events[0].size:
-        return "section", float(res.t_events[0][0]), res.y_events[0][0]
+        return "section", theta0 + float(res.t_events[0][0]), res.y_events[0][0]
     if res.t_events[1].size:
-        return "escape", float(res.t_events[1][0]), res.y_events[1][0]
-    return "timeout", float(res.t[-1]), res.y[:, -1]
+        return "escape", theta0 + float(res.t_events[1][0]), res.y_events[1][0]
+    return "timeout", theta0 + float(res.t[-1]), res.y[:, -1]
+
+
+def _one_lane(chart, y0, theta0, which, direction, theta_max):
+    """One passage as a one-lane `_lanes_to_section`: (kind, theta, (q, p))."""
+    kind, th, y = _lanes_to_section(PARAMS, chart, np.reshape(y0, (2, 1)), np.array([theta0]),
+                                    which, direction, theta_max)
+    return kind[0], th[0], y[:, 0]
 
 
 def _assert_matches_scipy(y0, theta0, which, direction, theta_max):
     chart = LocalChart()
-    kind, th, y = _integrate_to_section(PARAMS, chart, y0, theta0, which,
-                                        direction, theta_max)
+    kind, th, y = _one_lane(chart, y0, theta0, which, direction, theta_max)
     ref_kind, ref_th, ref_y = _scipy_passage(PARAMS, chart, y0, theta0, which,
                                              direction, theta_max)
-    assert kind == ref_kind == "section"
+    assert kind == "" and ref_kind == "section"
     assert abs(th - ref_th) <= 1e-11
     assert np.max(np.abs(y - ref_y)) <= 1e-14
 
@@ -201,8 +211,7 @@ def test_entry_past_stable_manifold_escapes(u0):
     # these orbits slide toward q -> 0 with u < 0; without the escape
     # section they would creep until theta_max
     chart = LocalChart()
-    kind, th, y = _integrate_to_section(PARAMS, chart, chart.from_chart(u0, chart.a),
-                                        0.0, "u", +1, 2.0e5)
+    kind, th, y = _one_lane(chart, chart.from_chart(u0, chart.a), 0.0, "u", +1, 2.0e5)
     assert kind == "escape"
     assert th < 2.0e3
     u, v = chart.to_chart(y[0], y[1])
@@ -210,9 +219,10 @@ def test_entry_past_stable_manifold_escapes(u0):
 
 
 def test_passage_integration_failure_is_passage_error(monkeypatch):
-    # a field that blows up at theta = 1 underflows the step
-    monkeypatch.setattr(horseshoe, "reduced_rhs",
-                        lambda params: lambda theta, y: (y[1], 1.0 / (1.0 - theta)))
+    # a lane field that blows up at theta = 1 underflows the step
+    monkeypatch.setattr(horseshoe, "_reduced_rhs_lanes",
+                        lambda params, theta0: lambda s, y: np.array(
+                            (y[1], 1.0 / (1.0 - (theta0 + s)))))
     with pytest.raises(PassageError, match="step"):
         global_map(PARAMS, LocalChart(), 1e-3, 0.0)
 
@@ -224,9 +234,6 @@ def test_select_operating_point():
 
 
 class _NoReturnLab(HorseshoeLab):
-    def return_map_raw(self, v_raw, theta):
-        raise PassageError("corner passage failed: escape", "escape")
-
     def return_maps_raw(self, v_raw, theta):
         nan = np.full(v_raw.shape, np.nan)
         return nan, nan, np.full(v_raw.shape, "escape", dtype=object)
@@ -237,7 +244,8 @@ def test_verify_cones_leaves_lab_tolerance():
     thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
     lab = _NoReturnLab(PARAMS, LocalChart(), _TrigCurve(thetas, 1e-3 * np.cos(thetas)),
                        _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
-                       theta_h=0.0, s_v=1.0, s_tau=1.0, base_count=150, delta_q=1e-2)
+                       theta_h=0.0, s_v=1.0, s_tau=1.0, base_count=150, delta_q=1e-2,
+                       law_c=12.0)
     v_grid = np.array([1e-3, 5e-3])
     strip = Strip(151, tau_lo=np.full(2, 1e-3), tau_hi=np.full(2, 2e-3), v_grid=v_grid)
     family = StripFamily(lab, {151: strip}, {}, mu_v=0.0, mu_h=0.0)
@@ -255,14 +263,6 @@ class _ExpandingLab(HorseshoeLab):
     C = 1.2
     jitter = 0.0
 
-    def return_map_raw(self, v_raw, theta):
-        v_rel, tau = self.coords(v_raw, theta)
-        if tau <= 0:
-            raise PassageError("corner passage failed: escape", "escape")
-        th2 = theta + 2 * math.pi * self.C / tau + self.jitter * math.sin(1e9 * theta)
-        count = int(math.floor((th2 - theta) / (2 * math.pi)))
-        return 5e-4 + 0.05 * v_rel + 0.1 * (tau - 8e-3), th2, count
-
     def return_maps_raw(self, v_raw, theta):
         # the same closed form on arrays; tau <= 0 escapes
         v_rel, tau = self.coords(v_raw, theta)
@@ -278,7 +278,8 @@ def _expanding_family(lab_cls):
     thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
     lab = lab_cls(PARAMS, LocalChart(), _TrigCurve(thetas, np.zeros_like(thetas)),
                   _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
-                  theta_h=0.0, s_v=1.0, s_tau=1.0, base_count=150, delta_q=1e-2)
+                  theta_h=0.0, s_v=1.0, s_tau=1.0, base_count=150, delta_q=1e-2,
+                  law_c=lab_cls.C / math.sqrt(5e-3))
     v_grid = np.array([1e-3, 5e-3])
     strips = {n: Strip(n, tau_lo=np.full(2, lab.C / (n + 1)), tau_hi=np.full(2, lab.C / n),
                        v_grid=v_grid) for n in range(151, 155)}
@@ -348,9 +349,9 @@ def test_build_strips_finds_closed_form_edges():
     for n, st in family.strips.items():
         assert np.all(np.abs(st.tau_lo / (lab.C / (n + 1)) - 1.0) <= 3e-7)
         assert np.all(np.abs(st.tau_hi / (lab.C / n) - 1.0) <= 3e-7)
-    # one calibration return, then every secant round and the images as batches
+    # every secant round and the images run as batches
     counters = family.diagnostics["counters"]
-    assert counters["single_maps"] == 1 and counters["batches"] >= 3
+    assert counters["batches"] >= 3
     assert counters["lane_maps"] >= 2 * 5 * 3 + 4 * 3 * 3 and not counters["failures"]
 
 
@@ -359,7 +360,7 @@ def test_tau_at_advance_leaves_rectangle():
     # that root is tau = C = 1.2
     lab, _ = _expanding_family(_ExpandingLab)
     with pytest.raises(PassageError, match="no root in the rectangle"):
-        _tau_at_advance(lab, 3e-3, 2 * math.pi, 5e-3)
+        _taus_at_advance(lab, 3e-3, 2 * math.pi, 5e-3)
 
 
 def test_shadow_orbit_rejects_symbols_outside_window():
@@ -381,13 +382,17 @@ def test_shadow_orbit_raises_when_legs_miss_the_bound():
 
 
 def test_reduced_rhs_lanes_match_scalar_field():
+    # on the level set the lane field is (q'/theta', p'/theta') of the full
+    # field, on lanes that each run from their own theta0
     rng = np.random.default_rng(4)
     y = np.array([rng.uniform(0.0, 0.6, 9), rng.uniform(-0.4, 0.4, 9)])
     theta0 = rng.uniform(-3.0, 900.0, 9)
     lanes = horseshoe._reduced_rhs_lanes(PARAMS, theta0)(2.5, y)
-    scalar = reduced_rhs(PARAMS)
+    full = mcgehee_rhs(PARAMS)
     for j in range(9):
-        assert np.allclose(lanes[:, j], scalar(theta0[j] + 2.5, y[:, j]), rtol=1e-13, atol=1e-16)
+        q, p, theta = y[0, j], y[1, j], theta0[j] + 2.5
+        f = full(0.0, (q, p, theta, action_offset_closed(q, p, theta, PARAMS)))
+        assert np.allclose(lanes[:, j], f[:2] / f[2], rtol=1e-13, atol=1e-16)
 
 
 @pytest.fixture(scope="module")
@@ -400,22 +405,31 @@ def test_stable_branch_is_unwrapped(real_lab):
     assert np.max(np.abs(np.diff(real_lab.branch.theta))) < math.pi
 
 
+def test_setup_pins_the_operating_lab(real_lab):
+    # the laboratory at the operating point, to the passage noise of the set-up
+    assert real_lab.base_count == 150
+    assert real_lab.delta_q == pytest.approx(0.01717989753, rel=1e-5)
+    assert abs(real_lab.theta_h - (-157.54547704756516)) <= 1e-6
+    counters = real_lab.diagnostics["counters"]
+    assert counters["fibers"]["lane_maps"] == 64 and counters["fibers"]["batches"] == 1
+    assert counters["walk"]["batches"] == 1 and counters["orientation"]["batches"] >= 1
+    assert counters["bisection"]["lane_maps"] == 15 * 4 + 3
+
+
 def test_strip_boundaries_separate_counts(real_lab):
     # one v-line: each root of A = 2 pi (n+1) has count n+1 just below it
     # and n just above
     lab = real_lab
     v = 0.1 * lab.delta_q
-    tau_ref = 0.5 * lab.delta_q
-    law_c = lab.return_map(v, tau_ref)[3] / (2 * math.pi) * math.sqrt(tau_ref)
-    for n in range(lab.base_count, lab.base_count + 5):
-        tau_b = _tau_at_advance(lab, v, 2 * math.pi * (n + 1), (law_c / (n + 0.5)) ** 2)
-        assert lab.passage_count(v, tau_b * (1 - 2e-6)) == n + 1
-        assert lab.passage_count(v, tau_b * (1 + 2e-6)) == n
+    ns = np.arange(lab.base_count, lab.base_count + 5)
+    tau_b = _taus_at_advance(lab, v, 2 * math.pi * (ns + 1), (lab.law_c / (ns + 0.5)) ** 2)
+    counts = lab.return_maps(v, np.r_[tau_b * (1 - 2e-6), tau_b * (1 + 2e-6)]).count
+    assert list(counts) == list(ns + 1) + list(ns)
 
 
 def test_return_maps_match_single_returns(real_lab):
     # four points as lanes of one batch, one of them past W^s: that lane
-    # escapes alone, and the others agree with their one-orbit returns to
+    # escapes alone, and the others agree with their one-lane returns to
     # the passage noise at rtol 1e-11 (about 1e-5 rad of advance)
     lab = dataclasses.replace(real_lab, counters=horseshoe.MapCounters())
     d = lab.delta_q
@@ -430,5 +444,5 @@ def test_return_maps_match_single_returns(real_lab):
         assert abs(ret.advance[j] - advance) <= 1e-4
         assert abs(ret.tau[j] - tau2) <= 1e-4 and abs(ret.v_rel[j] - v2) <= 1e-9
     counters = lab.counters
-    assert (counters.lane_maps, counters.batches, counters.single_maps) == (4, 1, 3)
+    assert (counters.lane_maps, counters.batches) == (4 + 3, 1 + 3)
     assert counters.failures == {"escape": 1} and counters.work.steps > 0

@@ -313,6 +313,20 @@ def test_src_has_one_integrator():
     assert not bad, bad
 
 
+def test_horseshoe_has_one_passage_path():
+    # every reduced-flow passage runs through the lane runner; only the
+    # truncated corner model, an oracle on its own field, calls the
+    # integrator elsewhere
+    path = Path(__file__).resolve().parents[1] / "src" / "hecu" / "horseshoe.py"
+    callers = set()
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            callers |= {fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "first_crossing"}
+    assert callers == {"_lanes_to_section", "truncated_local_map"}
+
+
 @pytest.mark.parametrize("case", ["homoclinic", "homoclinic_back", "roundtrip"])
 def test_single_lane_takes_scipy_steps(case, params, params_eps0):
     # the engine is scipy's DOP853 step for step on one lane
