@@ -41,6 +41,8 @@ from .integrate import (
     IntegrationCounters,
     IntegratorConfig,
     first_crossing,
+    integrate_mcgehee,
+    mcgehee_rhs,
 )
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
 from .model import CorrugationSeries, DomainError, ModelParams
@@ -1187,14 +1189,13 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
     """Orbit with k strictly increasing height maxima, returning below z_ret.
 
     Shadows the strictly increasing window-relative symbols (1, ..., k),
-    lifts each leg's node to the full system and integrates that leg alone in
-    physical time, over its angle advance, then converts to Cartesian
+    lifts each leg's node to the full system, finds the end of its angle
+    advance as a one-lane first crossing and integrates the leg alone in
+    physical time up to there, then converts to Cartesian
     coordinates.  The orbit is the legs in order: at each node it jumps by at
     most the leg's defect.  Each leg holds one corner passage, so one height
     maximum.
     """
-    from .integrate import crossings, integrate_mcgehee
-
     if lab is None:
         lab = setup_horseshoe(params)
     if family is None:
@@ -1207,20 +1208,21 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
     # lift each leg to the full system and integrate it in physical time
     times, legs = [], []
     t_start = 0.0
+    config = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12)
     for (v_rel, tau), advance in zip(itinerary.nodes, itinerary.advances):
         v_raw, theta = lab.point(v_rel, tau)
         q, p = lab.chart.from_chart(lab.chart.a, v_raw)
         y0 = np.array([q, p, math.fmod(theta, _TWO_PI),
                        action_offset_closed(q, p, theta, params)])
-        traj = integrate_mcgehee(params, y0, (0.0, 1.15 * advance / params.nu_I0),
-                                 IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12))
-        end = crossings(traj, lambda y: y[2] - (y0[2] + advance), +1)
-        if not len(end):
+        hit, t_end, _ = first_crossing(mcgehee_rhs(params), y0,
+                                       (0.0, 1.15 * advance / params.nu_I0),
+                                       [(lambda y: y[2] - (y0[2] + advance), +1)], config)
+        if hit is None:
             raise PassageError("lifted leg did not complete its angle advance")
-        ts = np.linspace(0.0, end.t[0], 2000)
+        ts = np.linspace(0.0, t_end, 2000)
         times.append(t_start + ts)
-        legs.append(traj(ts))
-        t_start += end.t[0]
+        legs.append(integrate_mcgehee(params, y0, (0.0, t_end), config)(ts))
+        t_start += t_end
     ts = np.concatenate(times)
     states = np.concatenate(legs, axis=1)
     qs = states[0]

@@ -6,17 +6,18 @@ scipy ships) advances N independent orbits, the lanes, with one shared
 step.  The step controller is scipy's; its error norm is the maximum over
 lanes of scipy's per-lane DOP853 norm, so every lane meets at least the
 tolerance it meets when integrated alone.  A 1-D initial state is one
-orbit on 1-D arrays and takes scipy's steps.
+lane, normed as scipy norms one orbit, so it takes scipy's steps.
 
-One step loop serves two consumers.  `integrate` keeps the seven
-coefficient arrays of the order-7 dense output of every accepted step, and
-`crossings` finds section zeros on that trajectory.  `first_crossing`
-evaluates its sections at the step nodes only, and builds the interpolant
-of a step only where a wanted crossing lies; the horseshoe passages run on
-it.  It runs N terminal lanes: each lane stops at its own first crossing
-and is frozen there (its field set to 0, so it leaves the error norm)
-while the others go on, and a step underflow or a non-finite state fails
-one lane, not the run.  A 1-D initial state is one such lane.
+One step loop serves both entry points.  `integrate` keeps the seven
+coefficient arrays of the order-7 dense output of every accepted step.
+`first_crossing` is the one event path: it evaluates its sections at the
+step nodes only, and builds the interpolant of a step only where a wanted
+crossing lies.  It runs N terminal lanes: each lane stops at its own first
+crossing and is frozen there (its field set to 0, so it leaves the error
+norm) while the others go on, and a step underflow or a non-finite state
+fails one lane, not the run.  The horseshoe passages run on it, and a
+sheet samples its levels as restarts of its lanes, one level after the
+other.
 
 The field is polynomial plus trig, never stiff; a step underflow is treated
 as a domain signal (near-singularity such as q -> 0 in reduced
@@ -65,8 +66,8 @@ _ERROR_EXPONENT = -1.0 / 8.0
 class StepUnderflowError(RuntimeError):
     """Integration step fell under 1e-14: the orbit is effectively singular.
 
-    On lanes, `lane` is the lane with the largest error in the last rejected
-    step; it is None for one orbit."""
+    `lane` is the lane with the largest error in the last rejected step; it
+    is None when a finished run is found to hold a step below 1e-14."""
 
     def __init__(self, message, lane=None):
         super().__init__(message)
@@ -102,14 +103,6 @@ class IntegrationCounters:
         self.rejected_steps += other.rejected_steps
         self.rhs_calls += other.rhs_calls
         self.polish_residual = max(self.polish_residual, other.polish_residual)
-
-
-@dataclass(frozen=True)
-class SectionEvent:
-    t: float
-    state: np.ndarray
-    direction: int  # sign of dg/dt at the crossing
-    lane: int = 0
 
 
 class Trajectory:
@@ -151,11 +144,6 @@ class Trajectory:
         nodes = self.t if forward else -self.t
         idx = np.searchsorted(nodes, t if forward else -t, side="left") - 1
         return np.clip(idx, 0, self.t.size - 2)
-
-    def _states_at(self, step: np.ndarray, lane: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(n, K) states of lanes `lane` at fraction `x` of steps `step`."""
-        return _horner(self._coeffs[:, step, lane], self._nodes[step, lane],
-                       x[:, None]).T
 
     @property
     def y1(self) -> np.ndarray:
@@ -199,16 +187,14 @@ def mcgehee_rhs(params: ModelParams):
     return rhs
 
 
-def _norm(x: np.ndarray):
-    """2-norm over the state axis 0: a scalar for one orbit, one per lane.
+def _norm(x: np.ndarray) -> np.ndarray:
+    """2-norm over the state axis 0 of (n, N) lanes, one per lane.
 
-    The controller reacts to the last bits of its error norm, so one orbit,
-    1-D or a single lane, is normed as scipy norms it (a dot product, which
-    rounds unlike the axis reduction in about one case in eight) and takes
-    scipy's steps.
+    The controller reacts to the last bits of its error norm, so a single
+    lane is normed as scipy norms one orbit (a dot product, which rounds
+    unlike the axis reduction in about one case in eight) and takes scipy's
+    steps.
     """
-    if x.ndim == 1:
-        return np.linalg.norm(x)
     return np.linalg.norm(x[:, 0])[None] if x.shape[1] == 1 else np.linalg.norm(x, axis=0)
 
 
@@ -241,10 +227,10 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
 
     Yields (t, y, t_new, y_new, dense) per accepted step until t_span[1];
     dense() returns the 7 coefficient arrays of that step's order-7
-    interpolant and must be called before the next step.  y is (n,) for
-    one orbit or (n, N) for N lanes.  `frozen` is a lane mask that the
-    consumer may set between steps: a frozen lane's field is 0, so its state
-    stands still and its error is 0.  Adds the work to `counters`; raises
+    interpolant and must be called before the next step.  y is (n, N) for
+    N lanes.  `frozen` is a lane mask that the consumer may set between
+    steps: a frozen lane's field is 0, so its state stands still and its
+    error is 0.  Adds the work to `counters`; raises
     StepUnderflowError when the controller asks for a step below the
     spacing limit.
     """
@@ -291,7 +277,7 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
             if h_abs < min_step:
                 raise StepUnderflowError(
                     f"required step {h_abs:.3e} below the spacing limit at t = {t:.17g}",
-                    lane=None if y.ndim == 1 else int(np.argmax(lane_errors)))
+                    lane=int(np.argmax(lane_errors)))
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = np.float64(t_bound)
@@ -310,12 +296,9 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
             err5 = _norm(np.dot(k_err, _E5).reshape(shape) / scale) ** 2
             err3 = _norm(np.dot(k_err, _E3).reshape(shape) / scale) ** 2
             denom = err5 + 0.01 * err3
-            if y.ndim == 1:
-                error_norm = 0.0 if denom == 0 else float(abs(h) * err5 / math.sqrt(denom * n))
-            else:
-                lanes = abs(h) * err5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
-                lane_errors = np.where(denom > 0, lanes, 0.0)
-                error_norm = float(np.max(lane_errors))
+            lanes = abs(h) * err5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
+            lane_errors = np.where(denom > 0, lanes, 0.0)
+            error_norm = float(np.max(lane_errors))
 
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
@@ -336,12 +319,13 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
 def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate dy/dt = field(t, y) over t_span with the 8(5,3) pair.
 
-    y0 of shape (n,) is one orbit and field sees (n,) states; y0 of shape
-    (n, N) is N lanes sharing every step, and field must map (n, N) to
-    (n, N).  Deterministic given inputs.  Raises StepUnderflowError when the
+    y0 of shape (n, N) is N lanes sharing every step, and field must map
+    (n, N) to (n, N).  y0 of shape (n,) is one lane, field maps (n,) to
+    (n,), and the trajectory is its 1-D view (`Trajectory.single`).
+    Deterministic given inputs.  Raises StepUnderflowError when the
     controller asks for steps below 1e-14.
     """
-    y0 = np.array(y0, dtype=float)
+    field, y0, single = _as_lanes(field, y0)
     counters = IntegrationCounters()
     times, nodes, coeffs = [np.float64(t_span[0])], [y0], []
     for _, _, t_new, y_new, dense in _steps(field, y0, t_span, config, counters):
@@ -354,11 +338,23 @@ def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) 
     if steps.size and steps.min() < 1e-14:
         raise StepUnderflowError(f"observed step {steps.min():.3e} below 1e-14")
 
-    def lane_major(a):          # (..., n) or (..., n, N) -> (..., N, n)
-        return np.ascontiguousarray((a[..., None] if y0.ndim == 1 else a).swapaxes(-1, -2))
+    def lane_major(a):          # (..., n, N) -> (..., N, n)
+        return np.ascontiguousarray(a.swapaxes(-1, -2))
 
     coeffs = lane_major(np.stack(coeffs, axis=1)) if coeffs else None
-    return Trajectory(times, lane_major(np.stack(nodes)), coeffs, counters, y0.ndim == 1)
+    return Trajectory(times, lane_major(np.stack(nodes)), coeffs, counters, single)
+
+
+def _as_lanes(field, y0):
+    """(field, y0, single) on lanes: a 1-D y0 becomes one lane of shape (n, 1)."""
+    y0 = np.array(y0, dtype=float)
+    if y0.ndim != 1:
+        return field, y0, False
+
+    def lane(t, y):
+        return np.reshape(field(t, y[:, 0]), y.shape)
+
+    return lane, y0[:, None], True
 
 
 def integrate_mcgehee(params: ModelParams, y0, t_span,
@@ -372,78 +368,6 @@ def integrate_mcgehee(params: ModelParams, y0, t_span,
 
 CROSSING_XTOL = 1e-14     # final bracket width in t
 CROSSING_GTOL = 1e-12     # largest accepted |g| at a polished crossing
-
-@dataclass(frozen=True)
-class Crossings:
-    """Zeros of a section over every lane, ordered by lane, then along the run."""
-
-    lane: np.ndarray        # (K,) lane index
-    t: np.ndarray           # (K,) crossing times
-    state: np.ndarray       # (n, K) states at the crossings
-    direction: np.ndarray   # (K,) sign of dg/dt
-    residual: float         # largest |g| at the polished crossings, 0 if none
-
-    def __len__(self) -> int:
-        return self.t.size
-
-    def __getitem__(self, i) -> SectionEvent:
-        return SectionEvent(t=float(self.t[i]), state=self.state[:, i].copy(),
-                            direction=int(self.direction[i]), lane=int(self.lane[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def first(self, n_lanes: int) -> np.ndarray:
-        """Index of each lane's first crossing, -1 where a lane has none."""
-        out = np.full(n_lanes, -1)
-        lanes, first = np.unique(self.lane, return_index=True)
-        out[lanes] = first
-        return out
-
-
-def crossings(traj: Trajectory, section, direction: int = 0,
-              scan_dt: float | None = None) -> Crossings:
-    """Every zero of section(state) along every lane of a dense trajectory.
-
-    `section` maps states of shape (n, ...) to values of shape (...).  Sign
-    changes are found on the step grid subdivided 4x (finer where `scan_dt`
-    caps the spacing, for sections that oscillate faster than the steps),
-    kept when sign(dg/dt) equals `direction` (0 keeps both), and polished
-    on the interpolant to a bracket of CROSSING_XTOL in t.  Raises
-    IntegrationError when a polished crossing misses |g| <= CROSSING_GTOL.
-    """
-    coeffs, nodes = traj._coeffs, traj._nodes
-    h = np.diff(traj.t)
-    n_sub = 4 if scan_dt is None else max(4, int(np.max(np.abs(h)) / scan_dt) + 1)
-    frac = np.arange(n_sub) / n_sub
-    grid = _horner(coeffs[:, :, None], nodes[:-1, None], frac[None, :, None, None])
-    grid = np.concatenate([grid.reshape((-1,) + nodes.shape[1:]), nodes[-1:]])
-    g = np.asarray(section(np.moveaxis(grid, -1, 0)), dtype=float)     # (S + 1, N)
-    ga, gb = g[:-1], g[1:]
-    first_cell = (np.arange(ga.shape[0]) == 0)[:, None]
-    hit = ((ga * gb < 0) | ((gb == 0) & (ga != 0))
-           | ((ga == 0) & (gb != 0) & first_cell))
-    sign = np.sign(gb - ga) * np.sign(h[0])
-    if direction:
-        hit &= sign == direction
-    lane, cell = np.nonzero(hit.T)          # lane-major, cells in run order
-    step = cell // n_sub
-    xa = (cell % n_sub) / n_sub
-    xb = (cell % n_sub + 1) / n_sub
-
-    def g_at(x):
-        return np.asarray(section(traj._states_at(step, lane, x)), dtype=float)
-
-    x = _polish(g_at, xa, xb, ga[cell, lane], gb[cell, lane],
-                CROSSING_XTOL / np.abs(h[step]))
-    state = traj._states_at(step, lane, x)
-    resid = np.abs(np.asarray(section(state), dtype=float))
-    worst = float(np.max(resid)) if resid.size else 0.0
-    if worst > CROSSING_GTOL:
-        raise IntegrationError(f"event polish reached |g| = {worst:.3e} > {CROSSING_GTOL:g}")
-    return Crossings(lane=lane, t=traj.t[step] + x * h[step], state=state,
-                     direction=sign[cell, lane].astype(int), residual=worst)
-
 
 # outcomes of a lane of `first_crossing` other than a section index
 SPAN_END = -1           # no crossing up to the end of t_span
@@ -459,8 +383,9 @@ def first_crossing(field, y0, t_span, sections,
     `sections` lists (g, direction): g maps states (n, K) to (K,), and a
     crossing counts when sign(dg/dt) equals direction (0 takes both).  Sign
     changes are sought at the step nodes; only a step holding one gets its
-    interpolant, on which crossings are polished as in `crossings`.  Adds
-    the work to `counters` if given.
+    interpolant, on which the crossing is polished to a bracket of
+    CROSSING_XTOL in t and must reach |g| <= CROSSING_GTOL.  Adds the work
+    to `counters` if given.
 
     y0 of shape (n, N) is N lanes on one shared step loop, and field maps
     (n, N) to (n, N).  Each lane stops at its own first crossing and is then
@@ -476,15 +401,7 @@ def first_crossing(field, y0, t_span, sections,
     StepUnderflowError on an underflow and IntegrationError on a polish miss.
     """
     counters = IntegrationCounters() if counters is None else counters
-    y0 = np.array(y0, dtype=float)
-    single = y0.ndim == 1
-    if single:
-        orbit = field
-        y0 = y0[:, None]
-
-        def field(t, y):
-            return np.reshape(orbit(t, y[:, 0]), y.shape)
-
+    field, y0, single = _as_lanes(field, y0)
     n_lanes = y0.shape[1]
     kind = np.full(n_lanes, SPAN_END)
     t_out = np.full(n_lanes, float(t_span[1]))
@@ -590,8 +507,8 @@ def _polish(g_at, a, b, ga, gb, width_tol) -> np.ndarray:
 
 
 def energy_drift(traj: Trajectory, params: ModelParams) -> float:
-    """max relative |H(t) - H(0)| / |H(0)| over the trajectory samples."""
-    h = np.array([hamiltonian_mcgehee(traj.y[:, i], params) for i in range(traj.y.shape[1])])
+    """max relative |H(t) - H(0)| / |H(0)| over the nodes of a one-lane trajectory."""
+    h = hamiltonian_mcgehee(traj.y, params)
     scale = abs(h[0]) if h[0] != 0.0 else 1.0
     return float(np.max(np.abs(h - h[0])) / scale)
 

@@ -27,8 +27,10 @@ from scipy.optimize import brentq
 
 from .fourier import ModeField, geometric_grid, modes_to_values, picard_iterates
 from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
-from .integrate import (IntegrationCounters, IntegratorConfig, crossings,
-                        integrate_mcgehee)
+from .integrate import (POLISH_MISS, SPAN_END, UNDERFLOW, IntegrationCounters,
+                        IntegratorConfig, first_crossing, mcgehee_rhs)
+# no sheet calls it; perfbench/layers.py wraps it here, so the name stays
+from .integrate import integrate_mcgehee  # noqa: F401
 from .model import DomainError, ModelParams, hamiltonian_mcgehee
 from .separatrix import dphi0, p_h, q_h
 
@@ -231,31 +233,46 @@ def globalize(params: ModelParams, seeds: np.ndarray, u_levels,
     if not u_levels or u_levels[0] <= 0:
         raise DomainError("u_levels must be positive")
     t_end = abs(u_seed) + u_levels[-1] + 1.5
-    branches = [(su, d) for u in u_levels for su, d in ((u, -1), (-u, +1))]
+    # forward in time the fibers meet the branches in ascending signed u
+    branches = sorted((su, d) for u in u_levels for su, d in ((u, -1), (-u, +1)))
     return _sample_sheet("unstable", params, seeds, t_end, branches)
+
+
+# lane outcome of `first_crossing` -> why a fiber missed a sheet level
+_GAP_KINDS = {SPAN_END: "timeout", UNDERFLOW: "underflow", POLISH_MISS: "polish miss"}
 
 
 def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float,
                   branches) -> Sheet:
-    """All seeds as lanes of one integration over (0, t_end), then each branch.
+    """All seeds as terminal lanes of `first_crossing`, one branch at a time.
 
     A branch (signed_u, direction) samples every fiber at its first crossing
-    of q = q_h(u) with sign(dq/dt) = direction.  Raises when a fiber misses
-    a branch.
+    of q = q_h(u) with sign(dq/dt) = direction.  Branches come in time
+    order, and each one restarts the lanes from their crossings of the one
+    before; the field is autonomous, so every restart begins at t = 0.
+    t_end is the budget from the seed: a fiber that would reach a branch
+    later is a gap.  Raises RuntimeError on a gap, with the outcome of each
+    missing lane (timeout, underflow or polish miss).
     """
     n = seeds.shape[0]
-    traj = integrate_mcgehee(params, seeds.T, (0.0, t_end), IntegratorConfig())
+    rhs = mcgehee_rhs(params)
+    counters = IntegrationCounters()
+    budget = abs(t_end)
+    elapsed = np.zeros(n)
+    state = seeds.T
     levels = {}
-    residual = 0.0
     for signed_u, direction in branches:
         q_t = float(q_h(signed_u))
-        hits = crossings(traj, lambda y: y[0] - q_t, direction=direction)
-        first = hits.first(n)
-        if np.any(first < 0):
+        span = (0.0, math.copysign(float(np.max(budget - elapsed)), t_end))
+        kind, t, state = first_crossing(rhs, state, span, [(lambda y: y[0] - q_t, direction)],
+                                        IntegratorConfig(), counters)
+        elapsed += np.abs(t)
+        kind[elapsed > budget] = SPAN_END
+        missing = np.flatnonzero(kind != 0)
+        if missing.size:
+            why = ", ".join(f"lane {j}: {_GAP_KINDS[kind[j]]}" for j in missing)
             raise RuntimeError(f"grid coverage gap at u={signed_u}: "
-                               f"{np.count_nonzero(first >= 0)}/{n} fibers arrived")
-        residual = max(residual, hits.residual)
-        state = hits.state[:, first]
+                               f"{n - missing.size}/{n} fibers arrived ({why})")
         levels[signed_u] = SheetLevel(
             u=signed_u,
             theta0=seeds[:, 2].copy(),
@@ -264,8 +281,7 @@ def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float
             J=state[3],
             energy_defect=np.abs(hamiltonian_mcgehee(state, params) - params.energy),
         )
-    traj.counters.polish_residual = residual
-    return Sheet(tag, params, levels, traj.counters)
+    return Sheet(tag, params, levels, counters)
 
 
 def unstable_sheet(params: ModelParams, u_levels, n_theta: int = 64,
@@ -306,7 +322,8 @@ def stable_sheet_direct(params: ModelParams, u_levels, n_theta: int = 64,
 
     u_levels = sorted(float(u) for u in u_levels)
     t_end = -(_SHEET_U_SEED - u_levels[0] + 1.0)
-    return _sample_sheet("stable", params, seeds, t_end, [(u, -1) for u in u_levels])
+    # backward in time the fibers meet the levels in descending u
+    return _sample_sheet("stable", params, seeds, t_end, [(u, -1) for u in reversed(u_levels)])
 
 
 # ---------------------------------------------------------------------------

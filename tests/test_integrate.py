@@ -13,7 +13,6 @@ from hecu.integrate import (
     IntegrationCounters,
     IntegratorConfig,
     StepUnderflowError,
-    crossings,
     energy_drift,
     first_crossing,
     integrate,
@@ -126,61 +125,32 @@ def test_convergence_with_tolerance(params_eps0):
 
 
 def test_section_events_periodic_orbit(params):
-    # on the orbit at infinity, theta mod 2pi = 0 crossings are spaced 2pi/(nu I0)
-    y0 = [0.0, 0.0, 0.05, 0.0]
-    events = crossings(
-        integrate_mcgehee(params, y0, (0.0, 12.0), TIGHT),
-        lambda y: np.sin(y[2] / 2.0),  # zero iff theta = 0 mod 2pi
-        scan_dt=0.05)
-    gaps = np.diff([e.t for e in events])
-    assert np.allclose(gaps, 2 * math.pi / params.nu_I0, rtol=1e-10)
-
-
-def test_section_event_p_zero_on_homoclinic(params_eps0):
-    events = crossings(
-        integrate_mcgehee(params_eps0, [q_h(-5.0), p_h(-5.0), 0.0, 0.0], (0.0, 10.0), TIGHT),
-        lambda y: y[1])
-    assert len(events) == 1
-    assert events[0].t == pytest.approx(5.0, abs=1e-9)
-
-
-def test_section_event_qhalf_at_sqrt3(params_eps0):
-    events = crossings(
-        integrate_mcgehee(params_eps0, [1.0, 0.0, 0.0, 0.0], (0.0, 5.0), TIGHT),
-        lambda y: y[0] - 0.5)
-    assert len(events) == 1
-    assert events[0].t == pytest.approx(math.sqrt(3.0), abs=1e-10)
-    assert abs(events[0].state[0] - 0.5) < 1e-12
-
-
-def test_event_direction_filter(params_eps0):
-    events = crossings(
-        integrate_mcgehee(params_eps0, [q_h(-4.0), p_h(-4.0), 0.0, 0.0], (0.0, 8.0), TIGHT),
-        lambda y: y[0] - 0.5, direction=+1)
-    assert len(events) == 1
-    assert events[0].direction == 1
-
-
-def test_event_direction_backward(params_eps0):
-    # direction is the sign of dg/dt in time, whichever way the run goes:
-    # backward from the apex, q falls through 1/2 at t = -sqrt 3 where q rises
-    run = integrate_mcgehee(params_eps0, [1.0, 0.0, 0.0, 0.0], (0.0, -5.0), TIGHT)
-    assert len(crossings(run, lambda y: y[0] - 0.5, direction=-1)) == 0
-    events = crossings(run, lambda y: y[0] - 0.5, direction=+1)
-    assert len(events) == 1
-    assert events[0].t == pytest.approx(-math.sqrt(3.0), abs=1e-10)
+    # on the orbit at infinity theta advances at nu I0, so restarting the
+    # lanes at t = 0 from each crossing of theta = 2 pi m finds the next at
+    # 2 pi (m + 1) a time 2 pi / (nu I0) later; the field is autonomous
+    theta0 = np.array([0.05, 1.0, 3.0])
+    y = np.array([np.zeros(3), np.zeros(3), theta0, np.zeros(3)])
+    rhs = mcgehee_rhs(params)
+    times = []
+    for m in (1, 2, 3):
+        k, t, y = first_crossing(rhs, y, (0.0, 12.0),
+                                 [(lambda s: s[2] - 2.0 * math.pi * m, +1)], TIGHT)
+        assert list(k) == [0, 0, 0]
+        times.append(t)
+    assert np.allclose(times[0], (2.0 * math.pi - theta0) / params.nu_I0, rtol=1e-10)
+    assert np.allclose(times[1:], 2.0 * math.pi / params.nu_I0, rtol=1e-10)
 
 
 def test_crossings_per_lane(params_eps0):
     # two lanes on the separatrix seeded at u0 cross q = 1/2 rising where
-    # u0 + t = -sqrt 3; every lane reports its own crossings
-    u0 = np.array([-4.0, -2.5])
-    y0 = np.array([q_h(u0), p_h(u0), np.zeros(2), np.zeros(2)])
-    run = integrate_mcgehee(params_eps0, y0, (0.0, 8.0), TIGHT)
-    events = crossings(run, lambda y: y[0] - 0.5, direction=+1)
-    assert list(events.lane) == [0, 1]
-    assert np.allclose(events.t, -math.sqrt(3.0) - u0, atol=1e-10)
-    assert list(events.first(3)) == [0, 1, -1]
+    # u0 + t = -sqrt 3; the lane seeded at the apex only falls through it
+    u0 = np.array([-4.0, -2.5, 0.0])
+    y0 = np.array([q_h(u0), p_h(u0), np.zeros(3), np.zeros(3)])
+    k, t, y = first_crossing(mcgehee_rhs(params_eps0), y0, (0.0, 8.0),
+                             [(lambda y: y[0] - 0.5, +1)], TIGHT)
+    assert list(k) == [0, 0, SPAN_END]
+    assert np.allclose(t[:2], -math.sqrt(3.0) - u0[:2], atol=1e-10)
+    assert np.all(np.abs(y[0, :2] - 0.5) <= 1e-12) and t[2] == 8.0
 
 
 def test_first_crossing_stops_at_earliest_section(params_eps0):
@@ -315,8 +285,8 @@ def test_src_has_one_integrator():
 
 def test_horseshoe_has_one_passage_path():
     # every reduced-flow passage runs through the lane runner; only the
-    # truncated corner model, an oracle on its own field, calls the
-    # integrator elsewhere
+    # truncated corner model, an oracle on its own field, and the lift of
+    # the oscillatory legs to the full field call the integrator elsewhere
     path = Path(__file__).resolve().parents[1] / "src" / "hecu" / "horseshoe.py"
     callers = set()
     for fn in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -324,7 +294,7 @@ def test_horseshoe_has_one_passage_path():
             callers |= {fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
                         and getattr(node.func, "id", getattr(node.func, "attr", None))
                         == "first_crossing"}
-    assert callers == {"_lanes_to_section", "truncated_local_map"}
+    assert callers == {"_lanes_to_section", "truncated_local_map", "oscillatory_demo"}
 
 
 @pytest.mark.parametrize("case", ["homoclinic", "homoclinic_back", "roundtrip"])

@@ -10,6 +10,7 @@ from hecu.manifolds import (
     Sheet,
     SheetLevel,
     SignalBelowNoiseError,
+    _sample_sheet,
     find_homoclinics,
     fit_scaling,
     globalize,
@@ -299,9 +300,12 @@ def test_sheet_counters(sheets):
     sheet, stable = sheets
     c = sheet.counters
     assert c.steps > 0 and c.rejected_steps >= 0
-    # 12 stage calls per attempted step, 3 dense-output calls per accepted
-    # step, and 2 calls to choose the first step
-    assert c.rhs_calls == 2 + 12 * (c.steps + c.rejected_steps) + 3 * c.steps
+    # each of the 6 branches chooses its first step with 2 calls; every
+    # attempted step takes 12 stage calls, and every step that holds a
+    # crossing 3 more for its interpolant: at least one step per branch, at
+    # most one per fiber and branch
+    dense = c.rhs_calls - 2 * 6 - 12 * (c.steps + c.rejected_steps)
+    assert dense % 3 == 0 and 6 <= dense // 3 <= min(c.steps, 6 * 64)
     assert 0.0 <= c.polish_residual <= 1e-12
     assert stable.counters.steps == 0
 
@@ -314,3 +318,17 @@ def test_sheet_coverage_gap_raises():
     seeds = unstable_initial_conditions(g, -3.0, np.array([0.0, 1.0]))
     with pytest.raises(RuntimeError, match="grid coverage gap"):
         globalize(params, seeds, [1.0], u_seed=-0.5)
+
+
+def test_sheet_budget_counts_from_the_seed():
+    # separatrix fibers at u = -3 and -1.6 reach the rising branch at -1.5
+    # after 1.5 and 0.1, and the falling one at +1 2.5 later; with a budget
+    # of 3.5 from the seed only the second arrives, though the restart from
+    # -1.5 runs until 3.4
+    params = params_for_nu_I0(5.0, epsilon=0.0)
+    u0 = np.array([-3.0, -1.6])
+    seeds = np.array([q_h(u0), p_h(u0), np.zeros(2), np.zeros(2)]).T
+    with pytest.raises(RuntimeError, match=r"u=1.0: 1/2 fibers arrived \(lane 0: timeout\)"):
+        _sample_sheet("unstable", params, seeds, 3.5, [(-1.5, +1), (1.0, -1)])
+    sheet = _sample_sheet("unstable", params, seeds, 4.1, [(-1.5, +1), (1.0, -1)])
+    assert np.allclose(sheet.level(1.0).P, p_h(1.0) ** 2, atol=1e-10)
