@@ -14,8 +14,6 @@ from .model import (
     CorrugationSeries,
     PhysicalParams,
     ModelParams,
-    CartesianState,
-    McGeheeState,
     physical_corrugation,
     default_physical,
     params_for_nu_I0,
@@ -26,8 +24,6 @@ __all__ = [
     "CorrugationSeries",
     "PhysicalParams",
     "ModelParams",
-    "CartesianState",
-    "McGeheeState",
     "physical_corrugation",
     "default_physical",
     "params_for_nu_I0",

@@ -165,10 +165,6 @@ class ModeField:
     def coeff(self, k: int) -> np.ndarray:
         return self.values[k + self.M]
 
-    def set_coeff(self, k: int, vals, du) -> None:
-        self.values[k + self.M] = vals
-        self.du[k + self.M] = du
-
     def dtheta(self) -> "ModeField":
         ik = 1j * self.ks[:, None]
         return ModeField(self.M, self.x, ik * self.values, ik * self.du)
@@ -237,15 +233,6 @@ class ModeField:
         return ModeField(self.M, self.x,
                          self.values + alpha * other.values,
                          self.du + alpha * other.du)
-
-    def sup_norm(self) -> float:
-        """sup over grid and theta of |sum_k c_k e^{ik theta}| (triangle bound)."""
-        return float(np.max(np.sum(np.abs(self.values), axis=0)))
-
-    def eval_theta(self, j: int, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate the series at grid index j for an array of angles."""
-        phases = np.exp(1j * np.outer(self.ks, thetas))
-        return np.real(np.tensordot(self.values[:, j], phases, axes=(0, 0)))
 
     def interp_coeff(self, k: int, u: float) -> tuple[complex, complex]:
         """Cubic Hermite evaluation of (coefficient, d/du coefficient) at u."""
@@ -377,13 +364,3 @@ def modes_to_values(coeffs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     M = (len(coeffs) - 1) // 2
     ks = np.arange(-M, M + 1)
     return np.real(np.exp(1j * np.outer(thetas, ks)) @ coeffs)
-
-
-def values_to_modes(values: np.ndarray, M: int) -> np.ndarray:
-    """Coefficients c_k, k = -M..M, of samples on a uniform theta grid."""
-    n = len(values)
-    c = np.fft.fft(values) / n
-    out = np.zeros(2 * M + 1, dtype=complex)
-    for k in range(-M, M + 1):
-        out[k + M] = c[k % n]
-    return out

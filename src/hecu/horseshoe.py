@@ -472,15 +472,6 @@ class HorseshoeLab:
         v2_rel[ok], tau2[ok] = self.coords(v2[ok], np.fmod(th2[ok], _TWO_PI))
         return Returns(v2_rel, tau2, count, advance, kind)
 
-    def return_map(self, v_rel: float, tau: float) -> tuple[float, float, int, float]:
-        """One return from (v_rel, tau), a one-lane `return_maps`: image
-        (v_rel, tau), count, angle advance; raises PassageError or
-        DomainError when it fails."""
-        ret = self.return_maps(v_rel, tau)
-        if not ret.ok[0]:
-            raise _failure("return", ret.kind[0])
-        return float(ret.v_rel[0]), float(ret.tau[0]), int(ret.count[0]), float(ret.advance[0])
-
     def passage_count(self, v_rel: float, tau: float) -> int:
         """Completed angle periods of one return; -1 when the orbit does not return."""
         return int(self.return_maps(v_rel, tau).count[0])
@@ -933,6 +924,25 @@ def _jacobian(lab: HorseshoeLab, v, tau, h_v, h_tau):
     return cols.transpose(1, 0, 2), ret.ok.reshape(3, v.size).all(axis=0), base
 
 
+def _cone_test(D: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(passed, growth) of each Jacobian of the stack D, (N, 2, 2) in (v_rel, tau).
+
+    The unstable cone edges (+-eta, 1) must stay in |V| <= eta |T| under D,
+    and the stable edges (1, +-eta) in |T| <= eta |V| under D^-1.  growth is
+    the least 1-norm growth of the four edges, valid where the cones hold;
+    a Jacobian passes when they hold and growth > 1.
+    """
+    # the edges as columns; each has 1-norm 1 + eta
+    Y = D @ np.array([[eta, -eta], [1.0, 1.0]])
+    passed = ~np.any(np.abs(Y[:, 0]) > eta * np.abs(Y[:, 1]), axis=1)
+    size = np.min(np.abs(Y[:, 0]) + np.abs(Y[:, 1]), axis=1)
+    Y = np.linalg.inv(D[passed]) @ np.array([[1.0, 1.0], [eta, -eta]])
+    size[passed] = np.minimum(size[passed], np.min(np.abs(Y[:, 0]) + np.abs(Y[:, 1]), axis=1))
+    passed[passed] = ~np.any(np.abs(Y[:, 1]) > eta * np.abs(Y[:, 0]), axis=1)
+    growth = size / (1.0 + eta)
+    return passed & (growth > 1.0), growth
+
+
 def verify_cones(lab: HorseshoeLab, family: StripFamily,
                  samples_per_strip: int = 200) -> ConeReport:
     """Sampled cone conditions for the return map over the strip family.
@@ -973,64 +983,25 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
            / np.maximum(np.max(np.abs(D4), axis=(1, 2)), 1e-30))
     fd_worst = float(np.max(dev[checked], initial=0.0))
     D[:m][checked] = D4[checked]
-    per_strip = {n: list(D[ok & (strip == n)]) for n in family.strips}
-    sample_v = v[ok]
-    sample_jacs = list(D[ok])
-
-    if not sample_jacs:
+    if not ok.any():
         raise PassageError("no cone samples could be evaluated")
+    strip, sample_v, D = strip[ok], v[ok], D[ok]
 
     best = None
     for eta in _ETA_GRID:
-        edges_u = [np.array([eta, 1.0]), np.array([-eta, 1.0])]
-        edges_s = [np.array([1.0, eta]), np.array([1.0, -eta])]
-        n_pass = 0
-        expansions = []
-        flags = []
-        for D in sample_jacs:
-            ok = True
-            exp_here = math.inf
-            for x in edges_u:
-                y = D @ x
-                if abs(y[0]) > eta * abs(y[1]):
-                    ok = False
-                    break
-                growth = (abs(y[0]) + abs(y[1])) / (abs(x[0]) + abs(x[1]))
-                exp_here = min(exp_here, growth)
-            if ok:
-                Dinv = np.linalg.inv(D)
-                for x in edges_s:
-                    y = Dinv @ x
-                    if abs(y[1]) > eta * abs(y[0]):
-                        ok = False
-                        break
-                    growth = (abs(y[0]) + abs(y[1])) / (abs(x[0]) + abs(x[1]))
-                    exp_here = min(exp_here, growth)
-            flags.append(ok and exp_here > 1.0)
-            if flags[-1]:
-                n_pass += 1
-                expansions.append(exp_here)
-        rate = n_pass / len(sample_jacs)
-        if expansions:
-            kappa = 1.0 / float(np.quantile(expansions, 0.02))
-        else:
-            kappa = math.inf
-        cand = (rate, eta, kappa, expansions, flags)
-        if best is None or cand[0] > best[0]:
-            best = cand
+        flags, growth = _cone_test(D, eta)
+        expansions = growth[flags]
+        rate = np.count_nonzero(flags) / len(D)
+        kappa = 1.0 / float(np.quantile(expansions, 0.02)) if expansions.size else math.inf
+        if best is None or rate > best[0]:
+            best = (rate, eta, kappa, expansions, flags)
 
     rate, eta, kappa, expansions, flags = best
-    flags = np.array(flags)
     v_lines = {float(v): (int(np.sum(sample_v == v)), float(np.mean(flags[sample_v == v])))
                for v in np.unique(sample_v)}
-    strip_expansion = {}
-    for n, mats in per_strip.items():
-        if mats:
-            vals = []
-            for D in mats:
-                y = D @ np.array([0.0, 1.0])
-                vals.append(abs(y[0]) + abs(y[1]))
-            strip_expansion[n] = float(np.median(vals))
+    tau_growth = np.abs(D[:, 0, 1]) + np.abs(D[:, 1, 1])     # 1-norm of D (0, 1)
+    strip_expansion = {n: float(np.median(tau_growth[strip == n]))
+                       for n in family.strips if np.any(strip == n)}
     # expansion ~ (strip depth)^(-rho_exp): fit over strips
     ns = sorted(strip_expansion)
     exponent = math.nan
@@ -1040,8 +1011,8 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
         exponent = -float(np.polyfit(np.log(depth), np.log(lam), 1)[0])
     return ConeReport(
         eta_u=eta, eta_s=eta, kappa=kappa, pass_rate=rate,
-        n_samples=len(sample_jacs),
-        expansion_min=float(np.min(expansions)) if expansions else math.nan,
+        n_samples=len(D),
+        expansion_min=float(np.min(expansions)) if expansions.size else math.nan,
         per_strip_expansion=strip_expansion,
         fd_agreement=fd_worst,
         expansion_exponent=exponent,

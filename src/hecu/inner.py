@@ -41,15 +41,6 @@ _MIN_DEPTH = 8.0
 _MAX_ITER = 60
 
 
-def t0_inner(v):
-    """Leading inner profile T0(v) = -1/(4v)."""
-    v = np.asarray(v, dtype=complex)
-    if np.any(v == 0):
-        raise DomainError("T0 has a pole at v = 0")
-    out = -1.0 / (4.0 * v)
-    return out if out.ndim else complex(out)
-
-
 def inner_line(depth: float) -> np.ndarray:
     """Real offsets x of the solver line v = x - i*depth.
 
@@ -134,23 +125,6 @@ def theta_v_constant(sol: InnerSolution) -> float:
         n2t += abs(k) * np.max(np.abs(v ** 2 * vals))
         n3 += np.max(np.abs(v ** 3 * L.du[k + M]))
     return float(math.sqrt(n2 ** 2 + n2t ** 2 + n3 ** 2))
-
-
-def t2_weighted_bound(sol: InnerSolution) -> float:
-    """K1 with floor-norm |v|^3-weighted T2 <= K1 Theta_V^2."""
-    v = sol.x - 1j * sol.depth
-    total = float(np.sum(np.max(np.abs(v ** 3 * sol.t2.values), axis=1)))
-    theta_v = sol.diagnostics.get("theta_V") or theta_v_constant(sol)
-    return total / theta_v ** 2 if theta_v > 0 else 0.0
-
-
-def inner_melnikov_difference_mode(params: ModelParams, k: int, v: complex) -> complex:
-    """Closed form of (L+_in - L-_in) mode k for Im v < 0:
-    -(pi k eps V_k / 4) e^{-i k v}."""
-    if k <= 0:
-        return 0.0 + 0.0j
-    vk = params.epsilon * params.series.fourier_coeff(k)
-    return complex(-(math.pi * k * vk / 4.0) * np.exp(-1j * k * v))
 
 
 # default extraction depths; mode k only uses depths with k*d below the
@@ -267,37 +241,3 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
         diagnostics["im_f1_offaxis_ratio"] = float(abs(coef[0].imag) / abs(f[1]))
     out = InnerDifference(params, tuple(depths), f, err, raw, low, diagnostics)
     return out
-
-
-@dataclass(frozen=True)
-class F1ScanRow:
-    epsilon: float
-    f1: complex
-    err: float
-
-
-def f1_epsilon_scan(eps_values) -> dict:
-    """Table eps -> f1(eps) with the slope at 0 and quadratic residual.
-
-    The inner equation depends on nu I0 only through the torus frequency
-    nu; nu I0 = 6 picks the ModelParams wrapper.
-    """
-    from .model import params_for_nu_I0
-    rows = []
-    for eps in eps_values:
-        if not 0 < eps <= 1.0:
-            raise DomainError("epsilon values must lie in (0, 1]")
-        params = params_for_nu_I0(6.0, epsilon=float(eps))
-        diff = extract_fk(params, ks=(1,))
-        rows.append(F1ScanRow(float(eps), diff.f1, diff.err[1]))
-    eps_arr = np.array([r.epsilon for r in rows])
-    f1_arr = np.array([r.f1.real for r in rows])
-    A = np.column_stack([eps_arr, eps_arr ** 2])
-    coef, *_ = np.linalg.lstsq(A, f1_arr, rcond=None)
-    resid = float(np.max(np.abs(f1_arr - A @ coef)))
-    return {
-        "rows": rows,
-        "slope": float(coef[0]),
-        "quadratic": float(coef[1]),
-        "residual": resid,
-    }

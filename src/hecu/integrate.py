@@ -198,8 +198,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x[:, 0])[None] if x.shape[1] == 1 else np.linalg.norm(x, axis=0)
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
-    """scipy's starting step (HNW II.4) per lane; the smallest is shared.
+def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol, live) -> float:
+    """scipy's starting step (HNW II.4) per lane; the smallest over the
+    `live` lanes is shared.
 
     The trial evaluation uses the smallest per-lane trial step for every
     lane, so one field call serves them all.
@@ -211,14 +212,14 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
     d1 = _norm(f0 / scale) / rms
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
-    h0 = min(float(np.min(h0)), interval)
+    h0 = min(float(np.min(h0[live])), interval)
     f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
     d2 = _norm((f1 - f0) / scale) / rms / h0
     dmax = np.maximum(d1, d2)
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, max(1e-6, h0 * 1e-3),
                   (0.01 / np.where(flat, 1.0, dmax)) ** (1.0 / 8.0))
-    return min(100.0 * h0, float(np.min(h1)), interval)
+    return min(100.0 * h0, float(np.min(h1[live])), interval)
 
 
 def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCounters,
@@ -235,10 +236,12 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
     spacing limit.
     """
 
+    if frozen is None:
+        frozen = np.zeros(y.shape[1], dtype=bool)
+
     def fun(t, y):
         f = np.asarray(field(t, y), dtype=float)
-        if frozen is not None:
-            f[:, frozen] = 0.0
+        f[:, frozen] = 0.0
         return f
 
     def dense():            # of the step just yielded: reads the loop's variables
@@ -265,11 +268,10 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
 
     t = np.float64(t0)
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
+    h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol, ~frozen)
     counters.rhs_calls += 2
     while direction * (t - t_bound) < 0:
-        if frozen is not None:
-            f[:, frozen] = 0.0      # lanes frozen since f was evaluated
+        f[:, frozen] = 0.0      # lanes frozen since f was evaluated
         min_step = 10.0 * abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -297,6 +299,7 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
             err3 = _norm(np.dot(k_err, _E3).reshape(shape) / scale) ** 2
             denom = err5 + 0.01 * err3
             lanes = abs(h) * err5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
+            # a lane without error counts 0, and so does a frozen non-finite one
             lane_errors = np.where(denom > 0, lanes, 0.0)
             error_norm = float(np.max(lane_errors))
 
@@ -391,7 +394,8 @@ def first_crossing(field, y0, t_span, sections,
     (n, N) to (n, N).  Each lane stops at its own first crossing and is then
     frozen: its field is 0 from there on, so it leaves the error norm.  A
     step underflow freezes the lane with the largest error and the others
-    go on; so does a state that stops being finite.  Returns arrays (k, t, y)
+    go on; so does a state that stops being finite, and a lane that starts
+    non-finite is frozen at t_span[0].  Returns arrays (k, t, y)
     of shapes (N,), (N,) and (n, N); k indexes `sections`, or is SPAN_END,
     UNDERFLOW or POLISH_MISS where a lane has no accepted crossing, with t
     and y where it stopped.
@@ -413,6 +417,8 @@ def first_crossing(field, y0, t_span, sections,
         frozen[lanes] = True
 
     t_now, y_now = float(t_span[0]), y0
+    start_broken = ~np.all(np.isfinite(y0), axis=0)
+    stop(start_broken, UNDERFLOW, t_now, y0[:, start_broken])
     g_old = [np.asarray(g(y0), dtype=float) for g, _ in sections]
     while not frozen.all():
         try:

@@ -88,14 +88,6 @@ class ManifoldGraph:
             J = J + 1j * k * val * phase
         return np.real(P), np.real(J)
 
-    def phi1_at(self, u0: float, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.zeros_like(thetas, dtype=complex)
-        for k in range(-self.phi1.M, self.phi1.M + 1):
-            val, _ = self.phi1.interp_coeff(k, u0)
-            out = out + val * np.exp(1j * k * thetas)
-        return np.real(out)
-
 
 def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
                       theta_modes: int = 8, tol: float = 1e-11) -> ManifoldGraph:

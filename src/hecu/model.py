@@ -1,9 +1,10 @@
-"""Scattering model: potentials, coordinate systems, Hamiltonians, vector fields.
+"""Scattering model: corrugation, parameters, the rescaled Hamiltonian, averaging.
 
 Everything downstream consumes this module.  The dynamics run in the
 dimensionless rescaled system (regularized height q with q^2 ~ e^{-alpha z},
-angle theta, action offset J); the Cartesian layer is a thin demonstration
-layer in user units (energy meV, length angstrom, mass amu).
+angle theta, action offset J); the laboratory parameters are in user units
+(energy meV, length angstrom, mass amu), and B and C carry momenta between
+the two.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Experimentally fitted surface parameters (He on Cu).  The mass default is an
-# implementation choice for the Cartesian demo layer.
+# Experimentally fitted surface parameters (He on Cu), and the He mass.
 DEFAULT_D = 6.35        # well depth, meV
 DEFAULT_A = 3.6         # lattice period, angstrom
 DEFAULT_ALPHA = 1.05    # Morse range, 1/angstrom
@@ -56,10 +56,6 @@ class CorrugationSeries:
     @property
     def order(self) -> int:
         return len(self.cos_coeffs)
-
-    @property
-    def even(self) -> bool:
-        return all(s == 0.0 for s in self.sin_coeffs)
 
     def trig(self, theta):
         """(V(theta), V'(theta)) with one cos and one sin per call.
@@ -140,11 +136,6 @@ class PhysicalParams:
     def B(self) -> float:
         return self.a * self.alpha * self.C / (4.0 * math.pi)
 
-    @property
-    def time_rescale(self) -> float:
-        """Factor lam with (d/dt_physical) = lam * (d/dt_rescaled) on pushforward."""
-        return self.alpha * math.sqrt(2.0 * self.D / self.m)
-
 
 def nu_from_physical(a: float, alpha: float) -> float:
     """Frequency-squared parameter nu = (4 pi / (a alpha))^2."""
@@ -208,64 +199,13 @@ def params_for_nu_I0(nu_I0: float, epsilon: float = 1.0,
     return ModelParams(physical=phys, nu=nu, I0=nu_I0 / nu, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class CartesianState:
-    x: float
-    z: float
-    p_x: float
-    p_z: float
-
-    def __post_init__(self):
-        vals = (self.x, self.z, self.p_x, self.p_z)
-        # z = +inf is the orbit at infinity; everything else must be finite
-        if not all(math.isfinite(v) for v in (self.x, self.p_x, self.p_z)):
-            raise DomainError("x, p_x, p_z must be finite")
-        if math.isnan(self.z) or self.z == -math.inf:
-            raise DomainError("z must be finite or +inf")
-
-
-@dataclass(frozen=True)
-class McGeheeState:
-    """Regularized state (q, p, theta, J); q = 0 is z = infinity."""
-
-    q: float
-    p: float
-    theta: float
-    J: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(np.mod(self.theta, 2.0 * math.pi)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.p, self.theta, self.J], dtype=float)
-
-
 # ---------------------------------------------------------------------------
-# potentials and Hamiltonians
+# the rescaled Hamiltonian
 # ---------------------------------------------------------------------------
 
-def morse_potential(z, physical: PhysicalParams):
-    e = np.exp(-physical.alpha * z)
-    return physical.D * e * (e - 2.0)
-
-
-def corrugation_potential(theta, z, physical: PhysicalParams):
-    return physical.D * np.exp(-2.0 * physical.alpha * z) * physical.corrugation.trig(theta)[0]
-
-
-def hamiltonian_cartesian(s: CartesianState, physical: PhysicalParams) -> float:
-    """H_CM = (p_x^2 + p_z^2)/(2m) + V_M(z) + V_C(2 pi x / a, z)."""
-    theta = 2.0 * math.pi * s.x / physical.a
-    kin = (s.p_x ** 2 + s.p_z ** 2) / (2.0 * physical.m)
-    if s.z == math.inf:
-        return kin
-    return float(kin + morse_potential(s.z, physical)
-                 + corrugation_potential(theta, s.z, physical))
-
-
-def hamiltonian_mcgehee(s: McGeheeState | np.ndarray, params: ModelParams) -> float:
+def hamiltonian_mcgehee(s, params: ModelParams) -> float:
     """Rescaled Hamiltonian H = H0 + H1 in (q, p, theta, J)."""
-    q, p, theta, J = _unpack(s)
+    q, p, theta, J = s
     return h0_mcgehee(q, p, J, params) + h1_mcgehee(q, theta, params)
 
 
@@ -276,84 +216,6 @@ def h0_mcgehee(q, p, J, params: ModelParams):
 
 def h1_mcgehee(q, theta, params: ModelParams):
     return 0.5 * params.epsilon * q ** 4 * params.series.trig(theta)[0]
-
-
-def _unpack(s):
-    if isinstance(s, McGeheeState):
-        return s.q, s.p, s.theta, s.J
-    q, p, theta, J = s
-    return q, p, theta, J
-
-
-# ---------------------------------------------------------------------------
-# coordinate changes
-# ---------------------------------------------------------------------------
-
-def to_mcgehee(s: CartesianState, params: ModelParams) -> McGeheeState:
-    """Regularizing change: 2 q^2 = e^{-alpha z}, B p = p_z, C I = p_x, theta = 2 pi x / a."""
-    phys = params.physical
-    if s.z == math.inf:
-        q = 0.0
-    else:
-        q = math.sqrt(0.5 * math.exp(-phys.alpha * s.z))
-    p = s.p_z / phys.B
-    theta = 2.0 * math.pi * s.x / phys.a
-    I = s.p_x / phys.C
-    return McGeheeState(q=q, p=p, theta=theta, J=I - params.I0)
-
-
-def from_mcgehee(s: McGeheeState | np.ndarray, params: ModelParams) -> CartesianState:
-    """Inverse of :func:`to_mcgehee`; requires q >= 0 (q = 0 maps to z = +inf)."""
-    q, p, theta, J = _unpack(s)
-    phys = params.physical
-    if q < 0:
-        raise DomainError("from_mcgehee needs q >= 0")
-    z = math.inf if q == 0.0 else -math.log(2.0 * q * q) / phys.alpha
-    return CartesianState(
-        x=phys.a * theta / (2.0 * math.pi),
-        z=z,
-        p_x=phys.C * (params.I0 + J),
-        p_z=phys.B * p,
-    )
-
-
-def b_form_matrix(q: float) -> np.ndarray:
-    """Matrix of the 2-form d theta ^ dJ - (1/q) dq ^ dp in coordinates (q, p, theta, J)."""
-    if q == 0:
-        raise DomainError("b-form is singular at q = 0")
-    O = np.zeros((4, 4))
-    O[0, 1] = -1.0 / q
-    O[1, 0] = 1.0 / q
-    O[2, 3] = 1.0
-    O[3, 2] = -1.0
-    return O
-
-
-# ---------------------------------------------------------------------------
-# vector fields
-# ---------------------------------------------------------------------------
-
-def vector_field_cartesian(s, physical: PhysicalParams) -> np.ndarray:
-    """Equations of motion of H_CM in (x, z, p_x, p_z)."""
-    if isinstance(s, CartesianState):
-        x, z, p_x, p_z = s.x, s.z, s.p_x, s.p_z
-    else:
-        x, z, p_x, p_z = s
-    v, vp = physical.corrugation.trig(2.0 * math.pi * x / physical.a)
-    e1 = math.exp(-physical.alpha * z)
-    e2 = e1 * e1
-    return np.array([
-        p_x / physical.m,
-        p_z / physical.m,
-        -(2.0 * math.pi / physical.a) * physical.D * e2 * vp,
-        -2.0 * physical.D * physical.alpha * e1 * (1.0 - e1 * (1.0 + v)),
-    ])
-
-
-def reversor(s) -> np.ndarray:
-    """Reversibility map S(q, p, theta, J) = (q, -p, -theta, J)."""
-    q, p, theta, J = _unpack(s)
-    return np.array([q, -p, -theta, J])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +243,7 @@ def _averaging_primitives(params: ModelParams, theta):
 
 def averaging_change(new_state, params: ModelParams) -> tuple[np.ndarray, float]:
     """Map averaged variables (Q, P, Theta, K) to (q, p, theta, J); return state and H value."""
-    Q, P, Theta, K = _unpack(new_state)
+    Q, P, Theta, K = new_state
     A, Ap = _averaging_primitives(params, Theta)
     Q4 = Q ** 4
     old = np.array([Q, P - 4.0 * A * Q4, Theta, K + Ap * Q4])
@@ -390,7 +252,7 @@ def averaging_change(new_state, params: ModelParams) -> tuple[np.ndarray, float]
 
 def averaged_remainder(new_state, params: ModelParams) -> float:
     """H1~ = H(change(Q,P,Theta,K)) - H0(Q,P,K): the post-averaging remainder."""
-    Q, P, Theta, K = _unpack(new_state)
+    Q, P, Theta, K = new_state
     old, h = averaging_change(new_state, params)
     return h - h0_mcgehee(Q, P, K, params)
 

@@ -1,16 +1,17 @@
-"""Unperturbed separatrix, generating function, and the Melnikov potential.
+"""Unperturbed separatrix and the coefficients of the Melnikov potential.
 
 The homoclinic loop of the uncorrugated system through (q, p) = (1, 0) is
 
     q_h(t) = 1/sqrt(1+t^2),     p_h(t) = t/(1+t^2),
 
-and the corrugation couples to it through the Melnikov potential
+with generating-function slope dphi0/du = p_h^2, and the corrugation
+couples to it through the Melnikov potential
 
     L(u, theta) = sum_k L_k(nu I0) e^{i k (theta - nu I0 u)},
     L_k = -(pi nu I0 V_k / 4) e^{-|k| nu I0} (|k| + 1/(nu I0)).
 
-Closed forms are the default everywhere; the quadrature path exists solely
-as an independent oracle (per-period Gauss-Legendre panels with
+The closed form of L_k is the default everywhere; the quadrature path exists
+solely as an independent oracle (per-period Gauss-Legendre panels with
 integration-by-parts tails, so the e^{-|k| nu I0} smallness is resolved to
 near machine absolute accuracy).
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import ibp_tail, osc_integral
+from .fourier import osc_integral
 from .model import CorrugationSeries, DomainError
 
 # Quadrature window: beyond |t| = T the tail is handled by three
@@ -39,13 +40,8 @@ def p_h(u):
     return u / (1.0 + u ** 2)
 
 
-def phi0(u):
-    """Generating function of the separatrix: d phi0/du = p_h(u)^2."""
-    u = np.asarray(u, dtype=float)
-    return -u / (2.0 * (u ** 2 + 1.0)) + 0.5 * np.arctan(u)
-
-
 def dphi0(u):
+    """Slope of the separatrix generating function: p_h(u)^2."""
     return p_h(u) ** 2
 
 
@@ -115,49 +111,3 @@ def melnikov_coeff_quadrature(k: int, nu_I0: float,
     if not np.isfinite(val):
         raise RuntimeError(f"quadrature failed for k={k}, nu_I0={nu_I0}: {val}")
     return coeff
-
-
-def melnikov_potential(u, theta, nu_I0: float, series: CorrugationSeries):
-    """L(u, theta) = sum_k L_k e^{i k (theta - nu I0 u)} from closed forms."""
-    phase = np.asarray(theta, dtype=float) - nu_I0 * np.asarray(u, dtype=float)
-    out = np.zeros_like(phase)
-    for k in range(1, series.order + 1):
-        lk = melnikov_coeff_closed(k, nu_I0, series).value
-        out = out + 2.0 * np.real(lk * np.exp(1j * k * phase))
-    return out if out.ndim else float(out)
-
-
-def melnikov_dtheta(u, theta, nu_I0: float, series: CorrugationSeries):
-    """d L / d theta, the first-order prediction of the J-splitting."""
-    phase = np.asarray(theta, dtype=float) - nu_I0 * np.asarray(u, dtype=float)
-    out = np.zeros_like(phase)
-    for k in range(1, series.order + 1):
-        lk = melnikov_coeff_closed(k, nu_I0, series).value
-        out = out + 2.0 * np.real(1j * k * lk * np.exp(1j * k * phase))
-    return out if out.ndim else float(out)
-
-
-def l_out_plus(u: float, theta, nu_I0: float, series: CorrugationSeries) -> np.ndarray | float:
-    """Semi-infinite Melnikov layer
-    L+_out(u, theta) = -int_{-inf}^u (q_h^4(s)/2) V(theta + nu I0 (s - u)) ds,
-    computed mode by mode with the oscillatory panels.
-    """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    t_lo = -max(_QUAD_T, abs(u) + 50.0)
-    out = np.zeros_like(theta_arr)
-    for k in range(-series.order, series.order + 1):
-        vk = series.fourier_coeff(k)
-        if vk == 0:
-            continue
-        omega = k * nu_I0
-        main = osc_integral(_kern, omega, t_lo, u)
-        tail = ibp_tail(_kern(t_lo), _kern_d1(t_lo), _kern_d2(t_lo), omega, t_lo)
-        mode = -0.5 * vk * (main + tail) * np.exp(-1j * omega * u)
-        out = out + np.real(mode * np.exp(1j * k * theta_arr))
-    return out if np.ndim(theta) else float(out[0])
-
-
-def l_out_minus(u: float, theta, nu_I0: float, series: CorrugationSeries):
-    """L-_out(u, theta) = -L+_out(-u, -theta)."""
-    val = l_out_plus(-u, -np.asarray(theta, dtype=float), nu_I0, series)
-    return -val

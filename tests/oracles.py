@@ -1,0 +1,177 @@
+"""Independent oracles that the tests check the package against.
+
+None of this runs in the laboratory; each piece is a second, closed-form or
+quadrature route to a quantity that src/hecu computes another way:
+
+- the Cartesian model in laboratory units and the regularizing change to
+  (q, p, theta, J), against `mcgehee_rhs` and `hamiltonian_mcgehee`;
+- the reversor and the b-symplectic form, against the field and the
+  averaging change;
+- the generating function phi0 of the separatrix, against `dphi0`;
+- the closed-form Melnikov potential and the semi-infinite layers L+-_out
+  by oscillatory quadrature, against the Melnikov coefficients and the
+  first Hamilton-Jacobi iterate;
+- the evaluation of a graph's Phi1 and the weighted T2 bound of an inner
+  solution.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import namedtuple
+
+import numpy as np
+
+from hecu.fourier import ibp_tail, osc_integral
+from hecu.model import DomainError
+from hecu.separatrix import _QUAD_T, _kern, _kern_d1, _kern_d2, melnikov_coeff_closed
+
+# ---------------------------------------------------------------------------
+# the Cartesian model: energy meV, length angstrom, mass amu
+# ---------------------------------------------------------------------------
+
+Cartesian = namedtuple("Cartesian", "x z p_x p_z")
+
+
+def hamiltonian_cartesian(s: Cartesian, physical) -> float:
+    """H_CM = (p_x^2 + p_z^2)/(2m) + V_M(z) + V_C(2 pi x / a, z)."""
+    kin = (s.p_x ** 2 + s.p_z ** 2) / (2.0 * physical.m)
+    if s.z == math.inf:
+        return kin
+    e = math.exp(-physical.alpha * s.z)
+    v = physical.corrugation.trig(2.0 * math.pi * s.x / physical.a)[0]
+    corrugation = physical.D * math.exp(-2.0 * physical.alpha * s.z) * v
+    return kin + physical.D * e * (e - 2.0) + corrugation
+
+
+def vector_field_cartesian(s, physical) -> np.ndarray:
+    """Equations of motion of H_CM in (x, z, p_x, p_z)."""
+    x, z, p_x, p_z = s
+    v, vp = physical.corrugation.trig(2.0 * math.pi * x / physical.a)
+    e1 = math.exp(-physical.alpha * z)
+    e2 = e1 * e1
+    return np.array([
+        p_x / physical.m,
+        p_z / physical.m,
+        -(2.0 * math.pi / physical.a) * physical.D * e2 * vp,
+        -2.0 * physical.D * physical.alpha * e1 * (1.0 - e1 * (1.0 + v)),
+    ])
+
+
+def time_rescale(physical) -> float:
+    """lam with (d/dt_physical) = lam * (d/dt_rescaled) on pushforward."""
+    return physical.alpha * math.sqrt(2.0 * physical.D / physical.m)
+
+
+def to_mcgehee(s: Cartesian, params) -> np.ndarray:
+    """Regularizing change: 2 q^2 = e^{-alpha z}, B p = p_z, C I = p_x, theta = 2 pi x / a."""
+    phys = params.physical
+    q = 0.0 if s.z == math.inf else math.sqrt(0.5 * math.exp(-phys.alpha * s.z))
+    return np.array([q, s.p_z / phys.B, 2.0 * math.pi * s.x / phys.a,
+                     s.p_x / phys.C - params.I0])
+
+
+def from_mcgehee(y, params) -> Cartesian:
+    """Inverse of `to_mcgehee`; needs q >= 0 (q = 0 maps to z = +inf)."""
+    q, p, theta, J = y
+    phys = params.physical
+    if q < 0:
+        raise DomainError("from_mcgehee needs q >= 0")
+    z = math.inf if q == 0.0 else -math.log(2.0 * q * q) / phys.alpha
+    return Cartesian(phys.a * theta / (2.0 * math.pi), z, phys.C * (params.I0 + J), phys.B * p)
+
+
+# ---------------------------------------------------------------------------
+# geometry of the rescaled system
+# ---------------------------------------------------------------------------
+
+def reversor(y) -> np.ndarray:
+    """Reversibility map S(q, p, theta, J) = (q, -p, -theta, J)."""
+    q, p, theta, J = y
+    return np.array([q, -p, -theta, J])
+
+
+def b_form_matrix(q: float) -> np.ndarray:
+    """Matrix of the 2-form d theta ^ dJ - (1/q) dq ^ dp in coordinates (q, p, theta, J)."""
+    O = np.zeros((4, 4))
+    O[0, 1] = -1.0 / q
+    O[1, 0] = 1.0 / q
+    O[2, 3] = 1.0
+    O[3, 2] = -1.0
+    return O
+
+
+# ---------------------------------------------------------------------------
+# separatrix and Melnikov potential
+# ---------------------------------------------------------------------------
+
+def phi0(u):
+    """Generating function of the separatrix: d phi0/du = p_h(u)^2."""
+    u = np.asarray(u, dtype=float)
+    return -u / (2.0 * (u ** 2 + 1.0)) + 0.5 * np.arctan(u)
+
+
+def _melnikov_sum(u, theta, nu_I0, series, derivative):
+    phase = np.asarray(theta, dtype=float) - nu_I0 * np.asarray(u, dtype=float)
+    out = np.zeros_like(phase)
+    for k in range(1, series.order + 1):
+        lk = melnikov_coeff_closed(k, nu_I0, series).value
+        out = out + 2.0 * np.real((1j * k if derivative else 1.0) * lk * np.exp(1j * k * phase))
+    return out if out.ndim else float(out)
+
+
+def melnikov_potential(u, theta, nu_I0: float, series):
+    """L(u, theta) = sum_k L_k e^{i k (theta - nu I0 u)} from closed forms."""
+    return _melnikov_sum(u, theta, nu_I0, series, derivative=False)
+
+
+def melnikov_dtheta(u, theta, nu_I0: float, series):
+    """d L / d theta, the first-order prediction of the J-splitting."""
+    return _melnikov_sum(u, theta, nu_I0, series, derivative=True)
+
+
+def l_out_plus(u: float, theta, nu_I0: float, series):
+    """Semi-infinite Melnikov layer
+    L+_out(u, theta) = -int_{-inf}^u (q_h^4(s)/2) V(theta + nu I0 (s - u)) ds,
+    mode by mode with the oscillatory panels.
+    """
+    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    t_lo = -max(_QUAD_T, abs(u) + 50.0)
+    out = np.zeros_like(theta_arr)
+    for k in range(-series.order, series.order + 1):
+        vk = series.fourier_coeff(k)
+        if vk == 0:
+            continue
+        omega = k * nu_I0
+        main = osc_integral(_kern, omega, t_lo, u)
+        tail = ibp_tail(_kern(t_lo), _kern_d1(t_lo), _kern_d2(t_lo), omega, t_lo)
+        mode = -0.5 * vk * (main + tail) * np.exp(-1j * omega * u)
+        out = out + np.real(mode * np.exp(1j * k * theta_arr))
+    return out if np.ndim(theta) else float(out[0])
+
+
+def l_out_minus(u: float, theta, nu_I0: float, series):
+    """L-_out(u, theta) = -L+_out(-u, -theta)."""
+    return -l_out_plus(-u, -np.asarray(theta, dtype=float), nu_I0, series)
+
+
+# ---------------------------------------------------------------------------
+# solved fields
+# ---------------------------------------------------------------------------
+
+def phi1_at(graph, u0: float, thetas) -> np.ndarray:
+    """Phi1(u0, theta) of a Hamilton-Jacobi graph, Hermite-interpolated in u."""
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.zeros_like(thetas, dtype=complex)
+    for k in range(-graph.phi1.M, graph.phi1.M + 1):
+        val, _ = graph.phi1.interp_coeff(k, u0)
+        out = out + val * np.exp(1j * k * thetas)
+    return np.real(out)
+
+
+def t2_weighted_bound(sol) -> float:
+    """K1 with floor-norm |v|^3-weighted T2 <= K1 Theta_V^2."""
+    v = sol.x - 1j * sol.depth
+    total = float(np.sum(np.max(np.abs(v ** 3 * sol.t2.values), axis=1)))
+    theta_v = sol.diagnostics["theta_V"]
+    return total / theta_v ** 2 if theta_v > 0 else 0.0

@@ -13,8 +13,10 @@ from hecu.horseshoe import (
     ShadowingError,
     Strip,
     StripFamily,
+    _ETA_GRID,
     _StableBranch,
     _TrigCurve,
+    _cone_test,
     _escape_section,
     _lanes_to_section,
     _masked_section,
@@ -301,8 +303,9 @@ def test_shadow_orbit_certifies_closed_form_itinerary():
     assert min(it.margins) >= 1e-3
     assert it.iterations >= 1 and it.return_maps > 9 * it.iterations
     for (v, tau), (v_next, tau_next) in zip(it.nodes[:-1], it.nodes[1:]):
-        v2, tau2, _, _ = lab.return_map(v, tau)
-        assert abs(v2 - v_next) <= 1e-10 and abs(tau2 - tau_next) <= 1e-10
+        one = lab.return_maps(v, tau)
+        assert one.ok[0]
+        assert abs(one.v_rel[0] - v_next) <= 1e-10 and abs(one.tau[0] - tau_next) <= 1e-10
     # each clause of the certificate can fail on its own
     assert not dataclasses.replace(it, counts=(152, 153, 153)).achieved
     assert not dataclasses.replace(it, defects_tau=(0.0, 1.1e-5)).achieved
@@ -340,6 +343,45 @@ def test_verify_cones_skips_only_escaping_samples():
     assert holed.n_samples == whole.v_lines[1e-3][0] == whole.n_samples - whole.v_lines[5e-3][0]
     assert holed.counters["failures"]["escape"] >= 3 * whole.v_lines[5e-3][0]
     assert whole.counters["batches"] == 1 and not whole.counters["failures"]
+
+
+def _cone_test_loop(D, eta):
+    """The cone test one Jacobian and one edge at a time: (passed, growth)."""
+    passed, growth = [], []
+    for Dj in D:
+        ok, least = True, math.inf
+        for M, edges, i in ((Dj, [(eta, 1.0), (-eta, 1.0)], 0),
+                            (np.linalg.inv(Dj), [(1.0, eta), (1.0, -eta)], 1)):
+            for x in map(np.array, edges):
+                y = M @ x
+                if abs(y[i]) > eta * abs(y[1 - i]):
+                    ok = False
+                    break
+                least = min(least, (abs(y[0]) + abs(y[1])) / (abs(x[0]) + abs(x[1])))
+            if not ok:
+                break
+        passed.append(ok and least > 1.0)
+        growth.append(least)
+    return np.array(passed), np.array(growth)
+
+
+def test_cone_test_matches_per_sample_loop():
+    # hyperbolic-looking Jacobians, tau expanding; about 40-70% pass per eta
+    rng = np.random.default_rng(0)
+    n = 400
+    d = 10 ** rng.uniform(-0.5, 4.0, n)
+    D = np.empty((n, 2, 2))
+    D[:, 1, 1] = d
+    D[:, 0, 1] = 0.3 * np.sqrt(d) * rng.normal(size=n)
+    D[:, 1, 0] = np.sqrt(d) * rng.normal(size=n)
+    D[:, 0, 0] = (rng.uniform(0.2, 3.0, n) + D[:, 0, 1] * D[:, 1, 0]) / d
+    for eta in _ETA_GRID:
+        passed, growth = _cone_test(D, eta)
+        ref_passed, ref_growth = _cone_test_loop(D, eta)
+        assert 0.2 < np.mean(ref_passed) < 0.9
+        assert np.array_equal(passed, ref_passed)
+        # stacked and single 2x2 products may round apart in the last bit
+        assert np.allclose(growth[passed], ref_growth[passed], rtol=1e-14, atol=0)
 
 
 def test_build_strips_finds_closed_form_edges():
@@ -439,10 +481,10 @@ def test_return_maps_match_single_returns(real_lab):
     assert list(ret.kind) == ["", "", "escape", ""]
     assert ret.count[2] == -1 and np.isnan(ret.advance[2])
     for j in (0, 1, 3):
-        v2, tau2, count, advance = lab.return_map(v[j], tau[j])
-        assert ret.count[j] == count
-        assert abs(ret.advance[j] - advance) <= 1e-4
-        assert abs(ret.tau[j] - tau2) <= 1e-4 and abs(ret.v_rel[j] - v2) <= 1e-9
+        one = lab.return_maps(v[j], tau[j])
+        assert one.ok[0] and ret.count[j] == one.count[0]
+        assert abs(ret.advance[j] - one.advance[0]) <= 1e-4
+        assert abs(ret.tau[j] - one.tau[0]) <= 1e-4 and abs(ret.v_rel[j] - one.v_rel[0]) <= 1e-9
     counters = lab.counters
     assert (counters.lane_maps, counters.batches) == (4 + 3, 1 + 3)
     assert counters.failures == {"escape": 1} and counters.work.steps > 0

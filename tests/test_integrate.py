@@ -263,6 +263,23 @@ def test_underflow_freezes_one_lane():
                        (0.0, 8.0), rises, config)
 
 
+def test_non_finite_start_freezes_only_its_lane():
+    # dy/dt = 1 against y = 1: a NaN start is frozen at t = 0 and stays out
+    # of the shared first step, so the other lanes run as they do without it
+    rises = [(lambda y: y[0] - 1.0, +1)]
+    k, t, y = first_crossing(lambda t, y: np.ones_like(y), np.array([[0.0, math.nan, 0.1]]),
+                             (0.0, 5.0), rises, TIGHT)
+    k2, t2, y2 = first_crossing(lambda t, y: np.ones_like(y), np.array([[0.0, 0.1]]),
+                                (0.0, 5.0), rises, TIGHT)
+    assert list(k2) == [0, 0] and list(t2) == pytest.approx([1.0, 0.9], abs=1e-12)
+    assert k[1] == UNDERFLOW and t[1] == 0.0 and math.isnan(y[0, 1])
+    assert np.array_equal(k[[0, 2]], k2) and np.array_equal(t[[0, 2]], t2)
+    assert np.array_equal(y[:, [0, 2]], y2)
+    with pytest.raises(StepUnderflowError):
+        first_crossing(lambda t, y: np.ones_like(y), np.array([math.nan]), (0.0, 5.0),
+                       rises, TIGHT)
+
+
 def test_src_has_one_integrator():
     # the package integrates with its own DOP853 engine; of scipy.integrate
     # it may import only the tableau the engine is built on

