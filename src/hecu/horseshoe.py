@@ -56,8 +56,11 @@ _GLOBAL_SPAN = 400.0
 _CORNER_SPAN = 2.0e5
 # Fixed absolute floor of every passage.  Where q and p are small it, not
 # rtol, limits the accuracy: tightening rtol alone does not converge the
-# corner passages.  Deriving it from rtol converges them but makes each
-# passage about three times dearer, so it stays a separate constant.
+# corner passages, and it sets the leg defects of the shadowing.  Deriving
+# it from rtol (1e-4 rtol) converges them for about 1.3 times the corner
+# steps of one return, which showed no cost above the timing noise of the
+# lane batches; it also moves the last digits of every return, so it stays
+# a separate constant.
 _PASSAGE_ATOL = 1e-12
 
 
@@ -547,8 +550,10 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
 
 
 # Bits per round of the crossing bisection: 18 halvings of the seed-angle
-# bracket, up to four a round from the 15 interior points of a dyadic grid.
-_BISECTION_ROUNDS = (4, 4, 4, 4, 2)
+# bracket, six a round from the 63 interior points of a dyadic grid.  A
+# batch costs about the same from a few lanes to a few tens, so fewer,
+# wider rounds are cheaper.
+_BISECTION_ROUNDS = (6, 6, 6)
 _WALK_STEPS = 39          # branch samples at most on either side of the crossing
 
 
@@ -754,37 +759,51 @@ class StripFamily:
 
 
 # Secant steps at most for one strip boundary; from build_strips' guesses the
-# root takes about four return maps.
+# root takes two rounds of return maps.
 _SECANT_STEPS = 20
 
 
-def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess) -> np.ndarray:
+def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess, riders=None):
     """tau at which one return from (v_rel, tau) advances the angle by target.
 
     The advance A(tau) is continuous inside the rectangle and follows the
     count law A ~ 2 pi c / sqrt(tau), so g = (2 pi/A)^2 - (2 pi/target)^2 is
-    nearly linear in tau; a secant on g starts from guess and 1.1 guess
-    (at most delta_q) and stops when its step is at most 3e-7 tau.  Strip
-    boundary n is the root at target 2 pi (n+1).  Takes arrays: the secants
-    run in lockstep, each with its own state, every round's returns as one
-    batch, and a secant drops out once it has converged.  Raises
-    PassageError when an iterate leaves (0, delta_q], a return fails or the
-    steps run out.
+    nearly linear in tau; a secant on g starts from guess and 1.1 guess (at
+    most delta_q).  It stops when its step s_n is at most 3e-7 tau, or when
+    s_n < 1e-3 tau and s_n min(1, s_n/s_{n-1}), an estimate of the error left
+    that the secant's superlinear rate keeps conservative, is at most
+    3e-7 tau.  From build_strips' count-law guesses that takes two rounds of
+    returns: the guesses, then the first secant iterates, which lie within
+    about 4e-6 tau of the roots.  Strip boundary n is the root at target
+    2 pi (n+1).  Takes arrays: the secants run in lockstep, each with its own
+    state, every round's returns as one batch, and a secant drops out once
+    it has converged.
+
+    riders, if given, maps the first secant iterates (one per root) to
+    points (v_rel, tau) whose returns run in the batch of the second round;
+    the call then returns (roots, `Returns` of the riders), and a rider that
+    fails says so in its `Returns.kind`.  Raises PassageError when an iterate
+    leaves (0, delta_q], a return of a secant fails or the steps run out.
     """
     v_rel, target, guess = (np.asarray(x, dtype=float).ravel()
                             for x in np.broadcast_arrays(v_rel, target, guess))
 
-    def g(lanes, tau):
-        ret = lab.return_maps(v_rel[lanes], tau)
-        if not ret.ok.all():
-            j = int(np.argmin(ret.ok))
+    def g(lanes, tau, ride=(np.empty(0), np.empty(0))):
+        """g at the secants' tau, and the Returns of the points ride, as one batch."""
+        ret = lab.return_maps(np.r_[v_rel[lanes], ride[0]], np.r_[tau, ride[1]])
+        ok = ret.ok[:lanes.size]
+        if not ok.all():
+            j = int(np.argmin(ok))
             raise PassageError(f"return for advance {target[lanes[j]]:.6g} at "
                                f"v={v_rel[lanes[j]]:.3e} failed: {ret.kind[j]}", ret.kind[j])
-        return (_TWO_PI / ret.advance) ** 2 - (_TWO_PI / target[lanes]) ** 2
+        g_at = (_TWO_PI / ret.advance[:lanes.size]) ** 2 - (_TWO_PI / target[lanes]) ** 2
+        return g_at, Returns(*(x[lanes.size:] for x in ret))
 
     live = np.arange(v_rel.size)
     t0, t1 = guess.copy(), np.minimum(1.1 * guess, lab.delta_q)
-    g0, g1 = np.split(g(np.r_[live, live], np.r_[t0, t1]), 2)      # one batch
+    g0, g1 = np.split(g(np.r_[live, live], np.r_[t0, t1])[0], 2)      # one batch
+    last = np.abs(t1 - t0)          # each secant's last step
+    pending = riders
     for _ in range(_SECANT_STEPS):
         a0, a1, b0 = t0[live], t1[live], g0[live]
         flat = g1 == b0
@@ -798,10 +817,18 @@ def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess) -> np.ndarray:
             j = live[np.argmax(outside)]
             raise PassageError(f"advance {target[j]:.6g} has no root in the rectangle "
                                f"at v={v_rel[j]:.3e} (secant left it at tau={t1[j]:.3e})")
-        live = live[np.abs(step - a1) > 3e-7 * step]
+        s = np.abs(step - a1)
+        done = (s <= 3e-7 * step) | ((s < 1e-3 * step)
+                                     & (s * np.minimum(1.0, s / last[live]) <= 3e-7 * step))
+        last[live] = s
+        live = live[~done]
+        if pending is not None:
+            g1, ride = g(live, t1[live], pending(t1.copy()))
+            pending = None
+        elif live.size:
+            g1 = g(live, t1[live])[0]
         if not live.size:
-            return t1
-        g1 = g(live, t1[live])
+            return t1 if riders is None else (t1, ride)
     j = live[0]
     raise PassageError(f"secant for advance {target[j]:.6g} at v={v_rel[j]:.3e} did not converge")
 
@@ -814,8 +841,13 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     Each boundary is one `_taus_at_advance` root, all of them in lockstep;
     its first guess is the count law A = 2 pi law_c/sqrt(tau) (corner
     transit time) with the lab's constant.  The images of three points per
-    strip and v-line are one batch.  `diagnostics["counters"]` holds the
-    `MapCounters` of the phase.
+    strip and v-line, at 1/4, 1/2 and 3/4 of the way between the first
+    secant iterates of its boundaries (within about 3e-4 of a strip's width
+    of the roots at the operating point), ride in the secant's second batch,
+    so the phase runs in two batches.  A point whose count is not its
+    strip's lay outside the strip; it runs again between the roots, in one
+    more batch.  `diagnostics["counters"]` holds the `MapCounters` of the
+    phase.
     """
     n_lo, n_hi = window
     if n_hi < n_lo:
@@ -825,20 +857,31 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     # geometric grid: return-map images hug W^u (v of order tau/expansion),
     # so the strip boundaries must be resolved down to tiny v as well
     v_grid = np.geomspace(2e-3 * delta, 0.85 * delta, n_v)
-
     ns = np.arange(n_lo - 1, n_hi + 1)[:, None]     # boundary n: advance 2 pi (n+1)
-    roots = _taus_at_advance(counted, v_grid[None, :], _TWO_PI * (ns + 1),
-                             (lab.law_c / (ns + 0.5)) ** 2).reshape(len(ns), n_v)
+    fracs = np.array([0.25, 0.5, 0.75])
+    shape = (len(ns) - 1, n_v, len(fracs))          # strip, v-line, point
+
+    def image_points(t):
+        """Three points per strip and v-line between its boundaries' estimates t."""
+        t = t.reshape(len(ns), n_v, 1)
+        taus = t[1:] + fracs * (t[:-1] - t[1:])
+        return np.broadcast_to(v_grid[:, None], shape).ravel(), taus.ravel()
+
+    roots, ret = _taus_at_advance(counted, v_grid[None, :], _TWO_PI * (ns + 1),
+                                  (lab.law_c / (ns + 0.5)) ** 2, riders=image_points)
+    roots = roots.reshape(len(ns), n_v)
     strips = {}
     for j, n in enumerate(range(n_lo, n_hi + 1), start=1):
         strips[n] = Strip(n, tau_lo=roots[j], tau_hi=roots[j - 1], v_grid=v_grid)
 
-    # images: three points per strip and v-line, kept where the count is the strip's
-    fracs = np.array([0.25, 0.5, 0.75])
-    taus = roots[1:, :, None] + fracs * (roots[:-1, :, None] - roots[1:, :, None])
-    vs = np.broadcast_to(v_grid[None, :, None], taus.shape).ravel()
-    of_strip = np.broadcast_to(np.arange(n_lo, n_hi + 1)[:, None, None], taus.shape).ravel()
-    ret = counted.return_maps(vs, taus.ravel())
+    # images: kept where the count is the strip's; a point that the first
+    # iterates put outside its strip runs again between the roots
+    of_strip = np.broadcast_to(np.arange(n_lo, n_hi + 1)[:, None, None], shape).ravel()
+    miss = ret.count != of_strip
+    if miss.any():
+        vs, taus = image_points(roots)
+        for x, again in zip(ret, counted.return_maps(vs[miss], taus[miss])):
+            x[miss] = again
     images = {n: np.column_stack([ret.v_rel, ret.tau])[(of_strip == n) & (ret.count == n)]
               for n in strips}
 

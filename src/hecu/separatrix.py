@@ -68,14 +68,10 @@ def _kern_d2(t):
 
 
 def _kernel_integral(omega: float, T: float = _QUAD_T) -> complex:
-    """int_{-inf}^{inf} q_h^4(t) e^{i omega t} dt by panels plus IBP tails."""
+    """int_{-inf}^{inf} q_h^4(t) e^{i omega t} dt by panels plus IBP tails; omega != 0."""
     if omega < 0:
         return np.conj(_kernel_integral(-omega, T))
     main = osc_integral(_kern, omega, -T, T)
-    if omega == 0.0:
-        # exact antiderivative of (1+t^2)^-2 is t/(2(1+t^2)) + arctan(t)/2
-        tail = 2.0 * (math.pi / 4.0 - T / (2.0 * (1.0 + T * T)) - 0.5 * math.atan(T))
-        return main + tail
     iw = 1j * omega
     tail_pos = np.exp(1j * omega * T) * (-_kern(T) / iw + _kern_d1(T) / iw ** 2
                                          - _kern_d2(T) / iw ** 3)
@@ -97,8 +93,8 @@ def melnikov_coeff_closed(k: int, nu_I0: float,
 def melnikov_coeff_quadrature(k: int, nu_I0: float,
                               series: CorrugationSeries) -> MelnikovCoefficient:
     """Independent oracle: L_k = -(V_k/2) int q_h^4(t) e^{i k nu I0 t} dt."""
-    if nu_I0 < 0:
-        raise DomainError("nu_I0 must be nonnegative")
+    if nu_I0 <= 0:
+        raise DomainError("nu_I0 must be positive")
     vk = series.fourier_coeff(k)
     if vk == 0:
         return MelnikovCoefficient(k, nu_I0, 0.0 + 0.0j, "quadrature")

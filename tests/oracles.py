@@ -12,7 +12,9 @@ quadrature route to a quantity that src/hecu computes another way:
   by oscillatory quadrature, against the Melnikov coefficients and the
   first Hamilton-Jacobi iterate;
 - the evaluation of a graph's Phi1 and the weighted T2 bound of an inner
-  solution.
+  solution;
+- the strip-edge secant with the step rule alone, against the superlinear
+  stop of `_taus_at_advance`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import namedtuple
 import numpy as np
 
 from hecu.fourier import ibp_tail, osc_integral
+from hecu.horseshoe import _SECANT_STEPS, PassageError
 from hecu.model import DomainError
 from hecu.separatrix import _QUAD_T, _kern, _kern_d1, _kern_d2, melnikov_coeff_closed
 
@@ -175,3 +178,38 @@ def t2_weighted_bound(sol) -> float:
     total = float(np.sum(np.max(np.abs(v ** 3 * sol.t2.values), axis=1)))
     theta_v = sol.diagnostics["theta_V"]
     return total / theta_v ** 2 if theta_v > 0 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# strip edges
+# ---------------------------------------------------------------------------
+
+def taus_at_advance_step_rule(lab, v_rel, target, guess) -> np.ndarray:
+    """Roots tau of A(tau) = target by the secant of `_taus_at_advance`, each
+    stopped only when its step is at most 3e-7 tau.
+
+    The secants start from guess and 1.1 guess (at most delta_q) and run in
+    lockstep, one batch of returns per round; from build_strips' count-law
+    guesses they take one round more than the superlinear stop.
+    """
+    v_rel, target, guess = (np.asarray(x, dtype=float).ravel()
+                            for x in np.broadcast_arrays(v_rel, target, guess))
+
+    def g(lanes, tau):
+        ret = lab.return_maps(v_rel[lanes], tau)
+        if not ret.ok.all():
+            raise PassageError(f"return failed: {ret.kind[np.argmin(ret.ok)]}")
+        return (2.0 * math.pi / ret.advance) ** 2 - (2.0 * math.pi / target[lanes]) ** 2
+
+    live = np.arange(v_rel.size)
+    t0, t1 = guess.copy(), np.minimum(1.1 * guess, lab.delta_q)
+    g0, g1 = np.split(g(np.r_[live, live], np.r_[t0, t1]), 2)
+    for _ in range(_SECANT_STEPS):
+        a0, a1, b0 = t0[live], t1[live], g0[live]
+        step = a1 - g1 * (a1 - a0) / (g1 - b0)
+        t0[live], t1[live], g0[live] = a1, step, g1
+        live = live[np.abs(step - a1) > 3e-7 * step]
+        if not live.size:
+            return t1
+        g1 = g(live, t1[live])
+    raise PassageError("step-rule secant did not converge")

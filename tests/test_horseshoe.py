@@ -35,6 +35,7 @@ from hecu.horseshoe import (
 from hecu.integrate import IntegratorConfig, integrate_mcgehee, mcgehee_rhs
 from hecu.model import DomainError, hamiltonian_mcgehee, params_for_nu_I0
 from hecu.separatrix import p_h, q_h
+from oracles import taus_at_advance_step_rule
 
 PARAMS = params_for_nu_I0(4.5, epsilon=1.0)
 
@@ -391,10 +392,14 @@ def test_build_strips_finds_closed_form_edges():
     for n, st in family.strips.items():
         assert np.all(np.abs(st.tau_lo / (lab.C / (n + 1)) - 1.0) <= 3e-7)
         assert np.all(np.abs(st.tau_hi / (lab.C / n) - 1.0) <= 3e-7)
-    # every secant round and the images run as batches
+    # every secant round and the images run as batches.  The count law is a
+    # poor guess for this return, so the first secant iterates sit far from
+    # the roots: the image points they place miss their strips and run again
+    # between the roots, and every strip keeps its three points per v-line
     counters = family.diagnostics["counters"]
     assert counters["batches"] >= 3
     assert counters["lane_maps"] >= 2 * 5 * 3 + 4 * 3 * 3 and not counters["failures"]
+    assert all(len(im) == 3 * 3 for im in family.images.values())
 
 
 def test_tau_at_advance_leaves_rectangle():
@@ -455,7 +460,7 @@ def test_setup_pins_the_operating_lab(real_lab):
     counters = real_lab.diagnostics["counters"]
     assert counters["fibers"]["lane_maps"] == 64 and counters["fibers"]["batches"] == 1
     assert counters["walk"]["batches"] == 1 and counters["orientation"]["batches"] >= 1
-    assert counters["bisection"]["lane_maps"] == 15 * 4 + 3
+    assert counters["bisection"]["lane_maps"] == 63 * 3 and counters["bisection"]["batches"] == 3
 
 
 def test_strip_boundaries_separate_counts(real_lab):
@@ -467,6 +472,27 @@ def test_strip_boundaries_separate_counts(real_lab):
     tau_b = _taus_at_advance(lab, v, 2 * math.pi * (ns + 1), (lab.law_c / (ns + 0.5)) ** 2)
     counts = lab.return_maps(v, np.r_[tau_b * (1 - 2e-6), tau_b * (1 + 2e-6)]).count
     assert list(counts) == list(ns + 1) + list(ns)
+
+
+def test_build_strips_stops_on_superlinear_estimate(real_lab):
+    # two v-lines over a window of four strips: the roots agree with the
+    # step-rule secant, which runs one round of returns more, and the phase
+    # runs in two batches, the count-law guesses and then the first secant
+    # iterates with the image points
+    lab = real_lab
+    n_lo, n_hi = lab.base_count + 1, lab.base_count + 4
+    family = build_strips(lab, (n_lo, n_hi), n_v=2)
+    roots = np.array([family.strips[n_lo].tau_hi]
+                     + [family.strips[n].tau_lo for n in range(n_lo, n_hi + 1)])
+    ns = np.arange(n_lo - 1, n_hi + 1)[:, None]
+    oracle = dataclasses.replace(lab, counters=horseshoe.MapCounters())
+    ref = taus_at_advance_step_rule(oracle, family.strips[n_lo].v_grid[None, :],
+                                    2 * math.pi * (ns + 1), (lab.law_c / (ns + 0.5)) ** 2)
+    assert np.max(np.abs(roots / ref.reshape(roots.shape) - 1.0)) <= 1e-8
+    counters = family.diagnostics["counters"]
+    assert counters["batches"] == 2 and oracle.counters.batches == 3
+    assert counters["lane_maps"] == 2 * 5 * 2 + 5 * 2 + 4 * 2 * 3 and not counters["failures"]
+    assert all(len(im) == 2 * 3 for im in family.images.values())
 
 
 def test_return_maps_match_single_returns(real_lab):

@@ -104,14 +104,6 @@ def test_residual_certified(solution):
     assert solution.residual <= 1e-12
 
 
-def test_symmetry_closure():
-    # applying (v, theta) -> (-conj v, -conj theta) twice is the identity
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        v = complex(rng.uniform(-3, 3), rng.uniform(-20, -8))
-        assert -np.conj(-np.conj(v)) == v
-
-
 def test_t2_bound_eps_independent():
     # floor-norm |v|^3-weighted T2 <= K1 Theta_V^2 with K1 stable in eps;
     # tight tol forces iterations past the Melnikov layer at small eps

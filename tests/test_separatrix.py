@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hecu.integrate import IntegratorConfig, integrate_mcgehee
-from hecu.model import CorrugationSeries, params_for_nu_I0, physical_corrugation
+from hecu.model import CorrugationSeries, DomainError, params_for_nu_I0, physical_corrugation
 from hecu.separatrix import (
     MelnikovCoefficient,
     dphi0,
@@ -100,12 +100,13 @@ def test_melnikov_closed_evenness():
         assert cp == cm
 
 
-def test_quadrature_kernel_k0():
-    # the k = 0 kernel integral is pi/2; exercised through a unit coefficient
+def test_quadrature_k0_is_zero():
+    # V_0 = 0, so L_0 = 0 with no kernel integral; as for the closed form,
+    # nu I0 must be positive, so the kernel never runs at frequency 0
     ser = CorrugationSeries((2.0,), ())
-    # for k=0 the V-coefficient vanishes, so check the engine via the
-    # closed-form agreement at k=1 below; here assert L_0 = 0
     assert melnikov_coeff_quadrature(0, 3.0, ser).value == 0.0
+    with pytest.raises(DomainError, match="positive"):
+        melnikov_coeff_quadrature(1, 0.0, ser)
 
 
 def test_quadrature_matches_closed_form():
