@@ -217,21 +217,25 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inner(args) -> int:
-    from .inner import extract_fk, solve_inner
+    from .inner import extract_fk, solve_inner, theta_v_constant
     run = _Run(Path(args.out), "inner")
     eps_values = _parse_list(args.epsilon)
     rows = []
     picard = {}
+    tables = {}
     for eps in eps_values:
         params = _resolve_params(args, 6.0, eps)
         sol = solve_inner(params, depth=12.0, modes=args.modes, tol=args.tol)
         diff = extract_fk(params, ks=tuple(range(1, args.kmax + 1)),
                           modes=args.modes, tol=args.tol, solutions={12.0: sol})
         picard[f"{eps:g}"] = diff.diagnostics["picard"]
+        tables[f"{eps:g}"] = (sol.diagnostics["filon_tables_built"]
+                              + diff.diagnostics["filon_tables_built"])
+        theta_v = theta_v_constant(sol)
         for k in range(1, args.kmax + 1):
             rows.append((eps, k, diff.f[k].real, diff.f[k].imag, diff.err[k],
-                         sol.diagnostics["theta_V"], sol.residual))
-    run.counters = {"picard": picard}
+                         theta_v, sol.residual))
+    run.counters = {"picard": picard, "filon_tables_built": tables}
     run.add_csv("inner.csv",
                 ["epsilon", "k", "f_re", "f_im", "err_est", "theta_V",
                  "residual"], rows)

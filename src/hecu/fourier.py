@@ -11,7 +11,9 @@ semi-infinite transport G is a cumulative Hermite-Filon rule (Iserles and
 Norsett 2005): on each cell the source is replaced by its cubic Hermite
 interpolant, whose product with e^{iws} integrates in closed form through
 the moments int_0^1 s^j e^{zs} ds (Miller's backward recurrence for small
-|z|).  The weights of a mode are built once per solve.  Derivatives are
+|z|).  The weights of a mode live in a table keyed by |k| that the caller
+of the engine may keep across solves on one grid; a mode k < 0 reuses the
+weights of |k| through G_{-w}(f) = conj(G_w(conj f)).  Derivatives are
 exact throughout because the transport obeys d/dx G(f) = f - i w G(f).
 
 The same module provides panel Gauss-Legendre oscillatory quadrature used
@@ -95,6 +97,22 @@ def transport(x: np.ndarray, f: np.ndarray, fp: np.ndarray, omega: float,
     the semi-infinite convolution of the mode against its characteristic.
     """
     return _filon_transport(_filon_weights(x, omega), f, fp, tail)
+
+
+def _table_transport(table: dict, x: np.ndarray, k: int, freq: float,
+                     f: np.ndarray, fp: np.ndarray, tail: complex) -> np.ndarray:
+    """transport(x, f, fp, k freq, tail) from the weights of |k| in `table`.
+
+    Builds the weights of |k| on first use.  A mode k < 0 is moved through
+    G_{-w}(f) = conj(G_w(conj f)), which holds for real x and is exact in
+    floating point (conjugation only flips signs).
+    """
+    w = table.get(abs(k))
+    if w is None:
+        w = table[abs(k)] = _filon_weights(x, abs(k) * freq)
+    if k >= 0:
+        return _filon_transport(w, f, fp, tail)
+    return _filon_transport(w, f.conj(), fp.conj(), np.conj(tail)).conj()
 
 
 def ibp_tail(f0: complex, fp0: complex, fpp0: complex, omega: float,
@@ -288,21 +306,26 @@ def _sup_diff(a: ModeField, b: ModeField) -> float:
 
 
 def picard_iterates(primary: ModeField, freq: float, profile: np.ndarray,
-                    dprofile: np.ndarray, nu: float, max_iter: int):
+                    dprofile: np.ndarray, nu: float, max_iter: int,
+                    weights: dict | None = None):
     """Yield the iterates of Phi <- G(F(Phi)) from Phi = 0, at most max_iter.
 
     F(Phi) = primary - profile (d_x Phi)^2 - (nu/2) (d_theta Phi)^2; G moves
     mode k at omega_k = k freq, with an integration-by-parts tail, or a
-    |x|^-4 power-law tail for omega_k = 0.  A mode's Filon weights are built
-    on its first nonzero source and freed with the generator.  d_x(d_x Phi_k)
-    = d_x F_k - i omega_k d_x Phi_k is exact.  Squares double the band, so
-    iterate n of a band-b primary lives on |k| <= min(primary.M, 2^(n-1) b)
-    and carries that M; `padded(primary.M)` restores the full truncation.
+    |x|^-4 power-law tail for omega_k = 0.  The Filon weights of |k| are
+    built on the first nonzero source of mode +-k into `weights`, a table
+    keyed by |k| that depends only on primary.x and freq: a caller that
+    solves again on the same grid and freq may pass the same table and
+    build nothing.  Without one, the table is freed with the generator.
+    d_x(d_x Phi_k) = d_x F_k - i omega_k d_x Phi_k is exact.  Squares double
+    the band, so iterate n of a band-b primary lives on |k| <= min(primary.M,
+    2^(n-1) b) and carries that M; `padded(primary.M)` restores the full
+    truncation.
     """
     x, M = primary.x, primary.M
     live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
     primary = primary.band(max(live, default=0))
-    weights = {}
+    weights = {} if weights is None else weights
 
     def transport_field(F: ModeField) -> ModeField:
         out = ModeField(F.M, x)
@@ -311,13 +334,9 @@ def picard_iterates(primary: ModeField, freq: float, profile: np.ndarray,
             if not f.any():
                 continue
             omega = k * freq
-            if k not in weights:
-                # real x: the weights of -omega are the conjugates of those of omega
-                weights[k] = (tuple(w.conj() for w in weights[-k]) if -k in weights
-                              else _filon_weights(x, omega))
             tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
                     if omega else powerlaw_tail(f[0], x[0], 4.0))
-            out.values[m] = _filon_transport(weights[k], f, fp, tail)
+            out.values[m] = _table_transport(weights, x, int(k), freq, f, fp, tail)
             out.du[m] = f - 1j * omega * out.values[m]
         return out
 

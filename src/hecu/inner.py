@@ -27,6 +27,7 @@ Melnikov part never suffers cancellation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,14 +42,18 @@ _MIN_DEPTH = 8.0
 _MAX_ITER = 60
 
 
-def inner_line(depth: float) -> np.ndarray:
-    """Real offsets x of the solver line v = x - i*depth.
+@functools.lru_cache(maxsize=8)
+def _solver_line(near_span: float) -> tuple[np.ndarray, dict]:
+    """Offsets x (read-only) and the Filon weight table of one solver line.
 
-    Spacing 0.01 over max(4 depth, 40) up to x = 2, geometric (ratio 1.05)
-    out to x = -2e4.
+    Spacing 0.01 over near_span up to x = 2, geometric (ratio 1.05) out to
+    x = -2e4.  The inner transport runs at freq = 1 on every line, so the
+    table (picard_iterates' `weights`, keyed by |k|) depends on x alone and
+    is shared by every solve on the line, whatever its depth or epsilon.
     """
-    return geometric_grid(2.0, h0=0.01, near_span=max(4.0 * depth, 40.0), x_far=-2.0e4,
-                          growth=1.05)
+    x = geometric_grid(2.0, h0=0.01, near_span=near_span, x_far=-2.0e4, growth=1.05)
+    x.flags.writeable = False
+    return x, {}
 
 
 @dataclass
@@ -79,17 +84,22 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
     T2 is measured, not left at zero), or at a residual of exactly zero.
     The line start acts as the paper's distance kappa; depths below 8 are
     rejected (the contraction constant degrades like 1/kappa).
+    diagnostics["filon_tables_built"] counts the weight tables this solve
+    added to its line's shared table.
     """
     if depth < _MIN_DEPTH:
         raise DomainError(f"depth must be >= {_MIN_DEPTH} (kappa too small)")
-    x = inner_line(depth)
+    # the line v = x - i*depth: depths 8 to 10 share the span 40
+    x, table = _solver_line(max(4.0 * depth, 40.0))
+    n_tables = len(table)
     M = int(modes)
     v = x - 1j * depth
     vks = params.epsilon * np.array(
         [params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
     primary = ModeField(M, x, vks / (8.0 * v ** 2), vks * (-2.0 / (8.0 * v ** 3)))
     melnikov = None
-    for step in picard_iterates(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, _MAX_ITER):
+    for step in picard_iterates(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, _MAX_ITER,
+                                weights=table):
         if step.iteration == 1:
             melnikov = step.phi
         if step.ratio >= 0.9:
@@ -98,7 +108,7 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
         if step.converged(tol):
             sol = InnerSolution(params, depth, x, step.phi.padded(M), melnikov.padded(M),
                                 step.residual, step.ratio, step.iteration)
-            sol.diagnostics["theta_V"] = theta_v_constant(sol)
+            sol.diagnostics["filon_tables_built"] = len(table) - n_tables
             return sol
     raise NonContractionError(
         f"inner iteration did not reach tol={tol} in {_MAX_ITER} steps "
@@ -178,28 +188,50 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
     correction term.  Mode k only uses depths with k*d <= 21, since the
     measured part of the difference is reconstructed through a factor
     e^{k d} that amplifies solver noise.  Modes k <= 0 are checked to
-    decay with depth.
+    decay with depth.  The depths are solved one at a time and each
+    solution is dropped once its values are read; `solutions` supplies
+    depths already solved.  diagnostics["filon_tables_built"] counts the
+    weight tables built by the solves this call ran.
     """
     if min(depths) < _MIN_DEPTH:
         raise DomainError("extraction depths must be >= 8")
-    sols = {}
+    solutions = {} if solutions is None else solutions
+    usable = {k: [d for d in depths if k * d <= _KD_CEILING] or sorted(depths)[:3]
+              for k in ks}
+    offaxis_depths = [d for d in depths if d <= _KD_CEILING] if 1 in ks else []
+    on_axis = {}
+    off_axis = {}
+    low_at = {}
+    # per-depth Picard health; a ratio is None until two iterations differ
+    picard = {}
+    tables_built = 0
     for d in depths:
-        if solutions is not None and d in solutions:
-            sols[d] = solutions[d]
-        else:
-            sols[d] = solve_inner(params, depth=float(d), modes=modes, tol=tol)
+        sol = solutions.get(d)
+        if sol is None:
+            sol = solve_inner(params, depth=float(d), modes=modes, tol=tol)
+            tables_built += sol.diagnostics["filon_tables_built"]
+        for k in ks:
+            if d in usable[k]:
+                on_axis[k, d] = _fk_at_depth(sol, k)
+        if d in offaxis_depths:
+            off_axis[d] = _fk_at_depth(sol, 1, x_off=0.7)
+        for k in range(-max(ks), 1):
+            # for k <= 0 the closed Melnikov part vanishes; the measured
+            # difference on the axis is 2 Re T1_k(-i d)
+            val, _ = sol.t1.interp_coeff(k, 0.0)
+            low_at[k, d] = float(abs(2.0 * val.real))
+        picard[f"{d:g}"] = {"iterations": sol.iterations, "residual": sol.residual,
+                            "contraction_ratio": None if math.isnan(sol.contraction_ratio)
+                            else sol.contraction_ratio}
 
     f = {}
     err = {}
     raw = {}
     for k in ks:
-        usable = [d for d in depths if k * d <= _KD_CEILING]
-        if not usable:
-            usable = sorted(depths)[:3]
-        vals = np.array([_fk_at_depth(sols[d], k) for d in usable])
+        vals = np.array([on_axis[k, d] for d in usable[k]])
         raw[k] = vals
-        dd = np.array([float(d) for d in usable])
-        n_basis = min(3, len(usable))
+        dd = np.array([float(d) for d in usable[k]])
+        n_basis = min(3, len(dd))
         A = np.column_stack([dd ** -j for j in range(n_basis)])
         coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
         fit = A @ coef
@@ -215,29 +247,16 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
             spread = float(np.max(np.abs(vals - vals[0])))
             f[k] = complex(vals[0])
             err[k] = max(err[k], spread)
-    low = {}
-    for k in range(-max(ks), 1):
-        mags = []
-        for d in depths:
-            # for k <= 0 the closed Melnikov part vanishes; the measured
-            # difference on the axis is 2 Re T1_k(-i d)
-            val, _ = sols[d].t1.interp_coeff(k, 0.0)
-            mags.append(float(abs(2.0 * val.real)))
-        low[k] = mags
+    low = {k: [low_at[k, d] for d in depths] for k in range(-max(ks), 1)}
     im_ratio = abs(f[1].imag) / abs(f[1]) if 1 in f and f[1] != 0 else math.nan
-    # per-depth Picard health; a ratio is None until two iterations differ
-    picard = {f"{d:g}": {"iterations": s.iterations, "residual": s.residual,
-                         "contraction_ratio": None if math.isnan(s.contraction_ratio)
-                         else s.contraction_ratio} for d, s in sols.items()}
     diagnostics = {"im_f1_ratio": im_ratio, "picard": picard}
     if 1 in f:
         # off-axis consistency: away from the imaginary axis the raw
         # estimates acquire imaginary parts that must extrapolate away
-        usable = [d for d in depths if d <= _KD_CEILING]
-        vals = np.array([_fk_at_depth(sols[d], 1, x_off=0.7) for d in usable])
-        dd = np.array([float(d) for d in usable])
+        vals = np.array([off_axis[d] for d in offaxis_depths])
+        dd = np.array([float(d) for d in offaxis_depths])
         A = np.column_stack([np.ones_like(dd), 1.0 / dd, 1.0 / dd ** 2])
         coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
         diagnostics["im_f1_offaxis_ratio"] = float(abs(coef[0].imag) / abs(f[1]))
-    out = InnerDifference(params, tuple(depths), f, err, raw, low, diagnostics)
-    return out
+    diagnostics["filon_tables_built"] = tables_built
+    return InnerDifference(params, tuple(depths), f, err, raw, low, diagnostics)

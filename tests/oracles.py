@@ -26,6 +26,7 @@ import numpy as np
 
 from hecu.fourier import ibp_tail, osc_integral
 from hecu.horseshoe import _SECANT_STEPS, PassageError
+from hecu.inner import theta_v_constant
 from hecu.model import DomainError
 from hecu.separatrix import _QUAD_T, _kern, _kern_d1, _kern_d2, melnikov_coeff_closed
 
@@ -176,7 +177,7 @@ def t2_weighted_bound(sol) -> float:
     """K1 with floor-norm |v|^3-weighted T2 <= K1 Theta_V^2."""
     v = sol.x - 1j * sol.depth
     total = float(np.sum(np.max(np.abs(v ** 3 * sol.t2.values), axis=1)))
-    theta_v = sol.diagnostics["theta_V"]
+    theta_v = theta_v_constant(sol)
     return total / theta_v ** 2 if theta_v > 0 else 0.0
 
 

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from hecu import cli
+from hecu import cli, inner
 from hecu.cli import _parse_list, _parse_range, run
 from hecu.model import DomainError
 
@@ -147,6 +147,19 @@ def test_inner_csv(tmp_path):
         assert 0.0 < depth["contraction_ratio"] < 0.9
     # the depth-12 solve of the theta_V column is the one extract_fk used
     assert picard["12"]["residual"] == float(row[6])
+
+
+def test_inner_manifest_counts_weight_tables(tmp_path):
+    # the second epsilon solves on the lines and weight tables of the first
+    inner._solver_line.cache_clear()
+    out = tmp_path / "i"
+    assert run(["inner", "--epsilon", "1e-3,2e-3", "--kmax", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    tables = manifest["counters"]["filon_tables_built"]
+    # five lines for the seven default depths, |k| <= 8 on each
+    assert 0 < tables["0.001"] <= 45
+    assert tables["0.002"] == 0
+    assert set(manifest["outputs"]) == {"inner.csv"}
 
 
 def test_help_exits_zero():

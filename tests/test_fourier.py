@@ -5,6 +5,7 @@ import pytest
 from hecu.fourier import (
     ModeField,
     _moments,
+    _table_transport,
     geometric_grid,
     ibp_tail,
     modes_to_values,
@@ -74,6 +75,20 @@ def test_transport_derivative_identity():
     fd = (G[j + 1] - G[j - 1]) / (x[j + 1] - x[j - 1])
     ana = f[j] - 1j * omega * G[j]
     assert abs(fd - ana) < 5e-5 * max(1.0, abs(ana))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_negative_mode_transport_by_conjugate_identity(k):
+    # a mode k < 0 is moved by the weights of |k|: G_{-w}(f) = conj(G_w(conj f))
+    x = geometric_grid(-0.2, h0=0.005, near_span=10.0, x_far=-2e4)
+    c = (1.0 + 2.0j) * np.exp(0.3j * x)
+    f, fp = c * kern(x), c * (kern_d1(x) + 0.3j * kern(x))
+    freq, tail = 1.7, 0.25 - 0.5j
+    table = {}
+    got = _table_transport(table, x, -k, freq, f, fp, tail)
+    ref = transport(x, f, fp, -k * freq, tail)
+    assert list(table) == [k]
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_mode_field_product_matches_pointwise():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hecu import inner
 from hecu.fourier import ibp_tail, osc_integral
 from hecu.inner import (
     DEFAULT_DEPTHS,
@@ -102,6 +103,55 @@ def test_solve_requires_depth():
 
 def test_residual_certified(solution):
     assert solution.residual <= 1e-12
+
+
+def test_depths_share_a_line_and_its_weights():
+    # the line depends on depth through max(4 depth, 40): 8 and 10 share one
+    inner._solver_line.cache_clear()
+    params = params_for_nu_I0(6.0, epsilon=1e-3)
+    first = solve_inner(params, depth=8.0)
+    second = solve_inner(params, depth=10.0)
+    assert first.diagnostics["filon_tables_built"] > 0
+    assert second.diagnostics["filon_tables_built"] == 0
+    assert second.x is first.x
+    other = solve_inner(params, depth=11.0)
+    assert other.x is not first.x and len(other.x) > len(first.x)
+    assert other.diagnostics["filon_tables_built"] > 0
+
+
+def test_shared_weights_give_identical_solutions():
+    # a table built by another depth and epsilon on the same line changes nothing
+    params = params_for_nu_I0(6.0, epsilon=0.1)
+    inner._solver_line.cache_clear()
+    fresh = solve_inner(params, depth=10.0)
+    inner._solver_line.cache_clear()
+    solve_inner(PHYS_PARAMS, depth=8.0)
+    shared = solve_inner(params, depth=10.0)
+    assert fresh.diagnostics["filon_tables_built"] > 0
+    assert shared.diagnostics["filon_tables_built"] == 0
+    for a, b in ((shared.t1, fresh.t1), (shared.melnikov, fresh.melnikov)):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.du, b.du)
+    assert shared.residual == fresh.residual
+
+
+def test_solver_line_is_read_only(solution):
+    with pytest.raises(ValueError):
+        solution.x[0] = 0.0
+
+
+def test_extract_fk_takes_given_solutions(solution, difference):
+    given = extract_fk(PHYS_PARAMS, ks=(1, 2), solutions={12.0: solution})
+    assert given.f == difference.f
+    assert given.err == difference.err
+    assert given.raw.keys() == difference.raw.keys()
+    for k, vals in given.raw.items():
+        assert np.array_equal(vals, difference.raw[k])
+    assert given.low_mode_decay == difference.low_mode_decay
+    # how many weight tables a call builds depends on what its lines held before
+    diags = [{key: val for key, val in d.diagnostics.items() if key != "filon_tables_built"}
+             for d in (given, difference)]
+    assert diags[0] == diags[1]
 
 
 def test_t2_bound_eps_independent():
