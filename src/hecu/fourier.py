@@ -1,7 +1,8 @@
 """Fourier-mode containers, oscillatory quadrature and the Picard engine.
 
-The Hamilton-Jacobi graph solver and the inner-equation solver both run
-`picard_iterates`, the fixed point
+The Hamilton-Jacobi graph solver and the inner-equation solver both call
+`picard_solve`, which owns the stop rule and the non-contraction failure of
+the fixed point
 
     Phi <- G(F(Phi)),     G(f)(x) = int_{-infty}^x f(s) e^{i w (s - x)} ds,
 
@@ -12,7 +13,7 @@ Norsett 2005): on each cell the source is replaced by its cubic Hermite
 interpolant, whose product with e^{iws} integrates in closed form through
 the moments int_0^1 s^j e^{zs} ds (Miller's backward recurrence for small
 |z|).  The weights of a mode live in a table keyed by |k| that the caller
-of the engine may keep across solves on one grid; a mode k < 0 reuses the
+of the solve may keep across solves on one grid; a mode k < 0 reuses the
 weights of |k| through G_{-w}(f) = conj(G_w(conj f)).  Derivatives are
 exact throughout because the transport obeys d/dx G(f) = f - i w G(f).
 
@@ -280,22 +281,18 @@ class ModeField:
 # the Picard fixed point Phi <- G(F(Phi))
 # ---------------------------------------------------------------------------
 
+class NonContractionError(RuntimeError):
+    """Picard iteration is not contracting, or did not converge within max_iter."""
+
+
 @dataclass
 class PicardStep:
-    """One Picard iterate and the signals a stop rule reads."""
+    """The last Picard iterate and the signals the stop rule read."""
 
     iteration: int
     phi: ModeField          # G(F(previous phi))
-    source: ModeField       # F(phi)
-    delta: float            # sup |phi - previous phi|
     residual: float         # sup |F(phi) - previous source|
-    ratio: float            # delta / previous delta; nan until both exist
-
-    def converged(self, tol: float) -> bool:
-        """Residual <= tol after two iterations or more, so the correction
-        beyond the first iterate is measured, not left at zero; or a
-        residual of exactly zero (a zero source stops at iteration 1)."""
-        return self.residual == 0.0 or (self.residual <= tol and self.iteration >= 2)
+    ratio: float            # ratio of successive sup |phi - previous phi|; nan until both exist
 
 
 def _sup_diff(a: ModeField, b: ModeField) -> float:
@@ -305,10 +302,10 @@ def _sup_diff(a: ModeField, b: ModeField) -> float:
     return float(np.max(np.sum(np.abs(d), axis=0)))
 
 
-def picard_iterates(primary: ModeField, freq: float, profile: np.ndarray,
-                    dprofile: np.ndarray, nu: float, max_iter: int,
-                    weights: dict | None = None):
-    """Yield the iterates of Phi <- G(F(Phi)) from Phi = 0, at most max_iter.
+def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
+                 dprofile: np.ndarray, nu: float, tol: float, max_iter: int,
+                 weights: dict | None = None) -> tuple[PicardStep, ModeField]:
+    """Solve Phi = G(F(Phi)) by Picard iteration from Phi = 0.
 
     F(Phi) = primary - profile (d_x Phi)^2 - (nu/2) (d_theta Phi)^2; G moves
     mode k at omega_k = k freq, with an integration-by-parts tail, or a
@@ -316,11 +313,16 @@ def picard_iterates(primary: ModeField, freq: float, profile: np.ndarray,
     built on the first nonzero source of mode +-k into `weights`, a table
     keyed by |k| that depends only on primary.x and freq: a caller that
     solves again on the same grid and freq may pass the same table and
-    build nothing.  Without one, the table is freed with the generator.
-    d_x(d_x Phi_k) = d_x F_k - i omega_k d_x Phi_k is exact.  Squares double
-    the band, so iterate n of a band-b primary lives on |k| <= min(primary.M,
-    2^(n-1) b) and carries that M; `padded(primary.M)` restores the full
-    truncation.
+    build nothing.  d_x(d_x Phi_k) = d_x F_k - i omega_k d_x Phi_k is exact.
+    Squares double the band, so iterate n of a band-b primary lives on
+    |k| <= min(primary.M, 2^(n-1) b).
+
+    Stops at residual <= tol after two iterations or more, so the
+    correction beyond the first iterate is measured, not left at zero; or
+    at a residual of exactly zero (a zero source stops at iteration 1).
+    Returns the last step and the first iterate, both on |k| <= primary.M.
+    Raises NonContractionError when the ratio of successive differences
+    reaches 0.9, or when max_iter iterations do not converge.
     """
     x, M = primary.x, primary.M
     live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
@@ -362,7 +364,14 @@ def picard_iterates(primary: ModeField, freq: float, profile: np.ndarray,
             ratio = delta / prev_delta
         prev_delta = delta
         phi, src = phi_new, src_new
-        yield PicardStep(it, phi, src, delta, residual, ratio)
+        if it == 1:
+            first = phi
+        if ratio >= 0.9:
+            raise NonContractionError(f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
+        if residual == 0.0 or (residual <= tol and it >= 2):
+            return PicardStep(it, phi.padded(M), residual, ratio), first.padded(M)
+    raise NonContractionError(f"no convergence to tol={tol} within {max_iter} iterations "
+                              f"(last residual {residual:.3e})")
 
 
 def geometric_grid(x_end: float, h0: float, near_span: float,

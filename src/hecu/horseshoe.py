@@ -35,9 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import (
-    POLISH_MISS,
-    SPAN_END,
-    UNDERFLOW,
+    LANE_OUTCOMES,
     IntegrationCounters,
     IntegratorConfig,
     first_crossing,
@@ -197,8 +195,7 @@ def _escape_section(chart: LocalChart):
 
 
 # lane outcome of `first_crossing` -> failure kind of a passage; "" is a crossing
-_LANE_KINDS = {0: "", 1: "escape", SPAN_END: "timeout", UNDERFLOW: "underflow",
-               POLISH_MISS: "polish"}
+_LANE_KINDS = {0: "", 1: "escape", **LANE_OUTCOMES}
 # failure kind -> what went wrong, for messages
 _FAILURES = {"escape": "escape", "timeout": "timeout", "underflow": "step underflow",
              "polish": "event polish miss", "domain": "start outside the chart"}

@@ -9,7 +9,7 @@ Hamilton-Jacobi equation into the frequency-free inner equation
 Writing T = T0 + T1 with T0 = -1/(4v), T1 solves L_in T1 = F_in(T1) with
 L_in = d_v + d_theta, and is found by Picard iteration of
 T1 <- G_in(F_in(T1)) whose first iterate is the inner Melnikov layer L+_in
-(fourier.picard_iterates, the engine of the Hamilton-Jacobi graph too).
+(fourier.picard_solve, the solve of the Hamilton-Jacobi graph too).
 The transport G_in integrates along horizontal shifts v + s, s <= 0, so the
 solver works on horizontal lines Im v = -depth, which the transport leaves
 invariant.  The second solution is the conjugation image
@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ModeField, geometric_grid, picard_iterates
+from .fourier import ModeField, geometric_grid, picard_solve
 from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
-from .manifolds import NonContractionError
 from .model import DomainError, ModelParams
 
 _MIN_DEPTH = 8.0
@@ -48,7 +47,7 @@ def _solver_line(near_span: float) -> tuple[np.ndarray, dict]:
 
     Spacing 0.01 over near_span up to x = 2, geometric (ratio 1.05) out to
     x = -2e4.  The inner transport runs at freq = 1 on every line, so the
-    table (picard_iterates' `weights`, keyed by |k|) depends on x alone and
+    table (picard_solve's `weights`, keyed by |k|) depends on x alone and
     is shared by every solve on the line, whatever its depth or epsilon.
     """
     x = geometric_grid(2.0, h0=0.01, near_span=near_span, x_far=-2.0e4, growth=1.05)
@@ -70,20 +69,17 @@ class InnerSolution:
     iterations: int
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def t2(self) -> ModeField:
-        return self.t1.axpy(-1.0, self.melnikov)
-
 
 def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
                 tol: float = 1e-12) -> InnerSolution:
     """Picard solution of the inner equation on the line Im v = -depth.
 
     F_in(T1) = -(nu/2)(d_theta T1)^2 - 2 v^2 (d_v T1)^2 + eps V/(8 v^2) at
-    omega_k = k.  Stops at residual <= tol after two iterations or more (so
-    T2 is measured, not left at zero), or at a residual of exactly zero.
-    The line start acts as the paper's distance kappa; depths below 8 are
-    rejected (the contraction constant degrades like 1/kappa).
+    omega_k = k, solved by fourier.picard_solve to the residual tol, which
+    raises fourier.NonContractionError when the iteration does not contract
+    or does not converge within 60 iterations.  The line start acts as the
+    paper's distance kappa; depths below 8 are rejected (the contraction
+    constant degrades like 1/kappa).
     diagnostics["filon_tables_built"] counts the weight tables this solve
     added to its line's shared table.
     """
@@ -97,22 +93,10 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
     vks = params.epsilon * np.array(
         [params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
     primary = ModeField(M, x, vks / (8.0 * v ** 2), vks * (-2.0 / (8.0 * v ** 3)))
-    melnikov = None
-    for step in picard_iterates(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, _MAX_ITER,
-                                weights=table):
-        if step.iteration == 1:
-            melnikov = step.phi
-        if step.ratio >= 0.9:
-            raise NonContractionError(
-                f"inner Picard ratio {step.ratio:.3f} >= 0.9 (depth too small?)")
-        if step.converged(tol):
-            sol = InnerSolution(params, depth, x, step.phi.padded(M), melnikov.padded(M),
-                                step.residual, step.ratio, step.iteration)
-            sol.diagnostics["filon_tables_built"] = len(table) - n_tables
-            return sol
-    raise NonContractionError(
-        f"inner iteration did not reach tol={tol} in {_MAX_ITER} steps "
-        f"(residual {step.residual:.3e})")
+    step, melnikov = picard_solve(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, tol,
+                                  _MAX_ITER, weights=table)
+    return InnerSolution(params, depth, x, step.phi, melnikov, step.residual, step.ratio,
+                         step.iteration, {"filon_tables_built": len(table) - n_tables})
 
 
 def theta_v_constant(sol: InnerSolution) -> float:

@@ -372,10 +372,12 @@ def integrate_mcgehee(params: ModelParams, y0, t_span,
 CROSSING_XTOL = 1e-14     # final bracket width in t
 CROSSING_GTOL = 1e-12     # largest accepted |g| at a polished crossing
 
-# outcomes of a lane of `first_crossing` other than a section index
+# outcomes of a lane of `first_crossing` other than a section index, and
+# the name each one goes by in failure reports
 SPAN_END = -1           # no crossing up to the end of t_span
 UNDERFLOW = -2          # step underflow, or the state stopped being finite
 POLISH_MISS = -3        # the polished crossing missed |g| <= CROSSING_GTOL
+LANE_OUTCOMES = {SPAN_END: "timeout", UNDERFLOW: "underflow", POLISH_MISS: "polish"}
 
 
 def first_crossing(field, y0, t_span, sections,

@@ -25,18 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .fourier import ModeField, geometric_grid, modes_to_values, picard_iterates
+from .fourier import ModeField, geometric_grid, modes_to_values, picard_solve
 from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
-from .integrate import (POLISH_MISS, SPAN_END, UNDERFLOW, IntegrationCounters,
-                        IntegratorConfig, first_crossing, mcgehee_rhs)
+from .integrate import (LANE_OUTCOMES, SPAN_END, IntegrationCounters, IntegratorConfig,
+                        first_crossing, mcgehee_rhs)
 # no sheet calls it; perfbench/layers.py wraps it here, so the name stays
 from .integrate import integrate_mcgehee  # noqa: F401
 from .model import DomainError, ModelParams, hamiltonian_mcgehee
 from .separatrix import dphi0, p_h, q_h
-
-
-class NonContractionError(RuntimeError):
-    """Picard iteration is not contracting (nu I0 too small or u_max too near 0)."""
 
 
 class SignalBelowNoiseError(RuntimeError):
@@ -68,11 +64,9 @@ class ManifoldGraph:
     params: ModelParams
     u: np.ndarray
     phi1: ModeField          # correction Phi1; derivatives tracked exactly
-    source: ModeField        # F(Phi1) at the converged iterate
-    sheet: str = "unstable"
-    residual: float = math.nan
-    contraction_ratio: float = math.nan
-    iterations: int = 0
+    residual: float
+    contraction_ratio: float
+    iterations: int
     diagnostics: dict = field(default_factory=dict)
 
     def derivatives_at(self, u0: float, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,10 +88,11 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
     """Picard solution of the Hamilton-Jacobi graph on u <= u_max < 0.
 
     F(Phi1) of the module docstring, with H1 = (eps/2) q_h^4 V, at omega_k =
-    k nu I0.  The first iterate is the Melnikov layer L+_out; iteration
-    continues until the sup-residual of the graph equation drops below tol
-    after two iterations or more (PicardStep.converged).
-    Raises NonContractionError when the successive-difference ratio reaches 0.9.
+    k nu I0, solved by fourier.picard_solve to the sup-residual tol.  The
+    first iterate, diagnostics["first_iterate"], is the Melnikov layer
+    L+_out.  Raises fourier.NonContractionError when the iteration does not
+    contract (nu I0 too small or u_max too near 0) or does not converge
+    within 50 iterations.
     """
     if u_max > -0.2:
         raise DomainError("u_max must be <= -0.2 (1/p_h^2 blows up at u = 0)")
@@ -108,23 +103,10 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
     dprof = -0.5 * params.epsilon * (-4.0 * x) * (1.0 + x ** 2) ** -3.0
     inv2p = (1.0 + x ** 2) ** 2 / (2.0 * x ** 2)
     dinv2p = (4.0 * x * (1.0 + x ** 2) - 2.0 * (1.0 + x ** 2) ** 2 / x) / (2.0 * x ** 2)
-    first_iterate = None
-    for step in picard_iterates(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
-                                inv2p, dinv2p, params.nu, _HJ_MAX_ITER):
-        if step.iteration == 1:
-            first_iterate = step.phi
-        if step.ratio >= 0.9:
-            raise NonContractionError(
-                f"Picard ratio {step.ratio:.3f} >= 0.9 at iteration {step.iteration}")
-        if step.converged(tol):
-            graph = ManifoldGraph(params, x, step.phi.padded(M), step.source.padded(M),
-                                  "unstable", step.residual, step.ratio, step.iteration)
-            graph.diagnostics["first_iterate"] = first_iterate.padded(M)
-            graph.diagnostics["delta_last"] = step.delta
-            return graph
-    raise NonContractionError(
-        f"no convergence to tol={tol} within {_HJ_MAX_ITER} iterations "
-        f"(last residual {step.residual:.3e})")
+    step, first = picard_solve(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
+                               inv2p, dinv2p, params.nu, tol, _HJ_MAX_ITER)
+    return ManifoldGraph(params, x, step.phi, step.residual, step.ratio, step.iteration,
+                         {"first_iterate": first})
 
 
 def unstable_initial_conditions(graph: ManifoldGraph, u0: float,
@@ -195,7 +177,6 @@ class SheetLevel:
 
 @dataclass
 class Sheet:
-    tag: str
     params: ModelParams
     levels: dict[float, SheetLevel]
     counters: IntegrationCounters = field(default_factory=IntegrationCounters)
@@ -227,15 +208,10 @@ def globalize(params: ModelParams, seeds: np.ndarray, u_levels,
     t_end = abs(u_seed) + u_levels[-1] + 1.5
     # forward in time the fibers meet the branches in ascending signed u
     branches = sorted((su, d) for u in u_levels for su, d in ((u, -1), (-u, +1)))
-    return _sample_sheet("unstable", params, seeds, t_end, branches)
+    return _sample_sheet(params, seeds, t_end, branches)
 
 
-# lane outcome of `first_crossing` -> why a fiber missed a sheet level
-_GAP_KINDS = {SPAN_END: "timeout", UNDERFLOW: "underflow", POLISH_MISS: "polish miss"}
-
-
-def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float,
-                  branches) -> Sheet:
+def _sample_sheet(params: ModelParams, seeds: np.ndarray, t_end: float, branches) -> Sheet:
     """All seeds as terminal lanes of `first_crossing`, one branch at a time.
 
     A branch (signed_u, direction) samples every fiber at its first crossing
@@ -244,7 +220,7 @@ def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float
     before; the field is autonomous, so every restart begins at t = 0.
     t_end is the budget from the seed: a fiber that would reach a branch
     later is a gap.  Raises RuntimeError on a gap, with the outcome of each
-    missing lane (timeout, underflow or polish miss).
+    missing lane (its `LANE_OUTCOMES` name: timeout, underflow or polish).
     """
     n = seeds.shape[0]
     rhs = mcgehee_rhs(params)
@@ -262,7 +238,7 @@ def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float
         kind[elapsed > budget] = SPAN_END
         missing = np.flatnonzero(kind != 0)
         if missing.size:
-            why = ", ".join(f"lane {j}: {_GAP_KINDS[kind[j]]}" for j in missing)
+            why = ", ".join(f"lane {j}: {LANE_OUTCOMES[kind[j]]}" for j in missing)
             raise RuntimeError(f"grid coverage gap at u={signed_u}: "
                                f"{n - missing.size}/{n} fibers arrived ({why})")
         levels[signed_u] = SheetLevel(
@@ -273,7 +249,7 @@ def _sample_sheet(tag: str, params: ModelParams, seeds: np.ndarray, t_end: float
             J=state[3],
             energy_defect=np.abs(hamiltonian_mcgehee(state, params) - params.energy),
         )
-    return Sheet(tag, params, levels, counters)
+    return Sheet(params, levels, counters)
 
 
 def unstable_sheet(params: ModelParams, u_levels, n_theta: int = 64,
@@ -290,7 +266,7 @@ def unstable_sheet(params: ModelParams, u_levels, n_theta: int = 64,
 def stable_sheet_from_unstable(sheet: Sheet) -> Sheet:
     """Reversor image: stable-sheet samples at +u from unstable ones at -u."""
     levels = {lv.u * -1.0: lv.reflected() for lv in sheet.levels.values()}
-    return Sheet("stable", sheet.params, levels)
+    return Sheet(sheet.params, levels)
 
 
 def stable_sheet_direct(params: ModelParams, u_levels, n_theta: int = 64,
@@ -315,7 +291,7 @@ def stable_sheet_direct(params: ModelParams, u_levels, n_theta: int = 64,
     u_levels = sorted(float(u) for u in u_levels)
     t_end = -(_SHEET_U_SEED - u_levels[0] + 1.0)
     # backward in time the fibers meet the levels in descending u
-    return _sample_sheet("stable", params, seeds, t_end, [(u, -1) for u in reversed(u_levels)])
+    return _sample_sheet(params, seeds, t_end, [(u, -1) for u in reversed(u_levels)])
 
 
 # ---------------------------------------------------------------------------

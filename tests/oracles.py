@@ -173,10 +173,15 @@ def phi1_at(graph, u0: float, thetas) -> np.ndarray:
     return np.real(out)
 
 
+def t2(sol):
+    """T2 = T1 - L+_in of an inner solution: the part beyond the Melnikov layer."""
+    return sol.t1.axpy(-1.0, sol.melnikov)
+
+
 def t2_weighted_bound(sol) -> float:
     """K1 with floor-norm |v|^3-weighted T2 <= K1 Theta_V^2."""
     v = sol.x - 1j * sol.depth
-    total = float(np.sum(np.max(np.abs(v ** 3 * sol.t2.values), axis=1)))
+    total = float(np.sum(np.max(np.abs(v ** 3 * t2(sol).values), axis=1)))
     theta_v = theta_v_constant(sol)
     return total / theta_v ** 2 if theta_v > 0 else 0.0
 

@@ -2,9 +2,11 @@
 
 Every function, class, method and property defined under src/hecu must be
 named in src/hecu outside its own definition and outside every definition
-that is itself unnamed, or be named in perfbench/.  perfbench/ names a
-definition as an identifier, or as the string attribute argument of a call
-(``tracer.wrap(owner, "attr", ...)`` looks it up as ``getattr`` does).
+that is itself unnamed, or be named in perfbench/.  A function or class is
+named by an identifier; a method or property only by an attribute access
+(``obj.name``), so a local variable of the same name does not count.
+perfbench/ also names a definition as the string attribute argument of a
+call (``tracer.wrap(owner, "attr", ...)`` looks it up as ``getattr`` does).
 A definition that only tests reach belongs in tests/ (tests/oracles.py for
 the independent oracles).
 """
@@ -20,16 +22,19 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _identifiers(tree: ast.AST):
-    """(identifier, line) of every name and attribute in the tree."""
+    """(identifier, line, is_attribute) of every name and attribute in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
-def _perfbench_names() -> set[str]:
-    """Identifiers of perfbench/, and the strings it passes as an `attr` argument."""
+def _perfbench_names() -> tuple[set[str], set[str]]:
+    """Identifiers of perfbench/, and those of them that are attributes.
+
+    A string perfbench passes as an `attr` argument counts as an attribute.
+    """
     trees = [_parse(path) for path in (ROOT / "perfbench").rglob("*.py")]
     # position of the `attr` parameter of getattr and of perfbench's own lookups
     attr_at = {"getattr": 1, "setattr": 1, "hasattr": 1}
@@ -39,9 +44,12 @@ def _perfbench_names() -> set[str]:
                 params = [a.arg for a in node.args.args if a.arg != "self"]
                 if "attr" in params:
                     attr_at[node.name] = params.index("attr")
-    names = set()
+    names, attrs = set(), set()
     for tree in trees:
-        names.update(name for name, _ in _identifiers(tree))
+        for name, _, is_attr in _identifiers(tree):
+            names.add(name)
+            if is_attr:
+                attrs.add(name)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -49,21 +57,26 @@ def _perfbench_names() -> set[str]:
             i = attr_at.get(callee)
             if i is not None and i < len(node.args) and isinstance(node.args[i], ast.Constant):
                 names.add(node.args[i].value)
-    return names
+                attrs.add(node.args[i].value)
+    return names, attrs
 
 
 def unnamed_definitions() -> list[str]:
     """'file:line name' of each definition that nothing outside tests names."""
-    perfbench = _perfbench_names()
-    defs, uses = [], {}
+    perfbench_names, perfbench_attrs = _perfbench_names()
+    defs, uses, attr_uses, methods = [], {}, {}, set()
     for path in sorted((ROOT / "src" / "hecu").glob("*.py")):
         tree = _parse(path)
-        for name, line in _identifiers(tree):
+        for name, line, is_attr in _identifiers(tree):
             uses.setdefault(name, []).append((path, line))
+            if is_attr:
+                attr_uses.setdefault(name, []).append((path, line))
+        methods.update(node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                       for node in cls.body)
         defs += [(path, node) for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                  and not (node.name.startswith("__") and node.name.endswith("__"))
-                 and node.name not in perfbench]
+                 and node.name not in (perfbench_attrs if node in methods else perfbench_names)]
 
     def inside(use, path, node):
         return use[0] == path and node.lineno <= use[1] <= node.end_lineno
@@ -74,7 +87,7 @@ def unnamed_definitions() -> list[str]:
         new = [(path, node) for path, node in defs if (path, node) not in dead
                and not any(not inside(u, path, node)
                            and not any(inside(u, *d) for d in dead)
-                           for u in uses.get(node.name, ()))]
+                           for u in (attr_uses if node in methods else uses).get(node.name, ()))]
         if not new:
             break
         dead += new

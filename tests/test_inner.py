@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hecu import inner
-from hecu.fourier import ibp_tail, osc_integral
+from hecu.fourier import NonContractionError, ibp_tail, osc_integral
 from hecu.inner import (
     DEFAULT_DEPTHS,
     InnerDifference,
@@ -99,6 +99,20 @@ def test_solve_zero_series_gives_zero():
 def test_solve_requires_depth():
     with pytest.raises(DomainError):
         solve_inner(PHYS_PARAMS, depth=5.0)
+
+
+def test_solve_raises_when_not_contracting():
+    # eps = 100 at the shallowest depth puts the quadratic terms past contraction
+    with pytest.raises(NonContractionError, match=r"ratio 1\.078 >= 0\.9"):
+        solve_inner(params_for_nu_I0(6.0, epsilon=100.0), depth=8.0)
+
+
+def test_solve_raises_when_iterations_run_out(monkeypatch):
+    # the first residual is already below tol, but the stop rule asks for two
+    # iterations or more
+    monkeypatch.setattr(inner, "_MAX_ITER", 1)
+    with pytest.raises(NonContractionError, match="within 1 iterations"):
+        solve_inner(params_for_nu_I0(6.0, epsilon=1e-3), depth=12.0)
 
 
 def test_residual_certified(solution):

@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from hecu import manifolds
+from hecu.fourier import NonContractionError
 from hecu.integrate import mcgehee_rhs
 from hecu.manifolds import (
     Sheet,
@@ -67,6 +69,19 @@ def test_hj_small_eps_iterates_past_melnikov_layer(nu_I0):
     g = solve_hj_unstable(params_for_nu_I0(nu_I0, epsilon=1e-4))
     assert g.iterations >= 2
     assert 0.0 < g.contraction_ratio < 0.9
+
+
+def test_hj_raises_when_not_contracting():
+    # at nu I0 = 1, eps = 1 the quadratic terms outgrow the transport's decay
+    with pytest.raises(NonContractionError, match=r"ratio 1\.083 >= 0\.9 at iteration 6"):
+        solve_hj_unstable(params_for_nu_I0(1.0, epsilon=1.0))
+
+
+def test_hj_raises_when_iterations_run_out(monkeypatch):
+    # one iteration cannot converge: the stop rule asks for two or more
+    monkeypatch.setattr(manifolds, "_HJ_MAX_ITER", 1)
+    with pytest.raises(NonContractionError, match="within 1 iterations"):
+        solve_hj_unstable(SER_PARAMS)
 
 
 def test_hj_rejects_u_max_near_zero():
@@ -275,7 +290,7 @@ def _per_fiber_sheet(params, seeds, u_levels, u_seed=-3.0):
             u=su, theta0=np.array([th for th, _ in recs]), theta=states[2],
             P=states[1] * float(p_h(su)), J=states[3],
             energy_defect=np.abs(hamiltonian_mcgehee(states, params) - params.energy))
-    return Sheet("unstable", params, levels)
+    return Sheet(params, levels)
 
 
 @pytest.mark.parametrize("nu_I0", [4.3, 9.8])
@@ -330,6 +345,6 @@ def test_sheet_budget_counts_from_the_seed():
     u0 = np.array([-3.0, -1.6])
     seeds = np.array([q_h(u0), p_h(u0), np.zeros(2), np.zeros(2)]).T
     with pytest.raises(RuntimeError, match=r"u=1.0: 1/2 fibers arrived \(lane 0: timeout\)"):
-        _sample_sheet("unstable", params, seeds, 3.5, [(-1.5, +1), (1.0, -1)])
-    sheet = _sample_sheet("unstable", params, seeds, 4.1, [(-1.5, +1), (1.0, -1)])
+        _sample_sheet(params, seeds, 3.5, [(-1.5, +1), (1.0, -1)])
+    sheet = _sample_sheet(params, seeds, 4.1, [(-1.5, +1), (1.0, -1)])
     assert np.allclose(sheet.level(1.0).P, p_h(1.0) ** 2, atol=1e-10)
