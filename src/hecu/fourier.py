@@ -184,10 +184,6 @@ class ModeField:
     def coeff(self, k: int) -> np.ndarray:
         return self.values[k + self.M]
 
-    def dtheta(self) -> "ModeField":
-        ik = 1j * self.ks[:, None]
-        return ModeField(self.M, self.x, ik * self.values, ik * self.du)
-
     def _live(self) -> list[int]:
         """Rows that are not identically zero."""
         return [i for i in range(2 * self.M + 1) if self.values[i].any() or self.du[i].any()]
@@ -204,32 +200,6 @@ class ModeField:
                     out.du[m] += self.du[i] * other.values[j] + self.values[i] * other.du[j]
         return out
 
-    def square(self, M: int | None = None) -> "ModeField":
-        """Pointwise square in theta, truncated to |k| <= M (default self.M).
-
-        Sums each unordered pair a_i a_j once (twice its weight) with
-        (a^2)' = 2 a a', and skips modes that are identically zero, so a
-        field of band B costs O(B^2) row products instead of O(M^2).
-        """
-        M = self.M if M is None else M
-        out = ModeField(M, self.x)
-        v, d = self.values, self.du
-        live = self._live()
-        for n, i in enumerate(live):
-            for j in live[n:]:
-                m = i + j - 2 * self.M + M
-                if not 0 <= m <= 2 * M:
-                    continue
-                if i == j:
-                    out.values[m] += 0.5 * v[i] * v[i]
-                    out.du[m] += v[i] * d[i]
-                else:
-                    out.values[m] += v[i] * v[j]
-                    out.du[m] += d[i] * v[j] + v[i] * d[j]
-        out.values *= 2.0
-        out.du *= 2.0
-        return out
-
     def padded(self, M: int) -> "ModeField":
         """The same series on |k| <= M >= self.M, the new modes zero."""
         out = ModeField(M, self.x)
@@ -241,12 +211,6 @@ class ModeField:
         """View of the modes |k| <= B <= self.M."""
         rows = slice(self.M - B, self.M + B + 1)
         return ModeField(B, self.x, self.values[rows], self.du[rows])
-
-    def scale_profile(self, prof: np.ndarray, dprof: np.ndarray) -> "ModeField":
-        """Multiply every mode by a theta-independent grid profile."""
-        return ModeField(self.M, self.x,
-                         self.values * prof[None, :],
-                         self.du * prof[None, :] + self.values * dprof[None, :])
 
     def axpy(self, alpha: complex, other: "ModeField") -> "ModeField":
         return ModeField(self.M, self.x,
@@ -295,11 +259,55 @@ class PicardStep:
     ratio: float            # ratio of successive sup |phi - previous phi|; nan until both exist
 
 
-def _sup_diff(a: ModeField, b: ModeField) -> float:
-    a, b = (a, b) if a.M >= b.M else (b, a)
-    d = a.values.copy()
-    d[a.M - b.M:a.M + b.M + 1] -= b.values
-    return float(np.max(np.sum(np.abs(d), axis=0)))
+# Storage of picard_solve, shared by every solve in the process and only
+# ever grown; its contents are stale on entry to a solve.
+_workspace = np.empty(0, dtype=complex)
+
+
+def _workspace_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ten (rows, n) complex arrays and three length-n rows, views of the workspace."""
+    global _workspace
+    size = (10 * rows + 3) * n
+    if _workspace.size < size:
+        _workspace = np.empty(size, dtype=complex)
+    fields = _workspace[:10 * rows * n].reshape(10, rows, n)
+    return fields, _workspace[10 * rows * n:size].reshape(3, n)
+
+
+def _half_square(a: ModeField, out: ModeField, tmp: np.ndarray) -> None:
+    """Write a^2 / 2 in theta, truncated to |k| <= out.M, into `out`.
+
+    Sums each unordered pair a_i a_j once (the diagonal at half weight)
+    with d/dx (a^2/2) = a a', and skips modes that are identically zero, so
+    a field of band B costs O(B^2) row products.  The first pair of a mode
+    writes it, later pairs add to it through `tmp`, three scratch rows.
+    Callers fold the factor 2 of the square into their coefficients, which
+    is exact since it only scales by a power of two.
+    """
+    v, d = a.values, a.du
+    written = np.zeros(2 * out.M + 1, dtype=bool)
+    live = a._live()
+    for n, i in enumerate(live):
+        for j in live[n:]:
+            m = i + j - 2 * a.M + out.M
+            if not 0 <= m <= 2 * out.M:
+                continue
+            pv, pd = (tmp[0], tmp[1]) if written[m] else (out.values[m], out.du[m])
+            if i == j:
+                np.multiply(0.5, v[i], out=pv)
+                pv *= v[i]
+                np.multiply(v[i], d[i], out=pd)
+            else:
+                np.multiply(v[i], v[j], out=pv)
+                np.multiply(d[i], v[j], out=pd)
+                np.multiply(v[i], d[j], out=tmp[2])
+                pd += tmp[2]
+            if written[m]:
+                out.values[m] += pv
+                out.du[m] += pd
+            written[m] = True
+    out.values[~written] = 0.0
+    out.du[~written] = 0.0
 
 
 def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
@@ -317,6 +325,10 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
     Squares double the band, so iterate n of a band-b primary lives on
     |k| <= min(primary.M, 2^(n-1) b).
 
+    The iterates and sources live in the module workspace, two of each in
+    turn; the returned fields are copies, so they outlive later solves, but
+    only one solve may run at a time.
+
     Stops at residual <= tol after two iterations or more, so the
     correction beyond the first iterate is measured, not left at zero; or
     at a residual of exactly zero (a zero source stops at iteration 1).
@@ -328,48 +340,97 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
     live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
     primary = primary.band(max(live, default=0))
     weights = {} if weights is None else weights
+    fields, scratch = _workspace_arrays(2 * M + 1, len(x))
+    tmp, tmp2 = fields[8], fields[9]
+    ks = np.arange(-M, M + 1)[:, None]
+    dx_coef, ik = 1j * freq * ks, 1j * ks
+    # the 2 of each square rides on the profile and turns nu/2 into nu;
+    # scaling by a power of two leaves every rounding as it was
+    prof2, dprof2 = 2.0 * profile, 2.0 * dprofile
 
-    def transport_field(F: ModeField) -> ModeField:
-        out = ModeField(F.M, x)
+    def field_at(pair: int, B: int) -> ModeField:
+        """Workspace pair 0 or 1 (iterates), 2 or 3 (sources) on |k| <= B."""
+        band = slice(M - B, M + B + 1)
+        return ModeField(B, x, fields[2 * pair][band], fields[2 * pair + 1][band])
+
+    def transport_into(F: ModeField, out: ModeField) -> None:
         for m, k in enumerate(F.ks):
             f, fp = F.values[m], F.du[m]
             if not f.any():
+                out.values[m] = 0.0
+                out.du[m] = 0.0
                 continue
             omega = k * freq
             tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
                     if omega else powerlaw_tail(f[0], x[0], 4.0))
             out.values[m] = _table_transport(weights, x, int(k), freq, f, fp, tail)
-            out.du[m] = f - 1j * omega * out.values[m]
-        return out
+            np.multiply(1j * omega, out.values[m], out=out.du[m])
+            np.subtract(f, out.du[m], out=out.du[m])
 
-    def source(phi: ModeField, prev: ModeField) -> ModeField:
-        B = min(M, max(2 * phi.M, primary.M))
-        dx = ModeField(phi.M, x, phi.du, prev.du - 1j * freq * phi.ks[:, None] * phi.du)
-        quad = dx.square(B).scale_profile(profile, dprofile)
-        ang = phi.dtheta().square(B)
-        out = primary.padded(B)
-        out.values -= quad.values + 0.5 * nu * ang.values
-        out.du -= quad.du + 0.5 * nu * ang.du
-        return out
+    def source_into(phi: ModeField, prev: ModeField, out: ModeField, ang: ModeField) -> None:
+        """F(phi) into `out`; `prev` is the source phi was moved from.
 
-    phi = ModeField(0, x)
-    src = source(phi, phi)
+        `ang` is free storage on the band of `out`.
+        """
+        band = slice(M - phi.M, M + phi.M + 1)
+        r = 2 * phi.M + 1
+        # d_x Phi and its derivative d_x F - i omega_k d_x Phi
+        np.multiply(dx_coef[band], phi.du, out=tmp[:r])
+        np.subtract(prev.du, tmp[:r], out=tmp[:r])
+        _half_square(ModeField(phi.M, x, phi.du, tmp[:r]), out, scratch)
+        y = tmp[:2 * out.M + 1]
+        np.multiply(out.values, dprof2, out=y)
+        out.du *= prof2
+        out.du += y
+        out.values *= prof2
+        # d_theta Phi
+        np.multiply(ik[band], phi.values, out=tmp[:r])
+        np.multiply(ik[band], phi.du, out=tmp2[:r])
+        _half_square(ModeField(phi.M, x, tmp[:r], tmp2[:r]), ang, scratch)
+        # primary - (profile (d_x Phi)^2 + (nu/2) (d_theta Phi)^2), where
+        # -nu b - a rounds as -(a + nu b) does
+        rows = slice(out.M - primary.M, out.M + primary.M + 1)
+        for a, b, p in ((out.values, ang.values, primary.values),
+                        (out.du, ang.du, primary.du)):
+            np.multiply(-nu, b, out=b)
+            np.subtract(b, a, out=a)
+            a[rows] += p
+
+    def sup_diff(a: ModeField, b: ModeField) -> float:
+        """max over nodes of sum_k |a_k - b_k|, the shorter band zero-padded."""
+        a, b = (a, b) if a.M >= b.M else (b, a)
+        r = 2 * a.M + 1
+        d = tmp[:r]
+        np.copyto(d, a.values)
+        d[a.M - b.M:a.M + b.M + 1] -= b.values
+        # |d| into tmp2's memory, read as a contiguous (r, N) float array
+        absd = tmp2.reshape(-1).view(np.float64)[:r * len(x)].reshape(r, len(x))
+        np.abs(d, out=absd)
+        return float(np.max(np.sum(absd, axis=0)))
+
+    phi = field_at(0, 0)
+    phi.values[:] = 0.0
+    src = primary       # F(0)
     ratio = prev_delta = math.nan
     for it in range(1, max_iter + 1):
-        phi_new = transport_field(src)
-        src_new = source(phi_new, src)
-        delta = _sup_diff(phi_new, phi)
-        residual = _sup_diff(src_new, src)
+        new, old = it % 2, 1 - it % 2
+        phi_new = field_at(new, src.M)
+        transport_into(src, phi_new)
+        delta = sup_diff(phi_new, phi)
+        # the previous iterate's arrays are free from here on
+        src_new = field_at(2 + new, min(M, max(2 * src.M, primary.M)))
+        source_into(phi_new, src, src_new, field_at(old, src_new.M))
+        residual = sup_diff(src_new, src)
         if prev_delta > 0:
             ratio = delta / prev_delta
         prev_delta = delta
         phi, src = phi_new, src_new
         if it == 1:
-            first = phi
+            first = phi.padded(M)
         if ratio >= 0.9:
             raise NonContractionError(f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
         if residual == 0.0 or (residual <= tol and it >= 2):
-            return PicardStep(it, phi.padded(M), residual, ratio), first.padded(M)
+            return PicardStep(it, phi.padded(M), residual, ratio), first
     raise NonContractionError(f"no convergence to tol={tol} within {max_iter} iterations "
                               f"(last residual {residual:.3e})")
 

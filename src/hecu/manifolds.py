@@ -67,7 +67,6 @@ class ManifoldGraph:
     residual: float
     contraction_ratio: float
     iterations: int
-    diagnostics: dict = field(default_factory=dict)
 
     def derivatives_at(self, u0: float, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P, J) = (d_u Phi, d_theta Phi) at (u0, thetas); includes Phi0."""
@@ -89,10 +88,10 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
 
     F(Phi1) of the module docstring, with H1 = (eps/2) q_h^4 V, at omega_k =
     k nu I0, solved by fourier.picard_solve to the sup-residual tol.  The
-    first iterate, diagnostics["first_iterate"], is the Melnikov layer
-    L+_out.  Raises fourier.NonContractionError when the iteration does not
-    contract (nu I0 too small or u_max too near 0) or does not converge
-    within 50 iterations.
+    solve's first iterate is the Melnikov layer L+_out; the graph keeps only
+    the converged Phi1.  Raises fourier.NonContractionError when the
+    iteration does not contract (nu I0 too small or u_max too near 0) or
+    does not converge within 50 iterations.
     """
     if u_max > -0.2:
         raise DomainError("u_max must be <= -0.2 (1/p_h^2 blows up at u = 0)")
@@ -103,10 +102,9 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
     dprof = -0.5 * params.epsilon * (-4.0 * x) * (1.0 + x ** 2) ** -3.0
     inv2p = (1.0 + x ** 2) ** 2 / (2.0 * x ** 2)
     dinv2p = (4.0 * x * (1.0 + x ** 2) - 2.0 * (1.0 + x ** 2) ** 2 / x) / (2.0 * x ** 2)
-    step, first = picard_solve(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
-                               inv2p, dinv2p, params.nu, tol, _HJ_MAX_ITER)
-    return ManifoldGraph(params, x, step.phi, step.residual, step.ratio, step.iteration,
-                         {"first_iterate": first})
+    step, _ = picard_solve(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
+                           inv2p, dinv2p, params.nu, tol, _HJ_MAX_ITER)
+    return ManifoldGraph(params, x, step.phi, step.residual, step.ratio, step.iteration)
 
 
 def unstable_initial_conditions(graph: ManifoldGraph, u0: float,

@@ -14,7 +14,9 @@ quadrature route to a quantity that src/hecu computes another way:
 - the evaluation of a graph's Phi1 and the weighted T2 bound of an inner
   solution;
 - the strip-edge secant with the step rule alone, against the superlinear
-  stop of `_taus_at_advance`.
+  stop of `_taus_at_advance`;
+- the Picard engine on fresh arrays, one new field per product, against the
+  in-place `picard_solve`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from hecu.fourier import ibp_tail, osc_integral
+from hecu.fourier import (ModeField, NonContractionError, PicardStep, _table_transport,
+                          ibp_tail, osc_integral, powerlaw_tail)
 from hecu.horseshoe import _SECANT_STEPS, PassageError
 from hecu.inner import theta_v_constant
 from hecu.model import DomainError
@@ -184,6 +187,114 @@ def t2_weighted_bound(sol) -> float:
     total = float(np.sum(np.max(np.abs(v ** 3 * t2(sol).values), axis=1)))
     theta_v = theta_v_constant(sol)
     return total / theta_v ** 2 if theta_v > 0 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# the Picard engine on fresh arrays
+# ---------------------------------------------------------------------------
+
+def dtheta(f: ModeField) -> ModeField:
+    """d/dtheta of a mode field: mode k times i k."""
+    ik = 1j * f.ks[:, None]
+    return ModeField(f.M, f.x, ik * f.values, ik * f.du)
+
+
+def square(f: ModeField, M: int | None = None) -> ModeField:
+    """Pointwise square in theta, truncated to |k| <= M (default f.M).
+
+    Sums each unordered pair a_i a_j once (twice its weight) with
+    (a^2)' = 2 a a', and skips modes that are identically zero.
+    """
+    M = f.M if M is None else M
+    out = ModeField(M, f.x)
+    v, d = f.values, f.du
+    live = f._live()
+    for n, i in enumerate(live):
+        for j in live[n:]:
+            m = i + j - 2 * f.M + M
+            if not 0 <= m <= 2 * M:
+                continue
+            if i == j:
+                out.values[m] += 0.5 * v[i] * v[i]
+                out.du[m] += v[i] * d[i]
+            else:
+                out.values[m] += v[i] * v[j]
+                out.du[m] += d[i] * v[j] + v[i] * d[j]
+    out.values *= 2.0
+    out.du *= 2.0
+    return out
+
+
+def scale_profile(f: ModeField, prof: np.ndarray, dprof: np.ndarray) -> ModeField:
+    """Every mode times a theta-independent grid profile, by the Leibniz rule."""
+    return ModeField(f.M, f.x, f.values * prof[None, :],
+                     f.du * prof[None, :] + f.values * dprof[None, :])
+
+
+def sup_diff(a: ModeField, b: ModeField) -> float:
+    """max over nodes of sum_k |a_k - b_k|, the shorter band zero-padded."""
+    a, b = (a, b) if a.M >= b.M else (b, a)
+    d = a.values.copy()
+    d[a.M - b.M:a.M + b.M + 1] -= b.values
+    return float(np.max(np.sum(np.abs(d), axis=0)))
+
+
+def picard_solve_reference(primary: ModeField, freq: float, profile: np.ndarray,
+                           dprofile: np.ndarray, nu: float, tol: float, max_iter: int,
+                           weights: dict | None = None) -> tuple[PicardStep, ModeField]:
+    """fourier.picard_solve built from a new field for every product and sum.
+
+    The same iteration, stop rule and failures, with F(0) computed from the
+    zero field and the factor 2 of each square applied inside `square`.
+    """
+    x, M = primary.x, primary.M
+    live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
+    primary = primary.band(max(live, default=0))
+    weights = {} if weights is None else weights
+
+    def transport_field(F: ModeField) -> ModeField:
+        out = ModeField(F.M, x)
+        for m, k in enumerate(F.ks):
+            f, fp = F.values[m], F.du[m]
+            if not f.any():
+                continue
+            omega = k * freq
+            tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
+                    if omega else powerlaw_tail(f[0], x[0], 4.0))
+            out.values[m] = _table_transport(weights, x, int(k), freq, f, fp, tail)
+            out.du[m] = f - 1j * omega * out.values[m]
+        return out
+
+    def source(phi: ModeField, prev: ModeField) -> ModeField:
+        B = min(M, max(2 * phi.M, primary.M))
+        dx = ModeField(phi.M, x, phi.du, prev.du - 1j * freq * phi.ks[:, None] * phi.du)
+        quad = scale_profile(square(dx, B), profile, dprofile)
+        ang = square(dtheta(phi), B)
+        out = primary.padded(B)
+        out.values -= quad.values + 0.5 * nu * ang.values
+        out.du -= quad.du + 0.5 * nu * ang.du
+        return out
+
+    phi = ModeField(0, x)
+    src = source(phi, phi)
+    ratio = prev_delta = math.nan
+    for it in range(1, max_iter + 1):
+        phi_new = transport_field(src)
+        src_new = source(phi_new, src)
+        delta = sup_diff(phi_new, phi)
+        residual = sup_diff(src_new, src)
+        if prev_delta > 0:
+            ratio = delta / prev_delta
+        prev_delta = delta
+        phi, src = phi_new, src_new
+        if it == 1:
+            first = phi
+        if ratio >= 0.9:
+            raise NonContractionError(f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
+        if residual == 0.0 or (residual <= tol and it >= 2):
+            return PicardStep(it, phi.padded(M), residual, ratio), first.padded(M)
+    raise NonContractionError(f"no convergence to tol={tol} within {max_iter} iterations "
+                              f"(last residual {residual:.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,29 @@
+import math
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from hecu import fourier, inner, manifolds
 from hecu.fourier import (
     ModeField,
+    NonContractionError,
+    _half_square,
     _moments,
     _table_transport,
     geometric_grid,
     ibp_tail,
     modes_to_values,
     osc_integral,
+    picard_solve,
     powerlaw_tail,
     transport,
 )
 from hecu.inner import solve_inner
 from hecu.manifolds import solve_hj_unstable
 from hecu.model import params_for_nu_I0
+from oracles import dtheta, picard_solve_reference, square
 
 
 def kern(s):
@@ -120,7 +128,7 @@ def test_mode_field_dtheta():
     x = np.linspace(-1.0, 0.0, 5)
     f = ModeField(3, x)
     f.values[2 + 3] = 1.0
-    g = f.dtheta()
+    g = dtheta(f)
     assert np.allclose(g.coeff(2), 2j * np.ones(len(x)))
 
 
@@ -173,18 +181,18 @@ def test_products_match_pointwise_with_derivatives():
         c, dc = _series(A.mul(B), j, thetas)
         assert np.allclose(c, a * b, atol=1e-12)
         assert np.allclose(dc, da * b + a * db, atol=1e-12)
-        s, ds = _series(A.square(), j, thetas)
+        s, ds = _series(square(A), j, thetas)
         assert np.allclose(s, a * a, atol=1e-12)
         assert np.allclose(ds, 2 * a * da, atol=1e-12)
     # a band-4 field squared into |k| <= 8 is exact; into |k| <= 4 truncated
     F = _random_field(rng, 4, x, 4)
     f, df = _series(F, 3, thetas)
-    s, ds = _series(F.square(8), 3, thetas)
+    s, ds = _series(square(F, 8), 3, thetas)
     assert np.allclose(s, f * f, atol=1e-11)
     assert np.allclose(ds, 2 * f * df, atol=1e-11)
-    T = F.square()
+    T = square(F)
     assert T.M == 4
-    assert np.allclose(T.values, F.square(8).band(4).values, atol=1e-13)
+    assert np.allclose(T.values, square(F, 8).band(4).values, atol=1e-13)
     assert np.allclose(T.values, F.mul(F).values, atol=1e-13)
     assert np.allclose(T.du, F.mul(F).du, atol=1e-13)
 
@@ -193,9 +201,30 @@ def test_square_skips_zero_modes_exactly():
     x = np.linspace(-1.0, 0.0, 5)
     f = ModeField(8, x)
     f.values[2 + 8] = 1.0
-    g = f.square()
+    g = square(f)
     assert np.array_equal(np.flatnonzero(np.any(g.values != 0, axis=1)), [4 + 8])
-    assert not ModeField(8, x).square().values.any()
+    assert not square(ModeField(8, x)).values.any()
+
+
+@pytest.mark.parametrize("B", [2, 4, 8])
+@pytest.mark.parametrize("live", ["band", "one mode"])
+def test_half_square_is_half_the_square_over_stale_storage(B, live):
+    # the engine's in-place pair sums: the reference square's sums before its
+    # final doubling, whatever the output arrays held before, also on the
+    # modes no pair reaches
+    x = np.linspace(-1.0, 0.0, 9)
+    rng = np.random.default_rng(6)
+    F = _random_field(rng, 4, x, 4)
+    if live == "band":
+        F.values[4] = F.du[4] = 0.0     # a zero mode inside the band is skipped
+    else:
+        F = ModeField(4, x, np.where(F.ks[:, None] == 1, F.values, 0.0),
+                      np.where(F.ks[:, None] == 1, F.du, 0.0))
+    out = _random_field(rng, B, x, B)
+    _half_square(F, out, np.empty((3, len(x)), dtype=complex))
+    ref = square(F, B)
+    assert np.array_equal(2.0 * out.values, ref.values)
+    assert np.array_equal(2.0 * out.du, ref.du)
 
 
 def _moments_reference(z: complex) -> list[complex]:
@@ -264,14 +293,27 @@ def _seed_transport(x, f, fp, omega, tail):
     return (tail + np.concatenate([[0.0], np.cumsum(cells)])) * np.exp(-1j * omega * x)
 
 
+def _record(monkeypatch, module, engine) -> list:
+    """Route module.picard_solve through `engine`; the list of its results."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(engine(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(module, "picard_solve", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("solver", ["hj", "inner"])
-def test_engine_first_iterate_matches_per_mode_transport(solver):
+def test_engine_first_iterate_matches_per_mode_transport(solver, monkeypatch):
     # the first Picard iterate is G(primary source), mode by mode
     eps = 1e-3
     if solver == "hj":
         params = params_for_nu_I0(6.0, epsilon=eps)
+        calls = _record(monkeypatch, manifolds, picard_solve)
         graph = solve_hj_unstable(params)
-        x, first, freq = graph.u, graph.diagnostics["first_iterate"], params.nu_I0
+        x, first, freq = graph.u, calls[0][1], params.nu_I0
         prof = -0.5 * eps * (1.0 + x ** 2) ** -2.0
         dprof = 2.0 * eps * x * (1.0 + x ** 2) ** -3.0
         vks = {k: params.series.fourier_coeff(k) for k in first.ks}
@@ -294,3 +336,94 @@ def test_engine_first_iterate_matches_per_mode_transport(solver):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(first.du[k + first.M] - (f - 1j * omega * ref))) \
             <= 1e-13 * np.max(np.abs(f))
+
+
+# the graph at three frequencies, and in 5 iterations at eps = 0.1; the inner
+# solve in 3-4 iterations, and at eps = 0, where the zero source stops it at
+# iteration 1
+ENGINE_CASES = {
+    "hj-4": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(4.0, epsilon=1e-3))),
+    "hj-4-eps0.1": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(4.0, epsilon=0.1))),
+    "hj-6": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(6.0, epsilon=1e-3))),
+    "hj-9": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(9.0, epsilon=1e-3))),
+    "inner-eps1": (inner, lambda: solve_inner(params_for_nu_I0(6.0, epsilon=1.0), depth=8.0)),
+    "inner-eps0": (inner, lambda: solve_inner(params_for_nu_I0(6.0, epsilon=0.0), depth=8.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_engine_matches_fresh_array_reference_bit_for_bit(case, monkeypatch):
+    module, solve = ENGINE_CASES[case]
+    runs = []
+    for engine in (picard_solve, picard_solve_reference):
+        calls = _record(monkeypatch, module, engine)
+        solve()
+        runs.append(calls[0])
+    (step, first), (ref_step, ref_first) = runs
+    assert step.iteration == ref_step.iteration
+    assert step.iteration == 1 if case == "inner-eps0" else step.iteration >= 2
+    assert step.residual == ref_step.residual
+    assert step.ratio == ref_step.ratio or (math.isnan(step.ratio)
+                                            and math.isnan(ref_step.ratio))
+    for got, ref in ((step.phi, ref_step.phi), (first, ref_first)):
+        assert got.M == ref.M
+        assert np.array_equal(got.values, ref.values)
+        assert np.array_equal(got.du, ref.du)
+
+
+FAILING_CASES = {
+    "hj-ratio": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(1.0, epsilon=1.0))),
+    "inner-ratio": (inner, lambda: solve_inner(params_for_nu_I0(6.0, epsilon=100.0),
+                                               depth=8.0)),
+    "hj-max-iter": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(4.0, epsilon=0.1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_CASES))
+def test_engine_fails_where_the_reference_fails(case, monkeypatch):
+    # same iteration and ratio (or last residual) in the message
+    module, solve = FAILING_CASES[case]
+    if case == "hj-max-iter":
+        monkeypatch.setattr(manifolds, "_HJ_MAX_ITER", 3)    # it converges at 5
+    messages = []
+    for engine in (picard_solve, picard_solve_reference):
+        _record(monkeypatch, module, engine)
+        with pytest.raises(NonContractionError) as err:
+            solve()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert ("within 3 iterations" if case == "hj-max-iter" else "ratio") in messages[0]
+
+
+def test_engine_outputs_are_copies_of_the_workspace():
+    params = params_for_nu_I0(6.0, epsilon=0.5)
+
+    def arrays(sol):
+        return [sol.t1.values, sol.t1.du, sol.melnikov.values, sol.melnikov.du]
+
+    long_line = solve_inner(params, depth=16.0)
+    kept = [a.copy() for a in arrays(long_line)]
+    short_line = solve_inner(params, depth=8.0)
+    graph = solve_hj_unstable(params_for_nu_I0(6.0, epsilon=1e-3))
+    for a in arrays(long_line) + arrays(short_line) + [graph.phi1.values, graph.phi1.du]:
+        assert not np.shares_memory(a, fourier._workspace)
+    for a, b in zip(arrays(long_line), kept):
+        assert np.array_equal(a, b)
+    for a, b in zip(arrays(solve_inner(params, depth=16.0)), kept):
+        assert np.array_equal(a, b)
+
+
+def test_inner_solve_allocates_little_beyond_its_outputs():
+    # T1 and L+_in (values and du) take 4 units of one mode field's values;
+    # a solve that builds its iterates in fresh arrays takes about 16
+    params = params_for_nu_I0(6.0, epsilon=0.5)
+    solve_inner(params, depth=16.0)     # grows the workspace to the longest line
+    solve_inner(params, depth=12.0)     # builds the Filon weights of this line
+    tracemalloc.start()
+    try:
+        sol = solve_inner(params, depth=12.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations == 3
+    assert peak <= 8 * sol.t1.values.nbytes
