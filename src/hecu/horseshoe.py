@@ -115,7 +115,10 @@ def _reduced_rhs_lanes(params: ModelParams, theta0: np.ndarray):
         q2 = q * q
         c = q2 * (1.0 + eps * corrugation(s))
         r = q / np.sqrt(nu * (twoE - (p * p - q2 + q2 * c)))
-        return np.array((-p * r, q * r * (2.0 * c - 1.0)))
+        out = np.empty((2,) + np.shape(r))
+        out[0] = -p * r
+        out[1] = q * r * (2.0 * c - 1.0)
+        return out
 
     return rhs
 

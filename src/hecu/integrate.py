@@ -1,12 +1,15 @@
 """Adaptive DOP853 integration: lane-batched dense runs and first crossings.
 
 One numpy implementation of the Dormand-Prince 8(5,3) pair (DOP853:
-Hairer, Norsett & Wanner, Solving ODEs I, II.10; the tableau is the one
-scipy ships) advances N independent orbits, the lanes, with one shared
-step.  The step controller is scipy's; its error norm is the maximum over
-lanes of scipy's per-lane DOP853 norm, so every lane meets at least the
-tolerance it meets when integrated alone.  A 1-D initial state is one
-lane, normed as scipy norms one orbit, so it takes scipy's steps.
+Hairer, Norsett & Wanner, Solving ODEs I, II.10) advances N independent
+orbits, the lanes, with one shared step.  The tableau is the one scipy
+ships: its file integrate/_ivp/dop853_coefficients.py, which needs only
+numpy, runs from the scipy directory on its own, so importing this module
+loads no scipy module and the engine keeps scipy's exact numbers.  The
+step controller is scipy's; its error norm is the maximum over lanes of
+scipy's per-lane DOP853 norm, so every lane meets at least the tolerance
+it meets when integrated alone.  A 1-D initial state is one lane, normed
+as scipy norms one orbit, so it takes scipy's steps.
 
 One step loop serves both entry points.  `integrate` keeps the seven
 coefficient arrays of the order-7 dense output of every accepted step.
@@ -30,11 +33,12 @@ MAX_RELIABLE_NU_I0.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .model import (
     DomainError,
@@ -45,6 +49,23 @@ from .model import (
 # Beyond this the signal nu*I0*e^{-nu*I0} sits within ~1e3 of double-precision
 # integration noise and measured splitting harmonics stop being trustworthy.
 MAX_RELIABLE_NU_I0 = 14.0
+
+
+def _scipy_tableau():
+    """scipy's DOP853 coefficient module, run from its file.
+
+    find_spec locates the scipy directory without importing scipy, and the
+    file runs as a module of its own, outside the scipy.integrate package.
+    """
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("hecu._dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dop = _scipy_tableau()
 
 # the 12-stage method, its two error estimators, and the 3 extra stages and
 # interpolation matrix of the dense output
@@ -177,12 +198,12 @@ def mcgehee_rhs(params: ModelParams):
         q2 = q * q
         q4 = q2 * q2
         v, vp = trig(theta)
-        return np.array((
-            -q * p,
-            -q2 + 2.0 * q4 + 2.0 * eps * q4 * v,
-            nu * (I0 + J),
-            -0.5 * eps * q4 * vp,
-        ))
+        out = np.empty((4,) + np.shape(q))
+        out[0] = -q * p
+        out[1] = -q2 + 2.0 * q4 + 2.0 * eps * q4 * v
+        out[2] = nu * (I0 + J)
+        out[3] = -0.5 * eps * q4 * vp
+        return out
 
     return rhs
 
@@ -195,7 +216,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
     unlike the axis reduction in about one case in eight) and takes scipy's
     steps.
     """
-    return np.linalg.norm(x[:, 0])[None] if x.shape[1] == 1 else np.linalg.norm(x, axis=0)
+    if x.shape[1] == 1:
+        return np.linalg.norm(x[:, 0])[None]
+    return np.sqrt(np.add.reduce(x * x, axis=0))     # np.linalg.norm(x, axis=0)
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol, live) -> float:
@@ -238,15 +261,26 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
 
     if frozen is None:
         frozen = np.zeros(y.shape[1], dtype=bool)
+    stopped = np.flatnonzero(frozen)    # the frozen lanes, taken once per step
 
     def fun(t, y):
         f = np.asarray(field(t, y), dtype=float)
-        f[:, frozen] = 0.0
+        if stopped.size:
+            f[:, stopped] = 0.0
         return f
 
+    def stage(k_prev, a, c):
+        """Field at the stage state y + h * (k_prev @ a), built in y_stage."""
+        np.dot(k_prev, a, out=y_stage_flat)
+        np.multiply(y_stage_flat, h, out=y_stage_flat)
+        np.add(y_stage, y, out=y_stage)
+        return fun(t + c * h, y_stage)
+
     def dense():            # of the step just yielded: reads the loop's variables
+        nonlocal stopped
+        stopped = np.flatnonzero(frozen)
         for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_NS + 1):
-            K[s] = fun(t + c * h, y + np.dot(K2[:s].T, a[:s]).reshape(shape) * h)
+            K[s] = stage(K2[:s].T, a[:s], c)
         counters.rhs_calls += len(_C_EXTRA)
         dy = y_new - y
         F = np.empty((_dop.INTERPOLATOR_POWER,) + shape)
@@ -265,13 +299,17 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
     # (state, stage) views of the earlier stages, one per tableau row
     stages = [(K2[:s].T, _A[s, :s], _C[s]) for s in range(1, _NS)]
     k_main, k_err = K2[:_NS].T, K2[:_NS + 1].T
+    y_stage = np.empty(shape)
+    y_stage_flat = y_stage.reshape(-1)
 
     t = np.float64(t0)
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol, ~frozen)
     counters.rhs_calls += 2
     while direction * (t - t_bound) < 0:
-        f[:, frozen] = 0.0      # lanes frozen since f was evaluated
+        stopped = np.flatnonzero(frozen)
+        if stopped.size:
+            f[:, stopped] = 0.0     # lanes frozen since f was evaluated
         min_step = 10.0 * abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -288,7 +326,7 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
 
             K[0] = f
             for s, (k_prev, a, c) in enumerate(stages, start=1):
-                K[s] = fun(t + c * h, y + np.dot(k_prev, a).reshape(shape) * h)
+                K[s] = stage(k_prev, a, c)
             y_new = y + h * np.dot(k_main, _B).reshape(shape)
             f_new = fun(t_new, y_new)
             K[_NS] = f_new

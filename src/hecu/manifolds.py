@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fourier import ModeField, geometric_grid, modes_to_values, picard_solve
 from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
 from .integrate import (LANE_OUTCOMES, SPAN_END, IntegrationCounters, IntegratorConfig,
-                        first_crossing, mcgehee_rhs)
+                        _polish, first_crossing, mcgehee_rhs)
 # no sheet calls it; perfbench/layers.py wraps it here, so the name stays
 from .integrate import integrate_mcgehee  # noqa: F401
 from .model import DomainError, ModelParams, hamiltonian_mcgehee
@@ -340,8 +339,11 @@ def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
     """Sorted roots theta of Delta P(u, .) with transversality slopes.
 
     The mode differences are projected once; the scan, the root polish and
-    the slopes all evaluate from them.  Exactly two roots per period are
-    expected; any other count raises RootCountError carrying everything found.
+    the slopes all evaluate from them.  The sign changes of the scan are
+    polished together by `integrate._polish`, each on its scan interval
+    mapped to x in [0, 1], to a bracket of 1e-13 in theta.  Exactly two
+    roots per period are expected; any other count raises RootCountError
+    carrying everything found.
     """
     lv_p, lv_m = unstable.level(u), stable.level(u)
     dk = np.array([lv_p.mode("P", k) - lv_m.mode("P", k) for k in range(-6, 7)])
@@ -349,22 +351,19 @@ def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
     def delta_p(th: float) -> float:
         return float(modes_to_values(dk, np.array([th]))[0])
 
+    width = 2 * math.pi / n_scan
     thetas = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
     vals = modes_to_values(dk, thetas)
-    roots = []
-    for j in range(n_scan):
-        a, b = vals[j], vals[(j + 1) % n_scan]
-        if a == 0.0:
-            th_root = thetas[j]
-        elif a * b < 0:
-            th_root = brentq(delta_p, thetas[j], thetas[j] + 2 * math.pi / n_scan,
-                             xtol=1e-13)
-        else:
-            continue
-        h = 1e-5
-        slope = (delta_p(th_root + h) - delta_p(th_root - h)) / (2 * h)
-        roots.append((float(th_root % (2 * math.pi)), slope))
-    roots.sort()
+    after = np.roll(vals, -1)
+    zeros = vals == 0.0
+    changes = np.flatnonzero(vals * after < 0)
+    x = _polish(lambda xx: modes_to_values(dk, thetas[changes] + xx * width),
+                np.zeros(changes.size), np.ones(changes.size),
+                vals[changes], after[changes], 1e-13 / width)
+    found = np.concatenate((thetas[zeros], thetas[changes] + x * width))
+    h = 1e-5
+    roots = sorted((float(th % (2 * math.pi)),
+                    (delta_p(th + h) - delta_p(th - h)) / (2 * h)) for th in found)
     if len(roots) != 2:
         raise RootCountError(roots)
     return roots

@@ -90,9 +90,10 @@ class CorrugationSeries:
         n = np.arange(1, self.order + 1)
         table = (np.exp(1j * np.multiply.outer(theta0, n))
                  * (np.array(self.cos_coeffs) - 1j * np.array(self.sin_coeffs)))
+        jn = 1j * n
 
         def value(s):
-            return (table @ np.exp(1j * n * s)).real
+            return (table @ np.exp(jn * s)).real
 
         return value
 

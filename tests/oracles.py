@@ -16,7 +16,9 @@ quadrature route to a quantity that src/hecu computes another way:
 - the strip-edge secant with the step rule alone, against the superlinear
   stop of `_taus_at_advance`;
 - the Picard engine on fresh arrays, one new field per product, against the
-  in-place `picard_solve`.
+  in-place `picard_solve`;
+- homoclinic roots by scipy's brentq, one bracket at a time, against the
+  vectorised polish of `find_homoclinics`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import math
 from collections import namedtuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from hecu.fourier import (ModeField, NonContractionError, PicardStep, _table_transport,
-                          ibp_tail, osc_integral, powerlaw_tail)
+                          ibp_tail, modes_to_values, osc_integral, powerlaw_tail)
 from hecu.horseshoe import _SECANT_STEPS, PassageError
+from hecu.manifolds import RootCountError
 from hecu.inner import theta_v_constant
 from hecu.model import DomainError
 from hecu.separatrix import _QUAD_T, _kern, _kern_d1, _kern_d2, melnikov_coeff_closed
@@ -330,3 +334,38 @@ def taus_at_advance_step_rule(lab, v_rel, target, guess) -> np.ndarray:
             return t1
         g1 = g(live, t1[live])
     raise PassageError("step-rule secant did not converge")
+
+
+# ---------------------------------------------------------------------------
+# homoclinic roots
+# ---------------------------------------------------------------------------
+
+def find_homoclinics_brentq(unstable, stable, u: float,
+                            n_scan: int = 720) -> list[tuple[float, float]]:
+    """Sorted roots theta of Delta P(u, .) with their central-difference slopes,
+    each sign change of the scan polished alone by brentq to xtol 1e-13."""
+    lv_p, lv_m = unstable.level(u), stable.level(u)
+    dk = np.array([lv_p.mode("P", k) - lv_m.mode("P", k) for k in range(-6, 7)])
+
+    def delta_p(th: float) -> float:
+        return float(modes_to_values(dk, np.array([th]))[0])
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
+    vals = modes_to_values(dk, thetas)
+    roots = []
+    for j in range(n_scan):
+        a, b = vals[j], vals[(j + 1) % n_scan]
+        if a == 0.0:
+            th_root = thetas[j]
+        elif a * b < 0:
+            th_root = brentq(delta_p, thetas[j], thetas[j] + 2 * math.pi / n_scan,
+                             xtol=1e-13)
+        else:
+            continue
+        h = 1e-5
+        slope = (delta_p(th_root + h) - delta_p(th_root - h)) / (2 * h)
+        roots.append((float(th_root % (2 * math.pi)), slope))
+    roots.sort()
+    if len(roots) != 2:
+        raise RootCountError(roots)
+    return roots

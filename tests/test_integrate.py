@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hecu import integrate as engine
 from hecu.horseshoe import LocalChart, _escape_section, _masked_section, _reduced_rhs_lanes
 from hecu.integrate import (
     SPAN_END,
@@ -281,9 +282,8 @@ def test_non_finite_start_freezes_only_its_lane():
 
 
 def test_src_has_one_integrator():
-    # the package integrates with its own DOP853 engine; of scipy.integrate
-    # it may import only the tableau the engine is built on
-    tableau = "scipy.integrate._ivp.dop853_coefficients"
+    # the package integrates with its own DOP853 engine and imports nothing
+    # of scipy.integrate; the engine runs the tableau's file on its own
     src = Path(__file__).resolve().parents[1] / "src" / "hecu"
     bad = []
     for path in sorted(src.glob("*.py")):
@@ -295,9 +295,21 @@ def test_src_has_one_integrator():
             else:
                 continue
             bad += [f"{path.name}:{node.lineno} {name}" for name in names
-                    if (name == "scipy.integrate" or name.startswith("scipy.integrate."))
-                    and name != tableau]
+                    if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
     assert not bad, bad
+
+
+def test_tableau_is_scipys():
+    # the engine's coefficients are scipy's, bit for bit
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    ns = dop.N_STAGES
+    pairs = {"_A": dop.A[:ns, :ns], "_B": dop.B, "_C": dop.C[:ns], "_E3": dop.E3,
+             "_E5": dop.E5, "_A_EXTRA": dop.A[ns + 1:], "_C_EXTRA": dop.C[ns + 1:],
+             "_D": dop.D}
+    for name, ref in pairs.items():
+        ours = getattr(engine, name)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape, name
+        assert ours.tobytes() == ref.tobytes(), name
 
 
 def test_horseshoe_has_one_passage_path():

@@ -26,7 +26,7 @@ from hecu.manifolds import (
 )
 from hecu.model import DomainError, hamiltonian_mcgehee, params_for_nu_I0
 from hecu.separatrix import melnikov_coeff_closed, p_h, q_h
-from oracles import l_out_plus, phi1_at
+from oracles import find_homoclinics_brentq, l_out_plus, phi1_at
 
 SER_PARAMS = params_for_nu_I0(4.0, epsilon=1e-4)
 
@@ -194,6 +194,20 @@ def test_homoclinic_roots_stable_under_refinement(sheets):
     r2 = find_homoclinics(sheet, stable, 1.0, n_scan=1440)
     for (a, _), (b, _) in zip(r1, r2):
         assert abs(a - b) < 1e-6
+
+
+@pytest.mark.parametrize("nu_I0, eps", [(4.0, 1e-4), (6.3, 1e-3), (9.1, 1e-4), (9.1, 1e-3)])
+def test_homoclinic_roots_match_brentq(nu_I0, eps):
+    # all brackets polished at once agree with one brentq per bracket
+    params = params_for_nu_I0(nu_I0, epsilon=eps)
+    sheet = unstable_sheet(params, [1.0], n_theta=64)
+    stable = stable_sheet_from_unstable(sheet)
+    roots = find_homoclinics(sheet, stable, 1.0)
+    ref = find_homoclinics_brentq(sheet, stable, 1.0)
+    assert len(roots) == len(ref) == 2
+    for (th, slope), (th_ref, slope_ref) in zip(roots, ref):
+        assert abs(th - th_ref) <= 1e-12
+        assert abs(slope - slope_ref) <= 1e-9 * abs(slope_ref)
 
 
 def test_delta_j_rides_characteristics(sheets):
