@@ -23,6 +23,7 @@ import numpy as np
 from . import inner as inner_mod
 from . import manifolds as mani
 from .horseshoe import (
+    action_offset_closed,
     build_strips,
     local_map,
     oscillatory_demo,
@@ -247,14 +248,13 @@ def criterion_10(cache: dict) -> CriterionResult:
           and demo["returns_below"] and demo["itinerary"].achieved)
     return CriterionResult(
         10, "oscillatory orbit witness", ok,
-        f"{len(maxima)} height maxima {['%.2f' % m for m in maxima]}, "
+        f"{len(maxima)} height maxima {['%.4f' % m for m in maxima]}, "
         f"strictly increasing = {demo['strictly_increasing']}, "
         f"returns below z_ret = {demo['returns_below']}",
         {"maxima": maxima, "itinerary": asdict(demo["itinerary"])})
 
 
 def criterion_11() -> CriterionResult:
-    from .horseshoe import action_offset_closed
     params = params_for_nu_I0(4.5, epsilon=1.0)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
     q0, p0, th0 = float(q_h(-8.0)), float(p_h(-8.0)), 1.0

@@ -242,7 +242,7 @@ def _cmd_inner(args) -> int:
     run.flush({
         "epsilon": eps_values, "kmax": args.kmax, "modes": args.modes,
         "tol": args.tol, "config": args.config})
-    f1 = rows[-1][2] / eps_values[-1]
+    f1 = diff.f[1].real / eps_values[-1]
     print(f"f1/eps = {f1:.8f}; paper variants: pi r1/2 = "
           f"{math.pi * 0.06 / 2:.8f}, pi r1/4 = {math.pi * 0.06 / 4:.8f}, "
           f"Melnikov-implied pi r1/8 = {math.pi * 0.06 / 8:.8f}")
@@ -308,7 +308,7 @@ def _cmd_oscillate(args) -> int:
         "config": args.config,
         "maxima": demo["maxima"],
         "strictly_increasing": demo["strictly_increasing"]})
-    print(f"height maxima: {['%.3f' % m for m in demo['maxima']]}")
+    print(f"height maxima: {['%.4f' % m for m in demo['maxima']]}")
     print(f"strictly increasing: {demo['strictly_increasing']}, "
           f"returns below z_ret: {demo['returns_below']}")
     print(f"wrote {run.out_dir / 'oscillate.csv'}")

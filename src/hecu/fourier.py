@@ -217,28 +217,26 @@ class ModeField:
                          self.values + alpha * other.values,
                          self.du + alpha * other.du)
 
-    def interp_coeff(self, k: int, u: float) -> tuple[complex, complex]:
-        """Cubic Hermite evaluation of (coefficient, d/du coefficient) at u."""
-        x = self.x
-        j = int(np.searchsorted(x, u)) - 1
-        j = min(max(j, 0), len(x) - 2)
-        h = x[j + 1] - x[j]
-        s = (u - x[j]) / h
-        f0 = self.values[k + self.M, j]
-        f1 = self.values[k + self.M, j + 1]
-        d0 = self.du[k + self.M, j]
-        d1 = self.du[k + self.M, j + 1]
-        h00 = 2 * s ** 3 - 3 * s ** 2 + 1
-        h10 = s ** 3 - 2 * s ** 2 + s
-        h01 = -2 * s ** 3 + 3 * s ** 2
-        h11 = s ** 3 - s ** 2
-        val = h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1
-        dh00 = (6 * s ** 2 - 6 * s) / h
-        dh10 = (3 * s ** 2 - 4 * s + 1)
-        dh01 = (-6 * s ** 2 + 6 * s) / h
-        dh11 = (3 * s ** 2 - 2 * s)
-        dval = dh00 * f0 + dh10 * d0 + dh01 * f1 + dh11 * d1
-        return complex(val), complex(dval)
+
+def hermite(x: np.ndarray, values: np.ndarray, slopes: np.ndarray, u):
+    """Cubic Hermite interpolant of a node table, and its derivative, at u.
+
+    The table lies on the ascending nodes x along the last axis of `values`
+    and `slopes`; u is a float or an array, past the ends on the end cells.
+    np.float_power rounds powers as the scalar pow does (np.power's SIMD
+    loop may not), so a point evaluates alike alone and in an array.
+    """
+    u = np.asarray(u, dtype=float)
+    j = np.clip(np.searchsorted(x, u) - 1, 0, len(x) - 2)
+    h = x[j + 1] - x[j]
+    s = (u - x[j]) / h
+    s2, s3 = np.float_power(s, 2), np.float_power(s, 3)
+    f0, f1, d0, d1 = values[..., j], values[..., j + 1], slopes[..., j], slopes[..., j + 1]
+    val = ((2 * s3 - 3 * s2 + 1) * f0 + (s3 - 2 * s2 + s) * h * d0
+           + (-2 * s3 + 3 * s2) * f1 + (s3 - s2) * h * d1)
+    dval = ((6 * s2 - 6 * s) / h * f0 + (3 * s2 - 4 * s + 1) * d0
+            + (-6 * s2 + 6 * s) / h * f1 + (3 * s2 - 2 * s) * d1)
+    return val, dval
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fourier import hermite
 from .integrate import (
     LANE_OUTCOMES,
     IntegrationCounters,
@@ -43,7 +44,8 @@ from .integrate import (
     mcgehee_rhs,
 )
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
-from .model import CorrugationSeries, DomainError, ModelParams
+from .model import CorrugationSeries, DomainError, ModelParams, params_for_nu_I0
+from .separatrix import melnikov_coeff_closed
 
 _TWO_PI = 2.0 * math.pi
 
@@ -317,28 +319,44 @@ class _StableBranch:
 
     The full trace can fold over the angle; near a transversal crossing it
     is a graph of angle versus the relative v-coordinate, stored here as a
-    monotone sample table (v_rel ascending, theta unwrapped).
+    monotone sample table (v_rel ascending, theta unwrapped) with the node
+    slopes of its not-a-knot cubic spline, which is the line on two nodes
+    and the parabola on three.
     """
 
     v_rel: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self):
-        from scipy.interpolate import CubicSpline
-        self._spline = CubicSpline(self.v_rel, self.theta)
+        x, n = self.v_rel, len(self.v_rel)
+        h = np.diff(x)
+        d = np.diff(self.theta) / h
+        b = np.r_[d[0], 3 * (h[1:] * d[:-1] + h[:-1] * d[1:]), d[-1]]
+        A, i = np.eye(n), np.arange(1, n - 1)
+        A[i, i - 1], A[i, i], A[i, i + 1] = h[1:], 2 * (h[:-1] + h[1:]), h[:-1]
+        if n == 3:      # a parabola's end slopes average to each chord slope
+            A[0, 1] = A[2, 1] = 1.0
+            b[[0, 2]] *= 2
+        elif n > 3:     # not-a-knot: the third derivative is continuous at x[1], x[-2]
+            w0, w1 = x[2] - x[0], x[-1] - x[-3]
+            A[0, :2], A[-1, -2:] = (h[1], w0), (w1, h[-2])
+            b[0] = ((h[0] + 2 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0
+            b[-1] = (h[-1] ** 2 * d[-2] + (2 * w1 + h[-1]) * h[-2] * d[-1]) / w1
+        self.slopes = np.linalg.solve(A, b)
 
     def angle_at(self, v_rel):
-        """Angle of the branch at v_rel (a float or an array): a cubic spline
-        through the table.
+        """Angle of the branch at v_rel (a float or an array): the cubic
+        Hermite interpolant of the table and its slopes.
 
         A piecewise-linear table would put its kinks into the strip
         boundaries tau_b(v), which then tilt by up to about 1 in (v_rel, tau)
-        and spoil the stable cones.  Outside the table the spline continues
+        and spoil the stable cones.  Outside the table the branch continues
         along its end slope; the working rectangle stays well inside, and
         extrapolation only classifies far-flung iterates, where the angle
         offset merely labels the point."""
         inside = np.clip(v_rel, self.v_rel[0], self.v_rel[-1])
-        return self._spline(inside) + self._spline(inside, 1) * (v_rel - inside)
+        theta, slope = hermite(self.v_rel, self.theta, self.slopes, inside)
+        return theta + slope * (v_rel - inside)
 
 
 @dataclass
@@ -717,8 +735,6 @@ def _monotone_runs(r: np.ndarray) -> list[tuple[int, int]]:
 def select_operating_point() -> ModelParams:
     """Smallest candidate nu I0 (4.5, 5, 6) at epsilon = 1 whose predicted
     splitting clears 1e3 x the integrator noise of 1e-10."""
-    from .model import params_for_nu_I0
-    from .separatrix import melnikov_coeff_closed
     for nu_I0 in (4.5, 5.0, 6.0):
         params = params_for_nu_I0(nu_I0, epsilon=1.0)
         amp = 2.0 * abs(melnikov_coeff_closed(1, nu_I0, params.series).value)

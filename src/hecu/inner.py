@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ModeField, geometric_grid, picard_solve
+from .fourier import ModeField, geometric_grid, hermite, picard_solve
 from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
 from .model import DomainError, ModelParams
 
@@ -153,8 +153,7 @@ def _fk_at_depth(sol: InnerSolution, k: int, x_off: float = 0.0) -> complex:
     d = sol.depth
     v = x_off - 1j * d
     t2 = sol.t1.band(abs(k)).axpy(-1.0, sol.melnikov.band(abs(k)))
-    val_p, _ = t2.interp_coeff(k, x_off)
-    val_m, _ = t2.interp_coeff(k, -x_off)
+    (val_p, val_m), _ = hermite(t2.x, t2.coeff(k), t2.du[k + t2.M], [x_off, -x_off])
     # T-(v) mode k = -conj(T+ mode k at -conj v); on the line -conj v = -x - i d
     delta_t2 = val_p + np.conj(val_m)
     vk = sol.params.epsilon * sol.params.series.fourier_coeff(k)
@@ -199,11 +198,11 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
                 on_axis[k, d] = _fk_at_depth(sol, k)
         if d in offaxis_depths:
             off_axis[d] = _fk_at_depth(sol, 1, x_off=0.7)
+        axis, _ = hermite(sol.t1.x, sol.t1.values, sol.t1.du, 0.0)
         for k in range(-max(ks), 1):
             # for k <= 0 the closed Melnikov part vanishes; the measured
             # difference on the axis is 2 Re T1_k(-i d)
-            val, _ = sol.t1.interp_coeff(k, 0.0)
-            low_at[k, d] = float(abs(2.0 * val.real))
+            low_at[k, d] = float(abs(2.0 * axis[k + sol.t1.M].real))
         picard[f"{d:g}"] = {"iterations": sol.iterations, "residual": sol.residual,
                             "contraction_ratio": None if math.isnan(sol.contraction_ratio)
                             else sol.contraction_ratio}

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ModeField, geometric_grid, modes_to_values, picard_solve
+from .fourier import ModeField, geometric_grid, hermite, modes_to_values, picard_solve
 from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
-from .integrate import (LANE_OUTCOMES, SPAN_END, IntegrationCounters, IntegratorConfig,
-                        _polish, first_crossing, mcgehee_rhs)
+from .integrate import (LANE_OUTCOMES, MAX_RELIABLE_NU_I0, SPAN_END, IntegrationCounters,
+                        IntegratorConfig, _polish, first_crossing, mcgehee_rhs)
 # no sheet calls it; perfbench/layers.py wraps it here, so the name stays
 from .integrate import integrate_mcgehee  # noqa: F401
-from .model import DomainError, ModelParams, hamiltonian_mcgehee
+from .model import DomainError, ModelParams, hamiltonian_mcgehee, params_for_nu_I0
 from .separatrix import dphi0, p_h, q_h
 
 
@@ -72,9 +72,8 @@ class ManifoldGraph:
         thetas = np.asarray(thetas, dtype=float)
         P = np.full_like(thetas, float(dphi0(u0)), dtype=complex)
         J = np.zeros_like(thetas, dtype=complex)
-        M = self.phi1.M
-        for k in range(-M, M + 1):
-            val, dval = self.phi1.interp_coeff(k, u0)
+        vals, dvals = hermite(self.phi1.x, self.phi1.values, self.phi1.du, u0)
+        for k, val, dval in zip(self.phi1.ks.tolist(), vals.tolist(), dvals.tolist()):
             phase = np.exp(1j * k * thetas)
             P = P + dval * phase
             J = J + 1j * k * val * phase
@@ -421,8 +420,6 @@ def splitting_sweep(nu_I0_values, epsilon: float, u: float = 1.0,
 
     Each sheet's integration counters are added into `counters` when given.
     """
-    from .integrate import MAX_RELIABLE_NU_I0
-    from .model import params_for_nu_I0
     out = []
     for nu_I0 in nu_I0_values:
         if nu_I0 > MAX_RELIABLE_NU_I0:

@@ -13,6 +13,8 @@ quadrature route to a quantity that src/hecu computes another way:
   first Hamilton-Jacobi iterate;
 - the evaluation of a graph's Phi1 and the weighted T2 bound of an inner
   solution;
+- the cubic Hermite evaluation of one mode at one point, in scalar code,
+  against the vectorised kernel `fourier.hermite`;
 - the strip-edge secant with the step rule alone, against the superlinear
   stop of `_taus_at_advance`;
 - the Picard engine on fresh arrays, one new field per product, against the
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from hecu.fourier import (ModeField, NonContractionError, PicardStep, _table_transport,
-                          ibp_tail, modes_to_values, osc_integral, powerlaw_tail)
+                          hermite, ibp_tail, modes_to_values, osc_integral, powerlaw_tail)
 from hecu.horseshoe import _SECANT_STEPS, PassageError
 from hecu.manifolds import RootCountError
 from hecu.inner import theta_v_constant
@@ -174,10 +176,34 @@ def phi1_at(graph, u0: float, thetas) -> np.ndarray:
     """Phi1(u0, theta) of a Hamilton-Jacobi graph, Hermite-interpolated in u."""
     thetas = np.asarray(thetas, dtype=float)
     out = np.zeros_like(thetas, dtype=complex)
-    for k in range(-graph.phi1.M, graph.phi1.M + 1):
-        val, _ = graph.phi1.interp_coeff(k, u0)
+    vals, _ = hermite(graph.phi1.x, graph.phi1.values, graph.phi1.du, u0)
+    for k, val in zip(range(-graph.phi1.M, graph.phi1.M + 1), vals):
         out = out + val * np.exp(1j * k * thetas)
     return np.real(out)
+
+
+def interp_coeff(field: ModeField, k: int, u: float) -> tuple[complex, complex]:
+    """Cubic Hermite evaluation of (coefficient, d/du coefficient) of mode k at u."""
+    x = field.x
+    j = int(np.searchsorted(x, u)) - 1
+    j = min(max(j, 0), len(x) - 2)
+    h = x[j + 1] - x[j]
+    s = (u - x[j]) / h
+    f0 = field.values[k + field.M, j]
+    f1 = field.values[k + field.M, j + 1]
+    d0 = field.du[k + field.M, j]
+    d1 = field.du[k + field.M, j + 1]
+    h00 = 2 * s ** 3 - 3 * s ** 2 + 1
+    h10 = s ** 3 - 2 * s ** 2 + s
+    h01 = -2 * s ** 3 + 3 * s ** 2
+    h11 = s ** 3 - s ** 2
+    val = h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1
+    dh00 = (6 * s ** 2 - 6 * s) / h
+    dh10 = (3 * s ** 2 - 4 * s + 1)
+    dh01 = (-6 * s ** 2 + 6 * s) / h
+    dh11 = (3 * s ** 2 - 2 * s)
+    dval = dh00 * f0 + dh10 * d0 + dh01 * f1 + dh11 * d1
+    return complex(val), complex(dval)
 
 
 def t2(sol):

@@ -149,6 +149,17 @@ def test_inner_csv(tmp_path):
     assert picard["12"]["residual"] == float(row[6])
 
 
+def test_inner_prints_f1_of_the_last_epsilon(tmp_path, capsys):
+    # the printed f1/eps is the k = 1 row of the last epsilon, not its k = kmax row
+    out = tmp_path / "i"
+    assert run(["inner", "--epsilon", "1e-3,2e-3", "--kmax", "2", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.split("f1/eps = ")[1].split(";")[0]
+    rows = [line.split(",") for line in (out / "inner.csv").read_text().strip().split("\n")[1:]]
+    f1 = [float(row[2]) for row in rows if float(row[0]) == 2e-3 and row[1] == "1"]
+    assert len(rows) == 4 and len(f1) == 1
+    assert printed == f"{f1[0] / 2e-3:.8f}"
+
+
 def test_inner_manifest_counts_weight_tables(tmp_path):
     # the second epsilon solves on the lines and weight tables of the first
     inner._solver_line.cache_clear()

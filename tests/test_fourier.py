@@ -13,6 +13,7 @@ from hecu.fourier import (
     _moments,
     _table_transport,
     geometric_grid,
+    hermite,
     ibp_tail,
     modes_to_values,
     osc_integral,
@@ -23,7 +24,7 @@ from hecu.fourier import (
 from hecu.inner import solve_inner
 from hecu.manifolds import solve_hj_unstable
 from hecu.model import params_for_nu_I0
-from oracles import dtheta, picard_solve_reference, square
+from oracles import dtheta, interp_coeff, picard_solve_reference, square
 
 
 def kern(s):
@@ -145,14 +146,38 @@ def test_modes_values_roundtrip():
     assert np.allclose(c, c2, atol=1e-12)
 
 
-def test_interp_coeff_hermite():
+def test_hermite_kernel():
     x = np.linspace(-2.0, 0.0, 41)
     f = ModeField(1, x)
     f.values[1], f.du[1] = np.sin(x), np.cos(x)
-    val, dval = f.interp_coeff(0, -1.2345)
+    val, dval = hermite(x, f.values, f.du, -1.2345)
     # cubic Hermite on h = 0.05: value error O(h^4), slope error O(h^3)
-    assert val == pytest.approx(np.sin(-1.2345), abs=5e-8)
-    assert dval == pytest.approx(np.cos(-1.2345), abs=1e-5)
+    assert val.shape == dval.shape == (3,)
+    assert val[1] == pytest.approx(np.sin(-1.2345), abs=5e-8)
+    assert dval[1] == pytest.approx(np.cos(-1.2345), abs=1e-5)
+    assert val[0] == val[2] == dval[0] == dval[2] == 0.0
+
+
+@pytest.mark.parametrize("field", ["hj", "inner"])
+def test_hermite_is_the_scalar_reference_bit_for_bit(field):
+    # every mode at nodes, between nodes and past both ends of the grid,
+    # one point at a time and all points in one call
+    if field == "hj":
+        f = solve_hj_unstable(params_for_nu_I0(6.0, epsilon=1e-3)).phi1
+    else:
+        f = solve_inner(params_for_nu_I0(6.0, epsilon=0.1), depth=12.0).t1
+    x = f.x
+    cells = np.arange(0, len(x) - 1, 7)
+    frac = (0.618034 * np.arange(1, len(cells) + 1)) % 1.0
+    us = np.concatenate([x[[0, 1, len(x) // 2, -2, -1]], x[cells] + frac * np.diff(x)[cells],
+                         [x[0] - 1.5, x[-1] + 0.25, 0.0, 0.7, -0.7, -25.0]])
+    batch = hermite(x, f.values, f.du, us)
+    for i, u in enumerate(us):
+        alone = hermite(x, f.values, f.du, u)
+        for m, k in enumerate(f.ks):
+            ref = interp_coeff(f, int(k), float(u))
+            assert (batch[0][m, i], batch[1][m, i]) == ref, (field, int(k), float(u))
+            assert (alone[0][m], alone[1][m]) == ref, (field, int(k), float(u))
 
 
 def _series(field, j, thetas):

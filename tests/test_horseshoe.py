@@ -452,6 +452,37 @@ def test_stable_branch_is_unwrapped(real_lab):
     assert np.max(np.abs(np.diff(real_lab.branch.theta))) < math.pi
 
 
+_NONUNIFORM_V = np.sort(np.random.default_rng(3).uniform(-1e-3, 2e-2, 30))
+_BRANCH_TABLES = {
+    "synthetic": (_NONUNIFORM_V, np.sin(80.0 * _NONUNIFORM_V) + 3.0 * _NONUNIFORM_V),
+    "two": (np.array([-1e-3, 1e-2]), np.array([0.0, 1.0])),
+    "three": (np.array([-1e-3, 2e-3, 1e-2]), np.array([0.0, 0.4, 1.0])),
+    "four": (np.array([-1e-3, 2e-3, 5e-3, 1e-2]), np.array([0.0, 0.4, 0.3, 1.0])),
+}
+
+
+@pytest.mark.parametrize("table", ["lab", *_BRANCH_TABLES])
+def test_stable_branch_is_scipys_not_a_knot_spline(table, request):
+    # the branch against scipy's CubicSpline, which continues linearly
+    # along its end slopes here as angle_at does, on either side of the table
+    from scipy.interpolate import CubicSpline
+    if table == "lab":
+        branch = request.getfixturevalue("real_lab").branch
+        v, theta = branch.v_rel, branch.theta
+    else:
+        v, theta = _BRANCH_TABLES[table]
+        branch = _StableBranch(v_rel=v, theta=theta)
+    spline = CubicSpline(v, theta)
+    span = v[-1] - v[0]
+    u = np.linspace(v[0] - 0.2 * span, v[-1] + 0.2 * span, 20001)
+    inside = np.clip(u, v[0], v[-1])
+    ref = spline(inside) + spline(inside, 1) * (u - inside)
+    assert np.max(np.abs(branch.angle_at(u) - ref)) <= 1e-12
+    assert all(abs(branch.angle_at(float(w)) - r) <= 1e-12 for w, r in zip(u[::1000], ref[::1000]))
+    slopes = spline(v, 1)
+    assert np.max(np.abs(branch.slopes - slopes)) <= 1e-13 * np.max(np.abs(slopes))
+
+
 def test_setup_pins_the_operating_lab(real_lab):
     # the laboratory at the operating point, to the passage noise of the set-up
     assert real_lab.base_count == 150

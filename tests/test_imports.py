@@ -1,4 +1,4 @@
-"""hecu imports, and runs its sheets and inner solves, without scipy."""
+"""hecu imports, and runs its sheets, inner solves and horseshoe, without scipy."""
 
 import os
 import subprocess
@@ -8,8 +8,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # A fresh interpreter: import every module, run one point of the splitting
-# workload (HJ graph, sheet, stable sheet, splitting, homoclinic roots) and
-# one f_k extraction, then list what of scipy is loaded.
+# workload (HJ graph, sheet, stable sheet, splitting, homoclinic roots), one
+# f_k extraction, and the horseshoe set-up with two strips, then list what
+# of scipy is loaded.
 _PROGRAM = """
 import importlib, pkgutil, sys
 import hecu
@@ -24,6 +25,9 @@ stable = manifolds.stable_sheet_from_unstable(sheet)
 manifolds.measure_splitting(sheet, stable, 1.0, 1)
 assert len(manifolds.find_homoclinics(sheet, stable, 1.0)) == 2
 inner.extract_fk(params_for_nu_I0(6.0, epsilon=0.1), ks=(1, 2))
+from hecu.horseshoe import build_strips, select_operating_point, setup_horseshoe
+lab = setup_horseshoe(select_operating_point())
+assert len(build_strips(lab, (lab.base_count + 1, lab.base_count + 2), n_v=2).strips) == 2
 print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
