@@ -19,10 +19,10 @@ as terminal lanes of one `integrate.first_crossing` run against its target
 section and the escape section, `_lanes_to_section`, and a failed lane
 fails its own passage only.  Returns run as one such run per leg,
 `HorseshoeLab.return_maps_raw`; a single orbit is a batch of one lane.
-Independent orbits (the set-up's fibres, bisection rounds and branch walk,
-strip edges and images, the columns of the cone and shadowing Jacobians)
-run as the lanes of one batch.  Only the truncated corner model, an
-oracle, runs on a field of its own.
+Independent orbits (the set-up's fibres and branch walk, strip edges and
+images, the columns of the cone and shadowing Jacobians) run as the lanes
+of one batch.  Only the truncated corner model, an oracle, runs on a field
+of its own.
 """
 
 from __future__ import annotations
@@ -529,13 +529,17 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
     global W^s trace (reversor image of the W^u return at Sigma1) may fold
     over the angle at physical corrugation, so the homoclinic crossing and
     the rectangle coordinates anchor on its local branch, sampled
-    parametrically by seed angle and refined around the crossing.  Every
-    phase runs its fibres or returns as lane batches, and
-    `diagnostics["counters"]` holds the `MapCounters` of each phase.
+    parametrically by seed angle.  Where r = v_s - v_u changes sign between
+    two fibres, the branch walk starts at the secant zero of r across that
+    bracket; a crossing whose branch fails or folds there is passed over
+    for the next one.  The set-up runs three phases (fibres, walk,
+    orientation), one lane batch each when the first crossing returns in
+    its first v-orientation, and `diagnostics["counters"]` holds the
+    `MapCounters` of each phase.
     """
     chart = LocalChart()
     g = solve_hj_unstable(params)
-    counters = {phase: MapCounters() for phase in ("fibers", "bisection", "walk", "orientation")}
+    counters = {phase: MapCounters() for phase in ("fibers", "walk", "orientation")}
     thetas0 = np.linspace(0.0, _TWO_PI, _N_FIBERS, endpoint=False)
     th1, v1, th2, u2, kind = _run_fibers(params, chart, g, thetas0, counters["fibers"])
     if (kind != "").any():
@@ -551,9 +555,12 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
     if not crossings:
         raise PassageError("stable trace does not cross the unstable trace")
 
+    spacing = thetas0[1] - thetas0[0]
     lab = None
     for j in crossings:
-        built = _build_branch(params, chart, g, wu_local, thetas0, h, j, counters)
+        # the secant zero of r across the fibre bracket
+        star = thetas0[j] + spacing * h[j] / (h[j] - h[(j + 1) % _N_FIBERS])
+        built = _build_branch(params, chart, g, wu_local, star, spacing, counters["walk"])
         if built is None:
             continue
         lab = _orient_lab(params, chart, wu_local, built, counters["orientation"])
@@ -567,60 +574,23 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
     return lab
 
 
-# Bits per round of the crossing bisection: 18 halvings of the seed-angle
-# bracket, six a round from the 63 interior points of a dyadic grid.  A
-# batch costs about the same from a few lanes to a few tens, so fewer,
-# wider rounds are cheaper.
-_BISECTION_ROUNDS = (6, 6, 6)
 _WALK_STEPS = 39          # branch samples at most on either side of the crossing
 
 
-def _build_branch(params, chart, graph, wu_local, thetas0, h, j, counters):
-    """Fold-free piece of the stable trace through the crossing at fiber j.
+def _build_branch(params, chart, graph, wu_local, star, spacing, counters):
+    """Fold-free piece of the stable trace through the crossing near seed angle star.
 
-    The crossing parameter is refined by bisection in the seed angle; the
-    branch is then walked outward in parameter order while the relative
-    offset r = v_s - v_u stays monotone, which keeps a single fold-free
-    piece even when the global trace winds.  A bisection round samples a
-    dyadic grid of the bracket as one batch and replays the bisection steps
-    on it, so the rounds end on the bracket of an 18-step bisection; the
-    walk samples both directions and the crossing as one batch, and each
+    The branch is walked outward from star in parameter order, in steps of
+    spacing / 6, while the relative offset r = v_s - v_u stays monotone,
+    which keeps a single fold-free piece even when the global trace winds.
+    The walk samples both directions and star as one batch, and each
     direction is cut at its first failure, its first break in monotonicity
     or its first |r| > 0.2.
     """
-    spacing = thetas0[1] - thetas0[0]
-
-    def sample(th0, phase):
-        """(theta_s, r, ok) at seed angles th0: ok where the fibre ran."""
-        _, _, th2, u2, kind = _run_fibers(params, chart, graph, th0, counters[phase])
-        return -th2, u2 - wu_local(-th2), kind == ""
-
-    lo_p, hi_p = thetas0[j], thetas0[j] + spacing
-    r_lo = h[j]
-    for bits in _BISECTION_ROUNDS:
-        n = 2 ** bits
-        grid = lo_p + (hi_p - lo_p) * np.arange(n + 1) / n
-        _, r, ok = sample(grid[1:-1], "bisection")
-        a, b = 0, n
-        for _ in range(bits):
-            mid = (a + b) // 2
-            if not ok[mid - 1]:
-                return None
-            r_mid = r[mid - 1]
-            if r_mid == 0.0:
-                a = b = mid
-                break
-            if r_lo * r_mid < 0:
-                b = mid
-            else:
-                a, r_lo = mid, r_mid
-        lo_p, hi_p = grid[a], grid[b]
-        if a == b:
-            break
-    star = 0.5 * (lo_p + hi_p)
-
     m = np.arange(1, _WALK_STEPS + 1) * spacing / 6.0
-    ts, r, ok = sample(np.r_[star, star + m, star - m], "walk")
+    _, _, th2, u2, kind = _run_fibers(params, chart, graph, np.r_[star, star + m, star - m],
+                                      counters)
+    ts, r, ok = -th2, u2 - wu_local(-th2), kind == ""
     if not ok[0]:
         return None
     pieces = {}
@@ -652,30 +622,20 @@ def _build_branch(params, chart, graph, wu_local, thetas0, h, j, counters):
 def _orient_lab(params, chart, wu_local, samples, counters) -> HorseshoeLab | None:
     """Choose the v- and tau-orientations that give a returning rectangle.
 
-    Both tau-orientations of a v-orientation return as one batch.  The
-    chosen return also fixes the lab's count-law constant.
+    A branch that is not monotone in r through the crossing folds there
+    and gives None before any return runs.  Both tau-orientations of a
+    v-orientation return as one batch.  The chosen return also fixes the
+    lab's count-law constant.
     """
     th = np.array([s[0] for s in samples])
     r = np.array([s[1] for s in samples])
     # reduce angles to a common window (they arrive shifted by 2 pi k)
     th = th - _TWO_PI * np.round((th - th[len(th) // 2]) / _TWO_PI)
     dr = np.diff(r)
-    if np.all(dr > 0):
-        pass
-    elif np.all(dr < 0):
+    if np.all(dr < 0):
         th, r = th[::-1], r[::-1]
-    else:
-        # keep the longest monotone run through a sign change of r
-        runs = _monotone_runs(r)
-        best = None
-        for a, b in runs:
-            if r[a] * r[b] <= 0 and (best is None or b - a > best[1] - best[0]):
-                best = (a, b)
-        if best is None:
-            return None
-        th, r = th[best[0]:best[1] + 1], r[best[0]:best[1] + 1]
-        if r[0] > r[-1]:
-            th, r = th[::-1], r[::-1]
+    elif not np.all(dr > 0):
+        return None         # the branch folds at the crossing
     if not (r[0] < 0 < r[-1]) or len(r) < 6:
         return None
 
@@ -713,23 +673,6 @@ def _orient_lab(params, chart, wu_local, samples, counters) -> HorseshoeLab | No
                     lab, base_count=count, counters=MapCounters(),
                     law_c=(th2_j - theta_j) / _TWO_PI * math.sqrt(tau_ref))
     return None
-
-
-def _monotone_runs(r: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = 0
-    d0 = 0.0
-    for i in range(1, len(r)):
-        d = r[i] - r[i - 1]
-        s = math.copysign(1.0, d) if d != 0 else d0
-        if d0 == 0.0:
-            d0 = s
-        elif s != d0:
-            runs.append((start, i - 1))
-            start = i - 1
-            d0 = 0.0
-    runs.append((start, len(r) - 1))
-    return runs
 
 
 def select_operating_point() -> ModelParams:
@@ -1019,6 +962,8 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
     checks, the size of the forward-difference truncation.  `fd_agreement`
     reports the worst of them.  A sample whose returns fail is skipped.
     """
+    if samples_per_strip < 1:
+        raise DomainError("cone sampling needs at least one sample per strip")
     rng = np.random.default_rng(20240601)
     lab = dataclasses.replace(lab, rtol=_CONE_RTOL, counters=MapCounters())
     strip, v, tau, h_tau = [], [], [], []

@@ -178,6 +178,8 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
     """
     if min(depths) < _MIN_DEPTH:
         raise DomainError("extraction depths must be >= 8")
+    if not ks:
+        raise DomainError("extraction needs at least one mode k")
     solutions = {} if solutions is None else solutions
     usable = {k: [d for d in depths if k * d <= _KD_CEILING] or sorted(depths)[:3]
               for k in ks}

@@ -15,6 +15,8 @@ quadrature route to a quantity that src/hecu computes another way:
   solution;
 - the cubic Hermite evaluation of one mode at one point, in scalar code,
   against the vectorised kernel `fourier.hermite`;
+- the set-up's crossing by an 18-step bisection of the seed angle, against
+  the secant zero across the fibre bracket that centres the branch walk;
 - the strip-edge secant with the step rule alone, against the superlinear
   stop of `_taus_at_advance`;
 - the Picard engine on fresh arrays, one new field per product, against the
@@ -33,8 +35,9 @@ from scipy.optimize import brentq
 
 from hecu.fourier import (ModeField, NonContractionError, PicardStep, _table_transport,
                           hermite, ibp_tail, modes_to_values, osc_integral, powerlaw_tail)
-from hecu.horseshoe import _SECANT_STEPS, PassageError
-from hecu.manifolds import RootCountError
+from hecu.horseshoe import (_N_FIBERS, _SECANT_STEPS, LocalChart, MapCounters, PassageError,
+                            _TrigCurve, _build_branch, _orient_lab, _run_fibers)
+from hecu.manifolds import RootCountError, solve_hj_unstable
 from hecu.inner import theta_v_constant
 from hecu.model import DomainError
 from hecu.separatrix import _QUAD_T, _kern, _kern_d1, _kern_d2, melnikov_coeff_closed
@@ -325,6 +328,78 @@ def picard_solve_reference(primary: ModeField, freq: float, profile: np.ndarray,
             return PicardStep(it, phi.padded(M), residual, ratio), first.padded(M)
     raise NonContractionError(f"no convergence to tol={tol} within {max_iter} iterations "
                               f"(last residual {residual:.3e})")
+
+
+# ---------------------------------------------------------------------------
+# the set-up's crossing
+# ---------------------------------------------------------------------------
+
+# Bits per round of the crossing bisection: 18 halvings of the seed-angle
+# bracket, six a round from the 63 interior points of a dyadic grid.
+_BISECTION_ROUNDS = (6, 6, 6)
+
+
+def crossing_by_bisection(params, chart, graph, wu_local, lo_p, hi_p, r_lo, counters):
+    """Seed angle of the crossing of the W^s and W^u traces in the fibre
+    bracket [lo_p, hi_p], where r = v_s - v_u is r_lo at lo_p: the midpoint
+    of the bracket an 18-step bisection ends on; None where a fibre fails.
+
+    A round samples the interior of a dyadic grid of the bracket as one
+    batch and replays six bisection steps on it.
+    """
+    for bits in _BISECTION_ROUNDS:
+        n = 2 ** bits
+        grid = lo_p + (hi_p - lo_p) * np.arange(n + 1) / n
+        _, _, th2, u2, kind = _run_fibers(params, chart, graph, grid[1:-1], counters)
+        r, ok = u2 - wu_local(-th2), kind == ""
+        a, b = 0, n
+        for _ in range(bits):
+            mid = (a + b) // 2
+            if not ok[mid - 1]:
+                return None
+            r_mid = r[mid - 1]
+            if r_mid == 0.0:
+                a = b = mid
+                break
+            if r_lo * r_mid < 0:
+                b = mid
+            else:
+                a, r_lo = mid, r_mid
+        lo_p, hi_p = grid[a], grid[b]
+        if a == b:
+            break
+    return 0.5 * (lo_p + hi_p)
+
+
+def setup_horseshoe_bisected(params):
+    """`setup_horseshoe` with each branch walk centred on `crossing_by_bisection`
+    instead of the secant zero of r across the fibre bracket.
+
+    Returns the lab and the `MapCounters` of its bisection rounds.
+    """
+    chart = LocalChart()
+    graph = solve_hj_unstable(params)
+    thetas0 = np.linspace(0.0, 2.0 * math.pi, _N_FIBERS, endpoint=False)
+    spacing = thetas0[1] - thetas0[0]
+    th1, v1, th2, u2, kind = _run_fibers(params, chart, graph, thetas0, MapCounters())
+    if (kind != "").any():
+        raise PassageError("a W^u fibre failed")
+    wu_local = _TrigCurve(np.fmod(th1, 2.0 * math.pi), v1)
+    h = u2 - wu_local(-th2)
+    bisection = MapCounters()
+    for j in range(_N_FIBERS):
+        if not (h[j] == 0.0 or h[j] * h[(j + 1) % _N_FIBERS] < 0):
+            continue
+        star = crossing_by_bisection(params, chart, graph, wu_local, thetas0[j],
+                                     thetas0[j] + spacing, h[j], bisection)
+        if star is None:
+            continue
+        built = _build_branch(params, chart, graph, wu_local, star, spacing, MapCounters())
+        lab = None if built is None else _orient_lab(params, chart, wu_local, built,
+                                                    MapCounters())
+        if lab is not None:
+            return lab, bisection
+    raise PassageError("no homoclinic crossing produced a returning rectangle")
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_horseshoe_manifest_counts_return_maps(tmp_path):
     assert set(manifest["outputs"]) == {"horseshoe_report.txt", "cone_samples.csv"}
     counters = manifest["counters"]
     setup, strips, cones = counters["setup"], counters["strips"], counters["cones"]
-    assert set(setup) == {"fibers", "bisection", "walk", "orientation"}
+    assert set(setup) == {"fibers", "walk", "orientation"}
     assert setup["fibers"]["lane_maps"] == 64 and setup["fibers"]["batches"] == 1
     assert strips["lane_maps"] > strips["batches"] > 1
     assert cones["batches"] == 1
@@ -209,6 +209,17 @@ def test_ignored_input_exits_2(tmp_path, argv):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["inner", "--kmax", "0"],
+    ["horseshoe", "--samples", "0"],
+], ids=["inner-kmax-0", "horseshoe-samples-0"])
+def test_empty_count_flag_is_a_configuration_error(tmp_path, argv, capsys):
+    # no mode to extract, no cone sample to draw: the flag is at fault,
+    # not the solves or the passages
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_manifest_clock_times_the_computation(tmp_path):

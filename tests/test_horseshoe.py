@@ -35,7 +35,7 @@ from hecu.horseshoe import (
 from hecu.integrate import IntegratorConfig, integrate_mcgehee, mcgehee_rhs
 from hecu.model import DomainError, hamiltonian_mcgehee, params_for_nu_I0
 from hecu.separatrix import p_h, q_h
-from oracles import taus_at_advance_step_rule
+from oracles import setup_horseshoe_bisected, taus_at_advance_step_rule
 
 PARAMS = params_for_nu_I0(4.5, epsilon=1.0)
 
@@ -486,12 +486,42 @@ def test_stable_branch_is_scipys_not_a_knot_spline(table, request):
 def test_setup_pins_the_operating_lab(real_lab):
     # the laboratory at the operating point, to the passage noise of the set-up
     assert real_lab.base_count == 150
-    assert real_lab.delta_q == pytest.approx(0.01717989753, rel=1e-5)
+    assert real_lab.delta_q == pytest.approx(0.01718077880, rel=1e-5)
     assert abs(real_lab.theta_h - (-157.54547704756516)) <= 1e-6
     counters = real_lab.diagnostics["counters"]
+    assert set(counters) == {"fibers", "walk", "orientation"}
     assert counters["fibers"]["lane_maps"] == 64 and counters["fibers"]["batches"] == 1
     assert counters["walk"]["batches"] == 1 and counters["orientation"]["batches"] >= 1
-    assert counters["bisection"]["lane_maps"] == 63 * 3 and counters["bisection"]["batches"] == 3
+    assert sum(c["work"]["rhs_calls"] for c in counters.values()) <= 16500
+
+
+@pytest.mark.parametrize("nu_I0", [4.5, 6.0])
+def test_secant_centred_branch_is_the_bisected_one(nu_I0, request):
+    # the walk from the secant zero of r across the fibre bracket gives the
+    # branch that an 18-step bisection of the crossing gives, at the
+    # operating point and at a second energy
+    if nu_I0 == 4.5:
+        lab = request.getfixturevalue("real_lab")
+    else:
+        lab = setup_horseshoe(params_for_nu_I0(nu_I0, epsilon=1.0))
+    ref, bisection = setup_horseshoe_bisected(lab.params)
+    assert bisection.batches == 3
+    assert lab.base_count == ref.base_count
+    v = np.linspace(0.0, 0.85 * lab.delta_q, 2001)
+    assert np.max(np.abs(lab.branch.angle_at(v) - ref.branch.angle_at(v))) <= 1e-9
+    assert abs(lab.theta_h - ref.theta_h) <= 1e-10
+
+
+def test_branch_folded_at_the_crossing_is_passed_over():
+    # r falls through zero and rises through it again: each side of the
+    # walk is monotone, but the branch folds at the crossing, and the
+    # orientation gives it up before running a return
+    x = np.linspace(-0.05, 0.05, 21)
+    samples = list(zip(0.1 * x, np.abs(x) - 0.012))
+    wu = _TrigCurve(np.linspace(0.0, 2 * math.pi, 32, endpoint=False), np.zeros(32))
+    counters = horseshoe.MapCounters()
+    assert horseshoe._orient_lab(PARAMS, LocalChart(), wu, samples, counters) is None
+    assert counters.batches == 0 and counters.lane_maps == 0
 
 
 def test_strip_boundaries_separate_counts(real_lab):
