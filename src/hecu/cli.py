@@ -263,13 +263,13 @@ def _cmd_horseshoe(args) -> int:
         f"rectangle size delta_q = {lab.delta_q:.3e}",
         f"strips: {sorted(family.strips)} (mu_h mu_v = {family.mu_h * family.mu_v:.3e})",
         f"hausdorff to W^u: {family.diagnostics['hausdorff']}",
-        f"cone report: eta = {report.eta_u:.3f}, kappa = {report.kappa:.3e}, "
+        f"cone report: eta = {report.eta:.3f}, kappa = {report.kappa:.3e}, "
         f"pass rate = {report.pass_rate:.1%} of {report.n_samples}",
         f"expansion exponent vs strip depth: {report.expansion_exponent:.3f}",
         f"fd_agreement (worst relative disagreement of h and h/4 Jacobians): "
         f"{report.fd_agreement:.3g}",
         f"H2 inequality 0 < kappa < 1 - eta^2: "
-        f"{0 < report.kappa < 1 - report.eta_u * report.eta_s}",
+        f"{0 < report.kappa < 1 - report.eta * report.eta}",
     ]
     rows = [(n, st.tau_lo.mean(), st.tau_hi.mean(), st.lipschitz(),
              report.per_strip_expansion.get(n, math.nan))
@@ -409,6 +409,10 @@ def run(argv=None) -> int:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        # a count of zero leaves nothing to compute: reject it before any work
+        for flag in ("kmax", "samples", "k", "modes"):
+            if getattr(args, flag, 1) < 1:
+                raise DomainError(f"--{flag} must be at least 1")
         return args.fn(args)
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

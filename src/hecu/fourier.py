@@ -212,11 +212,6 @@ class ModeField:
         rows = slice(self.M - B, self.M + B + 1)
         return ModeField(B, self.x, self.values[rows], self.du[rows])
 
-    def axpy(self, alpha: complex, other: "ModeField") -> "ModeField":
-        return ModeField(self.M, self.x,
-                         self.values + alpha * other.values,
-                         self.du + alpha * other.du)
-
 
 def hermite(x: np.ndarray, values: np.ndarray, slopes: np.ndarray, u):
     """Cubic Hermite interpolant of a node table, and its derivative, at u.

@@ -5,9 +5,9 @@ angle as time.  Near q = p = 0 the reduced flow has a degenerate corner
 whose invariant manifolds guide a Smale-horseshoe return map: a global
 excursion along the homoclinic loop composed with a slow corner passage.
 This module verifies the construction numerically at a fixed operating
-point: manifold-anchored section coordinates, passage-count strips,
-cone-condition sampling, and multiple-shooting shadowing of prescribed
-symbol itineraries, including the oscillatory-orbit demonstration.
+point: section coordinates on a fold-free W^s branch cut from one walk,
+passage-count strips, cone-condition sampling, and multiple-shooting
+shadowing of symbol itineraries, including the oscillatory orbits.
 
 Chart: the separatrix-adapted cubic w(q) = q sqrt(1 - q^2),
 u, v = (w -+ p)/2, which makes the uncorrugated homoclinic loop exactly
@@ -401,7 +401,6 @@ class HorseshoeLab:
     wu_local: _TrigCurve        # v-coordinate of W^u on Sigma0 vs theta
     branch: _StableBranch       # local W^s branch: theta as a graph over v_rel
     theta_h: float              # homoclinic angle on Sigma0
-    s_v: float                  # orientation of the v_rel axis
     s_tau: float                # orientation of the time-offset axis
     base_count: int             # periods of the reference homoclinic return
     delta_q: float              # working rectangle size
@@ -413,14 +412,14 @@ class HorseshoeLab:
     # -- section coordinates (floats or arrays) -----------------------------
     def coords(self, v_raw, theta):
         """(v_rel, tau): distance past W^u and angle offset from W^s."""
-        v_rel = self.s_v * (v_raw - self.wu_local(theta))
+        v_rel = v_raw - self.wu_local(theta)
         theta_n = self._nearest_angle(theta)
         tau = self.s_tau * (theta_n - self.branch.angle_at(v_rel))
         return v_rel, tau
 
     def point(self, v_rel, tau):
         theta = self.branch.angle_at(v_rel) + self.s_tau * tau
-        v_raw = self.wu_local(theta) + self.s_v * v_rel
+        v_raw = self.wu_local(theta) + v_rel
         return v_raw, theta
 
     def ws_u(self, theta: float) -> float:
@@ -531,11 +530,11 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
     the rectangle coordinates anchor on its local branch, sampled
     parametrically by seed angle.  Where r = v_s - v_u changes sign between
     two fibres, the branch walk starts at the secant zero of r across that
-    bracket; a crossing whose branch fails or folds there is passed over
-    for the next one.  The set-up runs three phases (fibres, walk,
-    orientation), one lane batch each when the first crossing returns in
-    its first v-orientation, and `diagnostics["counters"]` holds the
-    `MapCounters` of each phase.
+    bracket; a crossing whose branch fails, folds or does not return is
+    passed over for the next one.  The set-up runs three phases (fibres,
+    walk, orientation), one lane batch each when the first crossing
+    returns, and `diagnostics["counters"]` holds the `MapCounters` of each
+    phase.
     """
     chart = LocalChart()
     g = solve_hj_unstable(params)
@@ -560,10 +559,10 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
     for j in crossings:
         # the secant zero of r across the fibre bracket
         star = thetas0[j] + spacing * h[j] / (h[j] - h[(j + 1) % _N_FIBERS])
-        built = _build_branch(params, chart, g, wu_local, star, spacing, counters["walk"])
-        if built is None:
+        walked = _build_branch(params, chart, g, wu_local, star, spacing, counters["walk"])
+        if walked is None:
             continue
-        lab = _orient_lab(params, chart, wu_local, built, counters["orientation"])
+        lab = _orient_lab(params, chart, wu_local, walked, counters["orientation"])
         if lab is not None:
             break
     if lab is None:
@@ -580,98 +579,60 @@ _WALK_STEPS = 39          # branch samples at most on either side of the crossin
 def _build_branch(params, chart, graph, wu_local, star, spacing, counters):
     """Fold-free piece of the stable trace through the crossing near seed angle star.
 
-    The branch is walked outward from star in parameter order, in steps of
-    spacing / 6, while the relative offset r = v_s - v_u stays monotone,
-    which keeps a single fold-free piece even when the global trace winds.
-    The walk samples both directions and star as one batch, and each
-    direction is cut at its first failure, its first break in monotonicity
-    or its first |r| > 0.2.
+    The walk samples star and steps of spacing / 6 on either side as one
+    batch.  The branch is the run around star, in seed-angle order, over
+    which every fibre returned and r = v_s - v_u keeps its direction of
+    change at star; each side ends at its first |r| > 0.2.  Returns arrays
+    (theta, r), r ascending and theta continuous, or None for a failed star,
+    a fold at star, fewer than 8 samples or no sign change of r.
     """
     m = np.arange(1, _WALK_STEPS + 1) * spacing / 6.0
-    _, _, th2, u2, kind = _run_fibers(params, chart, graph, np.r_[star, star + m, star - m],
-                                      counters)
-    ts, r, ok = -th2, u2 - wu_local(-th2), kind == ""
-    if not ok[0]:
+    # the batch keeps this lane order: its stage products round by lane
+    # position, so a batch in seed-angle order moves the branch's last digits
+    _, _, th2, u2, _ = _run_fibers(params, chart, graph, np.r_[star, star + m, star - m],
+                                   counters)
+    c = _WALK_STEPS
+    order = np.r_[np.arange(2 * c, c, -1), 0, np.arange(1, c + 1)]
+    theta, r = -th2[order], (u2 - wu_local(-th2))[order]      # NaN where a fibre failed
+    step = np.sign(np.diff(r))
+    trend = step[c] if np.isfinite(step[c]) else step[c - 1]
+    if step[c - 1] * step[c] < 0 or abs(trend) != 1:
         return None
-    pieces = {}
-    for direction, walk in ((+1.0, slice(1, _WALK_STEPS + 1)),
-                            (-1.0, slice(_WALK_STEPS + 1, None))):
-        pts = []
-        last_r = None
-        trend = 0.0
-        for ts_m, r_m, ok_m in zip(ts[walk], r[walk], ok[walk]):
-            if not ok_m:
-                break
-            if last_r is not None:
-                d = r_m - last_r
-                if trend == 0.0:
-                    trend = math.copysign(1.0, d) if d != 0 else 0.0
-                elif d * trend < 0:
-                    break
-            pts.append((ts_m, r_m))
-            last_r = r_m
-            if abs(r_m) > 0.2:
-                break
-        pieces[direction] = pts
-    samples = list(reversed(pieces[-1.0])) + [(ts[0], r[0])] + pieces[+1.0]
-    if len(samples) < 8:
-        return None
-    return samples
+    # link i joins samples i and i + 1: it breaks where r turns or a fibre
+    # failed, and after the first |r| > 0.2 on either side of star
+    far = np.abs(r) > 0.2
+    broken = (step != trend) | np.r_[far[1:c], False, False, far[c + 1:-1]]
+    lo = np.flatnonzero(broken[:c]).max(initial=-1) + 1
+    hi = c + np.argmax(np.r_[broken[c:], True])
+    theta, r = theta[lo:hi + 1][::int(trend)], r[lo:hi + 1][::int(trend)]
+    return (theta, r) if r.size >= 8 and r[0] < 0 < r[-1] else None
 
 
-def _orient_lab(params, chart, wu_local, samples, counters) -> HorseshoeLab | None:
-    """Choose the v- and tau-orientations that give a returning rectangle.
+def _orient_lab(params, chart, wu_local, walked, counters) -> HorseshoeLab | None:
+    """The lab on the walked branch (theta, r) in the tau-orientation that returns.
 
-    A branch that is not monotone in r through the crossing folds there
-    and gives None before any return runs.  Both tau-orientations of a
-    v-orientation return as one batch.  The chosen return also fixes the
-    lab's count-law constant.
+    v_rel = v - v_u needs no orientation: the corner sends an orbit that
+    enters past W^s out past W^u (uv is a first integral of the truncated
+    corner), so a return lands at v_rel > 0.  One batch returns both
+    tau-orientations from one lab; the first that completes periods at
+    v_rel > 0 is the lab's, and its return fixes the count-law constant.
     """
-    th = np.array([s[0] for s in samples])
-    r = np.array([s[1] for s in samples])
-    # reduce angles to a common window (they arrive shifted by 2 pi k)
-    th = th - _TWO_PI * np.round((th - th[len(th) // 2]) / _TWO_PI)
-    dr = np.diff(r)
-    if np.all(dr < 0):
-        th, r = th[::-1], r[::-1]
-    elif not np.all(dr > 0):
-        return None         # the branch folds at the crossing
-    if not (r[0] < 0 < r[-1]) or len(r) < 6:
+    theta, r = walked
+    # keep a thin margin below zero so coords() tolerates tiny negatives
+    keep = r >= -0.2 * r[-1]
+    if np.count_nonzero(keep) < 6:
         return None
-
-    for s_v in (1.0, -1.0):
-        if s_v > 0:
-            tv, tt = r.copy(), th.copy()
-        else:
-            tv, tt = (-r)[::-1].copy(), th[::-1].copy()
-        # keep a thin margin below zero so coords() tolerates tiny negatives
-        keep = tv >= -0.2 * tv[-1]
-        tv, tt = tv[keep], tt[keep]
-        if len(tv) < 6 or tv[-1] <= 0:
-            continue
-        # the reduction above keeps every angle within pi of the middle
-        # sample, which wraps the far end of a branch longer than that;
-        # unwrap it again from node 0
-        branch = _StableBranch(v_rel=tv, theta=np.unwrap(tt))
-        delta_q = 0.45 * tv[-1]
-        theta_h = branch.angle_at(0.0) if tv[0] <= 0 <= tv[-1] else float(tt[0])
-        labs = [HorseshoeLab(params, chart, wu_local, branch, theta_h, s_v=s_v, s_tau=s_tau,
-                             base_count=0, delta_q=delta_q, law_c=math.nan,
-                             counters=counters)
-                for s_tau in (1.0, -1.0)]
-        tau_ref = 0.5 * delta_q
-        v_raw, theta = np.transpose([lab.point(tau_ref, tau_ref) for lab in labs])
-        # raw returns depend on params, chart and rtol only, which both labs share
-        v2, th2, kind = labs[0].return_maps_raw(v_raw, theta)
-        counters.ran(kind)
-        for lab, v2_j, th2_j, kind_j, theta_j in zip(labs, v2, th2, kind, theta):
-            if kind_j:
-                continue
-            count = math.floor((th2_j - theta_j) / _TWO_PI)
-            if count > 0 and lab.coords(v2_j, math.fmod(th2_j, _TWO_PI))[0] > 0:
-                return dataclasses.replace(
-                    lab, base_count=count, counters=MapCounters(),
-                    law_c=(th2_j - theta_j) / _TWO_PI * math.sqrt(tau_ref))
+    branch = _StableBranch(v_rel=r[keep], theta=theta[keep])
+    delta_q = 0.45 * r[-1]
+    lab = HorseshoeLab(params, chart, wu_local, branch, branch.angle_at(0.0), s_tau=1.0,
+                       base_count=0, delta_q=delta_q, law_c=math.nan, counters=counters)
+    tau_ref = 0.5 * delta_q
+    ret = lab.return_maps(tau_ref, [tau_ref, -tau_ref])
+    for j, s_tau in enumerate((1.0, -1.0)):
+        if ret.ok[j] and ret.count[j] > 0 and ret.v_rel[j] > 0:
+            return dataclasses.replace(
+                lab, s_tau=s_tau, base_count=int(ret.count[j]), counters=MapCounters(),
+                law_c=ret.advance[j] / _TWO_PI * math.sqrt(tau_ref))
     return None
 
 
@@ -889,8 +850,7 @@ _CONE_RTOL = 1e-9                   # passage rtol while sampling Jacobians
 
 @dataclass
 class ConeReport:
-    eta_u: float
-    eta_s: float
+    eta: float                  # aperture of the unstable and of the stable cones
     kappa: float
     pass_rate: float
     n_samples: int
@@ -903,7 +863,8 @@ class ConeReport:
 
     @property
     def passed(self) -> bool:
-        return (self.pass_rate >= 0.95 and 0.0 < self.kappa < 1.0 - self.eta_u * self.eta_s)
+        """At least 95% of the samples pass, and H2 holds: 0 < kappa < 1 - eta^2."""
+        return self.pass_rate >= 0.95 and 0.0 < self.kappa < 1.0 - self.eta * self.eta
 
 
 def _jacobian(lab: HorseshoeLab, v, tau, h_v, h_tau):
@@ -1014,7 +975,7 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
         lam = np.array([strip_expansion[n] for n in ns])
         exponent = -float(np.polyfit(np.log(depth), np.log(lam), 1)[0])
     return ConeReport(
-        eta_u=eta, eta_s=eta, kappa=kappa, pass_rate=rate,
+        eta=eta, kappa=kappa, pass_rate=rate,
         n_samples=len(D),
         expansion_min=float(np.min(expansions)) if expansions.size else math.nan,
         per_strip_expansion=strip_expansion,

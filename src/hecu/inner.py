@@ -152,8 +152,9 @@ def _fk_at_depth(sol: InnerSolution, k: int, x_off: float = 0.0) -> complex:
     """
     d = sol.depth
     v = x_off - 1j * d
-    t2 = sol.t1.band(abs(k)).axpy(-1.0, sol.melnikov.band(abs(k)))
-    (val_p, val_m), _ = hermite(t2.x, t2.coeff(k), t2.du[k + t2.M], [x_off, -x_off])
+    row = k + sol.t1.M
+    (val_p, val_m), _ = hermite(sol.t1.x, sol.t1.values[row] - sol.melnikov.values[row],
+                                sol.t1.du[row] - sol.melnikov.du[row], [x_off, -x_off])
     # T-(v) mode k = -conj(T+ mode k at -conj v); on the line -conj v = -x - i d
     delta_t2 = val_p + np.conj(val_m)
     vk = sol.params.epsilon * sol.params.series.fourier_coeff(k)
@@ -178,8 +179,8 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
     """
     if min(depths) < _MIN_DEPTH:
         raise DomainError("extraction depths must be >= 8")
-    if not ks:
-        raise DomainError("extraction needs at least one mode k")
+    if not ks or max(ks) > modes:
+        raise DomainError(f"extraction needs at least one mode k, none above modes = {modes}")
     solutions = {} if solutions is None else solutions
     usable = {k: [d for d in depths if k * d <= _KD_CEILING] or sorted(depths)[:3]
               for k in ks}

@@ -211,7 +211,8 @@ def interp_coeff(field: ModeField, k: int, u: float) -> tuple[complex, complex]:
 
 def t2(sol):
     """T2 = T1 - L+_in of an inner solution: the part beyond the Melnikov layer."""
-    return sol.t1.axpy(-1.0, sol.melnikov)
+    return ModeField(sol.t1.M, sol.t1.x, sol.t1.values - sol.melnikov.values,
+                     sol.t1.du - sol.melnikov.du)
 
 
 def t2_weighted_bound(sol) -> float:
@@ -394,9 +395,9 @@ def setup_horseshoe_bisected(params):
                                      thetas0[j] + spacing, h[j], bisection)
         if star is None:
             continue
-        built = _build_branch(params, chart, graph, wu_local, star, spacing, MapCounters())
-        lab = None if built is None else _orient_lab(params, chart, wu_local, built,
-                                                    MapCounters())
+        walked = _build_branch(params, chart, graph, wu_local, star, spacing, MapCounters())
+        lab = None if walked is None else _orient_lab(params, chart, wu_local, walked,
+                                                     MapCounters())
         if lab is not None:
             return lab, bisection
     raise PassageError("no homoclinic crossing produced a returning rectangle")

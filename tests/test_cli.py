@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from hecu import cli, inner
+from hecu import cli, horseshoe, inner
 from hecu.cli import _parse_list, _parse_range, run
 from hecu.model import DomainError
 
@@ -214,12 +214,25 @@ def test_ignored_input_exits_2(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["inner", "--kmax", "0"],
     ["horseshoe", "--samples", "0"],
-], ids=["inner-kmax-0", "horseshoe-samples-0"])
-def test_empty_count_flag_is_a_configuration_error(tmp_path, argv, capsys):
-    # no mode to extract, no cone sample to draw: the flag is at fault,
-    # not the solves or the passages
+    ["inner", "--modes", "0", "--kmax", "1"],
+    ["inner", "--modes", "1", "--kmax", "2"],
+    ["splitting", "--nuI0", "5", "--kmax", "0"],
+    ["melnikov", "--nuI0", "5", "--kmax", "0"],
+    ["splitting", "--nuI0", "5", "--modes", "0"],
+    ["oscillate", "--k", "0"],
+], ids=["inner-kmax-0", "horseshoe-samples-0", "inner-modes-0", "inner-kmax-above-modes",
+        "splitting-kmax-0", "melnikov-kmax-0", "splitting-modes-0", "oscillate-k-0"])
+def test_empty_count_flag_is_a_configuration_error(tmp_path, argv, capsys, monkeypatch):
+    # no mode to extract or to solve with, no cone sample to draw, no leg
+    # to shadow: the flag is at fault, not the solves or the passages, and
+    # it is rejected before a horseshoe set-up runs
+    def no_setup(params):
+        raise AssertionError("a set-up ran")
+
+    monkeypatch.setattr(horseshoe, "setup_horseshoe", no_setup)
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_clock_times_the_computation(tmp_path):

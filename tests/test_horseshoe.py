@@ -247,7 +247,7 @@ def test_verify_cones_leaves_lab_tolerance():
     thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
     lab = _NoReturnLab(PARAMS, LocalChart(), _TrigCurve(thetas, 1e-3 * np.cos(thetas)),
                        _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
-                       theta_h=0.0, s_v=1.0, s_tau=1.0, base_count=150, delta_q=1e-2,
+                       theta_h=0.0, s_tau=1.0, base_count=150, delta_q=1e-2,
                        law_c=12.0)
     v_grid = np.array([1e-3, 5e-3])
     strip = Strip(151, tau_lo=np.full(2, 1e-3), tau_hi=np.full(2, 2e-3), v_grid=v_grid)
@@ -281,7 +281,7 @@ def _expanding_family(lab_cls):
     thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
     lab = lab_cls(PARAMS, LocalChart(), _TrigCurve(thetas, np.zeros_like(thetas)),
                   _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
-                  theta_h=0.0, s_v=1.0, s_tau=1.0, base_count=150, delta_q=1e-2,
+                  theta_h=0.0, s_tau=1.0, base_count=150, delta_q=1e-2,
                   law_c=lab_cls.C / math.sqrt(5e-3))
     v_grid = np.array([1e-3, 5e-3])
     strips = {n: Strip(n, tau_lo=np.full(2, lab.C / (n + 1)), tau_hi=np.full(2, lab.C / n),
@@ -512,16 +512,65 @@ def test_secant_centred_branch_is_the_bisected_one(nu_I0, request):
     assert abs(lab.theta_h - ref.theta_h) <= 1e-10
 
 
-def test_branch_folded_at_the_crossing_is_passed_over():
-    # r falls through zero and rises through it again: each side of the
-    # walk is monotone, but the branch folds at the crossing, and the
-    # orientation gives it up before running a return
-    x = np.linspace(-0.05, 0.05, 21)
-    samples = list(zip(0.1 * x, np.abs(x) - 0.012))
+_SPACING = 2 * math.pi / 64      # the set-up's fibre spacing
+
+
+def _fake_walk(monkeypatch, r_of, failed=()):
+    """The walk's fibres land at angle seed with r = r_of(seed - star), lane 0
+    being star; the lanes in `failed` escape.  No return may run."""
+
+    def run_fibers(params, chart, graph, thetas0, counters):
+        kind = np.full(thetas0.shape, "", dtype=object)
+        kind[list(failed)] = "escape"
+        th2 = np.where(kind == "", -thetas0, np.nan)
+        u2 = np.where(kind == "", r_of(thetas0 - thetas0[0]), np.nan)
+        counters.ran(kind)
+        return th2, u2, th2, u2, kind
+
+    def no_return(self, v_raw, theta):
+        raise AssertionError("a return ran")
+
+    monkeypatch.setattr(horseshoe, "_run_fibers", run_fibers)
+    monkeypatch.setattr(HorseshoeLab, "return_maps_raw", no_return)
     wu = _TrigCurve(np.linspace(0.0, 2 * math.pi, 32, endpoint=False), np.zeros(32))
     counters = horseshoe.MapCounters()
-    assert horseshoe._orient_lab(PARAMS, LocalChart(), wu, samples, counters) is None
-    assert counters.batches == 0 and counters.lane_maps == 0
+    return horseshoe._build_branch(PARAMS, LocalChart(), None, wu, 1.0, _SPACING,
+                                   counters), counters
+
+
+def test_branch_folded_at_the_crossing_is_passed_over(monkeypatch):
+    # r falls through zero and rises through it again: each side of the
+    # walk is monotone, but the branch folds at the crossing, and the cut
+    # gives it up after the walk's batch, before any return
+    walked, counters = _fake_walk(monkeypatch, lambda x: np.abs(x) - 0.012)
+    assert walked is None
+    assert counters.batches == 1 and counters.lane_maps == 79
+
+
+def test_branch_cut_from_one_side_of_the_walk(monkeypatch):
+    # the first fibre past star fails: that side ends there, later fibres
+    # included, and the other side alone gives the branch, r ascending
+    # (it falls with the seed angle), up to its first |r| > 0.2
+    def r_of(x):
+        return -1e-3 - 0.5 * x
+
+    (theta, r), counters = _fake_walk(monkeypatch, r_of, failed=(1,))
+    m = np.arange(1, 40) * _SPACING / 6.0
+    n = int(np.argmax(np.abs(r_of(-m)) > 0.2)) + 1
+    assert n >= 8 and r.size == n + 1
+    assert np.array_equal(theta, np.r_[1.0, 1.0 - m[:n]])
+    assert np.array_equal(r, r_of(theta - 1.0)) and np.all(np.diff(r) > 0)
+    assert counters.failures == {"escape": 1}
+
+
+def test_setup_reaches_the_negative_tau_orientation():
+    # at epsilon = -1 the rectangle returns only with the tau axis flipped;
+    # the reference return of the flipped lab completes its base count
+    lab = setup_horseshoe(params_for_nu_I0(4.5, epsilon=-1.0))
+    assert lab.s_tau == -1.0 and lab.base_count == 152
+    tau_ref = 0.5 * lab.delta_q
+    ret = lab.return_maps(tau_ref, tau_ref)
+    assert ret.count[0] == 152 and ret.v_rel[0] > 0
 
 
 def test_strip_boundaries_separate_counts(real_lab):
