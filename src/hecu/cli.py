@@ -29,13 +29,23 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _number(token: str) -> float:
+    try:
+        x = float(token)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise DomainError(f"not a finite number: {token!r}")
+    return x
+
+
 def _parse_range(text: str) -> list[float]:
     """`a:b:step` (half-open upper end) or a single value."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"range must be a:b:step, got {text!r}")
-        a, b, step = (float(p) for p in parts)
+        a, b, step = (_number(p) for p in parts)
         if step <= 0 or b <= a:
             raise DomainError(f"bad range {text!r}")
         out = []
@@ -44,11 +54,11 @@ def _parse_range(text: str) -> list[float]:
             out.append(round(x, 12))
             x += step
         return out
-    return [float(text)]
+    return [_number(text)]
 
 
 def _parse_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [_number(tok) for tok in text.replace(",", " ").split()]
 
 
 class _Run:
@@ -299,7 +309,9 @@ def _cmd_oscillate(args) -> int:
     orbit = demo["orbit"]
     rows = list(zip(orbit["t"], orbit["x"], orbit["z"], orbit["p_x"],
                     orbit["p_z"]))
-    run.counters = {"itinerary": asdict(demo["itinerary"])}
+    run.counters = {"itinerary": asdict(demo["itinerary"]), "lift": demo["lift"],
+                    "arrival_gaps": demo["arrival_gaps"].tolist(),
+                    "height_law": demo["height_law"].tolist()}
     run.add_csv("oscillate.csv", ["t", "x", "z", "px", "pz"], rows)
     run.add_svg_polyline("oscillate_z.svg", orbit["t"], orbit["z"],
                          f"z(t): {args.k} growing excursions")
@@ -309,6 +321,7 @@ def _cmd_oscillate(args) -> int:
         "maxima": demo["maxima"],
         "strictly_increasing": demo["strictly_increasing"]})
     print(f"height maxima: {['%.4f' % m for m in demo['maxima']]}")
+    print(f"z_max - (2/alpha) ln(advance): {['%.5f' % h for h in demo['height_law']]}")
     print(f"strictly increasing: {demo['strictly_increasing']}, "
           f"returns below z_ret: {demo['returns_below']}")
     print(f"wrote {run.out_dir / 'oscillate.csv'}")
@@ -316,11 +329,15 @@ def _cmd_oscillate(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import ALL_CRITERIA, run_all
     run = _Run(Path(args.out), "verify-all")
     indices = None
-    if args.only:
-        indices = [int(tok) for tok in args.only.replace(",", " ").split()]
+    if args.only is not None:
+        tokens = args.only.replace(",", " ").split()
+        indices = [int(tok) for tok in tokens if tok.isdecimal() and int(tok) in ALL_CRITERIA]
+        if not tokens or len(indices) < len(tokens):
+            raise DomainError(f"--only takes criteria {min(ALL_CRITERIA)}-{max(ALL_CRITERIA)}, "
+                              f"got {args.only!r}")
     results = run_all(indices=indices)
     n_fail = sum(1 for r in results if not r.passed)
     run.add_text("acceptance_report.txt",
@@ -409,10 +426,13 @@ def run(argv=None) -> int:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        # a count of zero leaves nothing to compute: reject it before any work
+        # a count of zero or an empty list leaves nothing to compute: reject
+        # it before any work
         for flag in ("kmax", "samples", "k", "modes"):
             if getattr(args, flag, 1) < 1:
                 raise DomainError(f"--{flag} must be at least 1")
+        if "epsilon" in args and not _parse_list(args.epsilon):
+            raise DomainError("--epsilon lists no value")
         return args.fn(args)
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -21,8 +21,8 @@ fails its own passage only.  Returns run as one such run per leg,
 `HorseshoeLab.return_maps_raw`; a single orbit is a batch of one lane.
 Independent orbits (the set-up's fibres and branch walk, strip edges and
 images, the columns of the cone and shadowing Jacobians) run as the lanes
-of one batch.  Only the truncated corner model, an oracle, runs on a field
-of its own.
+of one batch, and so do the oscillatory legs lifted to the full field.
+Only the truncated corner model, an oracle, runs on a field of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .integrate import (
     IntegrationCounters,
     IntegratorConfig,
     first_crossing,
-    integrate_mcgehee,
+    integrate,
     mcgehee_rhs,
 )
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
@@ -173,7 +173,7 @@ class LocalChart:
 # ---------------------------------------------------------------------------
 
 def _masked_section(chart: LocalChart, which: str):
-    """Section u = a or v = a of the state (2,) or (2, K), masked for q > 1/2."""
+    """Section u = a or v = a, masked for q > 1/2, of a state (q, p, ...) or lanes of them."""
 
     def g(y):
         u, v = chart.to_chart(y[0], y[1])
@@ -188,7 +188,7 @@ def _escape_section(chart: LocalChart):
     Beyond it the orbit leaves the corner with u < 0, or slides toward
     q -> 0 and would creep until the angle runs out; returning passages
     keep u > 0 up to the corrugation wobble.  Masked outside v < 0.9 a and
-    q < 0.3, where u legitimately goes negative.  State (2,) or (2, K).
+    q < 0.3, where u legitimately goes negative.  Reads q and p only.
     """
 
     def g(y):
@@ -1124,13 +1124,17 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
                      family: StripFamily | None = None) -> dict:
     """Orbit with k strictly increasing height maxima, returning below z_ret.
 
-    Shadows the strictly increasing window-relative symbols (1, ..., k),
-    lifts each leg's node to the full system, finds the end of its angle
-    advance as a one-lane first crossing and integrates the leg alone in
-    physical time up to there, then converts to Cartesian
-    coordinates.  The orbit is the legs in order: at each node it jumps by at
-    most the leg's defect.  Each leg holds one corner passage, so one height
-    maximum.
+    Shadows the window-relative symbols (1, ..., k) and lifts the nodes to
+    the full system as the lanes of one batch, in itinerary order, which
+    visits two sections in turn: a leg's height maximum is its first
+    crossing of p = 0 falling (the corner's minimum of q), and the leg ends
+    at its next crossing of Sigma0.  Both runs race the escape section, and
+    a lane that fails raises PassageError.  One dense run of the lanes gives
+    2000 samples per leg on [0, t_end), in Cartesian coordinates.  At the
+    operating point the full flow reaches Sigma0 about 3e-6 rad past the
+    leg's reduced advance (`arrival_gaps`), so at each junction the orbit
+    jumps by that much in tau and about 1e-12 in v_rel.  `height_law` is z_max - (2/alpha) ln A
+    per leg of advance A; `lift` counts the lift's integrator runs and work.
     """
     if lab is None:
         lab = setup_horseshoe(params)
@@ -1141,52 +1145,46 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
         raise ShadowingError("oscillatory itinerary not achieved",
                              achieved=itinerary.counts)
 
-    # lift each leg to the full system and integrate it in physical time
-    times, legs = [], []
-    t_start = 0.0
+    chart, advances = lab.chart, np.array(itinerary.advances)
+    v_raw, theta = lab.point(*np.array(itinerary.nodes).T)
+    q, p = chart.from_chart(chart.a, v_raw)
+    y0 = np.array([q, p, np.fmod(theta, _TWO_PI),
+                   [action_offset_closed(*x, params) for x in zip(q, p, theta)]])
+    rhs, work = mcgehee_rhs(params), IntegrationCounters()
     config = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12)
-    for (v_rel, tau), advance in zip(itinerary.nodes, itinerary.advances):
-        v_raw, theta = lab.point(v_rel, tau)
-        q, p = lab.chart.from_chart(lab.chart.a, v_raw)
-        y0 = np.array([q, p, math.fmod(theta, _TWO_PI),
-                       action_offset_closed(q, p, theta, params)])
-        hit, t_end, _ = first_crossing(mcgehee_rhs(params), y0,
-                                       (0.0, 1.15 * advance / params.nu_I0),
-                                       [(lambda y: y[2] - (y0[2] + advance), +1)], config)
-        if hit is None:
-            raise PassageError("lifted leg did not complete its angle advance")
-        ts = np.linspace(0.0, t_end, 2000)
-        times.append(t_start + ts)
-        legs.append(integrate_mcgehee(params, y0, (0.0, t_end), config)(ts))
-        t_start += t_end
-    ts = np.concatenate(times)
-    states = np.concatenate(legs, axis=1)
-    qs = states[0]
+    span = (0.0, 1.15 * advances.max() / params.nu_I0)      # a leg takes about A / nu I0
+    elapsed, state, stops = np.zeros(k), y0, []
+    for section in ((lambda y: y[1], -1), (_masked_section(chart, "u"), +1)):
+        hit, t, state = first_crossing(rhs, state, span, [section, (_escape_section(chart), -1)],
+                                       config, work)
+        if (hit != 0).any():
+            raise _failure("lifted leg", _LANE_KINDS[int(hit[np.argmax(hit != 0)])])
+        elapsed = elapsed + t
+        stops.append((elapsed, state))
+    (t_top, top), (t_end, end) = stops
+    traj = integrate(rhs, y0, (0.0, float(t_end.max())), config)
+    work.add(traj.counters)
+
+    ts = np.linspace(0.0, t_end, 2000, endpoint=False, axis=1)     # lane j at its own ts[j]
+    ys = traj(ts).reshape(4, k, k, -1)[:, np.arange(k), np.arange(k)].reshape(4, -1)
+    starts = np.r_[0.0, np.cumsum(t_end)[:-1]]
+    ts = (starts[:, None] + ts).ravel()
     alpha = params.physical.alpha
     with np.errstate(divide="ignore"):
-        zs = -np.log(2.0 * qs ** 2) / alpha
-
-    # height maxima = interior q-minima below the section scale
-    maxima = []
-    between_ok = True
-    idx_max = []
-    for j in range(1, len(ts) - 1):
-        if qs[j] < qs[j - 1] and qs[j] < qs[j + 1] and qs[j] < 0.05:
-            maxima.append(float(zs[j]))
-            idx_max.append(j)
-    for a, b in zip(idx_max[:-1], idx_max[1:]):
-        if float(np.min(zs[a:b])) > z_ret:
-            between_ok = False
-    xs = params.physical.a * np.unwrap(states[2]) / _TWO_PI
-    cart = {
-        "t": ts, "z": zs, "x": xs,
-        "p_x": params.physical.C * (params.I0 + states[3]),
-        "p_z": params.physical.B * states[1],
-    }
+        zs = -np.log(2.0 * ys[0] ** 2) / alpha
+    maxima = -np.log(2.0 * top[0] ** 2) / alpha
+    low = np.full(k + 1, np.inf)    # least z between maxima j - 1 and j, in low[j]
+    np.minimum.at(low, np.searchsorted(starts + t_top, ts), zs)
     return {
         "itinerary": itinerary,
-        "maxima": maxima,
-        "strictly_increasing": all(b > a for a, b in zip(maxima[:-1], maxima[1:])),
-        "returns_below": between_ok,
-        "orbit": cart,
+        "maxima": maxima.tolist(),
+        "maximum_states": top,
+        "arrival_gaps": end[2] - (y0[2] + advances),
+        "height_law": maxima - 2.0 / alpha * np.log(advances),
+        "strictly_increasing": bool(np.all(np.diff(maxima) > 0)),
+        "returns_below": bool(np.all(low[1:k] <= z_ret)),
+        "lift": {"runs": len(stops) + 1, **asdict(work)},
+        "orbit": {"t": ts, "z": zs, "x": params.physical.a * np.unwrap(ys[2]) / _TWO_PI,
+                  "p_x": params.physical.C * (params.I0 + ys[3]),
+                  "p_z": params.physical.B * ys[1]},
     }

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from hecu import cli, horseshoe, inner
+from hecu import acceptance, cli, horseshoe, inner
 from hecu.cli import _parse_list, _parse_range, run
 from hecu.model import DomainError
 
@@ -29,6 +29,16 @@ def test_parse_range_rejects_garbage():
 
 def test_parse_list():
     assert _parse_list("1e-4, 2e-4") == [1e-4, 2e-4]
+
+
+@pytest.mark.parametrize("parse, text", [
+    (_parse_range, ""), (_parse_range, "4:x:1"), (_parse_range, "abc"),
+    (_parse_list, "abc"), (_parse_list, "5 x"), (_parse_range, "inf"), (_parse_list, "1e-3 nan"),
+])
+def test_parse_rejects_a_token_that_is_not_a_number(parse, text):
+    # nan and inf are numbers to float(), but no solve can run on them
+    with pytest.raises(DomainError, match="not a finite number"):
+        parse(text)
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):
@@ -220,12 +230,15 @@ def test_ignored_input_exits_2(tmp_path, argv):
     ["melnikov", "--nuI0", "5", "--kmax", "0"],
     ["splitting", "--nuI0", "5", "--modes", "0"],
     ["oscillate", "--k", "0"],
+    ["inner", "--epsilon", ","],
+    ["splitting", "--nuI0", "5", "--epsilon", ","],
 ], ids=["inner-kmax-0", "horseshoe-samples-0", "inner-modes-0", "inner-kmax-above-modes",
-        "splitting-kmax-0", "melnikov-kmax-0", "splitting-modes-0", "oscillate-k-0"])
+        "splitting-kmax-0", "melnikov-kmax-0", "splitting-modes-0", "oscillate-k-0",
+        "inner-epsilon-empty", "splitting-epsilon-empty"])
 def test_empty_count_flag_is_a_configuration_error(tmp_path, argv, capsys, monkeypatch):
     # no mode to extract or to solve with, no cone sample to draw, no leg
-    # to shadow: the flag is at fault, not the solves or the passages, and
-    # it is rejected before a horseshoe set-up runs
+    # to shadow, no epsilon to run at: the flag is at fault, not the solves
+    # or the passages, and it is rejected before a horseshoe set-up runs
     def no_setup(params):
         raise AssertionError("a set-up ran")
 
@@ -233,6 +246,41 @@ def test_empty_count_flag_is_a_configuration_error(tmp_path, argv, capsys, monke
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--only", "13"],
+    ["verify-all", "--only", "x"],
+    ["verify-all", "--only", "2,13"],
+    ["melnikov", "--nuI0", ""],
+    ["melnikov", "--nuI0", "4:x:1"],
+    ["splitting", "--nuI0", "5", "--epsilon", "abc"],
+], ids=["only-13", "only-x", "only-2-13", "melnikov-nuI0-empty", "melnikov-nuI0-range-x",
+        "splitting-epsilon-abc"])
+def test_unparseable_input_is_a_configuration_error(tmp_path, argv, capsys, monkeypatch):
+    # rejected before any criterion or computation runs
+    monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: pytest.fail("criteria ran"))
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_oscillate_end_to_end(tmp_path):
+    out = tmp_path / "o"
+    assert run(["oscillate", "--out", str(out)]) == 0
+    lines = (out / "oscillate.csv").read_text().strip().split("\n")
+    assert lines[0] == "t,x,z,px,pz" and len(lines) == 1 + 2000 * 3
+    t = [float(line.split(",")[0]) for line in lines[1:]]
+    assert all(b > a for a, b in zip(t[:-1], t[1:]))
+    assert (out / "oscillate_z.svg").read_text().startswith("<svg")
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"oscillate.csv", "oscillate_z.svg"}
+    counters = manifest["counters"]
+    assert counters["itinerary"]["symbols"] == [1, 2, 3]
+    assert counters["itinerary"]["counts"] == [151, 152, 153]
+    lift = counters["lift"]
+    assert lift["runs"] == 3 and 0 < lift["steps"] < lift["rhs_calls"] <= 20000
+    assert len(counters["arrival_gaps"]) == len(counters["height_law"]) == 3
 
 
 def test_manifest_clock_times_the_computation(tmp_path):

@@ -25,6 +25,7 @@ from hecu.horseshoe import (
     build_strips,
     global_map,
     local_map,
+    oscillatory_demo,
     reduced_rhs,
     select_operating_point,
     setup_horseshoe,
@@ -32,7 +33,7 @@ from hecu.horseshoe import (
     truncated_local_map,
     verify_cones,
 )
-from hecu.integrate import IntegratorConfig, integrate_mcgehee, mcgehee_rhs
+from hecu.integrate import CROSSING_GTOL, IntegratorConfig, integrate_mcgehee, mcgehee_rhs
 from hecu.model import DomainError, hamiltonian_mcgehee, params_for_nu_I0
 from hecu.separatrix import p_h, q_h
 from oracles import setup_horseshoe_bisected, taus_at_advance_step_rule
@@ -624,3 +625,91 @@ def test_return_maps_match_single_returns(real_lab):
     counters = lab.counters
     assert (counters.lane_maps, counters.batches) == (4 + 3, 1 + 3)
     assert counters.failures == {"escape": 1} and counters.work.steps > 0
+
+
+@pytest.fixture(scope="module")
+def witness(real_lab):
+    """The oscillatory witness at the operating point, k = 3, and the
+    integrator runs of its lift on the full field, counted where
+    `oscillatory_demo` looks them up."""
+    runs = []
+
+    def counted(fn):
+        def run(field, y0, *args, **kwargs):
+            if np.shape(y0)[0] == 4:        # a full state, not a reduced passage
+                runs.append(fn.__name__)
+            return fn(field, y0, *args, **kwargs)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(horseshoe, "first_crossing", counted(horseshoe.first_crossing))
+        mp.setattr(horseshoe, "integrate", counted(horseshoe.integrate))
+        demo = oscillatory_demo(real_lab.params, k=3, lab=real_lab)
+    return demo, runs
+
+
+def test_oscillatory_lift_runs_once_per_section_and_once_dense(witness):
+    # two lane restarts of first_crossing and one dense integrate for all
+    # three legs (the leg-by-leg lift made six runs and 52,911 field calls)
+    demo, runs = witness
+    assert runs == ["first_crossing", "first_crossing", "integrate"]
+    assert demo["lift"]["runs"] == 3
+    assert 0 < demo["lift"]["rhs_calls"] <= 20000
+    assert demo["itinerary"].counts == (151, 152, 153)
+
+
+def test_oscillatory_maxima_are_polished_p_zero_crossings(witness):
+    demo, _ = witness
+    q, p = demo["maximum_states"][:2]
+    assert np.all(np.abs(p) <= CROSSING_GTOL)
+    alpha = PARAMS.physical.alpha
+    assert demo["maxima"] == (-np.log(2.0 * q ** 2) / alpha).tolist()
+    assert demo["strictly_increasing"] and demo["returns_below"]
+    # the leg-by-leg lift's best-of-samples maxima, which C10 prints as
+    # 7.3647, 7.3771 and 7.3839
+    assert np.allclose(demo["maxima"], [7.364681459, 7.377085337, 7.383873856],
+                       rtol=0, atol=1e-6)
+
+
+def test_oscillatory_samples_hold_one_maximum_per_leg(witness):
+    # the sample scan the lift replaced, kept as a cross-check: each leg's
+    # 2000 samples hold one interior minimum of q, at the polished height
+    demo, _ = witness
+    orbit = demo["orbit"]
+    assert np.all(np.diff(orbit["t"]) > 0)
+    for z, z_max in zip(orbit["z"].reshape(3, 2000), demo["maxima"]):
+        interior = np.flatnonzero((z[1:-1] > z[:-2]) & (z[1:-1] > z[2:])) + 1
+        assert interior.size == 1
+        assert 0.0 <= z_max - z[interior[0]] <= 1e-6
+
+
+def test_oscillatory_legs_reach_sigma0_at_their_reduced_advance(witness):
+    # the full flow's advance over each leg against the reduced passages'
+    # (measured 2.8e-6 to 3.5e-6 rad)
+    demo, _ = witness
+    assert np.all(np.abs(demo["arrival_gaps"]) <= 1e-5)
+
+
+def test_oscillatory_heights_follow_the_parabolic_law(witness):
+    # z_max - (2/alpha) ln A is one constant over legs 2..k (5e-7 apart);
+    # leg 1 sits 8e-4 off it, an open question
+    law = witness[0]["height_law"]
+    assert np.ptp(law[1:]) <= 1e-5
+    assert np.allclose(law, [-5.70462, -5.70542, -5.70542], rtol=0, atol=1e-5)
+
+
+def test_failed_lift_lane_raises_its_passage_kind(witness, real_lab, monkeypatch):
+    # a lift whose span runs out before any lane reaches its maximum
+    # fails as a timeout, like every other passage
+    demo, _ = witness
+    real = horseshoe.first_crossing
+
+    def short(field, y0, t_span, *args):
+        return real(field, y0, (0.0, 1.0) if np.shape(y0)[0] == 4 else t_span, *args)
+
+    monkeypatch.setattr(horseshoe, "shadow_orbit", lambda *args: demo["itinerary"])
+    monkeypatch.setattr(horseshoe, "first_crossing", short)
+    with pytest.raises(PassageError) as err:
+        # the patched shadowing reads no family
+        oscillatory_demo(real_lab.params, k=3, lab=real_lab, family=object())
+    assert err.value.kind == "timeout"

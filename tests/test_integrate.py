@@ -316,7 +316,8 @@ def test_tableau_is_scipys():
 def test_horseshoe_has_one_passage_path():
     # every reduced-flow passage runs through the lane runner; only the
     # truncated corner model, an oracle on its own field, and the lift of
-    # the oscillatory legs to the full field call the integrator elsewhere
+    # the oscillatory legs, one lane batch on the full field restarted at
+    # its two sections, call the event path elsewhere
     path = Path(__file__).resolve().parents[1] / "src" / "hecu" / "horseshoe.py"
     callers = set()
     for fn in ast.walk(ast.parse(path.read_text(), str(path))):
