@@ -73,8 +73,8 @@ def criterion_2() -> CriterionResult:
     worst = 0.0
     for k in (1, 2):
         for nu_I0 in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0):
-            closed = melnikov_coeff_closed(k, nu_I0, series).value
-            quad = melnikov_coeff_quadrature(k, nu_I0, series).value
+            closed = melnikov_coeff_closed(k, nu_I0, series)
+            quad = melnikov_coeff_quadrature(k, nu_I0, series)
             worst = max(worst, abs(quad - closed) / abs(closed))
     return CriterionResult(2, "Melnikov closed form vs quadrature oracle",
                            worst <= 1e-8,
@@ -106,8 +106,7 @@ def criterion_4() -> CriterionResult:
     sheet = mani.unstable_sheet(params, [1.0])
     stable = mani.stable_sheet_from_unstable(sheet)
     sample = mani.measure_splitting(sheet, stable, 1.0, 1)
-    pred = 2.0 * params.epsilon * abs(
-        melnikov_coeff_closed(1, params.nu_I0, params.series).value)
+    pred = 2.0 * params.epsilon * abs(melnikov_coeff_closed(1, params.nu_I0, params.series))
     amp_dev = abs(sample.amp_J - pred) / pred
     roots = mani.find_homoclinics(sheet, stable, 1.0)
     base = params.nu_I0 * 1.0

@@ -153,8 +153,8 @@ def _cmd_melnikov(args) -> int:
     rows = []
     for nu_I0 in nu_values:
         for k in range(1, args.kmax + 1):
-            closed = melnikov_coeff_closed(k, nu_I0, series).value
-            quad = melnikov_coeff_quadrature(k, nu_I0, series).value
+            closed = melnikov_coeff_closed(k, nu_I0, series)
+            quad = melnikov_coeff_quadrature(k, nu_I0, series)
             rel = abs(quad - closed) / abs(closed) if closed != 0 else 0.0
             rows.append((k, nu_I0, closed.real, closed.imag,
                          quad.real, quad.imag, rel))
@@ -290,6 +290,8 @@ def _cmd_horseshoe(args) -> int:
                 rows)
     run.counters = {
         "setup": lab.diagnostics["counters"],
+        "trace_residual": lab.diagnostics["trace_residual"],
+        "n_crossings": lab.diagnostics["n_crossings"],
         "strips": family.diagnostics["counters"],
         "cones": report.counters,
         "cone_v_lines": [{"v_rel": v, "samples": n, "pass_rate": rate}
@@ -431,6 +433,13 @@ def run(argv=None) -> int:
         for flag in ("kmax", "samples", "k", "modes"):
             if getattr(args, flag, 1) < 1:
                 raise DomainError(f"--{flag} must be at least 1")
+        # a nan or infinite float flag would reach the solves, which fail on it
+        # late or never stop
+        for flag in ("u", "tol", "zret"):
+            if not math.isfinite(getattr(args, flag, 0.0)):
+                raise DomainError(f"--{flag} must be a finite number")
+        if getattr(args, "tol", 1.0) <= 0:
+            raise DomainError("--tol must be positive")
         if "epsilon" in args and not _parse_list(args.epsilon):
             raise DomainError("--epsilon lists no value")
         return args.fn(args)

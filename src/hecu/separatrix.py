@@ -19,7 +19,6 @@ near machine absolute accuracy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +42,6 @@ def p_h(u):
 def dphi0(u):
     """Slope of the separatrix generating function: p_h(u)^2."""
     return p_h(u) ** 2
-
-
-@dataclass(frozen=True)
-class MelnikovCoefficient:
-    k: int
-    nu_I0: float
-    value: complex
-    method: str  # "closed-form" | "quadrature"
-    tail_bound: float = 0.0
 
 
 # kernel q_h^4 and derivatives, used by the quadrature tails
@@ -79,31 +69,25 @@ def _kernel_integral(omega: float, T: float = _QUAD_T) -> complex:
 
 
 def melnikov_coeff_closed(k: int, nu_I0: float,
-                          series: CorrugationSeries) -> MelnikovCoefficient:
+                          series: CorrugationSeries) -> complex:
     """Residue closed form of the Melnikov coefficient L_k."""
     if nu_I0 <= 0:
         raise DomainError("nu_I0 must be positive")
     vk = series.fourier_coeff(k)
     if k == 0 or vk == 0:
-        return MelnikovCoefficient(k, nu_I0, 0.0 + 0.0j, "closed-form")
-    val = -(math.pi * nu_I0 * vk / 4.0) * math.exp(-abs(k) * nu_I0) * (abs(k) + 1.0 / nu_I0)
-    return MelnikovCoefficient(k, nu_I0, val, "closed-form")
+        return 0.0 + 0.0j
+    return -(math.pi * nu_I0 * vk / 4.0) * math.exp(-abs(k) * nu_I0) * (abs(k) + 1.0 / nu_I0)
 
 
 def melnikov_coeff_quadrature(k: int, nu_I0: float,
-                              series: CorrugationSeries) -> MelnikovCoefficient:
+                              series: CorrugationSeries) -> complex:
     """Independent oracle: L_k = -(V_k/2) int q_h^4(t) e^{i k nu I0 t} dt."""
     if nu_I0 <= 0:
         raise DomainError("nu_I0 must be positive")
     vk = series.fourier_coeff(k)
     if vk == 0:
-        return MelnikovCoefficient(k, nu_I0, 0.0 + 0.0j, "quadrature")
-    omega = k * nu_I0
-    integral = _kernel_integral(omega)
-    # crude analytic tail bound int_T^inf t^-4 dt, reported with the value
-    tail_bound = abs(vk) * (_QUAD_T ** -3) / 3.0
-    val = -0.5 * vk * integral
-    coeff = MelnikovCoefficient(k, nu_I0, complex(val), "quadrature", tail_bound)
+        return 0.0 + 0.0j
+    val = complex(-0.5 * vk * _kernel_integral(k * nu_I0))
     if not np.isfinite(val):
         raise RuntimeError(f"quadrature failed for k={k}, nu_I0={nu_I0}: {val}")
-    return coeff
+    return val

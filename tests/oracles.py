@@ -19,8 +19,9 @@ quadrature route to a quantity that src/hecu computes another way:
   the secant zero across the fibre bracket that centres the branch walk;
 - the strip-edge secant with the step rule alone, against the superlinear
   stop of `_taus_at_advance`;
-- the Picard engine on fresh arrays, one new field per product, against the
-  in-place `picard_solve`;
+- the Picard engine on fresh arrays, one new field per product and one
+  transport call per mode, against the in-place `picard_solve` and its
+  `transport_modes`;
 - homoclinic roots by scipy's brentq, one bracket at a time, against the
   vectorised polish of `find_homoclinics`.
 """
@@ -33,8 +34,9 @@ from collections import namedtuple
 import numpy as np
 from scipy.optimize import brentq
 
-from hecu.fourier import (ModeField, NonContractionError, PicardStep, _table_transport,
-                          hermite, ibp_tail, modes_to_values, osc_integral, powerlaw_tail)
+from hecu.fourier import (ModeField, NonContractionError, PicardStep, _filon_transport,
+                          _filon_weights, hermite, ibp_tail, modes_to_values, osc_integral,
+                          powerlaw_tail)
 from hecu.horseshoe import (_N_FIBERS, _SECANT_STEPS, LocalChart, MapCounters, PassageError,
                             _TrigCurve, _build_branch, _orient_lab, _run_fibers)
 from hecu.manifolds import RootCountError, solve_hj_unstable
@@ -131,7 +133,7 @@ def _melnikov_sum(u, theta, nu_I0, series, derivative):
     phase = np.asarray(theta, dtype=float) - nu_I0 * np.asarray(u, dtype=float)
     out = np.zeros_like(phase)
     for k in range(1, series.order + 1):
-        lk = melnikov_coeff_closed(k, nu_I0, series).value
+        lk = melnikov_coeff_closed(k, nu_I0, series)
         out = out + 2.0 * np.real((1j * k if derivative else 1.0) * lk * np.exp(1j * k * phase))
     return out if out.ndim else float(out)
 
@@ -273,13 +275,31 @@ def sup_diff(a: ModeField, b: ModeField) -> float:
     return float(np.max(np.sum(np.abs(d), axis=0)))
 
 
+def table_transport(table: dict, x: np.ndarray, k: int, freq: float,
+                    f: np.ndarray, fp: np.ndarray, tail: complex) -> np.ndarray:
+    """fourier.transport(x, f, fp, k freq, tail) from the weights of |k| in `table`.
+
+    Builds the weights of |k| on first use.  A mode k < 0 is moved through
+    G_{-w}(f) = conj(G_w(conj f)), which holds for real x and is exact in
+    floating point (conjugation only flips signs).
+    """
+    w = table.get(abs(k))
+    if w is None:
+        w = table[abs(k)] = _filon_weights(x, abs(k) * freq)
+    if k >= 0:
+        return _filon_transport(w, f, fp, tail)
+    return _filon_transport(w, f.conj(), fp.conj(), np.conj(tail)).conj()
+
+
 def picard_solve_reference(primary: ModeField, freq: float, profile: np.ndarray,
                            dprofile: np.ndarray, nu: float, tol: float, max_iter: int,
                            weights: dict | None = None) -> tuple[PicardStep, ModeField]:
     """fourier.picard_solve built from a new field for every product and sum.
 
     The same iteration, stop rule and failures, with F(0) computed from the
-    zero field and the factor 2 of each square applied inside `square`.
+    zero field, the factor 2 of each square applied inside `square` and each
+    mode moved by `table_transport`.  Returns the last step and the first
+    iterate, both on |k| <= primary.M.
     """
     x, M = primary.x, primary.M
     live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
@@ -295,7 +315,7 @@ def picard_solve_reference(primary: ModeField, freq: float, profile: np.ndarray,
             omega = k * freq
             tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
                     if omega else powerlaw_tail(f[0], x[0], 4.0))
-            out.values[m] = _table_transport(weights, x, int(k), freq, f, fp, tail)
+            out.values[m] = table_transport(weights, x, int(k), freq, f, fp, tail)
             out.du[m] = f - 1j * omega * out.values[m]
         return out
 

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from hecu import acceptance, cli, horseshoe, inner
+from hecu import acceptance, cli, horseshoe, inner, manifolds
 from hecu.cli import _parse_list, _parse_range, run
 from hecu.model import DomainError
 
@@ -114,6 +114,9 @@ def test_horseshoe_manifest_counts_return_maps(tmp_path):
     counters = manifest["counters"]
     setup, strips, cones = counters["setup"], counters["strips"], counters["cones"]
     assert set(setup) == {"fibers", "walk", "orientation"}
+    # set-up health: the residual of the W^u trace fit, the trace crossings
+    assert math.isfinite(counters["trace_residual"]) and counters["trace_residual"] >= 0.0
+    assert isinstance(counters["n_crossings"], int) and counters["n_crossings"] >= 1
     assert setup["fibers"]["lane_maps"] == 64 and setup["fibers"]["batches"] == 1
     assert strips["lane_maps"] > strips["batches"] > 1
     assert cones["batches"] == 1
@@ -260,6 +263,32 @@ def test_empty_count_flag_is_a_configuration_error(tmp_path, argv, capsys, monke
 def test_unparseable_input_is_a_configuration_error(tmp_path, argv, capsys, monkeypatch):
     # rejected before any criterion or computation runs
     monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: pytest.fail("criteria ran"))
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["splitting", "--nuI0", "5", "--u", "nan"],
+    ["splitting", "--nuI0", "5", "--u", "inf"],
+    ["splitting", "--nuI0", "5", "--tol", "nan"],
+    ["splitting", "--nuI0", "5", "--tol", "0"],
+    ["sweep", "--nuI0", "4:8:1", "--u=-inf"],
+    ["sweep", "--nuI0", "4:8:1", "--tol=-1e-11"],
+    ["inner", "--tol", "inf"],
+    ["oscillate", "--zret", "nan"],
+], ids=["splitting-u-nan", "splitting-u-inf", "splitting-tol-nan", "splitting-tol-0",
+        "sweep-u-minus-inf", "sweep-tol-negative", "inner-tol-inf", "oscillate-zret-nan"])
+def test_non_finite_float_flag_is_a_configuration_error(tmp_path, argv, capsys, monkeypatch):
+    # nan or inf in a float flag would reach the solves, which fail late, run
+    # without end or write a CSV of nans: it is rejected before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for module, name in ((horseshoe, "setup_horseshoe"), (horseshoe, "oscillatory_demo"),
+                         (inner, "solve_inner"), (manifolds, "unstable_sheet"),
+                         (manifolds, "splitting_sweep")):
+        monkeypatch.setattr(module, name, no_work)
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "out").exists()

@@ -11,7 +11,6 @@ from hecu.fourier import (
     NonContractionError,
     _half_square,
     _moments,
-    _table_transport,
     geometric_grid,
     hermite,
     ibp_tail,
@@ -20,11 +19,12 @@ from hecu.fourier import (
     picard_solve,
     powerlaw_tail,
     transport,
+    transport_modes,
 )
 from hecu.inner import solve_inner
 from hecu.manifolds import solve_hj_unstable
 from hecu.model import params_for_nu_I0
-from oracles import dtheta, interp_coeff, picard_solve_reference, square
+from oracles import dtheta, interp_coeff, picard_solve_reference, square, table_transport
 
 
 def kern(s):
@@ -94,7 +94,7 @@ def test_negative_mode_transport_by_conjugate_identity(k):
     f, fp = c * kern(x), c * (kern_d1(x) + 0.3j * kern(x))
     freq, tail = 1.7, 0.25 - 0.5j
     table = {}
-    got = _table_transport(table, x, -k, freq, f, fp, tail)
+    got = table_transport(table, x, -k, freq, f, fp, tail)
     ref = transport(x, f, fp, -k * freq, tail)
     assert list(table) == [k]
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -319,12 +319,16 @@ def _seed_transport(x, f, fp, omega, tail):
 
 
 def _record(monkeypatch, module, engine) -> list:
-    """Route module.picard_solve through `engine`; the list of its results."""
+    """Route module.picard_solve through `engine`; the list of its results.
+
+    The reference engine's result is (step, first iterate); the solve gets
+    the step.
+    """
     calls = []
 
     def recorded(*args, **kwargs):
         calls.append(engine(*args, **kwargs))
-        return calls[-1]
+        return calls[-1][0] if isinstance(calls[-1], tuple) else calls[-1]
 
     monkeypatch.setattr(module, "picard_solve", recorded)
     return calls
@@ -332,13 +336,23 @@ def _record(monkeypatch, module, engine) -> list:
 
 @pytest.mark.parametrize("solver", ["hj", "inner"])
 def test_engine_first_iterate_matches_per_mode_transport(solver, monkeypatch):
-    # the first Picard iterate is G(primary source), mode by mode
+    # the first Picard iterate is G(primary source), mode by mode: for the
+    # graph the transport of the primary the solve was given, for the inner
+    # solve its L+_in
     eps = 1e-3
     if solver == "hj":
         params = params_for_nu_I0(6.0, epsilon=eps)
-        calls = _record(monkeypatch, manifolds, picard_solve)
+        primaries = []
+
+        def recorded(primary, *args):
+            primaries.append(primary)
+            return picard_solve(primary, *args)
+
+        monkeypatch.setattr(manifolds, "picard_solve", recorded)
         graph = solve_hj_unstable(params)
-        x, first, freq = graph.u, calls[0][1], params.nu_I0
+        x, freq = graph.u, params.nu_I0
+        first = ModeField(primaries[0].M, x)
+        transport_modes(primaries[0], freq, {}, first)
         prof = -0.5 * eps * (1.0 + x ** 2) ** -2.0
         dprof = 2.0 * eps * x * (1.0 + x ** 2) ** -3.0
         vks = {k: params.series.fourier_coeff(k) for k in first.ks}
@@ -382,15 +396,18 @@ def test_engine_matches_fresh_array_reference_bit_for_bit(case, monkeypatch):
     runs = []
     for engine in (picard_solve, picard_solve_reference):
         calls = _record(monkeypatch, module, engine)
-        solve()
-        runs.append(calls[0])
-    (step, first), (ref_step, ref_first) = runs
+        runs.append((solve(), calls[0]))
+    (sol, step), (_, (ref_step, ref_first)) = runs
     assert step.iteration == ref_step.iteration
     assert step.iteration == 1 if case == "inner-eps0" else step.iteration >= 2
     assert step.residual == ref_step.residual
     assert step.ratio == ref_step.ratio or (math.isnan(step.ratio)
                                             and math.isnan(ref_step.ratio))
-    for got, ref in ((step.phi, ref_step.phi), (first, ref_first)):
+    pairs = [(step.phi, ref_step.phi)]
+    if module is inner:
+        # L+_in, one transport of the primary, is the reference's first iterate
+        pairs.append((sol.melnikov, ref_first))
+    for got, ref in pairs:
         assert got.M == ref.M
         assert np.array_equal(got.values, ref.values)
         assert np.array_equal(got.du, ref.du)
@@ -452,3 +469,18 @@ def test_inner_solve_allocates_little_beyond_its_outputs():
         tracemalloc.stop()
     assert sol.iterations == 3
     assert peak <= 8 * sol.t1.values.nbytes
+
+
+def test_graph_solve_allocates_little_beyond_its_output():
+    # Phi1 (values and du) is the graph's one field; the solve's own Filon
+    # weights and transport rows take the rest.  A solve that also keeps a
+    # copy of its first iterate takes about 3.85 units of Phi1
+    params = params_for_nu_I0(6.0, epsilon=1e-3)
+    solve_hj_unstable(params)       # grows the workspace to the graph's grid
+    tracemalloc.start()
+    try:
+        graph = solve_hj_unstable(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * (graph.phi1.values.nbytes + graph.phi1.du.nbytes)

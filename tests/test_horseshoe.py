@@ -35,7 +35,7 @@ from hecu.horseshoe import (
 )
 from hecu.integrate import CROSSING_GTOL, IntegratorConfig, integrate_mcgehee, mcgehee_rhs
 from hecu.model import DomainError, hamiltonian_mcgehee, params_for_nu_I0
-from hecu.separatrix import p_h, q_h
+from hecu.separatrix import melnikov_coeff_closed, p_h, q_h
 from oracles import setup_horseshoe_bisected, taus_at_advance_step_rule
 
 PARAMS = params_for_nu_I0(4.5, epsilon=1.0)
@@ -235,6 +235,9 @@ def test_select_operating_point():
     params = select_operating_point()
     assert params.epsilon == 1.0
     assert params.nu_I0 == pytest.approx(4.5, rel=1e-12)
+    # the predicted splitting clears 1e3 x the integrator noise of 1e-10
+    amp = 2.0 * abs(melnikov_coeff_closed(1, params.nu_I0, params.series))
+    assert amp >= 1e3 * 1e-10
 
 
 class _NoReturnLab(HorseshoeLab):
@@ -251,8 +254,8 @@ def test_verify_cones_leaves_lab_tolerance():
                        theta_h=0.0, s_tau=1.0, base_count=150, delta_q=1e-2,
                        law_c=12.0)
     v_grid = np.array([1e-3, 5e-3])
-    strip = Strip(151, tau_lo=np.full(2, 1e-3), tau_hi=np.full(2, 2e-3), v_grid=v_grid)
-    family = StripFamily(lab, {151: strip}, {}, mu_v=0.0, mu_h=0.0)
+    strip = Strip(tau_lo=np.full(2, 1e-3), tau_hi=np.full(2, 2e-3), v_grid=v_grid)
+    family = StripFamily({151: strip}, {}, mu_v=0.0, mu_h=0.0)
     with pytest.raises(PassageError, match="no cone samples"):
         verify_cones(lab, family, samples_per_strip=3)
     assert lab.rtol == 1e-11
@@ -285,9 +288,9 @@ def _expanding_family(lab_cls):
                   theta_h=0.0, s_tau=1.0, base_count=150, delta_q=1e-2,
                   law_c=lab_cls.C / math.sqrt(5e-3))
     v_grid = np.array([1e-3, 5e-3])
-    strips = {n: Strip(n, tau_lo=np.full(2, lab.C / (n + 1)), tau_hi=np.full(2, lab.C / n),
+    strips = {n: Strip(tau_lo=np.full(2, lab.C / (n + 1)), tau_hi=np.full(2, lab.C / n),
                        v_grid=v_grid) for n in range(151, 155)}
-    return lab, StripFamily(lab, strips, {}, mu_v=0.0, mu_h=0.0)
+    return lab, StripFamily(strips, {}, mu_v=0.0, mu_h=0.0)
 
 
 def test_shadow_orbit_certifies_closed_form_itinerary():

@@ -6,7 +6,6 @@ import pytest
 from hecu.integrate import IntegratorConfig, integrate_mcgehee
 from hecu.model import CorrugationSeries, DomainError, params_for_nu_I0, physical_corrugation
 from hecu.separatrix import (
-    MelnikovCoefficient,
     dphi0,
     melnikov_coeff_closed,
     melnikov_coeff_quadrature,
@@ -81,22 +80,22 @@ def test_phi0_solves_unperturbed_hj():
 
 
 def test_melnikov_closed_k0_zero():
-    assert melnikov_coeff_closed(0, 5.0, SERIES).value == 0.0
+    assert melnikov_coeff_closed(0, 5.0, SERIES) == 0.0
 
 
 def test_melnikov_closed_example():
     c = melnikov_coeff_closed(1, 5.0, SERIES)
     # formula value; the quoted magnitude is good to ~4 digits
     exact = -(math.pi * 5.0 * 0.03 / 4.0) * math.exp(-5.0) * (1.0 + 0.2)
-    assert c.value.real == pytest.approx(exact, rel=1e-15)
-    assert c.value.real == pytest.approx(-9.52529e-4, rel=1e-4)
-    assert c.value.imag == 0.0
+    assert c.real == pytest.approx(exact, rel=1e-15)
+    assert c.real == pytest.approx(-9.52529e-4, rel=1e-4)
+    assert c.imag == 0.0
 
 
 def test_melnikov_closed_evenness():
     for k in (1, 2):
-        cp = melnikov_coeff_closed(k, 4.0, SERIES).value
-        cm = melnikov_coeff_closed(-k, 4.0, SERIES).value
+        cp = melnikov_coeff_closed(k, 4.0, SERIES)
+        cm = melnikov_coeff_closed(-k, 4.0, SERIES)
         assert cp == cm
 
 
@@ -104,7 +103,7 @@ def test_quadrature_k0_is_zero():
     # V_0 = 0, so L_0 = 0 with no kernel integral; as for the closed form,
     # nu I0 must be positive, so the kernel never runs at frequency 0
     ser = CorrugationSeries((2.0,), ())
-    assert melnikov_coeff_quadrature(0, 3.0, ser).value == 0.0
+    assert melnikov_coeff_quadrature(0, 3.0, ser) == 0.0
     with pytest.raises(DomainError, match="positive"):
         melnikov_coeff_quadrature(1, 0.0, ser)
 
@@ -112,8 +111,8 @@ def test_quadrature_k0_is_zero():
 def test_quadrature_matches_closed_form():
     for k in (1, 2):
         for nu_I0 in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0):
-            closed = melnikov_coeff_closed(k, nu_I0, SERIES).value
-            quad = melnikov_coeff_quadrature(k, nu_I0, SERIES).value
+            closed = melnikov_coeff_closed(k, nu_I0, SERIES)
+            quad = melnikov_coeff_quadrature(k, nu_I0, SERIES)
             assert abs(quad - closed) / abs(closed) < 1e-8
 
 
@@ -121,8 +120,8 @@ def test_melnikov_zeros_near_characteristics():
     # d_theta L vanishes within |L2/L1| of theta - nu I0 u = 0, pi
     nu_I0 = 5.0
     u = 0.3
-    l1 = abs(melnikov_coeff_closed(1, nu_I0, SERIES).value)
-    l2 = abs(melnikov_coeff_closed(2, nu_I0, SERIES).value)
+    l1 = abs(melnikov_coeff_closed(1, nu_I0, SERIES))
+    l2 = abs(melnikov_coeff_closed(2, nu_I0, SERIES))
     from scipy.optimize import brentq
 
     def g(th):
