@@ -234,7 +234,9 @@ def criterion_9(cache: dict) -> CriterionResult:
         f"{max(itinerary.defects_v + itinerary.defects_tau):.1e}, least count margin "
         f"{min(itinerary.margins):.1e})",
         {"pass_rate": report.pass_rate, "kappa": report.kappa,
-         "eta": report.eta, "itinerary": asdict(itinerary)})
+         "eta": report.eta, "itinerary": asdict(itinerary),
+         "counters": {"strips": family.diagnostics["counters"], "cones": report.counters,
+                      "shadow_return_maps": itinerary.return_maps}})
 
 
 def criterion_10(cache: dict) -> CriterionResult:
@@ -249,7 +251,9 @@ def criterion_10(cache: dict) -> CriterionResult:
         f"{len(maxima)} height maxima {['%.4f' % m for m in maxima]}, "
         f"strictly increasing = {demo['strictly_increasing']}, "
         f"returns below z_ret = {demo['returns_below']}",
-        {"maxima": maxima, "itinerary": asdict(demo["itinerary"])})
+        {"maxima": maxima, "itinerary": asdict(demo["itinerary"]),
+         "counters": {"lift": demo["lift"],
+                      "shadow_return_maps": demo["itinerary"].return_maps}})
 
 
 def criterion_11() -> CriterionResult:

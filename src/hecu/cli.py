@@ -293,6 +293,7 @@ def _cmd_horseshoe(args) -> int:
         "trace_residual": lab.diagnostics["trace_residual"],
         "n_crossings": lab.diagnostics["n_crossings"],
         "strips": family.diagnostics["counters"],
+        "edge_error": family.diagnostics["edge_error"],
         "cones": report.counters,
         "cone_v_lines": [{"v_rel": v, "samples": n, "pass_rate": rate}
                          for v, (n, rate) in sorted(report.v_lines.items())],
@@ -347,6 +348,7 @@ def _cmd_verify_all(args) -> int:
     run.add_csv("acceptance.csv",
                 ["criterion", "passed", "seconds"],
                 [(r.index, int(r.passed), r.seconds) for r in results])
+    run.counters = {str(r.index): r.values["counters"] for r in results if "counters" in r.values}
     run.flush({"only": args.only})
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return 0 if n_fail == 0 else 1

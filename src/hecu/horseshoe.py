@@ -671,79 +671,82 @@ class StripFamily:
     diagnostics: dict = field(default_factory=dict)
 
 
-# Secant steps at most for one strip boundary; from build_strips' guesses the
-# root takes two rounds of return maps.
-_SECANT_STEPS = 20
+# Edge stencil: returns per v-line, and stencils at most for one edge solve.
+_STENCIL = 24
+_STENCIL_ROUNDS = 3
 
 
-def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess, riders=None):
+def _edge_basis(A, y_mid, y_half):
+    """Columns 1, y, y^2, y^3 of y = 2 pi/A (centred and scaled), then cos hA,
+    sin hA, y cos hA and y sin hA for h = 1, 2, at the advances A."""
+    y = (_TWO_PI / A - y_mid) / y_half
+    cols = [np.ones_like(y), y, y * y, y ** 3]
+    for h in (1, 2):
+        c, s = np.cos(h * A), np.sin(h * A)
+        cols += [c, s, y * c, y * s]
+    return np.stack(cols, axis=-1)
+
+
+def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess):
     """tau at which one return from (v_rel, tau) advances the angle by target.
 
-    The advance A(tau) is continuous inside the rectangle and follows the
-    count law A ~ 2 pi c / sqrt(tau), so g = (2 pi/A)^2 - (2 pi/target)^2 is
-    nearly linear in tau; a secant on g starts from guess and 1.1 guess (at
-    most delta_q).  It stops when its step s_n is at most 3e-7 tau, or when
-    s_n < 1e-3 tau and s_n min(1, s_n/s_{n-1}), an estimate of the error left
-    that the secant's superlinear rate keeps conservative, is at most
-    3e-7 tau.  From build_strips' count-law guesses that takes two rounds of
-    returns: the guesses, then the first secant iterates, which lie within
-    about 4e-6 tau of the roots.  Strip boundary n is the root at target
-    2 pi (n+1).  Takes arrays: the secants run in lockstep, each with its own
-    state, every round's returns as one batch, and a secant drops out once
-    it has converged.
+    Strip edge n is the root at target 2 pi (n+1).  All roots come from one
+    lane batch of returns, a stencil of _STENCIL taus per v-line evenly over
+    [0.96, 1.04] times the range of that line's guesses (held where the
+    stencil stays in (0, delta_q]).  A fit of tau against the measured
+    advance A reads off every root at A = target.  The count law
+    A ~ 2 pi c/sqrt(tau) makes tau nearly a cubic in y = 2 pi/A; a return
+    ends at angle theta0 + A on the 2 pi-periodic corrugation, so tau also
+    has a part periodic in A, which the harmonics h = 1, 2 of `_edge_basis`
+    carry.  The error estimate of a root is the larger change when the fit
+    drops its y^3 term or its h = 2 terms.  The solve is done when every
+    target lies inside its stencil's advances and every estimate is at most
+    3e-7 tau; otherwise the next stencil centres on the fitted roots, one
+    more batch each time, _STENCIL_ROUNDS at most.
 
-    riders, if given, maps the first secant iterates (one per root) to
-    points (v_rel, tau) whose returns run in the batch of the second round;
-    the call then returns (roots, `Returns` of the riders), and a rider that
-    fails says so in its `Returns.kind`.  Raises PassageError when an iterate
-    leaves (0, delta_q], a return of a secant fails or the steps run out.
+    Returns (roots, estimates, `Returns` of the last stencil).  Raises
+    PassageError when a root leaves (0, delta_q], a stencil lane fails (its
+    kind names the failure) or the stencils run out.
     """
     v_rel, target, guess = (np.asarray(x, dtype=float).ravel()
                             for x in np.broadcast_arrays(v_rel, target, guess))
-
-    def g(lanes, tau, ride=(np.empty(0), np.empty(0))):
-        """g at the secants' tau, and the Returns of the points ride, as one batch."""
-        ret = lab.return_maps(np.r_[v_rel[lanes], ride[0]], np.r_[tau, ride[1]])
-        ok = ret.ok[:lanes.size]
-        if not ok.all():
-            j = int(np.argmin(ok))
-            raise PassageError(f"return for advance {target[lanes[j]]:.6g} at "
-                               f"v={v_rel[lanes[j]]:.3e} failed: {ret.kind[j]}", ret.kind[j])
-        g_at = (_TWO_PI / ret.advance[:lanes.size]) ** 2 - (_TWO_PI / target[lanes]) ** 2
-        return g_at, Returns(*(x[lanes.size:] for x in ret))
-
-    live = np.arange(v_rel.size)
-    t0, t1 = guess.copy(), np.minimum(1.1 * guess, lab.delta_q)
-    g0, g1 = np.split(g(np.r_[live, live], np.r_[t0, t1])[0], 2)      # one batch
-    last = np.abs(t1 - t0)          # each secant's last step
-    pending = riders
-    for _ in range(_SECANT_STEPS):
-        a0, a1, b0 = t0[live], t1[live], g0[live]
-        flat = g1 == b0
-        if flat.any():
-            live = live[flat]
-            break
-        step = a1 - g1 * (a1 - a0) / (g1 - b0)
-        t0[live], t1[live], g0[live] = a1, step, g1
-        outside = ~((step > 0.0) & (step <= lab.delta_q))
+    lines, line_of = np.unique(v_rel, return_inverse=True)
+    members = [np.flatnonzero(line_of == j) for j in range(lines.size)]
+    centre = guess
+    full, no_cubic, no_h2 = np.arange(12), np.r_[0:3, 4:12], np.arange(8)
+    for _ in range(_STENCIL_ROUNDS):
+        held = np.minimum(centre, lab.delta_q / 1.04)
+        taus = np.array([np.linspace(0.96 * held[m].min(), 1.04 * held[m].max(), _STENCIL)
+                         for m in members])
+        ret = lab.return_maps(np.repeat(lines, _STENCIL), taus.ravel())
+        roots, est = np.empty(v_rel.size), np.empty(v_rel.size)
+        inside = True
+        for j, (v, mine) in enumerate(zip(lines, members)):
+            at = slice(j * _STENCIL, (j + 1) * _STENCIL)
+            ok, A = ret.ok[at], ret.advance[at]
+            if not ok.all():
+                bad = ret.kind[at][np.argmin(ok)]
+                raise PassageError(f"edge stencil at v={v:.3e}: {np.count_nonzero(ok)} of "
+                                   f"{_STENCIL} returns, {bad}", bad)
+            y = _TWO_PI / A
+            mid, half = 0.5 * (y.max() + y.min()), 0.5 * (y.max() - y.min())
+            B, Bt = _edge_basis(A, mid, half), _edge_basis(target[mine], mid, half)
+            fits = [Bt[:, c] @ np.linalg.lstsq(B[:, c], taus[j], rcond=None)[0]
+                    for c in (full, no_cubic, no_h2)]
+            roots[mine] = fits[0]
+            est[mine] = np.maximum(np.abs(fits[1] - fits[0]), np.abs(fits[2] - fits[0]))
+            inside &= bool(np.all((A.min() <= target[mine]) & (target[mine] <= A.max())))
+        outside = ~((roots > 0.0) & (roots <= lab.delta_q))
         if outside.any():
-            j = live[np.argmax(outside)]
+            j = np.argmax(outside)
             raise PassageError(f"advance {target[j]:.6g} has no root in the rectangle "
-                               f"at v={v_rel[j]:.3e} (secant left it at tau={t1[j]:.3e})")
-        s = np.abs(step - a1)
-        done = (s <= 3e-7 * step) | ((s < 1e-3 * step)
-                                     & (s * np.minimum(1.0, s / last[live]) <= 3e-7 * step))
-        last[live] = s
-        live = live[~done]
-        if pending is not None:
-            g1, ride = g(live, t1[live], pending(t1.copy()))
-            pending = None
-        elif live.size:
-            g1 = g(live, t1[live])[0]
-        if not live.size:
-            return t1 if riders is None else (t1, ride)
-    j = live[0]
-    raise PassageError(f"secant for advance {target[j]:.6g} at v={v_rel[j]:.3e} did not converge")
+                               f"at v={v_rel[j]:.3e} (fit at tau={roots[j]:.3e})")
+        if inside and np.all(est <= 3e-7 * roots):
+            return roots, est, ret
+        centre = roots
+    j = int(np.argmax(est / roots))
+    raise PassageError(f"edge stencils for advance {target[j]:.6g} at v={v_rel[j]:.3e} "
+                       f"did not converge")
 
 
 def build_strips(lab: HorseshoeLab, window: tuple[int, int],
@@ -751,52 +754,32 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     """Vertical strips V_n (passage count n) for n in the window, with their
     images H_n, disjointness, Hausdorff monotonicity, and Lipschitz data.
 
-    Each boundary is one `_taus_at_advance` root, all of them in lockstep;
-    its first guess is the count law A = 2 pi law_c/sqrt(tau) (corner
-    transit time) with the lab's constant.  The images of three points per
-    strip and v-line, at 1/4, 1/2 and 3/4 of the way between the first
-    secant iterates of its boundaries (within about 3e-4 of a strip's width
-    of the roots at the operating point), ride in the secant's second batch,
-    so the phase runs in two batches.  A point whose count is not its
-    strip's lay outside the strip; it runs again between the roots, in one
-    more batch.  `diagnostics["counters"]` holds the `MapCounters` of the
-    phase.
+    Every boundary on the v grid comes from one `_taus_at_advance` call,
+    its guesses from the count law A = 2 pi law_c/sqrt(tau) (corner transit
+    time) with the lab's constant; at the operating point that is one batch
+    of _STENCIL returns per v-line.  A stencil return whose count is n is an
+    image point of H_n.  `diagnostics["counters"]` holds the `MapCounters`
+    of the phase, and `diagnostics["edge_error"]` the largest error estimate
+    of a boundary, relative to its tau.
     """
     n_lo, n_hi = window
     if n_hi < n_lo:
         raise DomainError("empty symbol window")
+    if n_v < 2:
+        raise DomainError("strips need at least two v-lines")
     counted = dataclasses.replace(lab, counters=MapCounters())
     delta = lab.delta_q
     # geometric grid: return-map images hug W^u (v of order tau/expansion),
     # so the strip boundaries must be resolved down to tiny v as well
     v_grid = np.geomspace(2e-3 * delta, 0.85 * delta, n_v)
     ns = np.arange(n_lo - 1, n_hi + 1)[:, None]     # boundary n: advance 2 pi (n+1)
-    fracs = np.array([0.25, 0.5, 0.75])
-    shape = (len(ns) - 1, n_v, len(fracs))          # strip, v-line, point
-
-    def image_points(t):
-        """Three points per strip and v-line between its boundaries' estimates t."""
-        t = t.reshape(len(ns), n_v, 1)
-        taus = t[1:] + fracs * (t[:-1] - t[1:])
-        return np.broadcast_to(v_grid[:, None], shape).ravel(), taus.ravel()
-
-    roots, ret = _taus_at_advance(counted, v_grid[None, :], _TWO_PI * (ns + 1),
-                                  (lab.law_c / (ns + 0.5)) ** 2, riders=image_points)
+    roots, est, ret = _taus_at_advance(counted, v_grid[None, :], _TWO_PI * (ns + 1),
+                                       (lab.law_c / (ns + 0.5)) ** 2)
     roots = roots.reshape(len(ns), n_v)
     strips = {}
     for j, n in enumerate(range(n_lo, n_hi + 1), start=1):
         strips[n] = Strip(tau_lo=roots[j], tau_hi=roots[j - 1], v_grid=v_grid)
-
-    # images: kept where the count is the strip's; a point that the first
-    # iterates put outside its strip runs again between the roots
-    of_strip = np.broadcast_to(np.arange(n_lo, n_hi + 1)[:, None, None], shape).ravel()
-    miss = ret.count != of_strip
-    if miss.any():
-        vs, taus = image_points(roots)
-        for x, again in zip(ret, counted.return_maps(vs[miss], taus[miss])):
-            x[miss] = again
-    images = {n: np.column_stack([ret.v_rel, ret.tau])[(of_strip == n) & (ret.count == n)]
-              for n in strips}
+    images = {n: np.column_stack([ret.v_rel, ret.tau])[ret.count == n] for n in strips}
 
     mu_v = max(st.lipschitz() for st in strips.values())
     mu_h = _image_lipschitz(images)
@@ -805,6 +788,7 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
         n: float(np.max(np.abs(im[:, 0]))) if im.size else math.nan
         for n, im in images.items()}
     fam.diagnostics["counters"] = asdict(counted.counters)
+    fam.diagnostics["edge_error"] = float(np.max(est / roots.ravel()))
     _check_disjoint(strips)
     return fam
 
@@ -1005,7 +989,7 @@ class SymbolItinerary:
     defects_v: tuple              # |v_rel(P(nodes[i])) - v_rel(nodes[i+1])|
     defects_tau: tuple            # the same in tau
     iterations: int               # Newton steps taken
-    return_maps: int              # return maps of the solve, start-node secants included
+    return_maps: int              # return maps of the solve, the start nodes' stencil included
 
     @property
     def achieved(self) -> bool:
@@ -1032,8 +1016,10 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     middle of the v grid and the others at its lowest line (the strips are
     nearly vertical, so Newton closes the v gaps), each at the tau where its
     leg advances the angle by 2 pi (n + 1/2), the largest possible count
-    margin: one lockstep `_taus_at_advance` call, since the family's
-    interpolated windows can sit one strip off.  Near the passage
+    margin, since the family's interpolated windows can sit one strip off.
+    One `_taus_at_advance` call finds them all, guessed at the strip centres:
+    at the operating point one batch, a stencil on each of the two v-lines.
+    Near the passage
     noise floor the tau defect wanders, so the solve keeps its best iterate
     and stops after two iterates that do not improve on it.  Raises
     ShadowingError when no iterate brings every leg defect to _LEG_DEFECT;
@@ -1059,7 +1045,7 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     guess = [np.interp(v_i, st.v_grid, 0.5 * (st.tau_lo + st.tau_hi))
              for v_i, st in zip(v, strips)]
     nodes = np.column_stack(
-        [v, _taus_at_advance(lab, v, _TWO_PI * (np.array(targets) + 0.5), guess)])
+        [v, _taus_at_advance(lab, v, _TWO_PI * (np.array(targets) + 0.5), guess)[0]])
 
     free = np.arange(1, 2 * k - 1)      # every node coordinate but v_0 and tau_{k-1}
     best = None

@@ -17,8 +17,8 @@ quadrature route to a quantity that src/hecu computes another way:
   against the vectorised kernel `fourier.hermite`;
 - the set-up's crossing by an 18-step bisection of the seed angle, against
   the secant zero across the fibre bracket that centres the branch walk;
-- the strip-edge secant with the step rule alone, against the superlinear
-  stop of `_taus_at_advance`;
+- the strip edges by a secant with a step rule, one batch of returns per
+  round, against the stencil fit of `_taus_at_advance`;
 - the Picard engine on fresh arrays, one new field per product and one
   transport call per mode, against the in-place `picard_solve` and its
   `transport_modes`;
@@ -37,8 +37,8 @@ from scipy.optimize import brentq
 from hecu.fourier import (ModeField, NonContractionError, PicardStep, _filon_transport,
                           _filon_weights, hermite, ibp_tail, modes_to_values, osc_integral,
                           powerlaw_tail)
-from hecu.horseshoe import (_N_FIBERS, _SECANT_STEPS, LocalChart, MapCounters, PassageError,
-                            _TrigCurve, _build_branch, _orient_lab, _run_fibers)
+from hecu.horseshoe import (_N_FIBERS, LocalChart, MapCounters, PassageError, _TrigCurve,
+                            _build_branch, _orient_lab, _run_fibers)
 from hecu.manifolds import RootCountError, solve_hj_unstable
 from hecu.inner import theta_v_constant
 from hecu.model import DomainError
@@ -427,13 +427,17 @@ def setup_horseshoe_bisected(params):
 # strip edges
 # ---------------------------------------------------------------------------
 
+_SECANT_STEPS = 20      # secant steps at most for one root
+
+
 def taus_at_advance_step_rule(lab, v_rel, target, guess) -> np.ndarray:
-    """Roots tau of A(tau) = target by the secant of `_taus_at_advance`, each
-    stopped only when its step is at most 3e-7 tau.
+    """Roots tau of A(tau) = target by a secant on g = (2 pi/A)^2 - (2 pi/target)^2,
+    which the count law A ~ 2 pi c/sqrt(tau) makes nearly linear in tau,
+    each stopped when its step is at most 3e-7 tau.
 
     The secants start from guess and 1.1 guess (at most delta_q) and run in
     lockstep, one batch of returns per round; from build_strips' count-law
-    guesses they take one round more than the superlinear stop.
+    guesses they take three rounds.
     """
     v_rel, target, guess = (np.asarray(x, dtype=float).ravel()
                             for x in np.broadcast_arrays(v_rel, target, guess))

@@ -58,6 +58,18 @@ def test_criterion_09_horseshoe_verification(results):
     _check(results, 9)
 
 
+def test_criterion_09_records_one_batch_strips_and_start(results):
+    # the strips run one stencil of 24 returns per v-line, and the shadowing
+    # start one per v-line of its nodes (two), before 3 k maps per Newton iterate
+    values = results[9].values
+    strips = values["counters"]["strips"]
+    assert strips["batches"] == 1 and strips["lane_maps"] == 6 * 24
+    assert values["counters"]["cones"]["batches"] == 1
+    itinerary = values["itinerary"]
+    assert values["counters"]["shadow_return_maps"] == itinerary["return_maps"]
+    assert itinerary["return_maps"] == 2 * 24 + 9 * (itinerary["iterations"] + 1)
+
+
 def test_criterion_10_oscillatory_witness(results):
     _check(results, 10)
 

@@ -118,7 +118,8 @@ def test_horseshoe_manifest_counts_return_maps(tmp_path):
     assert math.isfinite(counters["trace_residual"]) and counters["trace_residual"] >= 0.0
     assert isinstance(counters["n_crossings"], int) and counters["n_crossings"] >= 1
     assert setup["fibers"]["lane_maps"] == 64 and setup["fibers"]["batches"] == 1
-    assert strips["lane_maps"] > strips["batches"] > 1
+    assert strips["lane_maps"] == 6 * 24 and strips["batches"] == 1
+    assert 0.0 <= counters["edge_error"] <= 3e-7
     assert cones["batches"] == 1
     assert cones["lane_maps"] == 3 * (4 * 5) + 3 * 12
     for phase in (*setup.values(), strips, cones):
@@ -310,6 +311,19 @@ def test_oscillate_end_to_end(tmp_path):
     lift = counters["lift"]
     assert lift["runs"] == 3 and 0 < lift["steps"] < lift["rhs_calls"] <= 20000
     assert len(counters["arrival_gaps"]) == len(counters["height_law"]) == 3
+
+
+def test_verify_all_manifest_holds_criterion_counters(tmp_path, monkeypatch):
+    # each criterion's counters go into the manifest under its number, apart
+    # from the checksummed outputs; criterion 11 records none
+    counters = {"strips": {"batches": 1, "lane_maps": 144}, "shadow_return_maps": 93}
+    monkeypatch.setitem(acceptance.ALL_CRITERIA, 9, lambda cache: acceptance.CriterionResult(
+        9, "stand-in", True, "counted", {"counters": counters}))
+    out = tmp_path / "v"
+    assert run(["verify-all", "--only", "9,11", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == {"9": counters}
+    assert set(manifest["outputs"]) == {"acceptance_report.txt", "acceptance.csv"}
 
 
 def test_manifest_clock_times_the_computation(tmp_path):

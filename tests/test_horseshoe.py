@@ -396,14 +396,26 @@ def test_build_strips_finds_closed_form_edges():
     for n, st in family.strips.items():
         assert np.all(np.abs(st.tau_lo / (lab.C / (n + 1)) - 1.0) <= 3e-7)
         assert np.all(np.abs(st.tau_hi / (lab.C / n) - 1.0) <= 3e-7)
-    # every secant round and the images run as batches.  The count law is a
-    # poor guess for this return, so the first secant iterates sit far from
-    # the roots: the image points they place miss their strips and run again
-    # between the roots, and every strip keeps its three points per v-line
+    # the count law is a poor guess for this return (about 57% off), so the
+    # first stencil does not bracket the roots; the fit, exact in y = 2 pi/A,
+    # places the second, which does.  Its returns are the images
     counters = family.diagnostics["counters"]
-    assert counters["batches"] >= 3
-    assert counters["lane_maps"] >= 2 * 5 * 3 + 4 * 3 * 3 and not counters["failures"]
-    assert all(len(im) == 3 * 3 for im in family.images.values())
+    assert counters["batches"] == 2
+    assert counters["lane_maps"] == 2 * 3 * 24 and not counters["failures"]
+    assert family.diagnostics["edge_error"] <= 1e-12
+    assert all(len(im) >= 3 for im in family.images.values())
+
+
+def test_build_strips_needs_two_v_lines(monkeypatch):
+    # one v-line gives no Lipschitz data: a configuration error before any return
+    def no_return(self, v_raw, theta):
+        raise AssertionError("a return ran")
+
+    lab, _ = _expanding_family(_ExpandingLab)
+    monkeypatch.setattr(_ExpandingLab, "return_maps_raw", no_return)
+    for n_v in (0, 1):
+        with pytest.raises(DomainError, match="two v-lines"):
+            build_strips(lab, (151, 154), n_v=n_v)
 
 
 def test_tau_at_advance_leaves_rectangle():
@@ -412,6 +424,27 @@ def test_tau_at_advance_leaves_rectangle():
     lab, _ = _expanding_family(_ExpandingLab)
     with pytest.raises(PassageError, match="no root in the rectangle"):
         _taus_at_advance(lab, 3e-3, 2 * math.pi, 5e-3)
+    assert lab.counters.batches == 1
+
+
+class _EscapingStencilLab(_ExpandingLab):
+    """Returns from tau above 8e-3 escape."""
+
+    def return_maps_raw(self, v_raw, theta):
+        v2, th2, kind = super().return_maps_raw(v_raw, theta)
+        far = self.coords(v_raw, theta)[1] > 8e-3
+        v2[far] = th2[far] = np.nan
+        kind[far] = "escape"
+        return v2, th2, kind
+
+
+def test_tau_at_advance_names_a_failed_stencil_lane():
+    # a stencil that straddles tau = 8e-3 loses its upper lanes: the solve
+    # stops on the first batch and names the failure kind
+    lab, _ = _expanding_family(_EscapingStencilLab)
+    with pytest.raises(PassageError, match="of 24 returns, escape") as err:
+        _taus_at_advance(lab, 3e-3, 2 * math.pi * 151, 8e-3)
+    assert err.value.kind == "escape" and lab.counters.batches == 1
 
 
 def test_shadow_orbit_rejects_symbols_outside_window():
@@ -425,8 +458,26 @@ class _NoisyLab(_ExpandingLab):
     jitter = 1e-3       # a return-angle noise 100x the leg defect bound
 
 
+def test_tau_at_advance_refuses_noisy_advances():
+    # an angle noise of 1e-3 rad moves the fitted roots by more than 3e-7 tau,
+    # so no stencil meets the estimate's bound and the solve gives up
+    lab, _ = _expanding_family(_NoisyLab)
+    with pytest.raises(PassageError, match="did not converge"):
+        _taus_at_advance(lab, 3e-3, 2 * math.pi * 152.5, lab.C / 152.5)
+    assert lab.counters.batches == horseshoe._STENCIL_ROUNDS
+
+
+class _NoisyLandingLab(_ExpandingLab):
+    """Lands 1e-3 sin(1e9 theta) off in v_rel, 100x the leg defect bound; the
+    angle advance, and with it the start nodes, stay exact."""
+
+    def return_maps_raw(self, v_raw, theta):
+        v2, th2, kind = super().return_maps_raw(v_raw, theta)
+        return v2 + 1e-3 * np.sin(1e9 * theta), th2, kind
+
+
 def test_shadow_orbit_raises_when_legs_miss_the_bound():
-    lab, family = _expanding_family(_NoisyLab)
+    lab, family = _expanding_family(_NoisyLandingLab)
     with pytest.raises(ShadowingError, match="leg defect") as err:
         shadow_orbit(lab, family, (2, 3, 2))
     assert len(err.value.achieved) == 3
@@ -449,6 +500,12 @@ def test_reduced_rhs_lanes_match_scalar_field():
 @pytest.fixture(scope="module")
 def real_lab():
     return setup_horseshoe(select_operating_point())
+
+
+@pytest.fixture(scope="module")
+def lab_nu6():
+    """The laboratory at a second energy, nu I0 = 6."""
+    return setup_horseshoe(params_for_nu_I0(6.0, epsilon=1.0))
 
 
 def test_stable_branch_is_unwrapped(real_lab):
@@ -504,10 +561,7 @@ def test_secant_centred_branch_is_the_bisected_one(nu_I0, request):
     # the walk from the secant zero of r across the fibre bracket gives the
     # branch that an 18-step bisection of the crossing gives, at the
     # operating point and at a second energy
-    if nu_I0 == 4.5:
-        lab = request.getfixturevalue("real_lab")
-    else:
-        lab = setup_horseshoe(params_for_nu_I0(nu_I0, epsilon=1.0))
+    lab = request.getfixturevalue("real_lab" if nu_I0 == 4.5 else "lab_nu6")
     ref, bisection = setup_horseshoe_bisected(lab.params)
     assert bisection.batches == 3
     assert lab.base_count == ref.base_count
@@ -583,17 +637,18 @@ def test_strip_boundaries_separate_counts(real_lab):
     lab = real_lab
     v = 0.1 * lab.delta_q
     ns = np.arange(lab.base_count, lab.base_count + 5)
-    tau_b = _taus_at_advance(lab, v, 2 * math.pi * (ns + 1), (lab.law_c / (ns + 0.5)) ** 2)
+    tau_b = _taus_at_advance(lab, v, 2 * math.pi * (ns + 1), (lab.law_c / (ns + 0.5)) ** 2)[0]
     counts = lab.return_maps(v, np.r_[tau_b * (1 - 2e-6), tau_b * (1 + 2e-6)]).count
     assert list(counts) == list(ns + 1) + list(ns)
 
 
-def test_build_strips_stops_on_superlinear_estimate(real_lab):
-    # two v-lines over a window of four strips: the roots agree with the
-    # step-rule secant, which runs one round of returns more, and the phase
-    # runs in two batches, the count-law guesses and then the first secant
-    # iterates with the image points
-    lab = real_lab
+@pytest.mark.parametrize("nu_I0", [4.5, 6.0])
+def test_build_strips_runs_one_stencil_batch(nu_I0, request):
+    # two v-lines over a window of four strips, at the operating point and at
+    # a second energy (base count 531): the stencil fit's roots agree with the
+    # step-rule secant, which runs three rounds of returns, and the phase runs
+    # one batch of 24 returns per v-line, whose counts give the images
+    lab = request.getfixturevalue("real_lab" if nu_I0 == 4.5 else "lab_nu6")
     n_lo, n_hi = lab.base_count + 1, lab.base_count + 4
     family = build_strips(lab, (n_lo, n_hi), n_v=2)
     roots = np.array([family.strips[n_lo].tau_hi]
@@ -604,9 +659,11 @@ def test_build_strips_stops_on_superlinear_estimate(real_lab):
                                     2 * math.pi * (ns + 1), (lab.law_c / (ns + 0.5)) ** 2)
     assert np.max(np.abs(roots / ref.reshape(roots.shape) - 1.0)) <= 1e-8
     counters = family.diagnostics["counters"]
-    assert counters["batches"] == 2 and oracle.counters.batches == 3
-    assert counters["lane_maps"] == 2 * 5 * 2 + 5 * 2 + 4 * 2 * 3 and not counters["failures"]
-    assert all(len(im) == 2 * 3 for im in family.images.values())
+    assert counters["batches"] == 1 and oracle.counters.batches == 3
+    assert counters["lane_maps"] == 2 * 24 and not counters["failures"]
+    assert family.diagnostics["edge_error"] <= 3e-7
+    assert all(len(im) >= 2 for im in family.images.values())
+    assert family.mu_h * family.mu_v < 1.0
 
 
 def test_return_maps_match_single_returns(real_lab):
