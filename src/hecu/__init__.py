@@ -14,8 +14,6 @@ from .model import (
     CorrugationSeries,
     PhysicalParams,
     ModelParams,
-    physical_corrugation,
-    default_physical,
     params_for_nu_I0,
     nu_from_physical,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "CorrugationSeries",
     "PhysicalParams",
     "ModelParams",
-    "physical_corrugation",
-    "default_physical",
     "params_for_nu_I0",
     "nu_from_physical",
     "__version__",

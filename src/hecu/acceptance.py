@@ -36,12 +36,7 @@ from .horseshoe import (
 )
 from .integrate import (IntegratorConfig, energy_drift, integrate, integrate_mcgehee,
                         mcgehee_rhs)
-from .model import (
-    averaged_remainder_sup,
-    nu_from_physical,
-    params_for_nu_I0,
-    physical_corrugation,
-)
+from .model import CorrugationSeries, averaged_remainder_sup, nu_from_physical, params_for_nu_I0
 from .separatrix import melnikov_coeff_closed, melnikov_coeff_quadrature, p_h, q_h
 
 
@@ -69,7 +64,7 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    series = physical_corrugation()
+    series = CorrugationSeries()
     worst = 0.0
     for k in (1, 2):
         for nu_I0 in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0):
@@ -305,8 +300,8 @@ ALL_CRITERIA = {
 }
 
 
-def run_all(indices=None, printer=print) -> list[CriterionResult]:
-    """Run the acceptance criteria (all by default), one pass/fail line each."""
+def run_all(indices=None) -> list[CriterionResult]:
+    """Run the acceptance criteria (all by default), printing one pass/fail line each."""
     cache: dict = {}
     results = []
     for idx in sorted(ALL_CRITERIA if indices is None else indices):
@@ -319,6 +314,5 @@ def run_all(indices=None, printer=print) -> list[CriterionResult]:
                                   f"raised {type(exc).__name__}: {exc}")
         res.seconds = time.time() - t0
         results.append(res)
-        if printer is not None:
-            printer(res.line() + f"  [{res.seconds:.1f} s]")
+        print(res.line() + f"  [{res.seconds:.1f} s]")
     return results

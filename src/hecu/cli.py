@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import DomainError, ModelParams, load_config, params_for_nu_I0
+from .model import (DomainError, ModelParams, PhysicalParams, load_config, nu_from_physical,
+                    params_for_nu_I0)
 
 
 def _fmt(x) -> str:
@@ -126,18 +127,22 @@ class _Run:
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_params(args, nu_I0: float, epsilon: float) -> ModelParams:
-    if args.config:
-        base = load_config(args.config)
-        return base.with_nu_I0(nu_I0).with_epsilon(epsilon)
-    return params_for_nu_I0(nu_I0, epsilon=epsilon)
+def _surface(args) -> PhysicalParams:
+    """The surface of --config, else the default one; loaded once per run,
+    before any work."""
+    return load_config(args.config) if args.config else PhysicalParams()
+
+
+def _surface_record(physical: PhysicalParams) -> dict:
+    """The surface a run used, for its manifest: the config file may change later."""
+    return {**asdict(physical), "nu": nu_from_physical(physical.a, physical.alpha)}
 
 
 def _operating_point(args) -> ModelParams:
     """nu I0 from --nuI0 at epsilon 1 (on --config when given), else the
     default horseshoe operating point, which no config file changes."""
     if args.nuI0 is not None:
-        return _resolve_params(args, _parse_range(args.nuI0)[0], 1.0)
+        return params_for_nu_I0(_parse_range(args.nuI0)[0], 1.0, _surface(args))
     if args.config:
         raise DomainError("--config needs --nuI0: the default operating point ignores it")
     from .horseshoe import select_operating_point
@@ -148,8 +153,8 @@ def _cmd_melnikov(args) -> int:
     from .separatrix import melnikov_coeff_closed, melnikov_coeff_quadrature
     run = _Run(Path(args.out), "melnikov")
     nu_values = _parse_range(args.nuI0)
-    params0 = _resolve_params(args, nu_values[0], 1.0)
-    series = params0.series
+    physical = _surface(args)
+    series = physical.corrugation
     rows = []
     for nu_I0 in nu_values:
         for k in range(1, args.kmax + 1):
@@ -162,7 +167,8 @@ def _cmd_melnikov(args) -> int:
                 ["k", "nuI0", "closed_re", "closed_im", "quad_re", "quad_im",
                  "rel_err"], rows)
     run.flush({
-        "nuI0": nu_values, "kmax": args.kmax, "config": args.config})
+        "nuI0": nu_values, "kmax": args.kmax, "config": args.config,
+        "surface": _surface_record(physical)})
     print(f"wrote {run.out_dir / 'melnikov.csv'} ({len(rows)} rows)")
     return 0
 
@@ -174,11 +180,12 @@ def _cmd_splitting(args) -> int:
     run = _Run(Path(args.out), "splitting")
     nu_values = _parse_range(args.nuI0)
     eps_values = _parse_list(args.epsilon)
+    physical = _surface(args)
     rows = []
     counters = IntegrationCounters()
     for nu_I0 in nu_values:
         for eps in eps_values:
-            params = _resolve_params(args, nu_I0, eps)
+            params = params_for_nu_I0(nu_I0, eps, physical)
             sheet = unstable_sheet(params, [args.u], tol=args.tol,
                                    theta_modes=args.modes)
             counters.add(sheet.counters)
@@ -195,7 +202,7 @@ def _cmd_splitting(args) -> int:
     run.flush({
         "nuI0": nu_values, "epsilon": eps_values, "u": args.u,
         "kmax": args.kmax, "modes": args.modes, "tol": args.tol,
-        "config": args.config})
+        "config": args.config, "surface": _surface_record(physical)})
     print(f"wrote {run.out_dir / 'splitting.csv'} ({len(rows)} rows)")
     return 0
 
@@ -230,11 +237,12 @@ def _cmd_inner(args) -> int:
     from .inner import extract_fk, solve_inner, theta_v_constant
     run = _Run(Path(args.out), "inner")
     eps_values = _parse_list(args.epsilon)
+    physical = _surface(args)
     rows = []
     picard = {}
     tables = {}
     for eps in eps_values:
-        params = _resolve_params(args, 6.0, eps)
+        params = params_for_nu_I0(6.0, eps, physical)
         sol = solve_inner(params, depth=12.0, modes=args.modes, tol=args.tol)
         diff = extract_fk(params, ks=tuple(range(1, args.kmax + 1)),
                           modes=args.modes, tol=args.tol, solutions={12.0: sol})
@@ -251,7 +259,7 @@ def _cmd_inner(args) -> int:
                  "residual"], rows)
     run.flush({
         "epsilon": eps_values, "kmax": args.kmax, "modes": args.modes,
-        "tol": args.tol, "config": args.config})
+        "tol": args.tol, "config": args.config, "surface": _surface_record(physical)})
     f1 = diff.f[1].real / eps_values[-1]
     print(f"f1/eps = {f1:.8f}; paper variants: pi r1/2 = "
           f"{math.pi * 0.06 / 2:.8f}, pi r1/4 = {math.pi * 0.06 / 4:.8f}, "
@@ -299,7 +307,8 @@ def _cmd_horseshoe(args) -> int:
                          for v, (n, rate) in sorted(report.v_lines.items())],
     }
     run.flush({
-        "nuI0": params.nu_I0, "samples": args.samples, "config": args.config})
+        "nuI0": params.nu_I0, "samples": args.samples, "config": args.config,
+        "surface": _surface_record(params.physical)})
     print("\n".join(lines))
     return 0
 
@@ -320,7 +329,7 @@ def _cmd_oscillate(args) -> int:
                          f"z(t): {args.k} growing excursions")
     run.flush({
         "k": args.k, "zret": args.zret, "nuI0": params.nu_I0,
-        "config": args.config,
+        "config": args.config, "surface": _surface_record(params.physical),
         "maxima": demo["maxima"],
         "strictly_increasing": demo["strictly_increasing"]})
     print(f"height maxima: {['%.4f' % m for m in demo['maxima']]}")

@@ -103,7 +103,7 @@ def transport(x: np.ndarray, f: np.ndarray, fp: np.ndarray, omega: float,
 def transport_modes(F: ModeField, freq: float, table: dict, out: ModeField) -> None:
     """G(F) into `out` on F's band, mode k at omega_k = k freq.
 
-    Each mode takes an integration-by-parts tail, or a |x|^-4 power-law
+    Each mode takes an integration-by-parts tail, or the |x|^-4 power-law
     tail for omega_k = 0; a zero mode stays zero.  The Filon weights of |k|
     come from `table`, keyed by |k| and built there on first use, so the
     table depends only on F.x and freq.  A mode k < 0 is moved through
@@ -120,7 +120,7 @@ def transport_modes(F: ModeField, freq: float, table: dict, out: ModeField) -> N
             continue
         omega = k * freq
         tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
-                if omega else powerlaw_tail(f[0], x[0], 4.0))
+                if omega else powerlaw_tail(f[0], x[0]))
         n = abs(int(k))
         w = table.get(n)
         if w is None:
@@ -144,11 +144,9 @@ def ibp_tail(f0: complex, fp0: complex, fpp0: complex, omega: float,
     return np.exp(1j * omega * x0) * (f0 / iw - fp0 / iw ** 2 + fpp0 / iw ** 3)
 
 
-def powerlaw_tail(f0: float, x0: float, decay: float) -> float:
-    """int_{-infty}^{x0} f ds assuming f ~ C |s|^{-decay} beyond the grid."""
-    if decay <= 1.0:
-        raise ValueError("power-law tail needs decay > 1")
-    return f0 * abs(x0) / (decay - 1.0)
+def powerlaw_tail(f0: float, x0: float) -> float:
+    """int_{-infty}^{x0} f ds assuming f ~ C |s|^-4 beyond the grid."""
+    return f0 * abs(x0) / 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -138,16 +138,15 @@ def reduced_rhs(params: ModelParams):
 # corner charts
 # ---------------------------------------------------------------------------
 
+# The corner chart's sections u = a and v = a, and the entries 0 < u0 < delta
+# on Sigma1 that `local_map` takes (delta < a/2).
+_CHART_A = 0.1
+_CHART_DELTA = 0.04
+
+
 @dataclass(frozen=True)
 class LocalChart:
-    """Approximate straightening of the corner with sections u = a, v = a."""
-
-    a: float = 0.1
-    delta: float = 0.04
-
-    def __post_init__(self):
-        if not (0 < self.delta < self.a / 2):
-            raise DomainError("chart needs 0 < delta < a/2")
+    """Approximate straightening of the corner with sections u = a, v = a (a = _CHART_A)."""
 
     def w(self, q):
         """w(q) = q sqrt(1 - q^2), for a float or an array of q."""
@@ -176,7 +175,7 @@ def _masked_section(chart: LocalChart, which: str):
 
     def g(y):
         u, v = chart.to_chart(y[0], y[1])
-        return (u if which == "u" else v) - chart.a + 10.0 * np.maximum(0.0, y[0] - 0.5)
+        return (u if which == "u" else v) - _CHART_A + 10.0 * np.maximum(0.0, y[0] - 0.5)
 
     return g
 
@@ -192,7 +191,7 @@ def _escape_section(chart: LocalChart):
 
     def g(y):
         u, v = chart.to_chart(y[0], y[1])
-        return (2.0 * u + v + 10.0 * np.maximum(0.0, v - 0.9 * chart.a)
+        return (2.0 * u + v + 10.0 * np.maximum(0.0, v - 0.9 * _CHART_A)
                 + 10.0 * np.maximum(0.0, y[0] - 0.3))
 
     return g
@@ -237,9 +236,9 @@ def local_map(params: ModelParams, chart: LocalChart, u0, theta0):
     """
     u0, theta0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
                                      np.asarray(theta0, dtype=float))
-    if not np.all((0 < u0) & (u0 < chart.delta)):
+    if not np.all((0 < u0) & (u0 < _CHART_DELTA)):
         raise DomainError("local map needs 0 < u0 < delta on Sigma1")
-    y0 = np.array(chart.from_chart(u0.ravel(), chart.a))
+    y0 = np.array(chart.from_chart(u0.ravel(), _CHART_A))
     kind, th1, y1 = _lanes_to_section(params, chart, y0, theta0.ravel(), "u", +1, _CORNER_SPAN)
     failed = kind != ""
     if failed.any():
@@ -251,7 +250,7 @@ def local_map(params: ModelParams, chart: LocalChart, u0, theta0):
 def global_map(params: ModelParams, chart: LocalChart, v0: float, theta0: float,
                rtol: float = 1e-11) -> tuple[float, float]:
     """Excursion Sigma0 -> Sigma1: (a, v0, theta0) -> (u1, a, theta1), one lane."""
-    y0 = np.array(chart.from_chart(chart.a, v0))[:, None]
+    y0 = np.array(chart.from_chart(_CHART_A, v0))[:, None]
     kind, th1, y1 = _lanes_to_section(params, chart, y0, np.array([theta0], dtype=float),
                                       "v", -1, _GLOBAL_SPAN, rtol)
     if kind[0]:
@@ -398,7 +397,6 @@ class HorseshoeLab:
     chart: LocalChart
     wu_local: _TrigCurve        # v-coordinate of W^u on Sigma0 vs theta
     branch: _StableBranch       # local W^s branch: theta as a graph over v_rel
-    theta_h: float              # homoclinic angle on Sigma0
     s_tau: float                # orientation of the time-offset axis
     base_count: int             # periods of the reference homoclinic return
     delta_q: float              # working rectangle size
@@ -406,6 +404,11 @@ class HorseshoeLab:
     rtol: float = 1e-11         # passage integration tolerance
     diagnostics: dict = field(default_factory=dict)
     counters: MapCounters = field(default_factory=MapCounters)
+
+    @property
+    def theta_h(self) -> float:
+        """Homoclinic angle on Sigma0: the branch at v_rel = 0."""
+        return self.branch.angle_at(0.0)
 
     # -- section coordinates (floats or arrays) -----------------------------
     def coords(self, v_raw, theta):
@@ -441,18 +444,18 @@ class HorseshoeLab:
         kind = np.full(v_raw.shape, "domain", dtype=object)
         v2 = np.full(v_raw.shape, np.nan)
         th2 = np.full(v_raw.shape, np.nan)
-        live = np.flatnonzero(np.abs(chart.a + v_raw) <= 0.5)      # inside the chart
+        live = np.flatnonzero(np.abs(_CHART_A + v_raw) <= 0.5)      # inside the chart
         kind[live], th1, y1 = _lanes_to_section(
-            self.params, chart, np.array(chart.from_chart(chart.a, v_raw[live])),
+            self.params, chart, np.array(chart.from_chart(_CHART_A, v_raw[live])),
             theta[live], "v", -1, _GLOBAL_SPAN, self.rtol, work)
         u1 = chart.to_chart(y1[0], y1[1])[0]
         # an entry past W^s or outside the corner neighbourhood escapes
-        entry = (kind[live] == "") & ~((u1 > 0) & (u1 < 0.9 * chart.a))
+        entry = (kind[live] == "") & ~((u1 > 0) & (u1 < 0.9 * _CHART_A))
         kind[live[entry]] = "escape"
         enter = kind[live] == ""
         live, u1, th1 = live[enter], u1[enter], th1[enter]
         kind[live], th, y = _lanes_to_section(
-            self.params, chart, np.array(chart.from_chart(u1, chart.a)),
+            self.params, chart, np.array(chart.from_chart(u1, _CHART_A)),
             th1, "u", +1, _CORNER_SPAN, self.rtol, work)
         back = kind[live] == ""
         v2[live[back]] = chart.to_chart(y[0, back], y[1, back])[1]
@@ -622,7 +625,7 @@ def _orient_lab(params, chart, wu_local, walked, counters) -> HorseshoeLab | Non
         return None
     branch = _StableBranch(v_rel=r[keep], theta=theta[keep])
     delta_q = 0.45 * r[-1]
-    lab = HorseshoeLab(params, chart, wu_local, branch, branch.angle_at(0.0), s_tau=1.0,
+    lab = HorseshoeLab(params, chart, wu_local, branch, s_tau=1.0,
                        base_count=0, delta_q=delta_q, law_c=math.nan, counters=counters)
     tau_ref = 0.5 * delta_q
     ret = lab.return_maps(tau_ref, [tau_ref, -tau_ref])
@@ -1124,7 +1127,7 @@ def oscillatory_demo(params: ModelParams, k: int = 3, z_ret: float = 8.0,
 
     chart, advances = lab.chart, np.array(itinerary.advances)
     v_raw, theta = lab.point(*np.array(itinerary.nodes).T)
-    q, p = chart.from_chart(chart.a, v_raw)
+    q, p = chart.from_chart(_CHART_A, v_raw)
     y0 = np.array([q, p, np.fmod(theta, _TWO_PI),
                    [action_offset_closed(*x, params) for x in zip(q, p, theta)]])
     rhs, work = mcgehee_rhs(params), IntegrationCounters()

@@ -61,13 +61,17 @@ class InnerSolution:
 
     params: ModelParams
     depth: float
-    x: np.ndarray
     t1: ModeField
     melnikov: ModeField      # L+_in = G_in(primary), the first Picard iterate
     residual: float
     contraction_ratio: float
     iterations: int
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def x(self) -> np.ndarray:
+        """Offsets of the line v = x - i depth, the grid of t1."""
+        return self.t1.x
 
 
 def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
@@ -100,7 +104,7 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
     B = min(M, params.series.order)
     melnikov = ModeField(M, x)
     transport_modes(primary.band(B), 1.0, table, melnikov.band(B))
-    return InnerSolution(params, depth, x, step.phi, melnikov, step.residual, step.ratio,
+    return InnerSolution(params, depth, step.phi, melnikov, step.residual, step.ratio,
                          step.iteration, {"filon_tables_built": len(table) - n_tables})
 
 

@@ -48,8 +48,9 @@ class RootCountError(RuntimeError):
 # Hamilton-Jacobi solver
 # ---------------------------------------------------------------------------
 
-# HJ grid: spacing 5e-3 over the last 10 units below u_max, geometric out to
-# u = -2e4; at most 50 Picard iterations.
+# HJ grid: spacing 5e-3 over the last 10 units below u_max = -0.2 (1/p_h^2
+# blows up at u = 0), geometric out to u = -2e4; at most 50 Picard iterations.
+_HJ_U_MAX = -0.2
 _HJ_H0 = 5e-3
 _HJ_NEAR_SPAN = 10.0
 _HJ_U_FAR = -2.0e4
@@ -60,11 +61,15 @@ _HJ_MAX_ITER = 50
 class ManifoldGraph:
     """One invariant-manifold sheet as a Hamilton-Jacobi graph near infinity."""
 
-    u: np.ndarray
     phi1: ModeField          # correction Phi1; derivatives tracked exactly
     residual: float
     contraction_ratio: float
     iterations: int
+
+    @property
+    def u(self) -> np.ndarray:
+        """The graph's u grid, the grid of phi1."""
+        return self.phi1.x
 
     def derivatives_at(self, u0: float, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P, J) = (d_u Phi, d_theta Phi) at (u0, thetas); includes Phi0."""
@@ -79,20 +84,18 @@ class ManifoldGraph:
         return np.real(P), np.real(J)
 
 
-def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
-                      theta_modes: int = 8, tol: float = 1e-11) -> ManifoldGraph:
-    """Picard solution of the Hamilton-Jacobi graph on u <= u_max < 0.
+def solve_hj_unstable(params: ModelParams, theta_modes: int = 8,
+                      tol: float = 1e-11) -> ManifoldGraph:
+    """Picard solution of the Hamilton-Jacobi graph on u <= -0.2.
 
     F(Phi1) of the module docstring, with H1 = (eps/2) q_h^4 V, at omega_k =
     k nu I0, solved by fourier.picard_solve to the sup-residual tol.  The
     solve's first iterate is the Melnikov layer L+_out; the graph keeps only
     the converged Phi1.  Raises fourier.NonContractionError when the
-    iteration does not contract (nu I0 too small or u_max too near 0) or
-    does not converge within 50 iterations.
+    iteration does not contract (nu I0 too small) or does not converge
+    within 50 iterations.
     """
-    if u_max > -0.2:
-        raise DomainError("u_max must be <= -0.2 (1/p_h^2 blows up at u = 0)")
-    x = geometric_grid(u_max, h0=_HJ_H0, near_span=_HJ_NEAR_SPAN, x_far=_HJ_U_FAR)
+    x = geometric_grid(_HJ_U_MAX, h0=_HJ_H0, near_span=_HJ_NEAR_SPAN, x_far=_HJ_U_FAR)
     M = int(theta_modes)
     vks = np.array([params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
     prof = -0.5 * params.epsilon * (1.0 + x ** 2) ** -2.0
@@ -101,7 +104,7 @@ def solve_hj_unstable(params: ModelParams, u_max: float = -0.2,
     dinv2p = (4.0 * x * (1.0 + x ** 2) - 2.0 * (1.0 + x ** 2) ** 2 / x) / (2.0 * x ** 2)
     step = picard_solve(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
                         inv2p, dinv2p, params.nu, tol, _HJ_MAX_ITER)
-    return ManifoldGraph(x, step.phi, step.residual, step.ratio, step.iteration)
+    return ManifoldGraph(step.phi, step.residual, step.ratio, step.iteration)
 
 
 def unstable_initial_conditions(graph: ManifoldGraph, u0: float,
@@ -189,9 +192,8 @@ class Sheet:
         return worst / self.params.nu_I0
 
 
-def globalize(params: ModelParams, seeds: np.ndarray, u_levels,
-              u_seed: float = -_SHEET_U_SEED) -> Sheet:
-    """Integrate unstable seeds and sample (P, J) at sections q = q_h(u).
+def globalize(params: ModelParams, seeds: np.ndarray, u_levels) -> Sheet:
+    """Integrate unstable seeds at u = -3 and sample (P, J) at sections q = q_h(u).
 
     u_levels are positive; each fiber crosses q = q_h(u) twice, once rising
     (recorded at -u, the incoming branch p < 0) and once falling (+u,
@@ -200,7 +202,7 @@ def globalize(params: ModelParams, seeds: np.ndarray, u_levels,
     u_levels = sorted(float(u) for u in u_levels)
     if not u_levels or u_levels[0] <= 0:
         raise DomainError("u_levels must be positive")
-    t_end = abs(u_seed) + u_levels[-1] + 1.5
+    t_end = _SHEET_U_SEED + u_levels[-1] + 1.5
     # forward in time the fibers meet the branches in ascending signed u
     branches = sorted((su, d) for u in u_levels for su, d in ((u, -1), (-u, +1)))
     return _sample_sheet(params, seeds, t_end, branches)
@@ -332,16 +334,18 @@ def measure_splitting(unstable: Sheet, stable: Sheet, u: float, k: int = 1,
         noise_floor=noise)
 
 
-def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
-                     n_scan: int = 720) -> list[tuple[float, float]]:
+_N_SCAN = 720       # angles of the scan for homoclinic roots
+
+
+def find_homoclinics(unstable: Sheet, stable: Sheet, u: float) -> list[tuple[float, float]]:
     """Sorted roots theta of Delta P(u, .) with transversality slopes.
 
-    The mode differences are projected once; the scan, the root polish and
-    the slopes all evaluate from them.  The sign changes of the scan are
-    polished together by `integrate._polish`, each on its scan interval
-    mapped to x in [0, 1], to a bracket of 1e-13 in theta.  Exactly two
-    roots per period are expected; any other count raises RootCountError
-    carrying everything found.
+    The mode differences are projected once; the scan over _N_SCAN angles,
+    the root polish and the slopes all evaluate from them.  The sign changes
+    of the scan are polished together by `integrate._polish`, each on its
+    scan interval mapped to x in [0, 1], to a bracket of 1e-13 in theta.
+    Exactly two roots per period are expected; any other count raises
+    RootCountError carrying everything found.
     """
     lv_p, lv_m = unstable.level(u), stable.level(u)
     dk = np.array([lv_p.mode("P", k) - lv_m.mode("P", k) for k in range(-6, 7)])
@@ -349,8 +353,8 @@ def find_homoclinics(unstable: Sheet, stable: Sheet, u: float,
     def delta_p(th: float) -> float:
         return float(modes_to_values(dk, np.array([th]))[0])
 
-    width = 2 * math.pi / n_scan
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
+    width = 2 * math.pi / _N_SCAN
+    thetas = np.linspace(0.0, 2.0 * math.pi, _N_SCAN, endpoint=False)
     vals = modes_to_values(dk, thetas)
     after = np.roll(vals, -1)
     zeros = vals == 0.0

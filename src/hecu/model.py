@@ -11,18 +11,9 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-
-# Experimentally fitted surface parameters (He on Cu), and the He mass.
-DEFAULT_D = 6.35        # well depth, meV
-DEFAULT_A = 3.6         # lattice period, angstrom
-DEFAULT_ALPHA = 1.05    # Morse range, 1/angstrom
-DEFAULT_MASS = 4.002602  # He mass, amu
-
-DEFAULT_R_COEFFS = (0.06, 0.008)
-
 
 class DomainError(ValueError):
     """Raised when an input lies outside an operation's domain."""
@@ -35,10 +26,11 @@ class CorrugationSeries:
     V(theta) = sum_{n>=1} r_n cos(n theta) + s_n sin(n theta).
 
     The complex Fourier convention is fixed so that V^[k] = r_|k|/2 for an
-    even series (all s_n = 0).  V has zero average by construction.
+    even series (all s_n = 0).  V has zero average by construction.  The
+    default is the experimentally fitted He-Cu profile r1 = 0.06, r2 = 0.008.
     """
 
-    cos_coeffs: tuple[float, ...] = DEFAULT_R_COEFFS
+    cos_coeffs: tuple[float, ...] = (0.06, 0.008)
     sin_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -109,24 +101,25 @@ class CorrugationSeries:
         return complex(r / 2.0, s / 2.0)
 
 
-def physical_corrugation() -> CorrugationSeries:
-    """The experimentally fitted profile r1 = 0.06, r2 = 0.008."""
-    return CorrugationSeries(DEFAULT_R_COEFFS, ())
-
-
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Surface/projectile parameters in laboratory units."""
+    """Surface/projectile parameters in laboratory units.
 
-    D: float = DEFAULT_D
-    a: float = DEFAULT_A
-    alpha: float = DEFAULT_ALPHA
-    m: float = DEFAULT_MASS
-    corrugation: CorrugationSeries = field(default_factory=physical_corrugation)
+    The defaults are the experimentally fitted He-Cu surface and the He mass.
+    """
+
+    D: float = 6.35             # well depth, meV
+    a: float = 3.6              # lattice period, angstrom
+    alpha: float = 1.05         # Morse range, 1/angstrom
+    m: float = 4.002602         # He mass, amu
+    corrugation: CorrugationSeries = field(default_factory=CorrugationSeries)
 
     def __post_init__(self):
-        if not (self.D > 0 and self.a > 0 and self.alpha > 0 and self.m > 0):
-            raise DomainError("D, a, alpha, m must all be positive")
+        if not all(0 < x < math.inf for x in (self.D, self.a, self.alpha, self.m)):
+            raise DomainError("D, a, alpha, m must all be positive and finite")
+        if not 1e-150 < self.a * self.alpha < 1e150:
+            raise DomainError(f"a alpha = {self.a * self.alpha:g} puts nu = (4 pi / (a alpha))^2 "
+                              "outside the floats")
 
     # Transform constants between Cartesian and regularized variables.
     @property
@@ -149,24 +142,22 @@ def nu_from_physical(a: float, alpha: float) -> float:
 class ModelParams:
     """All model parameters for the rescaled dynamics.
 
-    nu is stored redundantly and validated against the physical fields;
-    epsilon multiplies the corrugation part H1 of the Hamiltonian
-    (epsilon = 1 is the physical corrugation).
+    The surface fixes nu = (4 pi / (a alpha))^2; epsilon multiplies the
+    corrugation part H1 of the Hamiltonian (epsilon = 1 is the physical
+    corrugation).
     """
 
     physical: PhysicalParams
-    nu: float
     I0: float
     epsilon: float = 1.0
 
     def __post_init__(self):
-        nu_check = nu_from_physical(self.physical.a, self.physical.alpha)
-        if abs(self.nu - nu_check) > 1e-12 * abs(nu_check):
-            raise DomainError(
-                f"stored nu={self.nu!r} inconsistent with physical fields ({nu_check!r})"
-            )
-        if not self.nu * self.I0 > 0:
-            raise DomainError("nu * I0 must be positive")
+        if not self.I0 > 0:
+            raise DomainError("I0 must be positive")
+
+    @property
+    def nu(self) -> float:
+        return nu_from_physical(self.physical.a, self.physical.alpha)
 
     @property
     def nu_I0(self) -> float:
@@ -181,23 +172,13 @@ class ModelParams:
         """Energy level nu I0^2 / 2 of the orbit at infinity."""
         return 0.5 * self.nu * self.I0 ** 2
 
-    def with_nu_I0(self, nu_I0: float) -> "ModelParams":
-        return replace(self, I0=nu_I0 / self.nu)
-
-    def with_epsilon(self, epsilon: float) -> "ModelParams":
-        return replace(self, epsilon=epsilon)
-
-
-def default_physical() -> PhysicalParams:
-    return PhysicalParams()
-
 
 def params_for_nu_I0(nu_I0: float, epsilon: float = 1.0,
                      physical: PhysicalParams | None = None) -> ModelParams:
-    """ModelParams at a prescribed value of the product nu*I0."""
-    phys = physical if physical is not None else default_physical()
-    nu = nu_from_physical(phys.a, phys.alpha)
-    return ModelParams(physical=phys, nu=nu, I0=nu_I0 / nu, epsilon=epsilon)
+    """ModelParams at a prescribed value of the product nu*I0 (on the default
+    surface unless `physical` is given)."""
+    phys = physical if physical is not None else PhysicalParams()
+    return ModelParams(phys, nu_I0 / nu_from_physical(phys.a, phys.alpha), epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +239,10 @@ def averaged_remainder(new_state, params: ModelParams) -> float:
     return h - h0_mcgehee(Q, P, K, params)
 
 
-def averaged_remainder_sup(params: ModelParams, n_grid: int = 9) -> float:
+def averaged_remainder_sup(params: ModelParams) -> float:
     """sup |H1~| over the test grid |Q| <= 1, |P| <= 1, |K| <= 1/2, theta in T."""
-    Q, P, K, Th = np.meshgrid(np.linspace(0.0, 1.0, n_grid),
-                              np.linspace(-1.0, 1.0, n_grid),
+    Q, P, K, Th = np.meshgrid(np.linspace(0.0, 1.0, 9),
+                              np.linspace(-1.0, 1.0, 9),
                               np.linspace(-0.5, 0.5, 5),
                               np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
     return float(np.max(np.abs(averaged_remainder((Q, P, Th, K), params))))
@@ -271,39 +252,40 @@ def averaged_remainder_sup(params: ModelParams, n_grid: int = 9) -> float:
 # config files
 # ---------------------------------------------------------------------------
 
-def _parse_coeff_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+# config key (configparser folds keys to lower case) -> PhysicalParams or
+# CorrugationSeries field
+_CONFIG_KEYS = {"d": "D", "a": "a", "alpha": "alpha", "m": "m",
+                "r": "cos_coeffs", "s": "sin_coeffs"}
 
 
-def load_config(path) -> ModelParams:
-    """Read `key = value` config with [physical] and [model] sections.
+def load_config(path) -> PhysicalParams:
+    """The surface of a `key = value` config file: its one section [physical].
 
-    Recognized keys: [physical] D, a, alpha, m, r, s; [model] I0, nuI0,
-    epsilon.  Missing keys fall back to the physical defaults; nuI0 wins
-    over I0 if both are present.
+    Keys D, a, alpha and m take a number, r and s a list of cos and sin
+    coefficients (comma- or space-separated); a missing key keeps its
+    PhysicalParams default, and nu follows from a and alpha.  A missing
+    file, any other section, an unknown key or a value that is not a finite
+    number raises DomainError.
     """
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise DomainError(f"config file not found: {path}")
-    phys_sec = cp["physical"] if cp.has_section("physical") else {}
-    model_sec = cp["model"] if cp.has_section("model") else {}
-
-    series = CorrugationSeries(
-        _parse_coeff_list(phys_sec.get("r", "")) or DEFAULT_R_COEFFS,
-        _parse_coeff_list(phys_sec.get("s", "")),
-    )
-    phys = PhysicalParams(
-        D=float(phys_sec.get("D", DEFAULT_D)),
-        a=float(phys_sec.get("a", DEFAULT_A)),
-        alpha=float(phys_sec.get("alpha", DEFAULT_ALPHA)),
-        m=float(phys_sec.get("m", DEFAULT_MASS)),
-        corrugation=series,
-    )
-    nu = nu_from_physical(phys.a, phys.alpha)
-    epsilon = float(model_sec.get("epsilon", 1.0))
-    if "nuI0" in model_sec:
-        I0 = float(model_sec["nuI0"]) / nu
-    else:
-        I0 = float(model_sec.get("I0", 6.0 / nu))
-    return ModelParams(physical=phys, nu=nu, I0=I0, epsilon=epsilon)
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        if not cp.read(path):
+            raise DomainError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise DomainError(f"config file {path}: {exc}") from None
+    sections = cp.sections() + (["DEFAULT"] if cp.defaults() else [])
+    if sections != ["physical"]:
+        raise DomainError(f"config file {path} must hold one section [physical], not {sections}")
+    fields = {}
+    for key, text in cp["physical"].items():
+        if key not in _CONFIG_KEYS:
+            raise DomainError(f"unknown config key {key!r}: [physical] takes D, a, alpha, m, r, s")
+        try:
+            fields[_CONFIG_KEYS[key]] = (
+                float(text) if key not in ("r", "s")
+                else tuple(float(tok) for tok in text.replace(",", " ").split()))
+        except ValueError:
+            raise DomainError(f"config key {key!r}: not a number in {text!r}") from None
+    # PhysicalParams and CorrugationSeries reject a value that is not finite
+    series = {k: fields.pop(k) for k in ("cos_coeffs", "sin_coeffs") if k in fields}
+    return PhysicalParams(**fields, corrugation=CorrugationSeries(**series))

@@ -57,10 +57,11 @@ def _kern_d2(t):
     return (20.0 * t * t - 4.0) * (1.0 + t * t) ** -4.0
 
 
-def _kernel_integral(omega: float, T: float = _QUAD_T) -> complex:
+def _kernel_integral(omega: float) -> complex:
     """int_{-inf}^{inf} q_h^4(t) e^{i omega t} dt by panels plus IBP tails; omega != 0."""
     if omega < 0:
-        return np.conj(_kernel_integral(-omega, T))
+        return np.conj(_kernel_integral(-omega))
+    T = _QUAD_T
     main = osc_integral(_kern, omega, -T, T)
     iw = 1j * omega
     tail_pos = np.exp(1j * omega * T) * (-_kern(T) / iw + _kern_d1(T) / iw ** 2

@@ -314,7 +314,7 @@ def picard_solve_reference(primary: ModeField, freq: float, profile: np.ndarray,
                 continue
             omega = k * freq
             tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
-                    if omega else powerlaw_tail(f[0], x[0], 4.0))
+                    if omega else powerlaw_tail(f[0], x[0]))
             out.values[m] = table_transport(weights, x, int(k), freq, f, fp, tail)
             out.du[m] = f - 1j * omega * out.values[m]
         return out

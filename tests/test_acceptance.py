@@ -13,7 +13,7 @@ from hecu.acceptance import run_all
 
 @pytest.fixture(scope="module")
 def results():
-    res = run_all(printer=print)
+    res = run_all()
     return {r.index: r for r in res}
 
 

@@ -1,4 +1,4 @@
-"""Name census of the package: src/hecu holds only what src/hecu runs.
+"""Name and parameter census of the package: src/hecu holds only what src/hecu runs.
 
 Every function, class, method and property defined under src/hecu must be
 named in src/hecu outside its own definition and outside every definition
@@ -9,6 +9,10 @@ perfbench/ also names a definition as the string attribute argument of a
 call (``tracer.wrap(owner, "attr", ...)`` looks it up as ``getattr`` does).
 A definition that only tests reach belongs in tests/ (tests/oracles.py for
 the independent oracles).
+
+Every defaulted parameter of a function in src/hecu must be set by some call
+in src/hecu or perfbench/, apart from the named exemptions: a value that
+only tests change is a module constant, which a test can monkeypatch.
 """
 
 import ast
@@ -97,3 +101,69 @@ def unnamed_definitions() -> list[str]:
 def test_every_definition_has_a_caller():
     unnamed = unnamed_definitions()
     assert not unnamed, "defined in src/hecu but named only by tests:\n" + "\n".join(unnamed)
+
+
+# Defaulted parameters that no call in src/hecu or perfbench/ sets, each kept
+# for a reason of its own: (function, parameter) -> reason.
+PARAMETER_EXEMPTIONS = {
+    ("run", "argv"): "the CLI's test seam: tests run the CLI on an argument list",
+    ("extract_fk", "depths"): "depth sets the fit did not use, to check f1's error bar",
+    ("transport", "tail"): "fourier.transport stays for perfbench/, which wraps it by name",
+}
+
+
+def _call_signatures() -> dict[str, list[tuple[float, set]]]:
+    """Callee name -> (positional arguments, keywords) of each call in
+    src/hecu and perfbench/.
+
+    A callee is named by an identifier or an attribute; a starred argument
+    reaches every position and a ``**`` argument (keyword None) every
+    keyword."""
+    calls = {}
+    paths = [*(ROOT / "src" / "hecu").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(callee, []).append(
+                (float("inf") if starred else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def unset_parameters() -> dict[tuple[str, str], str]:
+    """(function, parameter) -> 'file:line function(parameter)' of each
+    defaulted parameter that no call sets.
+
+    A call of a class counts for its __init__.  A method's positions are
+    counted without self or cls, as at a call through an attribute."""
+    calls = _call_signatures()
+    unset = {}
+    for path in sorted((ROOT / "src" / "hecu").glob("*.py")):
+        tree = _parse(path)
+        owner = {fn: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            callee = owner[fn].name if fn.name == "__init__" else fn.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            positional = fn.args.posonlyargs + fn.args.args
+            bound = 1 if fn in owner and not static else 0
+            defaulted = [(i - bound, a) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(float("inf"), a) for a, d in zip(fn.args.kwonlyargs,
+                                                             fn.args.kw_defaults) if d is not None]
+            for pos, arg in defaulted:
+                if not any(n > pos or arg.arg in kws or None in kws
+                           for n, kws in calls.get(callee, ())):
+                    unset[fn.name, arg.arg] = f"{path.name}:{fn.lineno} {fn.name}({arg.arg})"
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    unset = unset_parameters()
+    constants = [where for key, where in unset.items() if key not in PARAMETER_EXEMPTIONS]
+    assert not constants, ("a default that no caller in src/hecu or perfbench/ changes is a "
+                           "constant:\n" + "\n".join(constants))

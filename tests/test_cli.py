@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from hecu import acceptance, cli, horseshoe, inner, manifolds
+from hecu import acceptance, cli, horseshoe, inner, manifolds, separatrix
 from hecu.cli import _parse_list, _parse_range, run
 from hecu.model import DomainError
 
@@ -77,7 +77,7 @@ def test_melnikov_deterministic(tmp_path):
 
 def test_melnikov_with_config(tmp_path):
     cfg = tmp_path / "model.cfg"
-    cfg.write_text("[physical]\nr = 0.12, 0.016\n\n[model]\nI0 = 0.5\n")
+    cfg.write_text("[physical]\nr = 0.12, 0.016\nalpha = 1.1\n")
     out = tmp_path / "m"
     code = run(["melnikov", "--nuI0", "5", "--config", str(cfg),
                 "--out", str(out)])
@@ -86,6 +86,51 @@ def test_melnikov_with_config(tmp_path):
     # doubled r1 doubles L_1
     expect = -(math.pi * 5 * 0.06 / 4) * math.exp(-5.0) * 1.2
     assert float(row[2]) == pytest.approx(expect, rel=1e-12)
+    # the manifest holds the surface the run used, apart from the checksummed
+    # outputs: a later edit of the file does not erase it
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    surface = manifest["resolved"]["surface"]
+    assert surface == {"D": 6.35, "a": 3.6, "alpha": 1.1, "m": 4.002602,
+                       "corrugation": {"cos_coeffs": [0.12, 0.016], "sin_coeffs": [0.0, 0.0]},
+                       "nu": (4 * math.pi / (3.6 * 1.1)) ** 2}
+    assert set(manifest["outputs"]) == {"melnikov.csv"}
+
+
+@pytest.mark.parametrize("text", [
+    "[physical]\nr = 0.12\n\n[model]\nnuI0 = 9\nepsilon = 0.5\n",
+    "[model]\nI0 = -1\n",
+    "[physcial]\nalpha = 1.1\n",
+    "[physical]\nalhpa = 1.1\n",
+    "[physical]\na = inf\n",
+    "[physical]\nalpha = 1e400\n",
+    "[physical]\nm = abc\n",
+    "[physical]\nr = 0.06, x\n",
+    "[physical]\na = 1e300\n",
+    "alpha = 1.1\n",
+], ids=["model-section", "model-I0", "misspelt-section", "misspelt-key", "a-inf",
+        "alpha-1e400", "m-abc", "r-abc", "a-nu-underflow", "no-section"])
+@pytest.mark.parametrize("argv", [
+    ["melnikov", "--nuI0", "5"],
+    ["splitting", "--nuI0", "5"],
+    ["inner"],
+    ["horseshoe", "--nuI0", "4.5"],
+    ["oscillate", "--nuI0", "4.5"],
+], ids=["melnikov", "splitting", "inner", "horseshoe", "oscillate"])
+def test_bad_config_is_a_configuration_error(tmp_path, text, argv, capsys, monkeypatch):
+    # the config file holds only the surface, [physical]; anything else in it
+    # is rejected before any work and writes nothing
+    def no_work(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for module, name in ((horseshoe, "setup_horseshoe"), (horseshoe, "oscillatory_demo"),
+                         (inner, "solve_inner"), (manifolds, "unstable_sheet"),
+                         (separatrix, "melnikov_coeff_closed")):
+        monkeypatch.setattr(module, name, no_work)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(text)
+    assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_splitting_csv(tmp_path):

@@ -66,7 +66,7 @@ def test_transport_against_panel_quadrature():
 def test_transport_zero_frequency():
     x = geometric_grid(0.0, h0=0.005, near_span=10.0, x_far=-2e4)
     G = transport(x, kern(x), kern_d1(x), 0.0,
-                  tail=powerlaw_tail(kern(x[0]), x[0], 4.0))
+                  tail=powerlaw_tail(kern(x[0]), x[0]))
     # int_{-inf}^0 (1+s^2)^-2 ds = pi/4
     assert G[-1].real == pytest.approx(np.pi / 4.0, abs=1e-10)
     assert abs(G[-1].imag) == 0.0

@@ -96,7 +96,7 @@ def test_reduced_field_matches_full_ratio():
 
 
 def test_chart_roundtrip():
-    chart = LocalChart(a=0.1, delta=0.04)
+    chart = LocalChart()
     rng = np.random.default_rng(3)
     for _ in range(50):
         q = rng.uniform(0.0, 0.6)
@@ -117,11 +117,6 @@ def test_adapted_chart_straightens_separatrix():
         assert abs(cu2) < 1e-15         # incoming branch sits on u = 0
 
 
-def test_chart_validation():
-    with pytest.raises(DomainError):
-        LocalChart(a=0.1, delta=0.06)
-
-
 def test_truncated_local_map_exact():
     for u0 in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         v1, transit = truncated_local_map(u0, 0.1)
@@ -138,7 +133,7 @@ def test_truncated_transit_exponent():
 
 
 def test_local_map_contract_rejects_bad_entry():
-    chart = LocalChart(a=0.1, delta=0.04)
+    chart = LocalChart()
     with pytest.raises(DomainError):
         local_map(PARAMS, chart, 0.05, 0.0)
     with pytest.raises(DomainError):
@@ -148,7 +143,7 @@ def test_local_map_contract_rejects_bad_entry():
 
 
 def test_local_map_returns_small_v():
-    chart = LocalChart(a=0.1, delta=0.04)
+    chart = LocalChart()
     v1, th1 = local_map(PARAMS, chart, 1e-3, 0.0)
     # passage conserves the adapted product up to corrugation wobble
     assert v1 == pytest.approx(1e-3, rel=0.2)
@@ -200,14 +195,14 @@ def _assert_matches_scipy(y0, theta0, which, direction, theta_max):
 def test_global_leg_matches_scipy_events(v0, theta0):
     # Sigma0 -> Sigma1 excursions of global_map
     chart = LocalChart()
-    _assert_matches_scipy(chart.from_chart(chart.a, v0), theta0, "v", -1, 400.0)
+    _assert_matches_scipy(chart.from_chart(horseshoe._CHART_A, v0), theta0, "v", -1, 400.0)
 
 
 @pytest.mark.parametrize("u0, theta0", [(1e-3, 0.0), (1e-5, 0.0), (1e-4, 2.5)])
 def test_corner_leg_matches_scipy_events(u0, theta0):
     # Sigma1 -> Sigma0 corner passages of local_map, 600 to 7,000 rad long
     chart = LocalChart()
-    _assert_matches_scipy(chart.from_chart(u0, chart.a), theta0, "u", +1, 2.0e5)
+    _assert_matches_scipy(chart.from_chart(u0, horseshoe._CHART_A), theta0, "u", +1, 2.0e5)
 
 
 @pytest.mark.parametrize("u0", [-1e-4, -1e-3, -1e-2])
@@ -215,7 +210,7 @@ def test_entry_past_stable_manifold_escapes(u0):
     # these orbits slide toward q -> 0 with u < 0; without the escape
     # section they would creep until theta_max
     chart = LocalChart()
-    kind, th, y = _one_lane(chart, chart.from_chart(u0, chart.a), 0.0, "u", +1, 2.0e5)
+    kind, th, y = _one_lane(chart, chart.from_chart(u0, horseshoe._CHART_A), 0.0, "u", +1, 2.0e5)
     assert kind == "escape"
     assert th < 2.0e3
     u, v = chart.to_chart(y[0], y[1])
@@ -251,7 +246,7 @@ def test_verify_cones_leaves_lab_tolerance():
     thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
     lab = _NoReturnLab(PARAMS, LocalChart(), _TrigCurve(thetas, 1e-3 * np.cos(thetas)),
                        _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
-                       theta_h=0.0, s_tau=1.0, base_count=150, delta_q=1e-2,
+                       s_tau=1.0, base_count=150, delta_q=1e-2,
                        law_c=12.0)
     v_grid = np.array([1e-3, 5e-3])
     strip = Strip(tau_lo=np.full(2, 1e-3), tau_hi=np.full(2, 2e-3), v_grid=v_grid)
@@ -285,7 +280,7 @@ def _expanding_family(lab_cls):
     thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
     lab = lab_cls(PARAMS, LocalChart(), _TrigCurve(thetas, np.zeros_like(thetas)),
                   _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
-                  theta_h=0.0, s_tau=1.0, base_count=150, delta_q=1e-2,
+                  s_tau=1.0, base_count=150, delta_q=1e-2,
                   law_c=lab_cls.C / math.sqrt(5e-3))
     v_grid = np.array([1e-3, 5e-3])
     strips = {n: Strip(tau_lo=np.full(2, lab.C / (n + 1)), tau_hi=np.full(2, lab.C / n),

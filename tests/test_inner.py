@@ -27,8 +27,8 @@ PHYS_PARAMS = params_for_nu_I0(6.0, epsilon=1.0)
 
 def unit_r1_params(epsilon: float) -> ModelParams:
     phys = PhysicalParams(corrugation=CorrugationSeries((1.0,), ()))
-    nu = nu_from_physical(phys.a, phys.alpha)
-    return ModelParams(physical=phys, nu=nu, I0=6.0 / nu, epsilon=epsilon)
+    return ModelParams(physical=phys, I0=6.0 / nu_from_physical(phys.a, phys.alpha),
+                       epsilon=epsilon)
 
 
 @pytest.fixture(scope="module")

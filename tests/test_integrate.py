@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hecu import integrate as engine
-from hecu.horseshoe import LocalChart, _escape_section, _masked_section, _reduced_rhs_lanes
+from hecu.horseshoe import (_CHART_A, LocalChart, _escape_section, _masked_section,
+                           _reduced_rhs_lanes)
 from hecu.integrate import (
     SPAN_END,
     UNDERFLOW,
@@ -197,7 +198,7 @@ def test_lane_crossings_match_single_runs():
     # (u0 = -1e-3 moves it 5e-9 against a state that agrees to 3e-13).
     params = params_for_nu_I0(4.5, epsilon=1.0)
     chart = LocalChart()
-    a = chart.a
+    a = _CHART_A
     starts = [(1.02 * a, 1e-3, 0.5), (1.02 * a, 5e-3, 3.0), (1e-3, 0.98 * a, 2.0),
               (-1e-2, 0.98 * a, 1.0), (1e-5, 0.98 * a, 4.0)]
     y0 = np.array([chart.from_chart(u, v) for u, v, _ in starts]).T

@@ -84,11 +84,6 @@ def test_hj_raises_when_iterations_run_out(monkeypatch):
         solve_hj_unstable(SER_PARAMS)
 
 
-def test_hj_rejects_u_max_near_zero():
-    with pytest.raises(DomainError):
-        solve_hj_unstable(SER_PARAMS, u_max=-0.05)
-
-
 def test_hj_derivative_consistency(graph):
     # stored d/du of Phi1 modes agrees with finite differences of the values
     M = graph.phi1.M
@@ -188,10 +183,12 @@ def test_homoclinic_roots(sheets):
     assert roots[0][1] * roots[1][1] < 0  # opposite transversality signs
 
 
-def test_homoclinic_roots_stable_under_refinement(sheets):
+def test_homoclinic_roots_stable_under_refinement(sheets, monkeypatch):
     sheet, stable = sheets
-    r1 = find_homoclinics(sheet, stable, 1.0, n_scan=360)
-    r2 = find_homoclinics(sheet, stable, 1.0, n_scan=1440)
+    monkeypatch.setattr(manifolds, "_N_SCAN", 360)
+    r1 = find_homoclinics(sheet, stable, 1.0)
+    monkeypatch.setattr(manifolds, "_N_SCAN", 1440)
+    r2 = find_homoclinics(sheet, stable, 1.0)
     for (a, _), (b, _) in zip(r1, r2):
         assert abs(a - b) < 1e-6
 
@@ -341,13 +338,13 @@ def test_sheet_counters(sheets):
 
 
 def test_sheet_coverage_gap_raises():
-    # seeds at u = -3 run for u_seed-based time 3.0 and stop near u = 0: no
-    # fiber reaches the falling branch at +1
+    # seeds at u = -3 run for time 3.0 and stop near u = 0: no fiber reaches
+    # the falling branch at +1
     params = params_for_nu_I0(5.0, epsilon=0.0)
     g = solve_hj_unstable(params)
     seeds = unstable_initial_conditions(g, -3.0, np.array([0.0, 1.0]))
     with pytest.raises(RuntimeError, match="grid coverage gap"):
-        globalize(params, seeds, [1.0], u_seed=-0.5)
+        _sample_sheet(params, seeds, 3.0, [(-1.0, +1), (1.0, -1)])
 
 
 def test_sheet_budget_counts_from_the_seed():

@@ -13,13 +13,11 @@ from hecu.model import (
     averaged_remainder,
     averaged_remainder_sup,
     averaging_change,
-    default_physical,
     h0_mcgehee,
     hamiltonian_mcgehee,
     load_config,
     nu_from_physical,
     params_for_nu_I0,
-    physical_corrugation,
 )
 from oracles import (
     Cartesian,
@@ -32,8 +30,8 @@ from oracles import (
     vector_field_cartesian,
 )
 
-PHYS = default_physical()
-SERIES = physical_corrugation()
+PHYS = PhysicalParams()
+SERIES = CorrugationSeries()
 
 
 def test_potential_at_zero():
@@ -219,7 +217,7 @@ def test_hamiltonian_mcgehee_q1(params):
 
 
 def test_h1_proportional_to_epsilon(params):
-    p0 = params.with_epsilon(0.0)
+    p0 = ModelParams(params.physical, params.I0, epsilon=0.0)
     state = (0.8, 0.3, 2.2, 0.05)
     assert hamiltonian_mcgehee(state, p0) == pytest.approx(
         h0_mcgehee(0.8, 0.3, 0.05, p0), rel=1e-15)
@@ -314,11 +312,11 @@ def test_averaged_remainder_sup_matches_scalar_loop():
     # the one array evaluation against the point-by-point loop it replaced
     params = params_for_nu_I0(20.0)
     ref = max(abs(averaged_remainder((Q, P, Th, K), params))
-              for Q in np.linspace(0.0, 1.0, 3)
-              for P in np.linspace(-1.0, 1.0, 3)
+              for Q in np.linspace(0.0, 1.0, 9)
+              for P in np.linspace(-1.0, 1.0, 9)
               for K in np.linspace(-0.5, 0.5, 5)
               for Th in np.linspace(0.0, 2 * math.pi, 24, endpoint=False))
-    assert averaged_remainder_sup(params, n_grid=3) == pytest.approx(ref, rel=1e-12)
+    assert averaged_remainder_sup(params) == pytest.approx(ref, rel=1e-12)
 
 
 def test_averaging_preserves_b_form(params):
@@ -340,11 +338,6 @@ def test_averaging_preserves_b_form(params):
     assert np.max(np.abs(defect)) < 1e-10
 
 
-def test_modelparams_validates_nu():
-    with pytest.raises(DomainError):
-        ModelParams(physical=PHYS, nu=10.0, I0=0.5)
-
-
 def test_corrugation_decay_bound():
     # finite series: coefficients beyond the truncation vanish identically
     for k in range(3, 12):
@@ -355,12 +348,14 @@ def test_load_config(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text(
         "[physical]\nD = 6.35\na = 3.6\nalpha = 1.05\nm = 4.002602\n"
-        "r = 0.06,0.008\n\n[model]\nI0 = 0.5\nepsilon = 0.25\n"
+        "r = 0.06,0.008\n"
     )
-    params = load_config(cfg)
-    assert params.I0 == 0.5
-    assert params.epsilon == 0.25
-    assert params.series.cos_coeffs[:2] == (0.06, 0.008)
+    physical = load_config(cfg)
+    assert isinstance(physical, PhysicalParams)
+    assert physical == PhysicalParams()
+    assert physical.corrugation.cos_coeffs[:2] == (0.06, 0.008)
+    # nu follows from the surface
+    params = params_for_nu_I0(6.0, physical=physical)
     assert params.nu == pytest.approx(11.051879175935, rel=1e-11)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hecu.integrate import IntegratorConfig, integrate_mcgehee
-from hecu.model import CorrugationSeries, DomainError, params_for_nu_I0, physical_corrugation
+from hecu.model import CorrugationSeries, DomainError, params_for_nu_I0
 from hecu.separatrix import (
     dphi0,
     melnikov_coeff_closed,
@@ -14,7 +14,7 @@ from hecu.separatrix import (
 )
 from oracles import l_out_minus, l_out_plus, melnikov_dtheta, melnikov_potential, phi0
 
-SERIES = physical_corrugation()
+SERIES = CorrugationSeries()
 
 
 def test_separatrix_at_zero():
