@@ -141,7 +141,7 @@ def criterion_6() -> CriterionResult:
         diff = inner_mod.extract_fk(params, ks=(1,))
         diffs[eps] = diff
         ratios.append(diff.f1.real / eps)
-    lead = -math.pi * 0.06 / 8.0
+    lead = -math.pi * CorrugationSeries().cos_coeffs[0] / 8.0
     mag_dev = abs(abs(ratios[-1]) - abs(lead)) / abs(lead)
     conv = abs(ratios[1] - ratios[0]) / abs(ratios[1])
     im_ratio = diffs[1e-3].diagnostics["im_f1_offaxis_ratio"]
@@ -182,20 +182,27 @@ def _lab(cache: dict):
     return cache["lab"]
 
 
+def _family(cache: dict):
+    """The lab's strips base+1 ... base+4, built once per run: criterion 9
+    verifies them, criterion 10 shadows in them, whichever runs first."""
+    if "family" not in cache:
+        lab = _lab(cache)
+        cache["family"] = build_strips(lab, (lab.base_count + 1, lab.base_count + 4))
+    return cache["family"]
+
+
 def criterion_8(cache: dict) -> CriterionResult:
     # truncated-model oracle
     worst_trunc = 0.0
     for u0 in (1e-2, 1e-4):
-        v1, _ = truncated_local_map(u0, 0.1)
+        v1, _ = truncated_local_map(u0)
         worst_trunc = max(worst_trunc, abs(v1 - u0))
     # full-model exponents, manifold-anchored: u0 past W^s on entry, v1
     # past W^u on exit
     lab = _lab(cache)
-    params = lab.params
-    chart = lab.chart
     u0s = np.logspace(-2, -6, 5)
     theta0 = lab.branch.theta[0]
-    v1, th1 = local_map(params, chart, u0s + lab.ws_u(theta0), theta0)
+    v1, th1 = local_map(lab.params, u0s + lab.ws_u(theta0), theta0)
     v1s = v1 - lab.wu_local(th1)
     dts = th1 - theta0
     p_v = np.polyfit(np.log(u0s), np.log(np.abs(v1s)), 1)[0]
@@ -210,11 +217,7 @@ def criterion_8(cache: dict) -> CriterionResult:
 
 
 def criterion_9(cache: dict) -> CriterionResult:
-    lab = _lab(cache)
-    family = cache.get("family")
-    if family is None:
-        family = build_strips(lab, (lab.base_count + 1, lab.base_count + 4))
-        cache["family"] = family
+    lab, family = _lab(cache), _family(cache)
     report = verify_cones(lab, family, samples_per_strip=200)
     itinerary = shadow_orbit(lab, family, (2, 3, 2))
     ok = (report.passed and report.n_samples >= 800 and itinerary.achieved
@@ -235,9 +238,7 @@ def criterion_9(cache: dict) -> CriterionResult:
 
 
 def criterion_10(cache: dict) -> CriterionResult:
-    lab = _lab(cache)
-    family = cache.get("family")
-    demo = oscillatory_demo(lab.params, k=3, z_ret=8.0, lab=lab, family=family)
+    demo = oscillatory_demo(_lab(cache), _family(cache), 3, 8.0)
     maxima = demo["maxima"]
     ok = (len(maxima) >= 3 and demo["strictly_increasing"]
           and demo["returns_below"] and demo["itinerary"].achieved)

@@ -261,9 +261,10 @@ def _cmd_inner(args) -> int:
         "epsilon": eps_values, "kmax": args.kmax, "modes": args.modes,
         "tol": args.tol, "config": args.config, "surface": _surface_record(physical)})
     f1 = diff.f[1].real / eps_values[-1]
+    r1 = physical.corrugation.cos_coeffs[0]
     print(f"f1/eps = {f1:.8f}; paper variants: pi r1/2 = "
-          f"{math.pi * 0.06 / 2:.8f}, pi r1/4 = {math.pi * 0.06 / 4:.8f}, "
-          f"Melnikov-implied pi r1/8 = {math.pi * 0.06 / 8:.8f}")
+          f"{math.pi * r1 / 2:.8f}, pi r1/4 = {math.pi * r1 / 4:.8f}, "
+          f"Melnikov-implied pi r1/8 = {math.pi * r1 / 8:.8f}")
     print(f"wrote {run.out_dir / 'inner.csv'}")
     return 0
 
@@ -314,10 +315,12 @@ def _cmd_horseshoe(args) -> int:
 
 
 def _cmd_oscillate(args) -> int:
-    from .horseshoe import oscillatory_demo
+    from .horseshoe import build_strips, oscillatory_demo, setup_horseshoe
     run = _Run(Path(args.out), "oscillate")
     params = _operating_point(args)
-    demo = oscillatory_demo(params, k=args.k, z_ret=args.zret)
+    lab = setup_horseshoe(params)
+    family = build_strips(lab, (lab.base_count + 1, lab.base_count + args.k))
+    demo = oscillatory_demo(lab, family, args.k, args.zret)
     orbit = demo["orbit"]
     rows = list(zip(orbit["t"], orbit["x"], orbit["z"], orbit["p_x"],
                     orbit["p_z"]))

@@ -117,9 +117,11 @@ class PhysicalParams:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.D, self.a, self.alpha, self.m)):
             raise DomainError("D, a, alpha, m must all be positive and finite")
-        if not 1e-150 < self.a * self.alpha < 1e150:
-            raise DomainError(f"a alpha = {self.a * self.alpha:g} puts nu = (4 pi / (a alpha))^2 "
-                              "outside the floats")
+        # Real surfaces sit well inside [0.1, 100] (the fitted one has 3.78).  Far
+        # out the HJ solve stops contracting (a alpha ~ 1e-3), the splitting sinks
+        # into its noise floor (~1e5) and the energy overflows (~1e100).
+        if not 0.1 <= self.a * self.alpha <= 100.0:
+            raise DomainError(f"a alpha = {self.a * self.alpha:g} lies outside [0.1, 100]")
 
     # Transform constants between Cartesian and regularized variables.
     @property
@@ -253,19 +255,19 @@ def averaged_remainder_sup(params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 # config key (configparser folds keys to lower case) -> PhysicalParams or
-# CorrugationSeries field
-_CONFIG_KEYS = {"d": "D", "a": "a", "alpha": "alpha", "m": "m",
-                "r": "cos_coeffs", "s": "sin_coeffs"}
+# CorrugationSeries field; no key sets sine coefficients, as the sheets'
+# reversor image, the lab's W^s trace and the inner mirror assume an even V.
+_CONFIG_KEYS = {"d": "D", "a": "a", "alpha": "alpha", "m": "m", "r": "cos_coeffs"}
 
 
 def load_config(path) -> PhysicalParams:
     """The surface of a `key = value` config file: its one section [physical].
 
-    Keys D, a, alpha and m take a number, r and s a list of cos and sin
-    coefficients (comma- or space-separated); a missing key keeps its
-    PhysicalParams default, and nu follows from a and alpha.  A missing
-    file, any other section, an unknown key or a value that is not a finite
-    number raises DomainError.
+    Keys D, a, alpha and m take a number, r the list of cos coefficients of
+    the even corrugation (comma- or space-separated); a missing key keeps
+    its PhysicalParams default, and nu follows from a and alpha.  A missing
+    file, any other section, an unknown key (s, the sine coefficients,
+    included) or a value that is not a finite number raises DomainError.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -279,13 +281,13 @@ def load_config(path) -> PhysicalParams:
     fields = {}
     for key, text in cp["physical"].items():
         if key not in _CONFIG_KEYS:
-            raise DomainError(f"unknown config key {key!r}: [physical] takes D, a, alpha, m, r, s")
+            raise DomainError(f"unknown config key {key!r}: [physical] takes D, a, alpha, m, r")
         try:
             fields[_CONFIG_KEYS[key]] = (
-                float(text) if key not in ("r", "s")
+                float(text) if key != "r"
                 else tuple(float(tok) for tok in text.replace(",", " ").split()))
         except ValueError:
             raise DomainError(f"config key {key!r}: not a number in {text!r}") from None
     # PhysicalParams and CorrugationSeries reject a value that is not finite
-    series = {k: fields.pop(k) for k in ("cos_coeffs", "sin_coeffs") if k in fields}
+    series = {"cos_coeffs": fields.pop("cos_coeffs")} if "cos_coeffs" in fields else {}
     return PhysicalParams(**fields, corrugation=CorrugationSeries(**series))

@@ -37,7 +37,7 @@ from scipy.optimize import brentq
 from hecu.fourier import (ModeField, NonContractionError, PicardStep, _filon_transport,
                           _filon_weights, hermite, ibp_tail, modes_to_values, osc_integral,
                           powerlaw_tail)
-from hecu.horseshoe import (_N_FIBERS, LocalChart, MapCounters, PassageError, _TrigCurve,
+from hecu.horseshoe import (_N_FIBERS, MapCounters, PassageError, _TrigCurve,
                             _build_branch, _orient_lab, _run_fibers)
 from hecu.manifolds import RootCountError, solve_hj_unstable
 from hecu.inner import theta_v_constant
@@ -360,7 +360,7 @@ def picard_solve_reference(primary: ModeField, freq: float, profile: np.ndarray,
 _BISECTION_ROUNDS = (6, 6, 6)
 
 
-def crossing_by_bisection(params, chart, graph, wu_local, lo_p, hi_p, r_lo, counters):
+def crossing_by_bisection(params, graph, wu_local, lo_p, hi_p, r_lo, counters):
     """Seed angle of the crossing of the W^s and W^u traces in the fibre
     bracket [lo_p, hi_p], where r = v_s - v_u is r_lo at lo_p: the midpoint
     of the bracket an 18-step bisection ends on; None where a fibre fails.
@@ -371,7 +371,7 @@ def crossing_by_bisection(params, chart, graph, wu_local, lo_p, hi_p, r_lo, coun
     for bits in _BISECTION_ROUNDS:
         n = 2 ** bits
         grid = lo_p + (hi_p - lo_p) * np.arange(n + 1) / n
-        _, _, th2, u2, kind = _run_fibers(params, chart, graph, grid[1:-1], counters)
+        _, _, th2, u2, kind = _run_fibers(params, graph, grid[1:-1], counters)
         r, ok = u2 - wu_local(-th2), kind == ""
         a, b = 0, n
         for _ in range(bits):
@@ -398,11 +398,10 @@ def setup_horseshoe_bisected(params):
 
     Returns the lab and the `MapCounters` of its bisection rounds.
     """
-    chart = LocalChart()
     graph = solve_hj_unstable(params)
     thetas0 = np.linspace(0.0, 2.0 * math.pi, _N_FIBERS, endpoint=False)
     spacing = thetas0[1] - thetas0[0]
-    th1, v1, th2, u2, kind = _run_fibers(params, chart, graph, thetas0, MapCounters())
+    th1, v1, th2, u2, kind = _run_fibers(params, graph, thetas0, MapCounters())
     if (kind != "").any():
         raise PassageError("a W^u fibre failed")
     wu_local = _TrigCurve(np.fmod(th1, 2.0 * math.pi), v1)
@@ -411,13 +410,12 @@ def setup_horseshoe_bisected(params):
     for j in range(_N_FIBERS):
         if not (h[j] == 0.0 or h[j] * h[(j + 1) % _N_FIBERS] < 0):
             continue
-        star = crossing_by_bisection(params, chart, graph, wu_local, thetas0[j],
+        star = crossing_by_bisection(params, graph, wu_local, thetas0[j],
                                      thetas0[j] + spacing, h[j], bisection)
         if star is None:
             continue
-        walked = _build_branch(params, chart, graph, wu_local, star, spacing, MapCounters())
-        lab = None if walked is None else _orient_lab(params, chart, wu_local, walked,
-                                                     MapCounters())
+        walked = _build_branch(params, graph, wu_local, star, spacing, MapCounters())
+        lab = None if walked is None else _orient_lab(params, wu_local, walked, MapCounters())
         if lab is not None:
             return lab, bisection
     raise PassageError("no homoclinic crossing produced a returning rectangle")

@@ -8,7 +8,7 @@ points at its criterion.
 
 import pytest
 
-from hecu.acceptance import run_all
+from hecu.acceptance import criterion_10, run_all
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,15 @@ def test_criterion_09_records_one_batch_strips_and_start(results):
 
 def test_criterion_10_oscillatory_witness(results):
     _check(results, 10)
+
+
+def test_criterion_10_is_the_same_alone_and_after_criterion_9(results):
+    # criterion 10 shadows in criterion 9's strips whichever runs first: on a
+    # fresh cache it builds them itself, and its maxima, itinerary and
+    # counters equal those of the run that shares them with criterion 9
+    alone = criterion_10({})
+    assert alone.passed
+    assert alone.values == results[10].values
 
 
 def test_criterion_11_poincare_cartan_consistency(results):

@@ -12,7 +12,10 @@ the independent oracles).
 
 Every defaulted parameter of a function in src/hecu must be set by some call
 in src/hecu or perfbench/, apart from the named exemptions: a value that
-only tests change is a module constant, which a test can monkeypatch.
+only tests change is a module constant, which a test can monkeypatch.  A
+call through a module that is not hecu's, such as ``subprocess.run``, sets
+no parameter of hecu's, and every exemption must exempt a parameter that no
+call sets.
 """
 
 import ast
@@ -112,18 +115,45 @@ PARAMETER_EXEMPTIONS = {
 }
 
 
+def _foreign_names(tree: ast.Module) -> set[str]:
+    """Names an import binds to a module that is not hecu's, or to a name
+    from one: ``np`` of ``import numpy as np``, ``run`` of ``from subprocess
+    import run``.  An import relative to the package is hecu's."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] != "hecu"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] != "hecu":
+                names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def _call_root(func: ast.expr):
+    """The name a callee expression starts from: ``subprocess`` of
+    ``subprocess.run``, ``f`` of ``f``; None for any other start."""
+    while isinstance(func, ast.Attribute):
+        func = func.value
+    return func.id if isinstance(func, ast.Name) else None
+
+
 def _call_signatures() -> dict[str, list[tuple[float, set]]]:
     """Callee name -> (positional arguments, keywords) of each call in
     src/hecu and perfbench/.
 
     A callee is named by an identifier or an attribute; a starred argument
     reaches every position and a ``**`` argument (keyword None) every
-    keyword."""
+    keyword.  A call through a module that is not hecu's (``subprocess.run``)
+    or of a name imported from one calls no function of hecu, and is
+    skipped."""
     calls = {}
     paths = [*(ROOT / "src" / "hecu").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     for path in paths:
-        for node in ast.walk(_parse(path)):
-            if not isinstance(node, ast.Call):
+        tree = _parse(path)
+        foreign = _foreign_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or _call_root(node.func) in foreign:
                 continue
             callee = getattr(node.func, "id", getattr(node.func, "attr", None))
             starred = any(isinstance(a, ast.Starred) for a in node.args)
@@ -167,3 +197,10 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     constants = [where for key, where in unset.items() if key not in PARAMETER_EXEMPTIONS]
     assert not constants, ("a default that no caller in src/hecu or perfbench/ changes is a "
                            "constant:\n" + "\n".join(constants))
+
+
+def test_every_exemption_is_in_use():
+    # an exemption whose parameter some call sets, or that names no defaulted
+    # parameter, exempts nothing
+    stale = set(PARAMETER_EXEMPTIONS) - set(unset_parameters())
+    assert not stale, f"exemptions that exempt nothing: {sorted(stale)}"

@@ -107,8 +107,12 @@ def test_melnikov_with_config(tmp_path):
     "[physical]\nr = 0.06, x\n",
     "[physical]\na = 1e300\n",
     "alpha = 1.1\n",
+    "[physical]\nr = 0.06\ns = 0.06\n",
+    "[physical]\na = 1e100\n",
+    "[physical]\na = 1e60\n",
 ], ids=["model-section", "model-I0", "misspelt-section", "misspelt-key", "a-inf",
-        "alpha-1e400", "m-abc", "r-abc", "a-nu-underflow", "no-section"])
+        "alpha-1e400", "m-abc", "r-abc", "a-nu-underflow", "no-section", "odd-corrugation",
+        "a-1e100", "a-1e60"])
 @pytest.mark.parametrize("argv", [
     ["melnikov", "--nuI0", "5"],
     ["splitting", "--nuI0", "5"],
@@ -118,7 +122,10 @@ def test_melnikov_with_config(tmp_path):
 ], ids=["melnikov", "splitting", "inner", "horseshoe", "oscillate"])
 def test_bad_config_is_a_configuration_error(tmp_path, text, argv, capsys, monkeypatch):
     # the config file holds only the surface, [physical]; anything else in it
-    # is rejected before any work and writes nothing
+    # is rejected before any work and writes nothing.  So are sine
+    # coefficients s, which the even-corrugation symmetries do not allow, and
+    # an a alpha far from a surface's (the energy overflows at a = 1e100, and
+    # the noise floor reads 0 at a = 1e60)
     def no_work(*args, **kwargs):
         raise AssertionError("a solve ran")
 
@@ -217,6 +224,19 @@ def test_inner_prints_f1_of_the_last_epsilon(tmp_path, capsys):
     f1 = [float(row[2]) for row in rows if float(row[0]) == 2e-3 and row[1] == "1"]
     assert len(rows) == 4 and len(f1) == 1
     assert printed == f"{f1[0] / 2e-3:.8f}"
+
+
+def test_inner_prints_the_variants_of_the_surface_r1(tmp_path, capsys):
+    # the paper's variants take r1 of the loaded surface, and f1/eps follows it
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("[physical]\nr = 0.1\n")
+    assert run(["inner", "--epsilon", "1e-3", "--kmax", "1", "--config", str(cfg),
+                "--out", str(tmp_path / "i")]) == 0
+    printed = capsys.readouterr().out
+    assert ("paper variants: pi r1/2 = 0.15707963, pi r1/4 = 0.07853982, "
+            "Melnikov-implied pi r1/8 = 0.03926991") in printed
+    f1 = float(printed.split("f1/eps = ")[1].split(";")[0])
+    assert f1 == pytest.approx(-math.pi * 0.1 / 8, rel=0.01)
 
 
 def test_inner_manifest_counts_weight_tables(tmp_path):

@@ -8,11 +8,11 @@ from scipy.integrate import solve_ivp
 from hecu import horseshoe
 from hecu.horseshoe import (
     HorseshoeLab,
-    LocalChart,
     PassageError,
     ShadowingError,
     Strip,
     StripFamily,
+    _CHART,
     _ETA_GRID,
     _StableBranch,
     _TrigCurve,
@@ -96,30 +96,28 @@ def test_reduced_field_matches_full_ratio():
 
 
 def test_chart_roundtrip():
-    chart = LocalChart()
     rng = np.random.default_rng(3)
     for _ in range(50):
         q = rng.uniform(0.0, 0.6)
         p = rng.uniform(-0.4, 0.4)
-        u, v = chart.to_chart(q, p)
-        q2, p2 = chart.from_chart(u, v)
+        u, v = _CHART.to_chart(q, p)
+        q2, p2 = _CHART.from_chart(u, v)
         assert q2 == pytest.approx(q, abs=1e-12)
         assert p2 == pytest.approx(p, abs=1e-12)
 
 
 def test_adapted_chart_straightens_separatrix():
-    chart = LocalChart()
     for u in (-12.0, -6.0, -3.0):
         q, p = float(q_h(u)), float(p_h(u))
-        cu, cv = chart.to_chart(q, p)
+        cu, cv = _CHART.to_chart(q, p)
         assert abs(cv) < 1e-15          # outgoing branch sits on v = 0
-        cu2, cv2 = chart.to_chart(q, -p)
+        cu2, cv2 = _CHART.to_chart(q, -p)
         assert abs(cu2) < 1e-15         # incoming branch sits on u = 0
 
 
 def test_truncated_local_map_exact():
     for u0 in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        v1, transit = truncated_local_map(u0, 0.1)
+        v1, transit = truncated_local_map(u0)
         assert abs(v1 - u0) < 1e-12
 
 
@@ -127,30 +125,28 @@ def test_truncated_transit_exponent():
     # the arctan prefactor of the exact transit time biases the finite-range
     # fit to about -0.548; the acceptance window is +-0.05 around -1/2
     u0s = np.logspace(-2, -6, 5)
-    ts = [truncated_local_map(float(u), 0.1)[1] for u in u0s]
+    ts = [truncated_local_map(float(u))[1] for u in u0s]
     slope = np.polyfit(np.log(u0s), np.log(ts), 1)[0]
     assert abs(slope + 0.5) < 0.05
 
 
 def test_local_map_contract_rejects_bad_entry():
-    chart = LocalChart()
     with pytest.raises(DomainError):
-        local_map(PARAMS, chart, 0.05, 0.0)
+        local_map(PARAMS, 0.05, 0.0)
     with pytest.raises(DomainError):
-        local_map(PARAMS, chart, -1e-3, 0.0)
+        local_map(PARAMS, -1e-3, 0.0)
     with pytest.raises(DomainError):
-        local_map(PARAMS, chart, np.array([1e-3, 0.05]), 0.0)
+        local_map(PARAMS, np.array([1e-3, 0.05]), 0.0)
 
 
 def test_local_map_returns_small_v():
-    chart = LocalChart()
-    v1, th1 = local_map(PARAMS, chart, 1e-3, 0.0)
+    v1, th1 = local_map(PARAMS, 1e-3, 0.0)
     # passage conserves the adapted product up to corrugation wobble
     assert v1 == pytest.approx(1e-3, rel=0.2)
     assert th1 > 2 * math.pi  # at least one full angle period near the corner
 
 
-def _scipy_passage(params, chart, y0, theta0, which, direction, theta_max,
+def _scipy_passage(params, y0, theta0, which, direction, theta_max,
                    rtol=1e-11, atol=1e-12):
     """Reference passage: scipy's DOP853 with terminal events on the same
     sections, on the same field (the lane field, in s = theta - theta0)."""
@@ -164,8 +160,8 @@ def _scipy_passage(params, chart, y0, theta0, which, direction, theta_max,
     lane = horseshoe._reduced_rhs_lanes(params, np.array([theta0]))
     res = solve_ivp(lambda s, y: lane(s, y[:, None])[:, 0], (0.0, theta_max),
                     np.asarray(y0, dtype=float), method="DOP853", rtol=rtol, atol=atol,
-                    events=[event(_masked_section(chart, which), direction),
-                            event(_escape_section(chart), -1)])
+                    events=[event(_masked_section(which), direction),
+                            event(_escape_section(), -1)])
     assert res.success
     if res.t_events[0].size:
         return "section", theta0 + float(res.t_events[0][0]), res.y_events[0][0]
@@ -174,18 +170,16 @@ def _scipy_passage(params, chart, y0, theta0, which, direction, theta_max,
     return "timeout", theta0 + float(res.t[-1]), res.y[:, -1]
 
 
-def _one_lane(chart, y0, theta0, which, direction, theta_max):
+def _one_lane(y0, theta0, which, direction, theta_max):
     """One passage as a one-lane `_lanes_to_section`: (kind, theta, (q, p))."""
-    kind, th, y = _lanes_to_section(PARAMS, chart, np.reshape(y0, (2, 1)), np.array([theta0]),
+    kind, th, y = _lanes_to_section(PARAMS, np.reshape(y0, (2, 1)), np.array([theta0]),
                                     which, direction, theta_max)
     return kind[0], th[0], y[:, 0]
 
 
 def _assert_matches_scipy(y0, theta0, which, direction, theta_max):
-    chart = LocalChart()
-    kind, th, y = _one_lane(chart, y0, theta0, which, direction, theta_max)
-    ref_kind, ref_th, ref_y = _scipy_passage(PARAMS, chart, y0, theta0, which,
-                                             direction, theta_max)
+    kind, th, y = _one_lane(y0, theta0, which, direction, theta_max)
+    ref_kind, ref_th, ref_y = _scipy_passage(PARAMS, y0, theta0, which, direction, theta_max)
     assert kind == "" and ref_kind == "section"
     assert abs(th - ref_th) <= 1e-11
     assert np.max(np.abs(y - ref_y)) <= 1e-14
@@ -194,26 +188,23 @@ def _assert_matches_scipy(y0, theta0, which, direction, theta_max):
 @pytest.mark.parametrize("v0, theta0", [(2e-4, 0.0), (1e-3, 2.0), (5e-3, 3.0), (2e-2, 5.0)])
 def test_global_leg_matches_scipy_events(v0, theta0):
     # Sigma0 -> Sigma1 excursions of global_map
-    chart = LocalChart()
-    _assert_matches_scipy(chart.from_chart(horseshoe._CHART_A, v0), theta0, "v", -1, 400.0)
+    _assert_matches_scipy(_CHART.from_chart(horseshoe._CHART_A, v0), theta0, "v", -1, 400.0)
 
 
 @pytest.mark.parametrize("u0, theta0", [(1e-3, 0.0), (1e-5, 0.0), (1e-4, 2.5)])
 def test_corner_leg_matches_scipy_events(u0, theta0):
     # Sigma1 -> Sigma0 corner passages of local_map, 600 to 7,000 rad long
-    chart = LocalChart()
-    _assert_matches_scipy(chart.from_chart(u0, horseshoe._CHART_A), theta0, "u", +1, 2.0e5)
+    _assert_matches_scipy(_CHART.from_chart(u0, horseshoe._CHART_A), theta0, "u", +1, 2.0e5)
 
 
 @pytest.mark.parametrize("u0", [-1e-4, -1e-3, -1e-2])
 def test_entry_past_stable_manifold_escapes(u0):
     # these orbits slide toward q -> 0 with u < 0; without the escape
     # section they would creep until theta_max
-    chart = LocalChart()
-    kind, th, y = _one_lane(chart, chart.from_chart(u0, horseshoe._CHART_A), 0.0, "u", +1, 2.0e5)
+    kind, th, y = _one_lane(_CHART.from_chart(u0, horseshoe._CHART_A), 0.0, "u", +1, 2.0e5)
     assert kind == "escape"
     assert th < 2.0e3
-    u, v = chart.to_chart(y[0], y[1])
+    u, v = _CHART.to_chart(y[0], y[1])
     assert u < 0 and 2.0 * u + v == pytest.approx(0.0, abs=1e-12)
 
 
@@ -223,7 +214,7 @@ def test_passage_integration_failure_is_passage_error(monkeypatch):
                         lambda params, theta0: lambda s, y: np.array(
                             (y[1], 1.0 / (1.0 - (theta0 + s)))))
     with pytest.raises(PassageError, match="step"):
-        global_map(PARAMS, LocalChart(), 1e-3, 0.0)
+        global_map(PARAMS, _CHART, 1e-3, 0.0)
 
 
 def test_select_operating_point():
@@ -244,7 +235,7 @@ class _NoReturnLab(HorseshoeLab):
 def test_verify_cones_leaves_lab_tolerance():
     # every cone sample fails, so verify_cones raises; the lab keeps its rtol
     thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
-    lab = _NoReturnLab(PARAMS, LocalChart(), _TrigCurve(thetas, 1e-3 * np.cos(thetas)),
+    lab = _NoReturnLab(PARAMS, _TrigCurve(thetas, 1e-3 * np.cos(thetas)),
                        _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
                        s_tau=1.0, base_count=150, delta_q=1e-2,
                        law_c=12.0)
@@ -278,7 +269,7 @@ class _ExpandingLab(HorseshoeLab):
 
 def _expanding_family(lab_cls):
     thetas = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
-    lab = lab_cls(PARAMS, LocalChart(), _TrigCurve(thetas, np.zeros_like(thetas)),
+    lab = lab_cls(PARAMS, _TrigCurve(thetas, np.zeros_like(thetas)),
                   _StableBranch(v_rel=np.array([-1e-3, 1e-2]), theta=np.array([0.0, 1.0])),
                   s_tau=1.0, base_count=150, delta_q=1e-2,
                   law_c=lab_cls.C / math.sqrt(5e-3))
@@ -572,7 +563,7 @@ def _fake_walk(monkeypatch, r_of, failed=()):
     """The walk's fibres land at angle seed with r = r_of(seed - star), lane 0
     being star; the lanes in `failed` escape.  No return may run."""
 
-    def run_fibers(params, chart, graph, thetas0, counters):
+    def run_fibers(params, graph, thetas0, counters):
         kind = np.full(thetas0.shape, "", dtype=object)
         kind[list(failed)] = "escape"
         th2 = np.where(kind == "", -thetas0, np.nan)
@@ -587,8 +578,7 @@ def _fake_walk(monkeypatch, r_of, failed=()):
     monkeypatch.setattr(HorseshoeLab, "return_maps_raw", no_return)
     wu = _TrigCurve(np.linspace(0.0, 2 * math.pi, 32, endpoint=False), np.zeros(32))
     counters = horseshoe.MapCounters()
-    return horseshoe._build_branch(PARAMS, LocalChart(), None, wu, 1.0, _SPACING,
-                                   counters), counters
+    return horseshoe._build_branch(PARAMS, None, wu, 1.0, _SPACING, counters), counters
 
 
 def test_branch_folded_at_the_crossing_is_passed_over(monkeypatch):
@@ -684,9 +674,11 @@ def test_return_maps_match_single_returns(real_lab):
 
 @pytest.fixture(scope="module")
 def witness(real_lab):
-    """The oscillatory witness at the operating point, k = 3, and the
-    integrator runs of its lift on the full field, counted where
-    `oscillatory_demo` looks them up."""
+    """The oscillatory witness at the operating point, k = 3, in the strips
+    base+1 ... base+3 that `hecu oscillate` builds, and the integrator runs
+    of its lift on the full field, counted where `oscillatory_demo` looks
+    them up."""
+    family = build_strips(real_lab, (real_lab.base_count + 1, real_lab.base_count + 3))
     runs = []
 
     def counted(fn):
@@ -699,7 +691,7 @@ def witness(real_lab):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(horseshoe, "first_crossing", counted(horseshoe.first_crossing))
         mp.setattr(horseshoe, "integrate", counted(horseshoe.integrate))
-        demo = oscillatory_demo(real_lab.params, k=3, lab=real_lab)
+        demo = oscillatory_demo(real_lab, family, 3, 8.0)
     return demo, runs
 
 
@@ -766,5 +758,5 @@ def test_failed_lift_lane_raises_its_passage_kind(witness, real_lab, monkeypatch
     monkeypatch.setattr(horseshoe, "first_crossing", short)
     with pytest.raises(PassageError) as err:
         # the patched shadowing reads no family
-        oscillatory_demo(real_lab.params, k=3, lab=real_lab, family=object())
+        oscillatory_demo(real_lab, object(), 3, 8.0)
     assert err.value.kind == "timeout"

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hecu import integrate as engine
-from hecu.horseshoe import (_CHART_A, LocalChart, _escape_section, _masked_section,
+from hecu.horseshoe import (_CHART, _CHART_A, _escape_section, _masked_section,
                            _reduced_rhs_lanes)
 from hecu.integrate import (
     SPAN_END,
@@ -197,14 +197,13 @@ def test_lane_crossings_match_single_runs():
     # starts well past W^s: nearer, its crossing time is ill-conditioned
     # (u0 = -1e-3 moves it 5e-9 against a state that agrees to 3e-13).
     params = params_for_nu_I0(4.5, epsilon=1.0)
-    chart = LocalChart()
     a = _CHART_A
     starts = [(1.02 * a, 1e-3, 0.5), (1.02 * a, 5e-3, 3.0), (1e-3, 0.98 * a, 2.0),
               (-1e-2, 0.98 * a, 1.0), (1e-5, 0.98 * a, 4.0)]
-    y0 = np.array([chart.from_chart(u, v) for u, v, _ in starts]).T
+    y0 = np.array([_CHART.from_chart(u, v) for u, v, _ in starts]).T
     theta0 = np.array([th for _, _, th in starts])
-    sections = [(_masked_section(chart, "v"), -1), (_masked_section(chart, "u"), +1),
-                (_escape_section(chart), -1)]
+    sections = [(_masked_section("v"), -1), (_masked_section("u"), +1),
+                (_escape_section(), -1)]
     config = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
     span = (0.0, 3000.0)
     counters = IntegrationCounters()
