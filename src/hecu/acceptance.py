@@ -36,7 +36,8 @@ from .horseshoe import (
 )
 from .integrate import (IntegratorConfig, energy_drift, integrate, integrate_mcgehee,
                         mcgehee_rhs)
-from .model import CorrugationSeries, averaged_remainder_sup, nu_from_physical, params_for_nu_I0
+from .model import (CorrugationSeries, SolveError, averaged_remainder_sup, nu_from_physical,
+                    params_for_nu_I0)
 from .separatrix import melnikov_coeff_closed, melnikov_coeff_quadrature, p_h, q_h
 
 
@@ -311,8 +312,9 @@ def run_all(indices=None) -> list[CriterionResult]:
         try:
             res = fn(cache)
         except Exception as exc:  # a crashed criterion is a failed criterion
+            kind = f" ({exc.kind})" if isinstance(exc, SolveError) else ""
             res = CriterionResult(idx, f"criterion {idx}", False,
-                                  f"raised {type(exc).__name__}: {exc}")
+                                  f"raised {type(exc).__name__}{kind}: {exc}")
         res.seconds = time.time() - t0
         results.append(res)
         print(res.line() + f"  [{res.seconds:.1f} s]")

@@ -4,6 +4,10 @@ Every run resolves its configuration (defaults < config file < flags),
 writes deterministic artifacts into --out, and drops a run manifest with
 the resolved settings and a checksum per output file.  CSV fields carry 17
 significant digits; reruns with identical configuration are byte-identical.
+
+Exit codes: 0 success; 1 a check failed (or a crash); 2 a configuration
+error; 3 a solve failed in a classified way (`model.SolveError`), reported
+in one line with its kind.  Runs that exit 2 or 3 write nothing.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import (DomainError, ModelParams, PhysicalParams, load_config, nu_from_physical,
-                    params_for_nu_I0)
+from .model import (DomainError, ModelParams, PhysicalParams, SolveError, load_config,
+                    nu_from_physical, params_for_nu_I0)
 
 
 def _fmt(x) -> str:
@@ -460,6 +464,9 @@ def run(argv=None) -> int:
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except SolveError as exc:
+        print(f"solve failed ({exc.kind}): {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import SolveError
+
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
@@ -253,10 +255,6 @@ def hermite(x: np.ndarray, values: np.ndarray, slopes: np.ndarray, u):
 # the Picard fixed point Phi <- G(F(Phi))
 # ---------------------------------------------------------------------------
 
-class NonContractionError(RuntimeError):
-    """Picard iteration is not contracting, or did not converge within max_iter."""
-
-
 @dataclass
 class PicardStep:
     """The last Picard iterate and the signals the stop rule read."""
@@ -340,8 +338,9 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
     correction beyond the first iterate is measured, not left at zero; or
     at a residual of exactly zero (a zero source stops at iteration 1).
     Returns the last step, on |k| <= primary.M.
-    Raises NonContractionError when the ratio of successive differences
-    reaches 0.9, or when max_iter iterations do not converge.
+    Raises SolveError "non-contraction" when the ratio of successive
+    differences reaches 0.9, and "non-convergence" when max_iter iterations
+    do not converge.
     """
     x, M = primary.x, primary.M
     live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
@@ -419,11 +418,12 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
         prev_delta = delta
         phi, src = phi_new, src_new
         if ratio >= 0.9:
-            raise NonContractionError(f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
+            raise SolveError("non-contraction",
+                             f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
         if residual == 0.0 or (residual <= tol and it >= 2):
             return PicardStep(it, phi.padded(M), residual, ratio)
-    raise NonContractionError(f"no convergence to tol={tol} within {max_iter} iterations "
-                              f"(last residual {residual:.3e})")
+    raise SolveError("non-convergence", f"no convergence to tol={tol} within {max_iter} "
+                     f"iterations (last residual {residual:.3e})")
 
 
 def geometric_grid(x_end: float, h0: float, near_span: float,

@@ -46,7 +46,7 @@ from .integrate import (
     mcgehee_rhs,
 )
 from .manifolds import solve_hj_unstable, unstable_initial_conditions
-from .model import CorrugationSeries, DomainError, ModelParams, params_for_nu_I0
+from .model import CorrugationSeries, DomainError, ModelParams, SolveError, params_for_nu_I0
 
 _TWO_PI = 2.0 * math.pi
 
@@ -63,26 +63,6 @@ _CORNER_SPAN = 2.0e5
 # lane batches; it also moves the last digits of every return, so it stays
 # a separate constant.
 _PASSAGE_ATOL = 1e-12
-
-
-class PassageError(RuntimeError):
-    """Orbit left the working domain instead of completing the passage.
-
-    `kind` classifies a failed passage: "escape", "timeout", "underflow"
-    (step underflow) or "polish" (event polish miss); None for a failure
-    that is not one passage's."""
-
-    def __init__(self, message, kind=None):
-        super().__init__(message)
-        self.kind = kind
-
-
-class ShadowingError(RuntimeError):
-    """Shadowing failed; achieved holds the leg counts reached, if any."""
-
-    def __init__(self, message, achieved=()):
-        super().__init__(message)
-        self.achieved = tuple(achieved)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +181,15 @@ def _escape_section():
 
 # lane outcome of `first_crossing` -> failure kind of a passage; "" is a crossing
 _LANE_KINDS = {0: "", 1: "escape", **LANE_OUTCOMES}
-# failure kind -> what went wrong, for messages
-_FAILURES = {"escape": "escape", "timeout": "timeout", "underflow": "step underflow",
-             "polish": "event polish miss", "domain": "start outside the chart"}
 
 
 def _failure(what: str, kind: str) -> Exception:
-    """The exception of a single orbit whose passage ended in `kind`."""
-    message = f"{what} failed: {_FAILURES[kind]}"
-    return DomainError(message) if kind == "domain" else PassageError(message, kind)
+    """The exception of a single orbit whose passage ended in `kind`: a
+    SolveError of that kind, or a DomainError for a start outside the chart."""
+    if kind == "domain":
+        return DomainError(f"{what} failed: start outside the chart")
+    why = {"underflow": "step underflow", "polish": "event polish miss"}.get(kind, kind)
+    return SolveError(kind, f"{what} failed: {why}")
 
 
 def _lanes_to_section(params: ModelParams, y0: np.ndarray, theta0: np.ndarray, which: str,
@@ -232,9 +212,9 @@ def local_map(params: ModelParams, u0, theta0):
     """Corner passage Sigma1 -> Sigma0: (u0, a, theta0) -> (a, v1, theta1).
 
     u0 and theta0 are floats or arrays; the passages run as the lanes of one
-    batch, and (v1, theta1) has their broadcast shape.  Raises PassageError
-    if an orbit escapes along the other side of the stable manifold instead
-    of turning around the corner.
+    batch, and (v1, theta1) has their broadcast shape.  Raises SolveError
+    "escape" if an orbit escapes along the other side of the stable manifold
+    instead of turning around the corner.
     """
     u0, theta0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
                                      np.asarray(theta0, dtype=float))
@@ -279,7 +259,7 @@ def truncated_local_map(u0: float) -> tuple[float, float]:
     k, t1, y1 = first_crossing(rhs, (u0, _CHART_A), (0.0, 1e4 / math.sqrt(u0 * _CHART_A)),
                                [(hit, +1)], IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
     if k is None:
-        raise PassageError("truncated passage did not reach u = a", "timeout")
+        raise SolveError("timeout", "truncated passage did not reach u = a")
     return float(y1[1]), t1
 
 
@@ -464,7 +444,7 @@ class HorseshoeLab:
 
     def return_map_raw(self, v_raw: float, theta: float) -> tuple[float, float, int]:
         """One return Sigma0 -> Sigma0, a one-lane `return_maps_raw`: (v2,
-        theta2, completed angle periods); raises PassageError or DomainError
+        theta2, completed angle periods); raises SolveError or DomainError
         when it fails."""
         v2, th2, kind = self.return_maps_raw(np.array([v_raw], dtype=float),
                                              np.array([theta], dtype=float))
@@ -551,7 +531,7 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
     crossings = [j for j in range(_N_FIBERS)
                  if h[j] == 0.0 or h[j] * h[(j + 1) % _N_FIBERS] < 0]
     if not crossings:
-        raise PassageError("stable trace does not cross the unstable trace")
+        raise SolveError("geometry", "stable trace does not cross the unstable trace")
 
     spacing = thetas0[1] - thetas0[0]
     lab = None
@@ -565,7 +545,7 @@ def setup_horseshoe(params: ModelParams) -> HorseshoeLab:
         if lab is not None:
             break
     if lab is None:
-        raise PassageError("no homoclinic crossing produced a returning rectangle")
+        raise SolveError("geometry", "no homoclinic crossing produced a returning rectangle")
     lab.diagnostics["trace_residual"] = wu_local.residual
     lab.diagnostics["n_crossings"] = len(crossings)
     lab.diagnostics["counters"] = {phase: asdict(c) for phase, c in counters.items()}
@@ -705,8 +685,9 @@ def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess):
     more batch each time, _STENCIL_ROUNDS at most.
 
     Returns (roots, estimates, `Returns` of the last stencil).  Raises
-    PassageError when a root leaves (0, delta_q], a stencil lane fails (its
-    kind names the failure) or the stencils run out.
+    SolveError "non-convergence" when the stencils run out, "geometry" when
+    a root leaves (0, delta_q], and a failed stencil lane's kind when one
+    fails.
     """
     v_rel, target, guess = (np.asarray(x, dtype=float).ravel()
                             for x in np.broadcast_arrays(v_rel, target, guess))
@@ -726,8 +707,8 @@ def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess):
             ok, A = ret.ok[at], ret.advance[at]
             if not ok.all():
                 bad = ret.kind[at][np.argmin(ok)]
-                raise PassageError(f"edge stencil at v={v:.3e}: {np.count_nonzero(ok)} of "
-                                   f"{_STENCIL} returns, {bad}", bad)
+                raise SolveError(bad, f"edge stencil at v={v:.3e}: {np.count_nonzero(ok)} of "
+                                 f"{_STENCIL} returns, {bad}")
             y = _TWO_PI / A
             mid, half = 0.5 * (y.max() + y.min()), 0.5 * (y.max() - y.min())
             B, Bt = _edge_basis(A, mid, half), _edge_basis(target[mine], mid, half)
@@ -739,14 +720,14 @@ def _taus_at_advance(lab: HorseshoeLab, v_rel, target, guess):
         outside = ~((roots > 0.0) & (roots <= lab.delta_q))
         if outside.any():
             j = np.argmax(outside)
-            raise PassageError(f"advance {target[j]:.6g} has no root in the rectangle "
-                               f"at v={v_rel[j]:.3e} (fit at tau={roots[j]:.3e})")
+            raise SolveError("geometry", f"advance {target[j]:.6g} has no root in the rectangle "
+                             f"at v={v_rel[j]:.3e} (fit at tau={roots[j]:.3e})")
         if inside and np.all(est <= 3e-7 * roots):
             return roots, est, ret
         centre = roots
     j = int(np.argmax(est / roots))
-    raise PassageError(f"edge stencils for advance {target[j]:.6g} at v={v_rel[j]:.3e} "
-                       f"did not converge")
+    raise SolveError("non-convergence", f"edge stencils for advance {target[j]:.6g} "
+                     f"at v={v_rel[j]:.3e} did not converge")
 
 
 def build_strips(lab: HorseshoeLab, window: tuple[int, int],
@@ -758,9 +739,11 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     its guesses from the count law A = 2 pi law_c/sqrt(tau) (corner transit
     time) with the lab's constant; at the operating point that is one batch
     of _STENCIL returns per v-line.  A stencil return whose count is n is an
-    image point of H_n.  `diagnostics["counters"]` holds the `MapCounters`
-    of the phase, and `diagnostics["edge_error"]` the largest error estimate
-    of a boundary, relative to its tau.
+    image point of H_n; a strip with fewer than two raises SolveError
+    "unresolved", since mu_h and the Hausdorff distance need them.
+    `diagnostics["counters"]` holds the `MapCounters` of the phase, and
+    `diagnostics["edge_error"]` the largest error estimate of a boundary,
+    relative to its tau.
     """
     n_lo, n_hi = window
     if n_hi < n_lo:
@@ -780,13 +763,15 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
     for j, n in enumerate(range(n_lo, n_hi + 1), start=1):
         strips[n] = Strip(tau_lo=roots[j], tau_hi=roots[j - 1], v_grid=v_grid)
     images = {n: np.column_stack([ret.v_rel, ret.tau])[ret.count == n] for n in strips}
+    sparse = [f"strip {n} ({len(im)})" for n, im in images.items() if len(im) < 2]
+    if sparse:
+        raise SolveError("unresolved", "fewer than two image points in " + ", ".join(sparse))
 
     mu_v = max(st.lipschitz() for st in strips.values())
     mu_h = _image_lipschitz(images)
     fam = StripFamily(strips, images, mu_v=mu_v, mu_h=mu_h)
     fam.diagnostics["hausdorff"] = {
-        n: float(np.max(np.abs(im[:, 0]))) if im.size else math.nan
-        for n, im in images.items()}
+        n: float(np.max(np.abs(im[:, 0]))) for n, im in images.items()}
     fam.diagnostics["counters"] = asdict(counted.counters)
     fam.diagnostics["edge_error"] = float(np.max(est / roots.ravel()))
     _check_disjoint(strips)
@@ -796,8 +781,6 @@ def build_strips(lab: HorseshoeLab, window: tuple[int, int],
 def _image_lipschitz(images: dict) -> float:
     worst = 0.0
     for im in images.values():
-        if im.shape[0] < 2:
-            continue
         order = np.argsort(im[:, 1])
         tau = im[order, 1]
         v = im[order, 0]
@@ -814,7 +797,7 @@ def _check_disjoint(strips: dict) -> None:
         # strip b is deeper (closer to W^s): its upper boundary must stay
         # below strip a's lower boundary
         if not np.all(strips[b].tau_hi <= strips[a].tau_lo + 1e-15):
-            raise PassageError(f"strips {a} and {b} overlap")
+            raise SolveError("geometry", f"strips {a} and {b} overlap")
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +908,7 @@ def verify_cones(lab: HorseshoeLab, family: StripFamily,
     fd_worst = float(np.max(dev[checked], initial=0.0))
     D[:m][checked] = D4[checked]
     if not ok.any():
-        raise PassageError("no cone samples could be evaluated")
+        raise SolveError("geometry", "no cone samples could be evaluated")
     strip, sample_v, D = strip[ok], v[ok], D[ok]
 
     best = None
@@ -1022,8 +1005,9 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
     Near the passage
     noise floor the tau defect wanders, so the solve keeps its best iterate
     and stops after two iterates that do not improve on it.  Raises
-    ShadowingError when no iterate brings every leg defect to _LEG_DEFECT;
-    whether counts and margins certify the result is `achieved`.
+    SolveError "shadowing" when no iterate brings every leg defect to
+    _LEG_DEFECT; whether counts and margins certify the result is
+    `achieved`.
     """
     symbols = tuple(int(s) for s in symbols)
     if not symbols or any(s < 1 for s in symbols):
@@ -1074,7 +1058,7 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
         steps += 1
 
     if best is None:
-        raise ShadowingError("a leg from the start nodes did not return")
+        raise SolveError("shadowing", "a leg from the start nodes did not return")
     worst, nodes, legs, gaps = best
     advances = tuple(legs.advance.tolist())
     maps = lab.counters.lane_maps
@@ -1086,9 +1070,8 @@ def shadow_orbit(lab: HorseshoeLab, family: StripFamily, symbols) -> SymbolItine
         defects_tau=tuple(np.abs(gaps[:, 1]).tolist()),
         iterations=steps, return_maps=maps)
     if worst > _LEG_DEFECT:
-        raise ShadowingError(
-            f"leg defect {worst:.2e} above {_LEG_DEFECT:g} after {steps} Newton steps "
-            f"({maps} return maps)", achieved=itinerary.counts)
+        raise SolveError("shadowing", f"leg defect {worst:.2e} above {_LEG_DEFECT:g} after "
+                         f"{steps} Newton steps ({maps} return maps), counts {itinerary.counts}")
     return itinerary
 
 
@@ -1105,7 +1088,7 @@ def oscillatory_demo(lab: HorseshoeLab, family: StripFamily, k: int, z_ret: floa
     visits two sections in turn: a leg's height maximum is its first
     crossing of p = 0 falling (the corner's minimum of q), and the leg ends
     at its next crossing of Sigma0.  Both runs race the escape section, and
-    a lane that fails raises PassageError.  One dense run of the lanes gives
+    a lane that fails raises its SolveError.  One dense run of the lanes gives
     2000 samples per leg on [0, t_end), in Cartesian coordinates.  At the
     operating point the full flow reaches Sigma0 about 3e-6 rad past the
     leg's reduced advance (`arrival_gaps`), so at each junction the orbit
@@ -1114,8 +1097,8 @@ def oscillatory_demo(lab: HorseshoeLab, family: StripFamily, k: int, z_ret: floa
     """
     itinerary = shadow_orbit(lab, family, range(1, k + 1))
     if not itinerary.achieved:
-        raise ShadowingError("oscillatory itinerary not achieved",
-                             achieved=itinerary.counts)
+        raise SolveError("shadowing",
+                         f"oscillatory itinerary not achieved, counts {itinerary.counts}")
 
     params, advances = lab.params, np.array(itinerary.advances)
     v_raw, theta = lab.point(*np.array(itinerary.nodes).T)

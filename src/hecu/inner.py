@@ -80,13 +80,13 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
 
     F_in(T1) = -(nu/2)(d_theta T1)^2 - 2 v^2 (d_v T1)^2 + eps V/(8 v^2) at
     omega_k = k, solved by fourier.picard_solve to the residual tol, which
-    raises fourier.NonContractionError when the iteration does not contract
-    or does not converge within 60 iterations.  The line start acts as the
-    paper's distance kappa; depths below 8 are rejected (the contraction
-    constant degrades like 1/kappa).  The inner Melnikov layer L+_in, the
-    solve's first iterate, is one transport of the primary source.
-    diagnostics["filon_tables_built"] counts the weight tables this solve
-    added to its line's shared table.
+    raises SolveError "non-contraction" when the iteration does not contract
+    and "non-convergence" when it does not converge within 60 iterations.
+    The line start acts as the paper's distance kappa; depths below 8 are
+    rejected (the contraction constant degrades like 1/kappa).  The inner
+    Melnikov layer L+_in, the solve's first iterate, is one transport of
+    the primary source.  diagnostics["filon_tables_built"] counts the
+    weight tables this solve added to its line's shared table.
     """
     if depth < _MIN_DEPTH:
         raise DomainError(f"depth must be >= {_MIN_DEPTH} (kappa too small)")

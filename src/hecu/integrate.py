@@ -40,11 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DomainError,
-    ModelParams,
-    hamiltonian_mcgehee,
-)
+from .model import DomainError, ModelParams, SolveError, hamiltonian_mcgehee
 
 # Beyond this the signal nu*I0*e^{-nu*I0} sits within ~1e3 of double-precision
 # integration noise and measured splitting harmonics stop being trustworthy.
@@ -82,21 +78,6 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
-
-
-class StepUnderflowError(RuntimeError):
-    """Integration step fell under 1e-14: the orbit is effectively singular.
-
-    `lane` is the lane with the largest error in the last rejected step; it
-    is None when a finished run is found to hold a step below 1e-14."""
-
-    def __init__(self, message, lane=None):
-        super().__init__(message)
-        self.lane = lane
-
-
-class IntegrationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -146,11 +127,11 @@ class Trajectory:
         self.counters = counters
         self.n_rhs = counters.rhs_calls
         if not (np.all(np.diff(t) > 0) or np.all(np.diff(t) < 0)):
-            raise IntegrationError("trajectory times must be strictly monotone")
+            raise DomainError("trajectory times must be strictly monotone")
 
     def __call__(self, t):
         if self._coeffs is None:
-            raise IntegrationError("trajectory has no steps")
+            raise DomainError("trajectory has no steps")
         tt = np.asarray(t, dtype=float)
         idx = self._step_index(tt.ravel())
         x = (tt.ravel() - self.t[idx]) / (self.t[idx + 1] - self.t[idx])
@@ -254,9 +235,9 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
     interpolant and must be called before the next step.  y is (n, N) for
     N lanes.  `frozen` is a lane mask that the consumer may set between
     steps: a frozen lane's field is 0, so its state stands still and its
-    error is 0.  Adds the work to `counters`; raises
-    StepUnderflowError when the controller asks for a step below the
-    spacing limit.
+    error is 0.  Adds the work to `counters`; raises SolveError
+    "underflow", with the lane of the largest error, when the controller
+    asks for a step below the spacing limit.
     """
 
     if frozen is None:
@@ -315,9 +296,9 @@ def _steps(field, y, t_span, config: IntegratorConfig, counters: IntegrationCoun
         rejected = False
         while True:
             if h_abs < min_step:
-                raise StepUnderflowError(
-                    f"required step {h_abs:.3e} below the spacing limit at t = {t:.17g}",
-                    lane=int(np.argmax(lane_errors)))
+                raise SolveError(
+                    "underflow", f"required step {h_abs:.3e} below the spacing limit "
+                    f"at t = {t:.17g}", lane=int(np.argmax(lane_errors)))
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = np.float64(t_bound)
@@ -363,7 +344,7 @@ def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) 
     y0 of shape (n, N) is N lanes sharing every step, and field must map
     (n, N) to (n, N).  y0 of shape (n,) is one lane, field maps (n,) to
     (n,), and the trajectory is its 1-D view (`Trajectory.single`).
-    Deterministic given inputs.  Raises StepUnderflowError when the
+    Deterministic given inputs.  Raises SolveError "underflow" when the
     controller asks for steps below 1e-14.
     """
     field, y0, single = _as_lanes(field, y0)
@@ -377,7 +358,7 @@ def integrate(field, y0, t_span, config: IntegratorConfig = IntegratorConfig()) 
     times = np.array(times)
     steps = np.abs(np.diff(times))
     if steps.size and steps.min() < 1e-14:
-        raise StepUnderflowError(f"observed step {steps.min():.3e} below 1e-14")
+        raise SolveError("underflow", f"observed step {steps.min():.3e} below 1e-14")
 
     def lane_major(a):          # (..., n, N) -> (..., N, n)
         return np.ascontiguousarray(a.swapaxes(-1, -2))
@@ -442,7 +423,7 @@ def first_crossing(field, y0, t_span, sections,
 
     y0 of shape (n,) is one lane, and field maps (n,) to (n,).  Returns
     (k, t, y) for its crossing, or (None, t, y) at the end of t_span; raises
-    StepUnderflowError on an underflow and IntegrationError on a polish miss.
+    SolveError "underflow" on an underflow and "polish" on a polish miss.
     """
     counters = IntegrationCounters() if counters is None else counters
     field, y0, single = _as_lanes(field, y0)
@@ -502,7 +483,9 @@ def first_crossing(field, y0, t_span, sections,
                     break
             else:
                 break       # the end of t_span
-        except StepUnderflowError as exc:
+        except SolveError as exc:
+            if exc.kind != "underflow":
+                raise       # a polish that did not converge fails the run
             stop(exc.lane, UNDERFLOW, t_now, y_now[:, exc.lane])
     running = ~frozen
     y_out[:, running] = y_now[:, running]
@@ -510,9 +493,10 @@ def first_crossing(field, y0, t_span, sections,
         return kind, t_out, y_out
     k, t = int(kind[0]), float(t_out[0])
     if k == UNDERFLOW:
-        raise StepUnderflowError(f"step underflow or a non-finite state at t = {t:.17g}")
+        raise SolveError("underflow", f"step underflow or a non-finite state at t = {t:.17g}")
     if k == POLISH_MISS:
-        raise IntegrationError(f"event polish missed |g| <= {CROSSING_GTOL:g} at t = {t:.17g}")
+        raise SolveError("polish", f"event polish missed |g| <= {CROSSING_GTOL:g} "
+                         f"at t = {t:.17g}")
     return (None if k == SPAN_END else k), t, y_out[:, 0]
 
 
@@ -548,7 +532,7 @@ def _polish(g_at, a, b, ga, gb, width_tol) -> np.ndarray:
         gb = np.where(active, gc, gb)
         widths = [widths[1], np.abs(b - a)]
     else:
-        raise IntegrationError("event polish did not converge")
+        raise SolveError("polish", "event polish did not converge")
     return np.where(np.abs(gb) <= np.abs(ga), b, a)
 
 

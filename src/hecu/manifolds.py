@@ -30,18 +30,8 @@ from .integrate import (LANE_OUTCOMES, MAX_RELIABLE_NU_I0, SPAN_END, Integration
                         IntegratorConfig, _polish, first_crossing, mcgehee_rhs)
 # no sheet calls it; perfbench/layers.py wraps it here, so the name stays
 from .integrate import integrate_mcgehee  # noqa: F401
-from .model import DomainError, ModelParams, hamiltonian_mcgehee, params_for_nu_I0
+from .model import DomainError, ModelParams, SolveError, hamiltonian_mcgehee, params_for_nu_I0
 from .separatrix import dphi0, p_h, q_h
-
-
-class SignalBelowNoiseError(RuntimeError):
-    """Measured splitting amplitude is within 10x of the integrator noise floor."""
-
-
-class RootCountError(RuntimeError):
-    def __init__(self, roots):
-        super().__init__(f"expected 2 homoclinic roots per period, found {len(roots)}")
-        self.roots = roots
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +81,9 @@ def solve_hj_unstable(params: ModelParams, theta_modes: int = 8,
     F(Phi1) of the module docstring, with H1 = (eps/2) q_h^4 V, at omega_k =
     k nu I0, solved by fourier.picard_solve to the sup-residual tol.  The
     solve's first iterate is the Melnikov layer L+_out; the graph keeps only
-    the converged Phi1.  Raises fourier.NonContractionError when the
-    iteration does not contract (nu I0 too small) or does not converge
-    within 50 iterations.
+    the converged Phi1.  Raises SolveError "non-contraction" when the
+    iteration does not contract (nu I0 too small) and "non-convergence"
+    when it does not converge within 50 iterations.
     """
     x = geometric_grid(_HJ_U_MAX, h0=_HJ_H0, near_span=_HJ_NEAR_SPAN, x_far=_HJ_U_FAR)
     M = int(theta_modes)
@@ -216,8 +206,9 @@ def _sample_sheet(params: ModelParams, seeds: np.ndarray, t_end: float, branches
     order, and each one restarts the lanes from their crossings of the one
     before; the field is autonomous, so every restart begins at t = 0.
     t_end is the budget from the seed: a fiber that would reach a branch
-    later is a gap.  Raises RuntimeError on a gap, with the outcome of each
-    missing lane (its `LANE_OUTCOMES` name: timeout, underflow or polish).
+    later is a gap.  Raises SolveError on a gap, with the outcome of each
+    missing lane (its `LANE_OUTCOMES` name: timeout, underflow or polish);
+    the first missing lane's outcome is the kind.
     """
     n = seeds.shape[0]
     rhs = mcgehee_rhs(params)
@@ -236,8 +227,9 @@ def _sample_sheet(params: ModelParams, seeds: np.ndarray, t_end: float, branches
         missing = np.flatnonzero(kind != 0)
         if missing.size:
             why = ", ".join(f"lane {j}: {LANE_OUTCOMES[kind[j]]}" for j in missing)
-            raise RuntimeError(f"grid coverage gap at u={signed_u}: "
-                               f"{n - missing.size}/{n} fibers arrived ({why})")
+            raise SolveError(LANE_OUTCOMES[kind[missing[0]]],
+                             f"grid coverage gap at u={signed_u}: "
+                             f"{n - missing.size}/{n} fibers arrived ({why})")
         levels[signed_u] = SheetLevel(
             u=signed_u,
             theta0=seeds[:, 2].copy(),
@@ -313,8 +305,8 @@ def measure_splitting(unstable: Sheet, stable: Sheet, u: float, k: int = 1,
     """First-harmonic amplitude/phase of Delta J and Delta P at level u.
 
     The harmonics are projected on e^{ik theta'} with theta' = theta - nu I0 u.
-    Raises SignalBelowNoiseError when the J-amplitude is within 10x of the
-    integrator noise floor.
+    Raises SolveError "below-noise" when the J-amplitude is within 10x of
+    the integrator noise floor.
     """
     params = unstable.params
     lv_p = unstable.level(u)
@@ -325,8 +317,7 @@ def measure_splitting(unstable: Sheet, stable: Sheet, u: float, k: int = 1,
     noise = max(unstable.noise_floor, stable.noise_floor)
     amp_J = 2.0 * abs(gJ)
     if require_signal and amp_J < 10.0 * noise:
-        raise SignalBelowNoiseError(
-            f"amp_J={amp_J:.3e} below 10x noise floor {noise:.3e}")
+        raise SolveError("below-noise", f"amp_J={amp_J:.3e} below 10x noise floor {noise:.3e}")
     return SplittingSample(
         nu_I0=params.nu_I0, epsilon=params.epsilon, u=u, k=k,
         amp_J=amp_J, phase_J=float(np.angle(gJ)),
@@ -345,7 +336,7 @@ def find_homoclinics(unstable: Sheet, stable: Sheet, u: float) -> list[tuple[flo
     of the scan are polished together by `integrate._polish`, each on its
     scan interval mapped to x in [0, 1], to a bracket of 1e-13 in theta.
     Exactly two roots per period are expected; any other count raises
-    RootCountError carrying everything found.
+    SolveError "root-count".
     """
     lv_p, lv_m = unstable.level(u), stable.level(u)
     dk = np.array([lv_p.mode("P", k) - lv_m.mode("P", k) for k in range(-6, 7)])
@@ -367,7 +358,8 @@ def find_homoclinics(unstable: Sheet, stable: Sheet, u: float) -> list[tuple[flo
     roots = sorted((float(th % (2 * math.pi)),
                     (delta_p(th + h) - delta_p(th - h)) / (2 * h)) for th in found)
     if len(roots) != 2:
-        raise RootCountError(roots)
+        raise SolveError("root-count",
+                         f"expected 2 homoclinic roots per period, found {len(roots)}")
     return roots
 
 

@@ -19,6 +19,24 @@ class DomainError(ValueError):
     """Raised when an input lies outside an operation's domain."""
 
 
+# every way a solve can fail; README.md says where each one arises
+FAILURE_KINDS = ("non-contraction", "non-convergence", "escape", "timeout", "underflow",
+                 "polish", "geometry", "unresolved", "shadowing", "below-noise", "root-count")
+
+
+class SolveError(RuntimeError):
+    """A solve that failed in a classified way; `kind` is one of FAILURE_KINDS.
+
+    `lane` is the integration lane at fault in a step underflow, else None."""
+
+    def __init__(self, kind: str, message: str, lane: int | None = None):
+        if kind not in FAILURE_KINDS:
+            raise ValueError(f"unknown failure kind {kind!r}")
+        super().__init__(message)
+        self.kind = kind
+        self.lane = lane
+
+
 @dataclass(frozen=True)
 class CorrugationSeries:
     """Finite trigonometric corrugation profile.

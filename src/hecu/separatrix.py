@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .fourier import osc_integral
-from .model import CorrugationSeries, DomainError
+from .model import CorrugationSeries, DomainError, SolveError
 
 # Quadrature window: beyond |t| = T the tail is handled by three
 # integrations by parts, residual O(T^-7 / omega^4).
@@ -90,5 +90,5 @@ def melnikov_coeff_quadrature(k: int, nu_I0: float,
         return 0.0 + 0.0j
     val = complex(-0.5 * vk * _kernel_integral(k * nu_I0))
     if not np.isfinite(val):
-        raise RuntimeError(f"quadrature failed for k={k}, nu_I0={nu_I0}: {val}")
+        raise SolveError("non-convergence", f"quadrature failed for k={k}, nu_I0={nu_I0}: {val}")
     return val

@@ -34,14 +34,14 @@ from collections import namedtuple
 import numpy as np
 from scipy.optimize import brentq
 
-from hecu.fourier import (ModeField, NonContractionError, PicardStep, _filon_transport,
+from hecu.fourier import (ModeField, PicardStep, _filon_transport,
                           _filon_weights, hermite, ibp_tail, modes_to_values, osc_integral,
                           powerlaw_tail)
-from hecu.horseshoe import (_N_FIBERS, MapCounters, PassageError, _TrigCurve,
+from hecu.horseshoe import (_N_FIBERS, MapCounters, _TrigCurve,
                             _build_branch, _orient_lab, _run_fibers)
-from hecu.manifolds import RootCountError, solve_hj_unstable
+from hecu.manifolds import solve_hj_unstable
 from hecu.inner import theta_v_constant
-from hecu.model import DomainError
+from hecu.model import DomainError, SolveError
 from hecu.separatrix import _QUAD_T, _kern, _kern_d1, _kern_d2, melnikov_coeff_closed
 
 # ---------------------------------------------------------------------------
@@ -344,11 +344,12 @@ def picard_solve_reference(primary: ModeField, freq: float, profile: np.ndarray,
         if it == 1:
             first = phi
         if ratio >= 0.9:
-            raise NonContractionError(f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
+            raise SolveError("non-contraction",
+                             f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
         if residual == 0.0 or (residual <= tol and it >= 2):
             return PicardStep(it, phi.padded(M), residual, ratio), first.padded(M)
-    raise NonContractionError(f"no convergence to tol={tol} within {max_iter} iterations "
-                              f"(last residual {residual:.3e})")
+    raise SolveError("non-convergence", f"no convergence to tol={tol} within {max_iter} "
+                     f"iterations (last residual {residual:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +404,7 @@ def setup_horseshoe_bisected(params):
     spacing = thetas0[1] - thetas0[0]
     th1, v1, th2, u2, kind = _run_fibers(params, graph, thetas0, MapCounters())
     if (kind != "").any():
-        raise PassageError("a W^u fibre failed")
+        raise SolveError(kind[np.argmax(kind != "")], "a W^u fibre failed")
     wu_local = _TrigCurve(np.fmod(th1, 2.0 * math.pi), v1)
     h = u2 - wu_local(-th2)
     bisection = MapCounters()
@@ -418,7 +419,7 @@ def setup_horseshoe_bisected(params):
         lab = None if walked is None else _orient_lab(params, wu_local, walked, MapCounters())
         if lab is not None:
             return lab, bisection
-    raise PassageError("no homoclinic crossing produced a returning rectangle")
+    raise SolveError("geometry", "no homoclinic crossing produced a returning rectangle")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +444,8 @@ def taus_at_advance_step_rule(lab, v_rel, target, guess) -> np.ndarray:
     def g(lanes, tau):
         ret = lab.return_maps(v_rel[lanes], tau)
         if not ret.ok.all():
-            raise PassageError(f"return failed: {ret.kind[np.argmin(ret.ok)]}")
+            bad = ret.kind[np.argmin(ret.ok)]
+            raise SolveError(bad, f"return failed: {bad}")
         return (2.0 * math.pi / ret.advance) ** 2 - (2.0 * math.pi / target[lanes]) ** 2
 
     live = np.arange(v_rel.size)
@@ -457,7 +459,7 @@ def taus_at_advance_step_rule(lab, v_rel, target, guess) -> np.ndarray:
         if not live.size:
             return t1
         g1 = g(live, t1[live])
-    raise PassageError("step-rule secant did not converge")
+    raise SolveError("non-convergence", "step-rule secant did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -491,5 +493,6 @@ def find_homoclinics_brentq(unstable, stable, u: float,
         roots.append((float(th_root % (2 * math.pi)), slope))
     roots.sort()
     if len(roots) != 2:
-        raise RootCountError(roots)
+        raise SolveError("root-count", f"expected 2 homoclinic roots per period, "
+                         f"found {len(roots)}")
     return roots

@@ -16,10 +16,20 @@ only tests change is a module constant, which a test can monkeypatch.  A
 call through a module that is not hecu's, such as ``subprocess.run``, sets
 no parameter of hecu's, and every exemption must exempt a parameter that no
 call sets.
+
+Every failure is a DomainError (the input is at fault) or a SolveError (a
+solve failed, and its kind says how): src/hecu defines no other exception
+class and raises no bare RuntimeError.  A SolveError names its kind as a
+literal of model.FAILURE_KINDS, apart from the named functions that pass on
+a lane's failure kind, and every such kind is in FAILURE_KINDS too.
 """
 
 import ast
+import builtins
 from pathlib import Path
+
+from hecu.horseshoe import _LANE_KINDS
+from hecu.model import FAILURE_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -204,3 +214,82 @@ def test_every_exemption_is_in_use():
     # parameter, exempts nothing
     stale = set(PARAMETER_EXEMPTIONS) - set(unset_parameters())
     assert not stale, f"exemptions that exempt nothing: {sorted(stale)}"
+
+
+def _package_trees():
+    return [(path, _parse(path)) for path in sorted((ROOT / "src" / "hecu").glob("*.py"))]
+
+
+def _base_name(node: ast.expr):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def exception_classes() -> set[str]:
+    """Names of the classes in src/hecu that derive from an exception: a
+    builtin one, a name ending in Error or Exception, or another such class."""
+    classes = [node for _, tree in _package_trees() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    found = set()
+
+    def is_exception(name):
+        builtin = getattr(builtins, name or "", None)
+        return (name in found or str(name).endswith(("Error", "Exception"))
+                or isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+    while True:
+        new = {c.name for c in classes
+               if c.name not in found and any(is_exception(_base_name(b)) for b in c.bases)}
+        if not new:
+            return found
+        found |= new
+
+
+def test_two_exception_classes():
+    assert exception_classes() == {"DomainError", "SolveError"}
+
+
+def test_no_bare_runtime_error():
+    # a solve's failure is a SolveError with a kind
+    bare = [f"{path.name}:{node.lineno}" for path, tree in _package_trees()
+            for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None
+            and _base_name(getattr(node.exc, "func", node.exc)) == "RuntimeError"]
+    assert not bare, f"raise RuntimeError at {bare}"
+
+
+# Functions whose SolveError takes its kind from a failed lane rather than a
+# literal: function -> where the kind comes from.
+KIND_FORWARDERS = {
+    "_failure": "a passage's lane kind: escape or an integrate.LANE_OUTCOMES name",
+    "_taus_at_advance": "the kind of the first failed lane of an edge stencil",
+    "_sample_sheet": "the integrate.LANE_OUTCOMES name of the first missing lane",
+}
+
+
+def _solve_error_calls():
+    """(file:line, innermost enclosing function, first argument) of each
+    SolveError call in src/hecu."""
+    def visit(node, path, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else fn
+            if isinstance(child, ast.Call) and _base_name(child.func) == "SolveError":
+                yield f"{path.name}:{child.lineno}", inner, (child.args or [None])[0]
+            yield from visit(child, path, inner)
+
+    for path, tree in _package_trees():
+        yield from visit(tree, path, None)
+
+
+def test_every_failure_kind_is_in_the_vocabulary():
+    literal, forwarded = [], set()
+    for where, fn, kind in _solve_error_calls():
+        if isinstance(kind, ast.Constant):
+            if kind.value not in FAILURE_KINDS:
+                literal.append(f"{where} {kind.value!r}")
+        elif fn in KIND_FORWARDERS:
+            forwarded.add(fn)
+        else:
+            literal.append(f"{where} in {fn}: not a literal kind")
+    assert not literal, "SolveError kinds outside FAILURE_KINDS:\n" + "\n".join(literal)
+    # every forwarder forwards, and what it forwards is a failure kind
+    assert forwarded == set(KIND_FORWARDERS)
+    assert set(_LANE_KINDS.values()) - {""} <= set(FAILURE_KINDS)

@@ -9,7 +9,7 @@ import pytest
 
 from hecu import acceptance, cli, horseshoe, inner, manifolds, separatrix
 from hecu.cli import _parse_list, _parse_range, run
-from hecu.model import DomainError
+from hecu.model import FAILURE_KINDS, DomainError, SolveError
 
 
 def test_parse_range_single():
@@ -398,3 +398,55 @@ def test_manifest_clock_times_the_computation(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     # wall_clock_s is rounded to the millisecond
     assert manifest["wall_clock_s"] + 5e-4 >= float(row[2]) > 0.01
+
+
+# each subcommand and the first solve it runs
+FIRST_SOLVES = {
+    "melnikov": (["--nuI0", "5"], separatrix, "melnikov_coeff_quadrature"),
+    "splitting": (["--nuI0", "5"], manifolds, "unstable_sheet"),
+    "sweep": (["--nuI0", "4:6:1"], manifolds, "splitting_sweep"),
+    "inner": ([], inner, "solve_inner"),
+    "horseshoe": (["--nuI0", "4.5"], horseshoe, "setup_horseshoe"),
+    "oscillate": (["--nuI0", "4.5"], horseshoe, "setup_horseshoe"),
+}
+
+
+@pytest.mark.parametrize("kind", FAILURE_KINDS)
+@pytest.mark.parametrize("command", sorted(FIRST_SOLVES))
+def test_failed_solve_exits_3_in_one_line(tmp_path, command, kind, capsys, monkeypatch):
+    # a classified failure is neither a crash (1) nor a configuration error
+    # (2): one stderr line names its kind, and the run writes nothing
+    flags, module, name = FIRST_SOLVES[command]
+
+    def fail(*args, **kwargs):
+        raise SolveError(kind, "stand-in failure")
+
+    monkeypatch.setattr(module, name, fail)
+    out = tmp_path / "out"
+    assert run([command, *flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"solve failed ({kind}): stand-in failure\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["splitting", "--nuI0", "1", "--epsilon", "1"], "Picard ratio 1.083 >= 0.9 at iteration 6"),
+    (["inner", "--epsilon", "50", "--kmax", "1"], "Picard ratio 0.910 >= 0.9 at iteration 38"),
+], ids=["splitting-nuI0-1", "inner-epsilon-50"])
+def test_solve_past_the_contraction_limit_exits_3(tmp_path, argv, message, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"solve failed (non-contraction): {message}\n"
+    assert not out.exists()
+
+
+def test_a_failed_solve_in_a_criterion_names_its_kind(tmp_path, monkeypatch):
+    # verify-all turns a raising criterion into a FAIL line, which names the kind
+    def fail(cache):
+        raise SolveError("timeout", "W^u fiber failed: timeout")
+
+    monkeypatch.setitem(acceptance.ALL_CRITERIA, 9, fail)
+    out = tmp_path / "v"
+    assert run(["verify-all", "--only", "9", "--out", str(out)]) == 1
+    assert (out / "acceptance_report.txt").read_text() == (
+        "[FAIL] criterion  9: criterion 9 — raised SolveError (timeout): "
+        "W^u fiber failed: timeout\n")

@@ -8,7 +8,6 @@ import pytest
 from hecu import fourier, inner, manifolds
 from hecu.fourier import (
     ModeField,
-    NonContractionError,
     _half_square,
     _moments,
     geometric_grid,
@@ -23,7 +22,7 @@ from hecu.fourier import (
 )
 from hecu.inner import solve_inner
 from hecu.manifolds import solve_hj_unstable
-from hecu.model import params_for_nu_I0
+from hecu.model import SolveError, params_for_nu_I0
 from oracles import dtheta, interp_coeff, picard_solve_reference, square, table_transport
 
 
@@ -430,8 +429,10 @@ def test_engine_fails_where_the_reference_fails(case, monkeypatch):
     messages = []
     for engine in (picard_solve, picard_solve_reference):
         _record(monkeypatch, module, engine)
-        with pytest.raises(NonContractionError) as err:
+        with pytest.raises(SolveError) as err:
             solve()
+        assert err.value.kind == ("non-convergence" if case == "hj-max-iter"
+                                  else "non-contraction")
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert ("within 3 iterations" if case == "hj-max-iter" else "ratio") in messages[0]

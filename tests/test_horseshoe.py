@@ -8,8 +8,6 @@ from scipy.integrate import solve_ivp
 from hecu import horseshoe
 from hecu.horseshoe import (
     HorseshoeLab,
-    PassageError,
-    ShadowingError,
     Strip,
     StripFamily,
     _CHART,
@@ -34,7 +32,7 @@ from hecu.horseshoe import (
     verify_cones,
 )
 from hecu.integrate import CROSSING_GTOL, IntegratorConfig, integrate_mcgehee, mcgehee_rhs
-from hecu.model import DomainError, hamiltonian_mcgehee, params_for_nu_I0
+from hecu.model import DomainError, SolveError, hamiltonian_mcgehee, params_for_nu_I0
 from hecu.separatrix import melnikov_coeff_closed, p_h, q_h
 from oracles import setup_horseshoe_bisected, taus_at_advance_step_rule
 
@@ -213,8 +211,9 @@ def test_passage_integration_failure_is_passage_error(monkeypatch):
     monkeypatch.setattr(horseshoe, "_reduced_rhs_lanes",
                         lambda params, theta0: lambda s, y: np.array(
                             (y[1], 1.0 / (1.0 - (theta0 + s)))))
-    with pytest.raises(PassageError, match="step"):
+    with pytest.raises(SolveError, match="step") as err:
         global_map(PARAMS, _CHART, 1e-3, 0.0)
+    assert err.value.kind == "underflow"
 
 
 def test_select_operating_point():
@@ -242,8 +241,9 @@ def test_verify_cones_leaves_lab_tolerance():
     v_grid = np.array([1e-3, 5e-3])
     strip = Strip(tau_lo=np.full(2, 1e-3), tau_hi=np.full(2, 2e-3), v_grid=v_grid)
     family = StripFamily({151: strip}, {}, mu_v=0.0, mu_h=0.0)
-    with pytest.raises(PassageError, match="no cone samples"):
+    with pytest.raises(SolveError, match="no cone samples") as err:
         verify_cones(lab, family, samples_per_strip=3)
+    assert err.value.kind == "geometry"
     assert lab.rtol == 1e-11
 
 
@@ -408,8 +408,9 @@ def test_tau_at_advance_leaves_rectangle():
     # no tau in (0, delta_q] advances the closed-form return by only 2 pi:
     # that root is tau = C = 1.2
     lab, _ = _expanding_family(_ExpandingLab)
-    with pytest.raises(PassageError, match="no root in the rectangle"):
+    with pytest.raises(SolveError, match="no root in the rectangle") as err:
         _taus_at_advance(lab, 3e-3, 2 * math.pi, 5e-3)
+    assert err.value.kind == "geometry"
     assert lab.counters.batches == 1
 
 
@@ -428,7 +429,7 @@ def test_tau_at_advance_names_a_failed_stencil_lane():
     # a stencil that straddles tau = 8e-3 loses its upper lanes: the solve
     # stops on the first batch and names the failure kind
     lab, _ = _expanding_family(_EscapingStencilLab)
-    with pytest.raises(PassageError, match="of 24 returns, escape") as err:
+    with pytest.raises(SolveError, match="of 24 returns, escape") as err:
         _taus_at_advance(lab, 3e-3, 2 * math.pi * 151, 8e-3)
     assert err.value.kind == "escape" and lab.counters.batches == 1
 
@@ -448,8 +449,9 @@ def test_tau_at_advance_refuses_noisy_advances():
     # an angle noise of 1e-3 rad moves the fitted roots by more than 3e-7 tau,
     # so no stencil meets the estimate's bound and the solve gives up
     lab, _ = _expanding_family(_NoisyLab)
-    with pytest.raises(PassageError, match="did not converge"):
+    with pytest.raises(SolveError, match="did not converge") as err:
         _taus_at_advance(lab, 3e-3, 2 * math.pi * 152.5, lab.C / 152.5)
+    assert err.value.kind == "non-convergence"
     assert lab.counters.batches == horseshoe._STENCIL_ROUNDS
 
 
@@ -464,9 +466,10 @@ class _NoisyLandingLab(_ExpandingLab):
 
 def test_shadow_orbit_raises_when_legs_miss_the_bound():
     lab, family = _expanding_family(_NoisyLandingLab)
-    with pytest.raises(ShadowingError, match="leg defect") as err:
+    # the message carries the three leg counts reached
+    with pytest.raises(SolveError, match=r"leg defect .* counts \(\d+, \d+, \d+\)$") as err:
         shadow_orbit(lab, family, (2, 3, 2))
-    assert len(err.value.achieved) == 3
+    assert err.value.kind == "shadowing"
 
 
 def test_reduced_rhs_lanes_match_scalar_field():
@@ -651,6 +654,17 @@ def test_build_strips_runs_one_stencil_batch(nu_I0, request):
     assert family.mu_h * family.mu_v < 1.0
 
 
+def test_strips_without_two_images_are_unresolved():
+    # at nu I0 = 7 (base count 1,262) the stencils span about 5% of tau, and
+    # the window's four strips only 0.6%: they catch 1, 0, 1 and 1 images,
+    # from which no Lipschitz constant or Hausdorff distance can be read
+    lab = setup_horseshoe(params_for_nu_I0(7.0, epsilon=1.0))
+    with pytest.raises(SolveError, match=r"image points in strip 1263 \(1\), "
+                       r"strip 1264 \(0\), strip 1265 \(1\), strip 1266 \(1\)$") as err:
+        build_strips(lab, (lab.base_count + 1, lab.base_count + 4), n_v=2)
+    assert err.value.kind == "unresolved"
+
+
 def test_return_maps_match_single_returns(real_lab):
     # four points as lanes of one batch, one of them past W^s: that lane
     # escapes alone, and the others agree with their one-lane returns to
@@ -756,7 +770,7 @@ def test_failed_lift_lane_raises_its_passage_kind(witness, real_lab, monkeypatch
 
     monkeypatch.setattr(horseshoe, "shadow_orbit", lambda *args: demo["itinerary"])
     monkeypatch.setattr(horseshoe, "first_crossing", short)
-    with pytest.raises(PassageError) as err:
+    with pytest.raises(SolveError) as err:
         # the patched shadowing reads no family
         oscillatory_demo(real_lab, object(), 3, 8.0)
     assert err.value.kind == "timeout"

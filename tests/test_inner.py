@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hecu import inner
-from hecu.fourier import NonContractionError, ibp_tail, osc_integral
+from hecu.fourier import ibp_tail, osc_integral
 from hecu.inner import (
     DEFAULT_DEPTHS,
     InnerDifference,
@@ -17,6 +17,7 @@ from hecu.model import (
     DomainError,
     ModelParams,
     PhysicalParams,
+    SolveError,
     nu_from_physical,
     params_for_nu_I0,
 )
@@ -103,16 +104,18 @@ def test_solve_requires_depth():
 
 def test_solve_raises_when_not_contracting():
     # eps = 100 at the shallowest depth puts the quadratic terms past contraction
-    with pytest.raises(NonContractionError, match=r"ratio 1\.078 >= 0\.9"):
+    with pytest.raises(SolveError, match=r"ratio 1\.078 >= 0\.9") as err:
         solve_inner(params_for_nu_I0(6.0, epsilon=100.0), depth=8.0)
+    assert err.value.kind == "non-contraction"
 
 
 def test_solve_raises_when_iterations_run_out(monkeypatch):
     # the first residual is already below tol, but the stop rule asks for two
     # iterations or more
     monkeypatch.setattr(inner, "_MAX_ITER", 1)
-    with pytest.raises(NonContractionError, match="within 1 iterations"):
+    with pytest.raises(SolveError, match="within 1 iterations") as err:
         solve_inner(params_for_nu_I0(6.0, epsilon=1e-3), depth=12.0)
+    assert err.value.kind == "non-convergence"
 
 
 def test_residual_certified(solution):

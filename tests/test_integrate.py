@@ -14,7 +14,6 @@ from hecu.integrate import (
     UNDERFLOW,
     IntegrationCounters,
     IntegratorConfig,
-    StepUnderflowError,
     energy_drift,
     first_crossing,
     integrate,
@@ -26,6 +25,7 @@ from hecu.model import (
     CorrugationSeries,
     DomainError,
     PhysicalParams,
+    SolveError,
     hamiltonian_mcgehee,
     params_for_nu_I0,
 )
@@ -259,9 +259,23 @@ def test_underflow_freezes_one_lane():
     assert list(k) == [UNDERFLOW, 0, UNDERFLOW]
     assert 0.99 < t[0] < 1.0 and t[2] <= 0.5 and y[0, 2] == pytest.approx(t[2], abs=1e-12)
     assert t[1] == pytest.approx(5.0, abs=1e-10) and y[0, 1] == pytest.approx(5.0, abs=1e-12)
-    with pytest.raises(StepUnderflowError):
+    with pytest.raises(SolveError) as err:
         first_crossing(lambda t, y: np.array([-1.0 / (1.0 - t)]), np.zeros(1),
                        (0.0, 8.0), rises, config)
+    assert err.value.kind == "underflow"
+
+
+def test_a_polish_failure_fails_the_run(monkeypatch):
+    # the lane loop catches a step underflow to freeze its lane; a polish
+    # that does not converge has no lane and fails the whole run
+    def no_polish(*args):
+        raise SolveError("polish", "event polish did not converge")
+
+    monkeypatch.setattr(engine, "_polish", no_polish)
+    with pytest.raises(SolveError, match="did not converge") as err:
+        first_crossing(lambda t, y: np.ones_like(y), np.array([[0.0, 0.1]]), (0.0, 5.0),
+                       [(lambda y: y[0] - 1.0, +1)], TIGHT)
+    assert err.value.kind == "polish"
 
 
 def test_non_finite_start_freezes_only_its_lane():
@@ -276,9 +290,10 @@ def test_non_finite_start_freezes_only_its_lane():
     assert k[1] == UNDERFLOW and t[1] == 0.0 and math.isnan(y[0, 1])
     assert np.array_equal(k[[0, 2]], k2) and np.array_equal(t[[0, 2]], t2)
     assert np.array_equal(y[:, [0, 2]], y2)
-    with pytest.raises(StepUnderflowError):
+    with pytest.raises(SolveError) as err:
         first_crossing(lambda t, y: np.ones_like(y), np.array([math.nan]), (0.0, 5.0),
                        rises, TIGHT)
+    assert err.value.kind == "underflow"
 
 
 def test_src_has_one_integrator():
@@ -390,8 +405,9 @@ def test_energy_drift_full_excursion(params):
 def test_step_underflow_signals(params):
     # the field blows up at t = 1: the controller shrinks the step below its
     # spacing limit
-    with pytest.raises(StepUnderflowError):
+    with pytest.raises(SolveError) as err:
         integrate(lambda t, y: [y[1], 1.0 / (1.0 - t), 0.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0], (0.0, 1.0),
                   IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10))
+    assert err.value.kind == "underflow"
 

@@ -6,12 +6,10 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from hecu import manifolds
-from hecu.fourier import NonContractionError
 from hecu.integrate import mcgehee_rhs
 from hecu.manifolds import (
     Sheet,
     SheetLevel,
-    SignalBelowNoiseError,
     _sample_sheet,
     find_homoclinics,
     fit_scaling,
@@ -24,7 +22,7 @@ from hecu.manifolds import (
     unstable_initial_conditions,
     unstable_sheet,
 )
-from hecu.model import DomainError, hamiltonian_mcgehee, params_for_nu_I0
+from hecu.model import DomainError, SolveError, hamiltonian_mcgehee, params_for_nu_I0
 from hecu.separatrix import melnikov_coeff_closed, p_h, q_h
 from oracles import find_homoclinics_brentq, l_out_plus, phi1_at
 
@@ -73,15 +71,17 @@ def test_hj_small_eps_iterates_past_melnikov_layer(nu_I0):
 
 def test_hj_raises_when_not_contracting():
     # at nu I0 = 1, eps = 1 the quadratic terms outgrow the transport's decay
-    with pytest.raises(NonContractionError, match=r"ratio 1\.083 >= 0\.9 at iteration 6"):
+    with pytest.raises(SolveError, match=r"ratio 1\.083 >= 0\.9 at iteration 6") as err:
         solve_hj_unstable(params_for_nu_I0(1.0, epsilon=1.0))
+    assert err.value.kind == "non-contraction"
 
 
 def test_hj_raises_when_iterations_run_out(monkeypatch):
     # one iteration cannot converge: the stop rule asks for two or more
     monkeypatch.setattr(manifolds, "_HJ_MAX_ITER", 1)
-    with pytest.raises(NonContractionError, match="within 1 iterations"):
+    with pytest.raises(SolveError, match="within 1 iterations") as err:
         solve_hj_unstable(SER_PARAMS)
+    assert err.value.kind == "non-convergence"
 
 
 def test_hj_derivative_consistency(graph):
@@ -168,8 +168,9 @@ def test_splitting_eps0_below_noise():
     params = params_for_nu_I0(4.0, epsilon=0.0)
     sheet = unstable_sheet(params, [1.0], n_theta=8)
     stable = stable_sheet_from_unstable(sheet)
-    with pytest.raises(SignalBelowNoiseError):
+    with pytest.raises(SolveError, match="below 10x noise floor") as err:
         measure_splitting(sheet, stable, 1.0, 1)
+    assert err.value.kind == "below-noise"
 
 
 def test_homoclinic_roots(sheets):
@@ -343,8 +344,9 @@ def test_sheet_coverage_gap_raises():
     params = params_for_nu_I0(5.0, epsilon=0.0)
     g = solve_hj_unstable(params)
     seeds = unstable_initial_conditions(g, -3.0, np.array([0.0, 1.0]))
-    with pytest.raises(RuntimeError, match="grid coverage gap"):
+    with pytest.raises(SolveError, match="grid coverage gap") as err:
         _sample_sheet(params, seeds, 3.0, [(-1.0, +1), (1.0, -1)])
+    assert err.value.kind == "timeout"
 
 
 def test_sheet_budget_counts_from_the_seed():
@@ -355,7 +357,8 @@ def test_sheet_budget_counts_from_the_seed():
     params = params_for_nu_I0(5.0, epsilon=0.0)
     u0 = np.array([-3.0, -1.6])
     seeds = np.array([q_h(u0), p_h(u0), np.zeros(2), np.zeros(2)]).T
-    with pytest.raises(RuntimeError, match=r"u=1.0: 1/2 fibers arrived \(lane 0: timeout\)"):
+    with pytest.raises(SolveError, match=r"u=1.0: 1/2 fibers arrived \(lane 0: timeout\)") as err:
         _sample_sheet(params, seeds, 3.5, [(-1.5, +1), (1.0, -1)])
+    assert err.value.kind == "timeout"
     sheet = _sample_sheet(params, seeds, 4.1, [(-1.5, +1), (1.0, -1)])
     assert np.allclose(sheet.level(1.0).P, p_h(1.0) ** 2, atol=1e-10)
