@@ -34,8 +34,8 @@ from .horseshoe import (
     truncated_local_map,
     verify_cones,
 )
-from .integrate import (IntegratorConfig, energy_drift, integrate, integrate_mcgehee,
-                        mcgehee_rhs)
+from .integrate import (IntegrationCounters, IntegratorConfig, energy_drift, integrate,
+                        integrate_mcgehee, mcgehee_rhs)
 from .model import (CorrugationSeries, SolveError, averaged_remainder_sup, nu_from_physical,
                     params_for_nu_I0)
 from .separatrix import melnikov_coeff_closed, melnikov_coeff_quadrature, p_h, q_h
@@ -203,7 +203,8 @@ def criterion_8(cache: dict) -> CriterionResult:
     lab = _lab(cache)
     u0s = np.logspace(-2, -6, 5)
     theta0 = lab.branch.theta[0]
-    v1, th1 = local_map(lab.params, u0s + lab.ws_u(theta0), theta0)
+    counters = IntegrationCounters()
+    v1, th1 = local_map(lab.params, u0s + lab.ws_u(theta0), theta0, counters)
     v1s = v1 - lab.wu_local(th1)
     dts = th1 - theta0
     p_v = np.polyfit(np.log(u0s), np.log(np.abs(v1s)), 1)[0]
@@ -214,7 +215,7 @@ def criterion_8(cache: dict) -> CriterionResult:
         8, "parabolic passage exponents", ok,
         f"v1 ~ u0^{p_v:.4f} (1±0.2), transit ~ u0^{p_t:.4f} (-0.5±0.05), "
         f"truncated oracle dev {worst_trunc:.1e} (tol 1e-12)",
-        {"exp_v": p_v, "exp_t": p_t, "trunc": worst_trunc})
+        {"exp_v": p_v, "exp_t": p_t, "trunc": worst_trunc, "counters": asdict(counters)})
 
 
 def criterion_9(cache: dict) -> CriterionResult:

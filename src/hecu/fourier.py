@@ -7,15 +7,18 @@ the fixed point
     Phi <- G(F(Phi)),     G(f)(x) = int_{-infty}^x f(s) e^{i w (s - x)} ds,
 
 mode by Fourier mode in the angle; they differ only in the frequencies,
-the profile of the (d_x Phi)^2 term and the primary source.  The
-semi-infinite transport G is a cumulative Hermite-Filon rule (Iserles and
-Norsett 2005): on each cell the source is replaced by its cubic Hermite
-interpolant, whose product with e^{iws} integrates in closed form through
-the moments int_0^1 s^j e^{zs} ds (Miller's backward recurrence for small
-|z|).  The weights of a mode live in a table keyed by |k| that the caller
-of the solve may keep across solves on one grid; a mode k < 0 reuses the
-weights of |k| through G_{-w}(f) = conj(G_w(conj f)).  Derivatives are
-exact throughout because the transport obeys d/dx G(f) = f - i w G(f).
+the profile of the (d_x Phi)^2 term and the primary source.  A solve
+computes each field once: a source's x-derivatives only when another
+transport reads them, and the inner solver's Melnikov layer L+_in as the
+solve's first iterate.  The semi-infinite transport G is a cumulative
+Hermite-Filon rule (Iserles and Norsett 2005): on each cell the source is
+replaced by its cubic Hermite interpolant, whose product with e^{iws}
+integrates in closed form through the moments int_0^1 s^j e^{zs} ds
+(Miller's backward recurrence for small |z|).  The weights of a mode live
+in a table keyed by |k| that the caller of the solve may keep across
+solves on one grid; a mode k < 0 reuses the weights of |k| through
+G_{-w}(f) = conj(G_w(conj f)).  Derivatives are exact throughout because
+the transport obeys d/dx G(f) = f - i w G(f).
 
 The same module provides panel Gauss-Legendre oscillatory quadrature used
 by the independent Melnikov oracle.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SolveError
+from .model import DomainError, SolveError
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -102,24 +105,27 @@ def transport(x: np.ndarray, f: np.ndarray, fp: np.ndarray, omega: float,
     return _filon_transport(_filon_weights(x, omega), f, fp, tail)
 
 
-def transport_modes(F: ModeField, freq: float, table: dict, out: ModeField) -> None:
+def transport_modes(F: ModeField, freq: float, table: dict, out: ModeField) -> list[int]:
     """G(F) into `out` on F's band, mode k at omega_k = k freq.
 
     Each mode takes an integration-by-parts tail, or the |x|^-4 power-law
-    tail for omega_k = 0; a zero mode stays zero.  The Filon weights of |k|
-    come from `table`, keyed by |k| and built there on first use, so the
-    table depends only on F.x and freq.  A mode k < 0 is moved through
-    G_{-w}(f) = conj(G_w(conj f)), which holds for real x and is exact in
-    floating point (conjugation only flips signs).  The derivative
-    d_x G_k = F_k - i omega_k G_k is exact.
+    tail for omega_k = 0; a mode whose values are zero stays zero.  The
+    Filon weights of |k| come from `table`, keyed by |k| and built there on
+    first use, so the table depends only on F.x and freq.  A mode k < 0 is
+    moved through G_{-w}(f) = conj(G_w(conj f)), which holds for real x and
+    is exact in floating point (conjugation only flips signs).  The
+    derivative d_x G_k = F_k - i omega_k G_k is exact.  Returns the rows it
+    moved, the others being zero in `out`.
     """
     x = F.x
+    moved = []
     for m, k in enumerate(F.ks):
         f, fp = F.values[m], F.du[m]
         if not f.any():
             out.values[m] = 0.0
             out.du[m] = 0.0
             continue
+        moved.append(m)
         omega = k * freq
         tail = (ibp_tail(f[0], fp[0], (fp[1] - fp[0]) / (x[1] - x[0]), omega, x[0])
                 if omega else powerlaw_tail(f[0], x[0]))
@@ -133,6 +139,7 @@ def transport_modes(F: ModeField, freq: float, table: dict, out: ModeField) -> N
             out.values[m] = _filon_transport(w, f.conj(), fp.conj(), np.conj(tail)).conj()
         np.multiply(1j * omega, out.values[m], out=out.du[m])
         np.subtract(f, out.du[m], out=out.du[m])
+    return moved
 
 
 def ibp_tail(f0: complex, fp0: complex, fpp0: complex, omega: float,
@@ -219,6 +226,8 @@ class ModeField:
 
     def padded(self, M: int) -> "ModeField":
         """The same series on |k| <= M >= self.M, the new modes zero."""
+        if M < self.M:
+            raise DomainError(f"cannot pad modes |k| <= {self.M} to |k| <= {M}")
         out = ModeField(M, self.x)
         out.values[M - self.M:M + self.M + 1] = self.values
         out.du[M - self.M:M + self.M + 1] = self.du
@@ -226,6 +235,8 @@ class ModeField:
 
     def band(self, B: int) -> "ModeField":
         """View of the modes |k| <= B <= self.M."""
+        if not 0 <= B <= self.M:
+            raise DomainError(f"band {B} is outside the modes |k| <= {self.M}")
         rows = slice(self.M - B, self.M + B + 1)
         return ModeField(B, self.x, self.values[rows], self.du[rows])
 
@@ -271,65 +282,77 @@ _workspace = np.empty(0, dtype=complex)
 
 
 def _workspace_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ten (rows, n) complex arrays and three length-n rows, views of the workspace."""
+    """Ten (rows, n) complex arrays and two length-n rows, views of the workspace."""
     global _workspace
-    size = (10 * rows + 3) * n
+    size = (10 * rows + 2) * n
     if _workspace.size < size:
         _workspace = np.empty(size, dtype=complex)
     fields = _workspace[:10 * rows * n].reshape(10, rows, n)
-    return fields, _workspace[10 * rows * n:size].reshape(3, n)
+    return fields, _workspace[10 * rows * n:size].reshape(2, n)
 
 
-def _half_square(a: ModeField, out: ModeField, tmp: np.ndarray) -> None:
-    """Write a^2 / 2 in theta, truncated to |k| <= out.M, into `out`.
+def _half_square(v: np.ndarray, d: np.ndarray | None, live: list[int], out: np.ndarray,
+                 tmp: np.ndarray) -> None:
+    """Write a^2 / 2 in theta into `out`, or with `d` its x-derivative a a'.
 
-    Sums each unordered pair a_i a_j once (the diagonal at half weight)
-    with d/dx (a^2/2) = a a', and skips modes that are identically zero, so
+    Row i of `v` (of `d`) holds mode i - B of a field a of band B (of its
+    x-derivative), and `live` lists the rows that are not identically zero;
+    row m of `out` takes mode m - Mo of the result, truncated to |k| <= Mo.
+    Sums each unordered pair a_i a_j once (the diagonal at half weight), so
     a field of band B costs O(B^2) row products.  The first pair of a mode
-    writes it, later pairs add to it through `tmp`, three scratch rows.
-    Callers fold the factor 2 of the square into their coefficients, which
-    is exact since it only scales by a power of two.
+    writes it, later pairs add to it through `tmp`, two scratch rows; rows
+    no pair reaches are set to zero.  A value pass and a derivative pass
+    make the same pair sums as one pass over both, so a caller may skip the
+    derivative pass when nothing reads it.  Callers fold the factor 2 of
+    the square into their coefficients, which is exact since it only scales
+    by a power of two.
     """
-    v, d = a.values, a.du
-    written = np.zeros(2 * out.M + 1, dtype=bool)
-    live = a._live()
+    shift = (len(out) - 1) // 2 - (len(v) - 1)
+    written = np.zeros(len(out), dtype=bool)
     for n, i in enumerate(live):
         for j in live[n:]:
-            m = i + j - 2 * a.M + out.M
-            if not 0 <= m <= 2 * out.M:
+            m = i + j + shift
+            if not 0 <= m < len(out):
                 continue
-            pv, pd = (tmp[0], tmp[1]) if written[m] else (out.values[m], out.du[m])
-            if i == j:
-                np.multiply(0.5, v[i], out=pv)
-                pv *= v[i]
-                np.multiply(v[i], d[i], out=pd)
+            p = tmp[0] if written[m] else out[m]
+            if d is None and i == j:
+                np.multiply(0.5, v[i], out=p)
+                p *= v[i]
+            elif d is None:
+                np.multiply(v[i], v[j], out=p)
+            elif i == j:
+                np.multiply(v[i], d[i], out=p)
             else:
-                np.multiply(v[i], v[j], out=pv)
-                np.multiply(d[i], v[j], out=pd)
-                np.multiply(v[i], d[j], out=tmp[2])
-                pd += tmp[2]
+                np.multiply(d[i], v[j], out=p)
+                np.multiply(v[i], d[j], out=tmp[1])
+                p += tmp[1]
             if written[m]:
-                out.values[m] += pv
-                out.du[m] += pd
+                out[m] += p
             written[m] = True
-    out.values[~written] = 0.0
-    out.du[~written] = 0.0
+    out[~written] = 0.0
 
 
-def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
+def picard_solve(primary: ModeField, modes: int, freq: float, profile: np.ndarray,
                  dprofile: np.ndarray, nu: float, tol: float, max_iter: int,
-                 weights: dict | None = None) -> PicardStep:
+                 weights: dict | None = None, first: ModeField | None = None) -> PicardStep:
     """Solve Phi = G(F(Phi)) by Picard iteration from Phi = 0.
 
-    F(Phi) = primary - profile (d_x Phi)^2 - (nu/2) (d_theta Phi)^2; G is
-    `transport_modes` at freq.  The Filon weights of |k| are built on the
-    first nonzero source of mode +-k into `weights`, a table keyed by |k|
-    that depends only on primary.x and freq: a caller that solves again on
-    the same grid and freq may pass the same table and build nothing.
-    d_x(d_x Phi_k) = d_x F_k - i omega_k d_x Phi_k is exact.
-    Squares double the band, so iterate n of a band-b primary lives on
-    |k| <= min(primary.M, 2^(n-1) b).
+    F(Phi) = primary - profile (d_x Phi)^2 - (nu/2) (d_theta Phi)^2 on the
+    modes |k| <= modes, which must cover the primary's nonzero modes; G is
+    `transport_modes` at freq.  The Filon weights of |k| are built on
+    the first nonzero source of mode +-k into `weights`, a table keyed by
+    |k| that depends only on primary.x and freq: a caller that solves again
+    on the same grid and freq may pass the same table and build nothing.
+    d_x(d_x Phi_k) = d_x F_k - i omega_k d_x Phi_k is exact.  Squares
+    double the band, so iterate n of a band-b primary lives on
+    |k| <= min(modes, 2^(n-1) b).  `first`, when given, receives the first
+    iterate G(primary) on its modes, which must cover the primary's.
 
+    Each source is formed in two halves.  The values come first, and the
+    residual and ratio are read from them; the x-derivatives, which only
+    the next transport reads, follow only when another iteration runs.
+    Between the halves the profile' (d_x Phi)^2 term waits in the new
+    source's own du rows, and d_theta Phi in the angular scratch's du rows.
     The iterates and sources live in the module workspace, two of each in
     turn; the returned field is a copy, so it outlives later solves, but
     only one solve may run at a time.
@@ -337,14 +360,17 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
     Stops at residual <= tol after two iterations or more, so the
     correction beyond the first iterate is measured, not left at zero; or
     at a residual of exactly zero (a zero source stops at iteration 1).
-    Returns the last step, on |k| <= primary.M.
+    Returns the last step, on |k| <= modes.
     Raises SolveError "non-contraction" when the ratio of successive
     differences reaches 0.9, and "non-convergence" when max_iter iterations
     do not converge.
     """
-    x, M = primary.x, primary.M
+    x, M = primary.x, int(modes)
     live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
     primary = primary.band(max(live, default=0))
+    if M < primary.M or (first is not None and first.M < primary.M):
+        raise DomainError(f"the solve and its first iterate need the primary's modes "
+                          f"|k| <= {primary.M}")
     weights = {} if weights is None else weights
     fields, scratch = _workspace_arrays(2 * M + 1, len(x))
     tmp, tmp2 = fields[8], fields[9]
@@ -359,34 +385,48 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
         band = slice(M - B, M + B + 1)
         return ModeField(B, x, fields[2 * pair][band], fields[2 * pair + 1][band])
 
-    def source_into(phi: ModeField, prev: ModeField, out: ModeField, ang: ModeField) -> None:
-        """F(phi) into `out`; `prev` is the source phi was moved from.
+    def combine(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> None:
+        """a <- p - (a + nu b) on the rows of `a`, p on the primary's band;
+        -nu b - a rounds as -(a + nu b) does."""
+        np.multiply(-nu, b, out=b)
+        np.subtract(b, a, out=a)
+        a[(len(a) - len(p)) // 2:(len(a) + len(p)) // 2] += p
 
-        `ang` is free storage on the band of `out`.
+    def source_values(phi: ModeField, live: list[int], out: ModeField,
+                      ang: ModeField) -> None:
+        """The values of F(phi) into `out`; `live` are phi's nonzero rows.
+
+        `ang` is free storage on the band of `out`.  Leaves profile'
+        (d_x Phi)^2 in out.du and d_theta Phi in the first rows of ang.du
+        for `source_derivatives`.
         """
-        band = slice(M - phi.M, M + phi.M + 1)
         r = 2 * phi.M + 1
-        # d_x Phi and its derivative d_x F - i omega_k d_x Phi
+        band = slice(M - phi.M, M + phi.M + 1)
+        _half_square(phi.du, None, live, out.values, scratch)
+        np.multiply(out.values, dprof2, out=out.du)
+        out.values *= prof2
+        dtheta = ang.du[:r]
+        np.multiply(ik[band], phi.values, out=dtheta)
+        # the mode k = 0 of d_theta Phi is zero
+        _half_square(dtheta, None, [i for i in live if i != phi.M], ang.values, scratch)
+        combine(out.values, ang.values, primary.values)
+
+    def source_derivatives(phi: ModeField, prev: ModeField, live: list[int],
+                           out: ModeField, ang: ModeField) -> None:
+        """The x-derivatives of F(phi) into `out`, after `source_values`;
+        `prev` is the source phi was moved from."""
+        r = 2 * phi.M + 1
+        band = slice(M - phi.M, M + phi.M + 1)
+        # d_x Phi's derivative d_x F - i omega_k d_x Phi
         np.multiply(dx_coef[band], phi.du, out=tmp[:r])
         np.subtract(prev.du, tmp[:r], out=tmp[:r])
-        _half_square(ModeField(phi.M, x, phi.du, tmp[:r]), out, scratch)
-        y = tmp[:2 * out.M + 1]
-        np.multiply(out.values, dprof2, out=y)
-        out.du *= prof2
-        out.du += y
-        out.values *= prof2
-        # d_theta Phi
-        np.multiply(ik[band], phi.values, out=tmp[:r])
-        np.multiply(ik[band], phi.du, out=tmp2[:r])
-        _half_square(ModeField(phi.M, x, tmp[:r], tmp2[:r]), ang, scratch)
-        # primary - (profile (d_x Phi)^2 + (nu/2) (d_theta Phi)^2), where
-        # -nu b - a rounds as -(a + nu b) does
-        rows = slice(out.M - primary.M, out.M + primary.M + 1)
-        for a, b, p in ((out.values, ang.values, primary.values),
-                        (out.du, ang.du, primary.du)):
-            np.multiply(-nu, b, out=b)
-            np.subtract(b, a, out=a)
-            a[rows] += p
+        _half_square(phi.du, tmp[:r], live, ang.values, scratch)
+        ang.values *= prof2
+        out.du += ang.values
+        np.multiply(ik[band], phi.du, out=tmp[:r])
+        _half_square(ang.du[:r], tmp[:r], [i for i in live if i != phi.M], ang.values,
+                     scratch)
+        combine(out.du, ang.values, primary.du)
 
     def sup_diff(a: ModeField, b: ModeField) -> float:
         """max over nodes of sum_k |a_k - b_k|, the shorter band zero-padded."""
@@ -407,21 +447,30 @@ def picard_solve(primary: ModeField, freq: float, profile: np.ndarray,
     for it in range(1, max_iter + 1):
         new, old = it % 2, 1 - it % 2
         phi_new = field_at(new, src.M)
-        transport_modes(src, freq, weights, phi_new)
+        moved = transport_modes(src, freq, weights, phi_new)
+        if it == 1 and first is not None:
+            rows = slice(first.M - src.M, first.M + src.M + 1)
+            first.values[:] = 0.0
+            first.du[:] = 0.0
+            first.values[rows] = phi_new.values
+            first.du[rows] = phi_new.du
         delta = sup_diff(phi_new, phi)
         # the previous iterate's arrays are free from here on
         src_new = field_at(2 + new, min(M, max(2 * src.M, primary.M)))
-        source_into(phi_new, src, src_new, field_at(old, src_new.M))
+        ang = field_at(old, src_new.M)
+        source_values(phi_new, moved, src_new, ang)
         residual = sup_diff(src_new, src)
         if prev_delta > 0:
             ratio = delta / prev_delta
         prev_delta = delta
-        phi, src = phi_new, src_new
         if ratio >= 0.9:
             raise SolveError("non-contraction",
                              f"Picard ratio {ratio:.3f} >= 0.9 at iteration {it}")
         if residual == 0.0 or (residual <= tol and it >= 2):
-            return PicardStep(it, phi.padded(M), residual, ratio)
+            return PicardStep(it, phi_new.padded(M), residual, ratio)
+        if it < max_iter:
+            source_derivatives(phi_new, src, moved, src_new, ang)
+        phi, src = phi_new, src_new
     raise SolveError("non-convergence", f"no convergence to tol={tol} within {max_iter} "
                      f"iterations (last residual {residual:.3e})")
 

@@ -208,11 +208,13 @@ def _lanes_to_section(params: ModelParams, y0: np.ndarray, theta0: np.ndarray, w
     return kind, theta0 + s, y
 
 
-def local_map(params: ModelParams, u0, theta0):
+def local_map(params: ModelParams, u0, theta0,
+              counters: IntegrationCounters | None = None):
     """Corner passage Sigma1 -> Sigma0: (u0, a, theta0) -> (a, v1, theta1).
 
     u0 and theta0 are floats or arrays; the passages run as the lanes of one
-    batch, and (v1, theta1) has their broadcast shape.  Raises SolveError
+    batch, and (v1, theta1) has their broadcast shape.  `counters`, when
+    given, gathers the batch's steps and field calls.  Raises SolveError
     "escape" if an orbit escapes along the other side of the stable manifold
     instead of turning around the corner.
     """
@@ -221,7 +223,8 @@ def local_map(params: ModelParams, u0, theta0):
     if not np.all((0 < u0) & (u0 < _CHART_DELTA)):
         raise DomainError("local map needs 0 < u0 < delta on Sigma1")
     y0 = np.array(_CHART.from_chart(u0.ravel(), _CHART_A))
-    kind, th1, y1 = _lanes_to_section(params, y0, theta0.ravel(), "u", +1, _CORNER_SPAN)
+    kind, th1, y1 = _lanes_to_section(params, y0, theta0.ravel(), "u", +1, _CORNER_SPAN,
+                                      counters=counters)
     failed = kind != ""
     if failed.any():
         raise _failure("corner passage", kind[np.argmax(failed)])

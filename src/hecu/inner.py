@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ModeField, geometric_grid, hermite, picard_solve, transport_modes
+from .fourier import ModeField, geometric_grid, hermite, picard_solve
 from .fourier import transport  # noqa: F401  (perfbench/layers.py wraps it here)
 from .model import DomainError, ModelParams
 
@@ -84,9 +84,10 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
     and "non-convergence" when it does not converge within 60 iterations.
     The line start acts as the paper's distance kappa; depths below 8 are
     rejected (the contraction constant degrades like 1/kappa).  The inner
-    Melnikov layer L+_in, the solve's first iterate, is one transport of
-    the primary source.  diagnostics["filon_tables_built"] counts the
-    weight tables this solve added to its line's shared table.
+    Melnikov layer L+_in is the solve's first iterate, the transport of the
+    primary source, which picard_solve copies out through `first`.
+    diagnostics["filon_tables_built"] counts the weight tables this solve
+    added to its line's shared table.
     """
     if depth < _MIN_DEPTH:
         raise DomainError(f"depth must be >= {_MIN_DEPTH} (kappa too small)")
@@ -94,16 +95,15 @@ def solve_inner(params: ModelParams, depth: float = 12.0, modes: int = 8,
     x, table = _solver_line(max(4.0 * depth, 40.0))
     n_tables = len(table)
     M = int(modes)
+    # the primary source on its band: its modes beyond the corrugation's order are zero
+    B = min(M, params.series.order)
     v = x - 1j * depth
     vks = params.epsilon * np.array(
-        [params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
-    primary = ModeField(M, x, vks / (8.0 * v ** 2), vks * (-2.0 / (8.0 * v ** 3)))
-    step = picard_solve(primary, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, tol, _MAX_ITER,
-                        weights=table)
-    # L+_in on the primary's band: its modes beyond the corrugation's order are zero
-    B = min(M, params.series.order)
+        [params.series.fourier_coeff(k) for k in range(-B, B + 1)])[:, None]
+    primary = ModeField(B, x, vks / (8.0 * v ** 2), vks * (-2.0 / (8.0 * v ** 3)))
     melnikov = ModeField(M, x)
-    transport_modes(primary.band(B), 1.0, table, melnikov.band(B))
+    step = picard_solve(primary, M, 1.0, 2.0 * v ** 2, 4.0 * v, params.nu, tol, _MAX_ITER,
+                        weights=table, first=melnikov.band(B))
     return InnerSolution(params, depth, step.phi, melnikov, step.residual, step.ratio,
                          step.iteration, {"filon_tables_built": len(table) - n_tables})
 

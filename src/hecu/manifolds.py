@@ -87,12 +87,14 @@ def solve_hj_unstable(params: ModelParams, theta_modes: int = 8,
     """
     x = geometric_grid(_HJ_U_MAX, h0=_HJ_H0, near_span=_HJ_NEAR_SPAN, x_far=_HJ_U_FAR)
     M = int(theta_modes)
-    vks = np.array([params.series.fourier_coeff(k) for k in range(-M, M + 1)])[:, None]
+    # the primary source on its band: its modes beyond the corrugation's order are zero
+    B = min(M, params.series.order)
+    vks = np.array([params.series.fourier_coeff(k) for k in range(-B, B + 1)])[:, None]
     prof = -0.5 * params.epsilon * (1.0 + x ** 2) ** -2.0
     dprof = -0.5 * params.epsilon * (-4.0 * x) * (1.0 + x ** 2) ** -3.0
     inv2p = (1.0 + x ** 2) ** 2 / (2.0 * x ** 2)
     dinv2p = (4.0 * x * (1.0 + x ** 2) - 2.0 * (1.0 + x ** 2) ** 2 / x) / (2.0 * x ** 2)
-    step = picard_solve(ModeField(M, x, vks * prof, vks * dprof), params.nu_I0,
+    step = picard_solve(ModeField(B, x, vks * prof, vks * dprof), M, params.nu_I0,
                         inv2p, dinv2p, params.nu, tol, _HJ_MAX_ITER)
     return ManifoldGraph(step.phi, step.residual, step.ratio, step.iteration)
 

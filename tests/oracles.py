@@ -291,17 +291,18 @@ def table_transport(table: dict, x: np.ndarray, k: int, freq: float,
     return _filon_transport(w, f.conj(), fp.conj(), np.conj(tail)).conj()
 
 
-def picard_solve_reference(primary: ModeField, freq: float, profile: np.ndarray,
+def picard_solve_reference(primary: ModeField, modes: int, freq: float, profile: np.ndarray,
                            dprofile: np.ndarray, nu: float, tol: float, max_iter: int,
                            weights: dict | None = None) -> tuple[PicardStep, ModeField]:
     """fourier.picard_solve built from a new field for every product and sum.
 
     The same iteration, stop rule and failures, with F(0) computed from the
-    zero field, the factor 2 of each square applied inside `square` and each
-    mode moved by `table_transport`.  Returns the last step and the first
-    iterate, both on |k| <= primary.M.
+    zero field, the factor 2 of each square applied inside `square`, every
+    source formed whole (values and derivatives) and each mode moved by
+    `table_transport`.  Returns the last step and the first iterate, both
+    on |k| <= modes.
     """
-    x, M = primary.x, primary.M
+    x, M = primary.x, modes
     live = [abs(k) for k in primary.ks if primary.coeff(k).any()]
     primary = primary.band(max(live, default=0))
     weights = {} if weights is None else weights

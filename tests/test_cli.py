@@ -391,6 +391,17 @@ def test_verify_all_manifest_holds_criterion_counters(tmp_path, monkeypatch):
     assert set(manifest["outputs"]) == {"acceptance_report.txt", "acceptance.csv"}
 
 
+def test_verify_all_manifest_holds_c8_corner_counters(tmp_path):
+    # criterion 8's one corner batch records its integration work
+    out = tmp_path / "v"
+    assert run(["verify-all", "--only", "8", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    c8 = manifest["counters"]["8"]
+    assert set(c8) == {"steps", "rejected_steps", "rhs_calls", "polish_residual"}
+    assert c8["steps"] > 0 and c8["rhs_calls"] > c8["steps"] >= c8["rejected_steps"]
+    assert 0.0 <= c8["polish_residual"] <= 1e-12
+
+
 def test_manifest_clock_times_the_computation(tmp_path):
     out = tmp_path / "v"
     assert run(["verify-all", "--only", "11", "--out", str(out)]) == 0

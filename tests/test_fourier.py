@@ -22,7 +22,7 @@ from hecu.fourier import (
 )
 from hecu.inner import solve_inner
 from hecu.manifolds import solve_hj_unstable
-from hecu.model import SolveError, params_for_nu_I0
+from hecu.model import DomainError, SolveError, params_for_nu_I0
 from oracles import dtheta, interp_coeff, picard_solve_reference, square, table_transport
 
 
@@ -122,6 +122,19 @@ def test_mode_field_product_matches_pointwise():
         b = modes_to_values(B.values[:, j], thetas)
         c = modes_to_values(C.values[:, j], thetas)
         assert np.allclose(c, a * b, atol=1e-12)
+
+
+def test_mode_field_band_and_padding_check_their_bound():
+    x = np.linspace(-1.0, 0.0, 5)
+    f = ModeField(8, x)
+    f.values[8 + 2] = 1.0
+    assert f.band(2).coeff(2).tolist() == [1.0] * 5
+    assert f.padded(10).coeff(2).tolist() == [1.0] * 5
+    for B in (9, 10, -1):
+        with pytest.raises(DomainError, match="outside the modes"):
+            f.band(B)
+    with pytest.raises(DomainError, match="cannot pad"):
+        f.padded(4)
 
 
 def test_mode_field_dtheta():
@@ -245,7 +258,10 @@ def test_half_square_is_half_the_square_over_stale_storage(B, live):
         F = ModeField(4, x, np.where(F.ks[:, None] == 1, F.values, 0.0),
                       np.where(F.ks[:, None] == 1, F.du, 0.0))
     out = _random_field(rng, B, x, B)
-    _half_square(F, out, np.empty((3, len(x)), dtype=complex))
+    # the value pass and the derivative pass, each on its own output rows
+    tmp = np.empty((2, len(x)), dtype=complex)
+    _half_square(F.values, None, F._live(), out.values, tmp)
+    _half_square(F.values, F.du, F._live(), out.du, tmp)
     ref = square(F, B)
     assert np.array_equal(2.0 * out.values, ref.values)
     assert np.array_equal(2.0 * out.du, ref.du)
@@ -321,13 +337,21 @@ def _record(monkeypatch, module, engine) -> list:
     """Route module.picard_solve through `engine`; the list of its results.
 
     The reference engine's result is (step, first iterate); the solve gets
-    the step.
+    the step, and its out-field `first`, when it passes one, the reference's
+    first iterate on that field's modes.
     """
     calls = []
 
-    def recorded(*args, **kwargs):
+    def recorded(*args, first=None, **kwargs):
+        if engine is picard_solve:
+            calls.append(engine(*args, first=first, **kwargs))
+            return calls[-1]
         calls.append(engine(*args, **kwargs))
-        return calls[-1][0] if isinstance(calls[-1], tuple) else calls[-1]
+        step, ref_first = calls[-1]
+        if first is not None:
+            first.values[:] = ref_first.band(first.M).values
+            first.du[:] = ref_first.band(first.M).du
+        return step
 
     monkeypatch.setattr(module, "picard_solve", recorded)
     return calls
@@ -343,15 +367,16 @@ def test_engine_first_iterate_matches_per_mode_transport(solver, monkeypatch):
         params = params_for_nu_I0(6.0, epsilon=eps)
         primaries = []
 
-        def recorded(primary, *args):
+        def recorded(primary, *args, **kwargs):
             primaries.append(primary)
-            return picard_solve(primary, *args)
+            return picard_solve(primary, *args, **kwargs)
 
         monkeypatch.setattr(manifolds, "picard_solve", recorded)
         graph = solve_hj_unstable(params)
         x, freq = graph.u, params.nu_I0
-        first = ModeField(primaries[0].M, x)
-        transport_modes(primaries[0], freq, {}, first)
+        # the primary comes on its band; the modes beyond it transport to zero
+        first = ModeField(graph.phi1.M, x)
+        transport_modes(primaries[0], freq, {}, first.band(primaries[0].M))
         prof = -0.5 * eps * (1.0 + x ** 2) ** -2.0
         dprof = 2.0 * eps * x * (1.0 + x ** 2) ** -3.0
         vks = {k: params.series.fourier_coeff(k) for k in first.ks}
@@ -377,8 +402,9 @@ def test_engine_first_iterate_matches_per_mode_transport(solver, monkeypatch):
 
 
 # the graph at three frequencies, and in 5 iterations at eps = 0.1; the inner
-# solve in 3-4 iterations, and at eps = 0, where the zero source stops it at
-# iteration 1
+# solve in 3-4 iterations, in 7 at eps = 5 (five of them at the full band, with
+# a source derivative formed after the residual at each), and at eps = 0, where
+# the zero source stops it at iteration 1
 ENGINE_CASES = {
     "hj-4": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(4.0, epsilon=1e-3))),
     "hj-4-eps0.1": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(4.0, epsilon=0.1))),
@@ -386,6 +412,7 @@ ENGINE_CASES = {
     "hj-9": (manifolds, lambda: solve_hj_unstable(params_for_nu_I0(9.0, epsilon=1e-3))),
     "inner-eps1": (inner, lambda: solve_inner(params_for_nu_I0(6.0, epsilon=1.0), depth=8.0)),
     "inner-eps0": (inner, lambda: solve_inner(params_for_nu_I0(6.0, epsilon=0.0), depth=8.0)),
+    "inner-eps5": (inner, lambda: solve_inner(params_for_nu_I0(6.0, epsilon=5.0), depth=8.0)),
 }
 
 
@@ -436,6 +463,38 @@ def test_engine_fails_where_the_reference_fails(case, monkeypatch):
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert ("within 3 iterations" if case == "hj-max-iter" else "ratio") in messages[0]
+
+
+@pytest.mark.parametrize("case", ["hj-4-eps0.1", "hj-max-iter", "inner-eps1", "inner-eps5"])
+def test_solve_forms_each_field_once(case, monkeypatch):
+    # iteration n transports its source (the first of them is L+_in) and forms
+    # the values of the next source; that source's derivatives, which only the
+    # next transport reads, are formed only when another iteration runs
+    module, solve = {**ENGINE_CASES, **FAILING_CASES}[case]
+    counts = {"value": 0, "derivative": 0, "transport": 0}
+    half_square, transport_modes_ = fourier._half_square, fourier.transport_modes
+
+    def counted_square(v, d, *args):
+        counts["value" if d is None else "derivative"] += 1
+        half_square(v, d, *args)
+
+    def counted_transport(*args):
+        counts["transport"] += 1
+        return transport_modes_(*args)
+
+    monkeypatch.setattr(fourier, "_half_square", counted_square)
+    for mod in (fourier, inner, manifolds):
+        if hasattr(mod, "transport_modes"):
+            monkeypatch.setattr(mod, "transport_modes", counted_transport)
+    if case == "hj-max-iter":
+        monkeypatch.setattr(manifolds, "_HJ_MAX_ITER", 3)
+        with pytest.raises(SolveError, match="within 3 iterations"):
+            solve()
+        n = 3       # no derivative at the last iteration either
+    else:
+        n = solve().iterations
+    assert n >= 2
+    assert counts == {"value": 2 * n, "derivative": 2 * (n - 1), "transport": n}
 
 
 def test_engine_outputs_are_copies_of_the_workspace():

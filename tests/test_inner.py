@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,3 +267,20 @@ def test_f1_beyond_melnikov_scales_like_eps_squared():
         devs.append(extract_fk(params, ks=(1,)).f1.real - lead)
     assert devs[0] != 0.0
     assert 3.6 <= devs[1] / devs[0] <= 4.4
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1.0])
+def test_inner_solve_allocates_little_beyond_its_output(eps):
+    # T1 (values and du) and L+_in, the same size, take 2 units of T1; the
+    # primary on its band and the line's profiles take the rest (2.44 units
+    # measured).  Building the primary on all 2M + 1 modes took 3.18, and one
+    # more workspace-sized field for the source's held terms would take 0.5
+    params = params_for_nu_I0(6.0, epsilon=eps)
+    solve_inner(params, depth=16.0)     # grows the workspace and builds the line's weights
+    tracemalloc.start()
+    try:
+        sol = solve_inner(params, depth=16.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * (sol.t1.values.nbytes + sol.t1.du.nbytes)
